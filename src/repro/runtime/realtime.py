@@ -8,9 +8,12 @@ wall clock of a private asyncio event loop:
 * :class:`RealtimeClock` — ``wall = t0 + logical * time_scale``.  A
   ``time_scale`` below 1.0 compresses time (``0.05`` runs a 20-logical-
   second workload in about one wall second), which is how the parity
-  suite keeps realtime runs cheap.  Timers become ``loop.call_at``
-  callbacks; schedule labels/footprints are accepted and ignored (there
-  is no controlled scheduling on a wall clock).
+  suite keeps realtime runs cheap.  The clock keeps its own timer
+  queue and shows the loop one wake-up, on a wait with microsecond
+  resolution, so at ``time_scale=1.0`` a modelled 100 us link hop costs
+  about that on the wall and not epoll's millisecond; schedule
+  labels/footprints are accepted and ignored (there is no controlled
+  scheduling on a wall clock).
 * transports — ``inproc`` reuses the shared
   :class:`~repro.runtime.engine.ClockTransport` (delivery is a scaled
   wall-clock timer); :class:`TcpTransport` pushes every message over a
@@ -35,7 +38,13 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import heapq
+import itertools
 import os
+import select as _select
+import selectors
+import threading
+from collections import deque
 from typing import Callable
 
 from ..core.errors import SerdeError
@@ -50,43 +59,123 @@ __all__ = [
 ]
 
 
-class _WallHandle:
+#: timers one wake-up fires before it yields to the asyncio loop, so
+#: socket readiness and thread-pool completions are polled between the
+#: batches of a long zero-delay cascade
+_BATCH = 512
+#: events ``run_until`` lets a cascade fire past its deadline before it
+#: gives the cascade up as a livelock
+_SETTLE_LIMIT = 100_000
+#: below this queue size compaction is pointless (as in ``sim.py``)
+_COMPACT_MIN = 64
+_NEVER = float("inf")
+
+
+if hasattr(selectors, "EpollSelector"):
+
+    class _Selector(selectors.EpollSelector):
+        """epoll readiness behind a wait with microsecond resolution.
+
+        ``epoll_wait`` (and ``poll``) take their timeout in whole
+        milliseconds and round it up, so a timer 100 us ahead fires
+        1-2 ms late.  ``select`` takes microseconds but rejects
+        descriptors at or above ``FD_SETSIZE`` (1024).  An epoll
+        descriptor is itself readable exactly when it has events to
+        report, so the timed wait is a ``select`` on that one descriptor
+        and readiness is then collected with a zero-timeout
+        ``epoll_wait``: the registered descriptors have no ceiling.
+        Only when the epoll descriptor *itself* is numbered past the
+        ceiling (the process held over a thousand descriptors when the
+        clock was built) the wait falls back to ``epoll_wait`` and its
+        millisecond rounding."""
+
+        fine = True
+
+        def select(self, timeout=None):
+            if self.fine and timeout is not None and timeout > 0:
+                try:
+                    if not _select.select((self.fileno(),), (), (), timeout)[0]:
+                        return []
+                except InterruptedError:
+                    return []
+                except ValueError:  # the epoll descriptor is >= FD_SETSIZE
+                    self.fine = False
+                    return super().select(timeout)
+                timeout = 0
+            return super().select(timeout)
+
+else:  # kqueue waits in nanoseconds; poll/select keep their own rounding
+    _Selector = selectors.DefaultSelector
+
+
+class _Timer:
     """Timer handle with the :class:`~repro.runtime.sim.EventHandle`
-    surface (``cancel`` / ``cancelled`` / ``time``)."""
+    surface (``cancel`` / ``cancelled`` / ``time``).  ``callback`` is
+    dropped when the timer fires or is cancelled, so whatever the
+    closure pins is released then and not when the entry surfaces."""
 
-    __slots__ = ("_clock", "_th", "_cancelled", "_fired", "time")
+    __slots__ = ("_clock", "time", "callback", "cancelled")
 
-    def __init__(self, clock: "RealtimeClock", time: float):
+    def __init__(self, clock: "RealtimeClock", time: float, callback: Callable[[], None]):
         self._clock = clock
         self.time = time
-        self._th: asyncio.TimerHandle | None = None
-        self._cancelled = False
-        self._fired = False
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
-        if self._cancelled or self._fired:
+        if self.callback is None:  # fired, or cancelled before
             return
-        self._cancelled = True
-        if self._th is not None:
-            self._th.cancel()
-        self._clock._live.discard(self)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
+        self.callback = None
+        self.cancelled = True
+        self._clock._note_cancelled()
 
 
 class RealtimeClock(Clock):
-    """Logical time riding on a private asyncio loop's wall clock."""
+    """Logical time riding on a private asyncio loop's wall clock.
+
+    The clock owns its timers.  A timer due in the future is a
+    ``(wall_due, seq, handle)`` entry in one heap; work that is already
+    due when it is scheduled (``post``, ``call_after(0)``, a past
+    deadline) goes to a FIFO lane stamped with the scheduling instant —
+    the lane is sorted by construction, so merging its head with the
+    heap's keeps one ``(wall_due, seq)`` order.  The asyncio loop sees a
+    *single* wake-up: :meth:`_on_wake` fires everything that is due in
+    one pass and re-arms itself for the earliest live entry.  Entries
+    are plain tuples so that every queue operation is one C call: a
+    host block on a pool thread may schedule (a client's completion
+    callback submitting the next request) while the loop thread drains.
+    Cancellation is lazy, as in :class:`~repro.runtime.sim.Simulator`:
+    a cancelled entry stays queued until it surfaces or until dead
+    entries outnumber live ones and the heap is compacted.  ``cancel``
+    and the run loop are for the runtime thread only.
+    """
 
     def __init__(self, *, time_scale: float = 1.0):
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
         self.time_scale = time_scale
-        self.loop = asyncio.new_event_loop()
-        self._t0 = self.loop.time()
+        self.loop = asyncio.SelectorEventLoop(_Selector())
+        self._time = self.loop.time
+        self._t0 = self._time()
         self._floor = 0.0  # run_until(T) guarantees now >= T afterwards
-        self._live: set[_WallHandle] = set()
+        self._heap: list[tuple[float, int, _Timer]] = []
+        self._due: deque[tuple[float, int, _Timer]] = deque()
+        self._seq = itertools.count()
+        self._dead = 0  # cancelled entries still in the heap or the lane
+        #: a push, a pop and a lane append are single C calls and need
+        #: no lock; rebuilding the heap is not, so a push from another
+        #: thread waits for it
+        self._compacting = threading.Lock()
+        #: an immediate wake-up is queued on the loop, or one is running
+        self._soon = False
+        #: the armed timed wake-up and its wall instant
+        self._wake: asyncio.TimerHandle | None = None
+        self._wake_at = _NEVER
+        #: wall instant at which the current run_until stops the loop
+        self._stop_at: float | None = None
+        #: callbacks that run fired past its deadline without settling
+        self._overrun = 0
+        self._closed = False
         #: engine hook: extra pending work (in-flight messages / host
         #: calls) consulted by the quiescence-driven :meth:`run`
         self.extra_pending: Callable[[], int] | None = None
@@ -95,7 +184,7 @@ class RealtimeClock(Clock):
 
     @property
     def now(self) -> float:
-        return max((self.loop.time() - self._t0) / self.time_scale, self._floor)
+        return max((self._time() - self._t0) / self.time_scale, self._floor)
 
     def _wall(self, logical: float) -> float:
         return self._t0 + logical * self.time_scale
@@ -106,27 +195,40 @@ class RealtimeClock(Clock):
         handshake burst) stops counting against the logical horizon.
         Only valid while no timers are live — moving ``t0`` would shift
         their wall deadlines — so this is a no-op otherwise."""
-        if self._live:
+        if self.pending_events():
             return
-        self._t0 = self.loop.time() - self._floor * self.time_scale
+        self._t0 = self._time() - self._floor * self.time_scale
 
     # -- timers -------------------------------------------------------------
 
     def call_at(self, time, callback, priority=0, *, label=None, footprint=None):
         # priority / label / footprint are sim-engine schedule metadata;
         # on a wall clock co-enabled ordering is the OS scheduler's call
-        h = _WallHandle(self, time)
-
-        def fire() -> None:
-            h._fired = True
-            self._live.discard(h)
-            if not h._cancelled:
-                callback()
-
-        # a past deadline fires on the next loop iteration (asyncio
-        # clamps internally), matching the sim's call_at(now, ...) path
-        h._th = self.loop.call_at(self._wall(time), fire)
-        self._live.add(h)
+        h = _Timer(self, time, callback)
+        if self._closed:
+            h.callback = None
+            h.cancelled = True
+            return h
+        wall = self._t0 + time * self.time_scale
+        now = self._time()
+        if wall <= now:
+            # already due: fires on the next pass, after everything
+            # that was due before this instant
+            self._due.append((now, next(self._seq), h))
+            if not self._soon:
+                self._wake_soon()
+        else:
+            entry = (wall, next(self._seq), h)
+            earlier = wall < self._wake_at and not self._soon
+            if asyncio._get_running_loop() is self.loop:
+                heapq.heappush(self._heap, entry)
+                if earlier:
+                    self._arm(wall)
+            else:
+                with self._compacting:  # may be a pool thread
+                    heapq.heappush(self._heap, entry)
+                if earlier:
+                    self._wake_soon()  # the loop thread arms after its pass
         return h
 
     def call_after(self, delay, callback, priority=0, *, label=None, footprint=None):
@@ -134,34 +236,120 @@ class RealtimeClock(Clock):
                             label=label, footprint=footprint)
 
     def pending_events(self) -> int:
-        return len(self._live)
+        """Number of not-yet-cancelled queued timers (O(1))."""
+        return len(self._heap) + len(self._due) - self._dead
+
+    def queue_size(self) -> int:
+        """Raw queue size including not-yet-reclaimed cancelled entries
+        (observability for the compaction behaviour)."""
+        return len(self._heap) + len(self._due)
+
+    def _note_cancelled(self) -> None:
+        self._dead += 1
+        heap = self._heap
+        if self._dead * 2 > len(heap) and len(heap) > _COMPACT_MIN:
+            # in place: the drain loop holds an alias
+            with self._compacting:
+                before = len(heap)
+                heap[:] = [e for e in heap if e[2].callback is not None]
+                heapq.heapify(heap)
+            self._dead -= before - len(heap)
+
+    # -- the single wake-up -------------------------------------------------
+
+    def _wake_soon(self) -> None:
+        self._soon = True
+        if asyncio._get_running_loop() is self.loop:
+            self.loop.call_soon(self._on_wake)
+        else:
+            # between runs, or from a pool thread while the loop sleeps
+            self.loop.call_soon_threadsafe(self._on_wake)
+
+    def _arm(self, wall: float) -> None:
+        """Move the timed wake-up to ``wall`` (loop thread only)."""
+        if self._wake is not None:
+            self._wake.cancel()
+        self._wake_at = wall
+        self._wake = self.loop.call_at(wall, self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._wake = None
+        self._wake_at = _NEVER
+        if not self._soon:
+            self._soon = True
+            self._on_wake()
+
+    def _on_wake(self) -> None:
+        """Fire what is due — at most ``_BATCH`` callbacks, so a long
+        cascade yields to socket readiness and thread completions —
+        then stop the loop for ``run_until`` or re-arm for the earliest
+        live entry."""
+        if self._closed:
+            return
+        heap, due, time = self._heap, self._due, self._time
+        pop = heapq.heappop
+        now = time()
+        fired = 0
+        try:
+            while fired < _BATCH:
+                if due and not (heap and heap[0] < due[0]):
+                    h = due.popleft()[2]
+                elif heap and heap[0][0] <= now:
+                    h = pop(heap)[2]
+                elif heap and heap[0][0] <= (now := time()):
+                    continue  # the callbacks took time: it is due by now
+                else:
+                    break
+                callback = h.callback
+                if callback is None:
+                    self._dead -= 1
+                    continue
+                h.callback = None
+                fired += 1
+                callback()
+        finally:
+            # from here on a scheduler arms for itself; whatever was
+            # queued before this line is seen below
+            self._soon = False
+            stop_at = self._stop_at
+            stopping = stop_at is not None and now >= stop_at
+            if due or (heap and heap[0][0] <= now):
+                # batch limit: let the loop poll, then carry on
+                if stopping:
+                    self._overrun += fired
+                if self._overrun > _SETTLE_LIMIT:
+                    self.loop.stop()  # run_until reports the livelock
+                else:
+                    self._wake_soon()
+            elif stopping:
+                self.loop.stop()
+            else:
+                wall = heap[0][0] if heap else _NEVER
+                if stop_at is not None and stop_at < wall:
+                    wall = stop_at
+                if wall < self._wake_at:
+                    self._arm(wall)
 
     # -- run loop -----------------------------------------------------------
 
-    def _sleep(self, seconds: float) -> None:
-        self.loop.run_until_complete(asyncio.sleep(seconds))
-
-    def _next_due(self) -> float | None:
-        return min((self._wall(h.time) for h in self._live), default=None)
-
-    def _drain_due(self, limit: int = 100_000) -> None:
-        """Run ready callbacks plus any timers already past their wall
-        deadline — zero-delay cascades (pump → send → ack → pump) settle
-        here instead of costing a poll interval each."""
-        for _ in range(limit):
-            self._sleep(0)
-            due = self._next_due()
-            if due is None or due > self.loop.time():
-                return
-        raise RuntimeError("realtime clock: zero-delay event cascade did not settle")
+    def _spin(self, deadline: float) -> None:
+        """Run the asyncio loop until the wall instant ``deadline`` has
+        passed *and* nothing is due any more."""
+        if self.loop.is_running():
+            raise RuntimeError("realtime clock: run_until called from inside a callback")
+        self._stop_at = deadline
+        self._overrun = 0
+        if not self._soon:
+            self._wake_soon()  # the first pass arms for the deadline
+        try:
+            self.loop.run_forever()
+        finally:
+            self._stop_at = None
+        if self._overrun > _SETTLE_LIMIT:
+            raise RuntimeError("realtime clock: zero-delay event cascade did not settle")
 
     def run_until(self, time: float) -> None:
-        deadline = self._wall(time)
-        self._drain_due()
-        while self.loop.time() < deadline:
-            # the loop fires intervening timers during the sleep itself
-            self._sleep(min(deadline - self.loop.time(), 0.1))
-            self._drain_due()
+        self._spin(self._wall(time))
         self._floor = max(self._floor, time)
 
     def run(self, max_events: int = 10_000_000) -> None:
@@ -170,9 +358,10 @@ class RealtimeClock(Clock):
         loops (e.g. failover reactivation probes) never quiesce — drive
         those with :meth:`run_until`."""
         idle = 0
+        step = 0.0
         while True:
-            self._drain_due()
-            pending = len(self._live)
+            self._spin(self._time() + step)
+            pending = self.pending_events()
             if self.extra_pending is not None:
                 pending += self.extra_pending()
             if pending == 0:
@@ -183,13 +372,19 @@ class RealtimeClock(Clock):
                     return
             else:
                 idle = 0
-            self._sleep(0.002)
+            step = 0.002
 
     def close(self) -> None:
         if self.loop.is_closed():
             return
-        for h in list(self._live):
-            h.cancel()
+        # queued events are discarded, not fired: the engine has shut
+        # its executor and transport down before it closes the clock
+        self._closed = True
+        self._heap.clear()
+        self._due.clear()
+        self._dead = 0
+        if self._wake is not None:
+            self._wake.cancel()
         # cancel in-flight transport tasks and let everything settle
         # before the loop closes (destroying pending tasks warns)
         tasks = asyncio.all_tasks(self.loop)
@@ -199,7 +394,7 @@ class RealtimeClock(Clock):
             self.loop.run_until_complete(
                 asyncio.gather(*tasks, return_exceptions=True)
             )
-        self._sleep(0)
+        self.loop.run_until_complete(asyncio.sleep(0))
         self.loop.close()
 
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 
 class TraceEvent:
-    """One structured trace event.
+    """One structured trace event — a view: the ring buffer stores flat
+    tuples (:class:`~repro.telemetry.sinks.RingBufferSink`) and builds
+    one of these per event when it is iterated.
 
     ``seq`` is unique within its emitting :class:`Telemetry`;
     ``parent`` is the ``seq`` of the causal parent event or ``None``;
@@ -51,11 +53,6 @@ class TraceEvent:
         self.node = node
         self.parent = parent
         self.attrs = attrs or {}
-
-    def legacy(self) -> dict:
-        """The pre-telemetry ``System.trace`` record shape (kept for
-        ``on_emit`` hooks written against that dict layout)."""
-        return {"time": self.time, "kind": self.kind, "node": self.node, **self.attrs}
 
     def record(self) -> dict:
         """Full structured view (what the JSONL exporter serializes)."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable
 
-from .events import TraceEvent
 from .metrics import DEFAULT_TIME_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from .sinks import RingBufferSink, chrome_json, to_jsonl
 
@@ -81,7 +80,6 @@ class Telemetry:
         self.engine: str | None = None
         self.events = RingBufferSink(capacity)
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._seq = 0
         self._hooks: list[Callable[[dict], None]] = []
         self._msg_events: dict[int, int] = {}
 
@@ -105,21 +103,14 @@ class Telemetry:
         child events pass as ``parent``), or ``None`` when disabled."""
         if not self.enabled:
             return None
-        self._seq += 1
-        ev = TraceEvent(
-            self._seq,
-            self.now if t is None else t,
-            kind,
-            node,
-            parent,
-            attrs or None,
-        )
-        self.events.append(ev)
+        time = self.now if t is None else t
+        seq = self.events.append_row(
+            (time, kind, node, parent, *attrs.keys(), *attrs.values()))
         if self._hooks:
-            rec = ev.legacy()
+            rec = {"time": time, "kind": kind, "node": node, **attrs}
             for hook in self._hooks:
                 hook(rec)
-        return self._seq
+        return seq
 
     def span(self, kind: str, node: str, parent: int | None = None, **attrs) -> _Span:
         """Measure a simulated-time duration::

@@ -1,8 +1,9 @@
 """Bounded event sinks and trace exporters.
 
-The runtime emits into a :class:`RingBufferSink` — a bounded deque, so
-an unbounded soak cannot grow memory without limit (the pre-telemetry
-``System._trace`` list grew forever).  Exporters turn the retained
+The runtime emits into a :class:`RingBufferSink` — a bounded deque of
+flat tuples, so an unbounded soak cannot grow memory without limit (the
+pre-telemetry ``System._trace`` list grew forever) and a full ring
+costs about a hundred bytes per event.  Exporters turn the retained
 events into:
 
 * **JSONL** — one sorted-keys JSON object per line; deterministic
@@ -26,16 +27,32 @@ from .events import TraceEvent
 
 
 class RingBufferSink:
-    """Bounded in-memory event sink (drops the oldest on overflow)."""
+    """Bounded in-memory event sink (drops the oldest on overflow).
+
+    One retained event is one flat tuple ``(time, kind, node, parent,
+    k1, ..., kn, v1, ..., vn)`` — the attributes inline, keys then
+    values, no per-event object or dict.  The sequence number is not
+    stored: events are numbered in arrival order from 1, so the event
+    at ring index ``i`` has ``seq == total - len + i + 1``.  Iteration
+    materialises a fresh :class:`TraceEvent` per row; those are views,
+    and changing one does not change the ring."""
 
     def __init__(self, capacity: int = 65536):
         self.capacity = capacity
-        self._buf: deque[TraceEvent] = deque(maxlen=capacity)
+        self._buf: deque[tuple] = deque(maxlen=capacity)
         self.total = 0  # events ever appended (dropped = total - len)
 
-    def append(self, event: TraceEvent) -> None:
-        self._buf.append(event)
+    def append_row(self, row: tuple) -> int:
+        """Retain one event given in storage layout; returns its seq."""
+        self._buf.append(row)
         self.total += 1
+        return self.total
+
+    def append(self, event: TraceEvent) -> None:
+        """Retain ``event``, renumbered in arrival order (its own
+        ``seq`` is not kept)."""
+        self.append_row((event.time, event.kind, event.node, event.parent,
+                         *event.attrs.keys(), *event.attrs.values()))
 
     @property
     def dropped(self) -> int:
@@ -48,7 +65,12 @@ class RingBufferSink:
         return len(self._buf)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._buf)
+        seq = self.total - len(self._buf)
+        for row in self._buf:
+            seq += 1
+            mid = (len(row) + 4) // 2  # keys before, values after
+            yield TraceEvent(seq, row[0], row[1], row[2], row[3],
+                             dict(zip(row[4:mid], row[mid:])))
 
 
 # ---------------------------------------------------------------------------

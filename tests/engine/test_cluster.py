@@ -190,6 +190,34 @@ class TestParity:
         system.shutdown()
 
 
+class TestDescriptorCeiling:
+    def test_sixteen_workers_in_a_process_past_fd_setsize(self, many_descriptors):
+        # select() cannot name a descriptor >= 1024; the clock's wait
+        # hands it the epoll descriptor alone, so a coordinator whose
+        # 16 worker sockets (and its epoll descriptor: the fallback to
+        # millisecond waits) are all numbered past the ceiling serves
+        from repro.arch.sharding import ShardedRedis
+
+        many_descriptors()
+        with default_engine(lambda: ClusterEngine(time_scale=SCALE, workers=16, **HB)):
+            svc = ShardedRedis(n_shards=16, seed=0)
+        system = svc.system
+        try:
+            assert len(system.engine.supervisor.statuses) == 16
+            assert system.clock.loop._selector.fileno() > 1024
+            replies = []
+            for i in range(32):
+                svc.submit(Command("SET", f"k{i}", b"v%d" % i), replies.append)
+            give_up = time.monotonic() + 20.0
+            while len(replies) < 32 and time.monotonic() < give_up:
+                system.run_until(system.now + 1.0)
+            assert [r.ok for r in replies] == [True] * 32
+            assert sum(svc.shard_sizes()) == 32
+            assert system.failures == []
+        finally:
+            system.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # Crash supervision
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Engine seam unit tests: selection, capability guards, the realtime
 clock/executor, and the TCP wire codec."""
 
+import gc
+import logging
+import sys
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -9,12 +14,12 @@ from repro.runtime import RealtimeEngine, SimEngine, create_engine, default_engi
 from repro.runtime.channels import Message
 from repro.runtime.engine import use_controller
 from repro.runtime.kvtable import Update
-from repro.runtime.realtime import RealtimeClock
+from repro.runtime.realtime import _BATCH, RealtimeClock
 from repro.runtime.sim import Simulator
 from repro.runtime.wire import decode_message, encode_message
 from repro.serde.framing import SavedData
 
-from ..runtime.helpers import failures_of, single_junction
+from ..runtime.helpers import failures_of, pair, single_junction
 
 # compress logical time hard: these tests run logical seconds in
 # milliseconds of wall time
@@ -123,6 +128,319 @@ class TestRealtimeClock:
     def test_bad_time_scale_rejected(self):
         with pytest.raises(ValueError):
             RealtimeClock(time_scale=0.0)
+
+
+class TestTimerPrecision:
+    """``time_scale=1.0`` promises wall latency close to the modelled
+    one: a timer may fire late by the host's wake-up latency, never by
+    a millisecond per hop, and never early."""
+
+    def test_chained_short_timers_cost_about_their_model(self):
+        # 50 hops of 100 us model 5 ms; one wake-up per hop on an
+        # epoll/poll loop (1 ms timeout granularity) takes >= 50 ms
+        best = float("inf")
+        for _ in range(3):  # a noisy host gets three tries
+            clock = RealtimeClock(time_scale=1.0)
+            hops, finished = [0], []
+            t0 = time.perf_counter()
+
+            def hop():
+                hops[0] += 1
+                if hops[0] < 50:
+                    clock.call_after(1e-4, hop)
+                else:
+                    finished.append(time.perf_counter() - t0)
+
+            clock.call_after(1e-4, hop)
+            clock.run_until(clock.now + 0.1)
+            clock.close()
+            assert hops[0] == 50
+            best = min(best, finished[0])
+        assert 0.005 <= best < 0.025
+
+    def test_no_timer_fires_before_its_deadline(self):
+        clock = RealtimeClock(time_scale=1.0)
+        early = []
+
+        def check(due):
+            if clock.now < due - 1e-9:
+                early.append((due, clock.now))
+
+        base = clock.now
+        for i in range(300):
+            due = base + (i * 37 % 300) * 2e-5  # 0 .. 6 ms, shuffled
+            clock.call_at(due, lambda due=due: check(due))
+        clock.run_until(base + 0.01)
+        assert clock.pending_events() == 0
+        assert early == []
+        clock.close()
+
+    def test_equal_deadlines_fire_in_scheduling_order(self):
+        clock = RealtimeClock(time_scale=1.0)
+        fired = []
+        due = clock.now + 0.002
+        for i in range(100):
+            clock.call_at(due, lambda i=i: fired.append(i))
+        time.sleep(0.003)  # the deadline passes while nothing runs
+        for i in range(100, 110):  # already due: the FIFO lane
+            clock.call_at(due, lambda i=i: fired.append(i))
+        clock.run_until(clock.now)
+        assert fired == list(range(110))
+        clock.close()
+
+    def test_thousand_chained_posts_settle_in_one_run_until(self):
+        clock = RealtimeClock(time_scale=1.0)
+        count = [0]
+
+        def chain():
+            count[0] += 1
+            if count[0] < 1000:
+                clock.post(chain)
+
+        clock.post(chain)
+        clock.run_until(clock.now)  # no horizon: settle what is due
+        assert count[0] == 1000 > _BATCH
+        assert clock.pending_events() == 0
+        clock.close()
+
+    def test_pool_thread_completion_wakes_a_sleeping_run_until(self):
+        # the host hand-off: the completion arrives on the loop from a
+        # pool thread and what it schedules must not wait for the end
+        # of the 0.5 s sleep
+        eng = RealtimeEngine(time_scale=1.0)
+        returned, woke = [], []
+
+        def host_fn(ctx):
+            time.sleep(0.01)
+            returned.append(time.perf_counter())
+
+        def done(exc):
+            eng.clock.post(lambda: woke.append(time.perf_counter()))
+
+        eng.executor.invoke(host_fn, None, done)
+        eng.clock.run_until(eng.clock.now + 0.5)
+        assert woke and woke[0] - returned[0] < 0.1
+        eng.close()
+
+    def test_post_from_another_thread_wakes_a_sleeping_run_until(self):
+        # a client's completion callback runs on the pool thread of the
+        # host block that replied, and submits the next request there
+        clock = RealtimeClock(time_scale=1.0)
+        posted, woke = [], []
+
+        def client():
+            time.sleep(0.01)
+            posted.append(time.perf_counter())
+            clock.post(lambda: woke.append(time.perf_counter()))
+            clock.call_after(0.001, lambda: woke.append(time.perf_counter()))
+
+        t = threading.Thread(target=client)
+        t.start()
+        clock.run_until(clock.now + 0.5)
+        t.join()
+        assert len(woke) == 2 and woke[1] - posted[0] < 0.1
+        clock.close()
+
+
+class TestTimerQueue:
+    def test_cancelled_callback_is_released_at_once(self):
+        clock = RealtimeClock(time_scale=1.0)
+
+        class Payload:
+            pass
+
+        payload = Payload()
+        ref = weakref.ref(payload)
+        h = clock.call_after(3600.0, lambda p=payload: p)
+        del payload
+        gc.collect()
+        assert ref() is not None  # pinned by the live timer
+        h.cancel()
+        gc.collect()
+        assert ref() is None  # an hour before it would have come due
+        assert h.cancelled and clock.pending_events() == 0
+        clock.close()
+
+    def test_dead_entries_are_compacted(self):
+        clock = RealtimeClock(time_scale=1.0)
+        live = [clock.call_after(3600.0 + i, lambda: None) for i in range(100)]
+        for i in range(10_000):  # a retransmit timer per acknowledged send
+            clock.call_after(60.0 + i * 1e-3, lambda: None).cancel()
+            assert clock.pending_events() == 100
+        assert clock.queue_size() <= 2 * len(live) + 1
+        for h in live[:40]:
+            h.cancel()
+            h.cancel()  # idempotent
+        assert clock.pending_events() == 60
+        clock.close()
+        assert clock.pending_events() == 0
+
+    def test_cancel_after_firing_does_not_skew_the_count(self):
+        clock = RealtimeClock(time_scale=1.0)
+        h = clock.call_after(0.0, lambda: None)
+        clock.run_until(clock.now)
+        h.cancel()
+        assert not h.cancelled and clock.pending_events() == 0
+        clock.close()
+
+    def test_rebase_refuses_while_a_timer_is_live(self):
+        clock = RealtimeClock(time_scale=1.0)
+        time.sleep(0.02)
+        h = clock.call_after(10.0, lambda: None)
+        clock.rebase()
+        assert clock.now >= 0.02  # not re-anchored: h's deadline stands
+        h.cancel()
+        clock.rebase()
+        assert clock.now < 0.02
+        clock.close()
+
+    def test_scheduling_from_many_threads_loses_nothing(self):
+        # more schedulers than cores and a short switch interval: every
+        # callback fires exactly once and the live count returns to zero
+        clock = RealtimeClock(time_scale=1.0)
+        fired = []
+        per_thread, threads = 2000, 6
+
+        def scheduler(t):
+            for i in range(per_thread):
+                tag = (t, i)
+                if i % 3:
+                    clock.post(lambda tag=tag: fired.append(tag))
+                else:
+                    clock.call_after(1e-4, lambda tag=tag: fired.append(tag))
+
+        def local():  # the loop thread schedules (and cancels) meanwhile
+            clock.call_after(1e-3, lambda: None).cancel()
+            if len(fired) < per_thread * threads:
+                clock.call_after(2e-4, local)
+
+        workers = [threading.Thread(target=scheduler, args=(t,)) for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clock.post(local)
+            for w in workers:
+                w.start()
+            give_up = time.monotonic() + 30.0
+            while len(fired) < per_thread * threads and time.monotonic() < give_up:
+                clock.run_until(clock.now + 0.01)
+            for w in workers:
+                w.join(timeout=10.0)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        clock.run_until(clock.now + 0.005)
+        assert len(fired) == per_thread * threads == len(set(fired))
+        for t in range(threads):  # per scheduler, posts keep their order
+            mine = [i for (tt, i) in fired if tt == t and i % 3]
+            assert mine == sorted(mine)
+        assert clock.pending_events() == 0
+        clock.close()
+
+    def test_long_cascade_yields_to_thread_completions(self):
+        # a zero-delay cascade is fired in bounded batches; between two
+        # batches the loop polls, so a completion from a pool thread
+        # gets in although the cascade never pauses by itself
+        clock = RealtimeClock(time_scale=1.0)
+        spins, stop = [0], []
+
+        def cascade():
+            spins[0] += 1
+            if not stop:
+                clock.post(cascade)
+
+        clock.post(cascade)
+        t = threading.Thread(
+            target=lambda: clock.loop.call_soon_threadsafe(stop.append, True))
+        t.start()
+        clock.run_until(clock.now + 0.01)
+        t.join()
+        assert stop and spins[0] > _BATCH
+        clock.close()
+
+    def test_cascade_that_never_settles_is_reported(self):
+        clock = RealtimeClock(time_scale=1.0)
+
+        def forever():
+            clock.post(forever)
+
+        clock.post(forever)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            clock.run_until(clock.now + 0.001)
+        clock.close()
+
+    def test_run_until_inside_a_callback_is_refused(self):
+        clock = RealtimeClock(time_scale=1.0)
+        errors = []
+
+        def nested():
+            try:
+                clock.run_until(clock.now + 1.0)
+            except RuntimeError as e:
+                errors.append(e)
+
+        clock.post(nested)
+        t0 = time.perf_counter()
+        clock.run_until(clock.now + 0.01)  # still stops at its own deadline
+        assert errors and time.perf_counter() - t0 < 0.5
+        clock.close()
+
+
+class TestShutdownOrder:
+    def test_close_discards_queued_events(self):
+        eng = RealtimeEngine(time_scale=1.0)
+        fired = []
+        eng.clock.post(lambda: fired.append("due"))
+        eng.clock.call_after(0.0005, lambda: fired.append("timer"))
+        late = []
+        eng.close()
+        assert fired == [] and eng.clock.pending_events() == 0
+        h = eng.clock.call_after(0.0, lambda: late.append("after close"))
+        assert h.cancelled and late == []
+
+    def test_shutdown_with_a_queued_attempt_does_not_reach_the_pool(self, caplog):
+        # the queued attempt would invoke a host block; fired from
+        # close()'s final settle it hit the executor after its shutdown
+        # ("cannot schedule new futures after shutdown")
+        ran = []
+        sys_ = single_junction("host H", decls="| init prop !Go", guard="Go",
+                               engine=RealtimeEngine(time_scale=1.0))
+        sys_.bind_host("T", "H", lambda ctx: ran.append(1))
+        sys_.start()
+        sys_.external_update("x::j", "Go", True)
+        assert sys_.clock.pending_events() > 0
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            sys_.shutdown()
+        assert ran == [] and caplog.records == []
+
+
+class TestDescriptorCeiling:
+    """``select()`` rejects descriptors >= FD_SETSIZE (1024); the clock
+    only ever hands it the epoll descriptor."""
+
+    def _tcp_ping(self, engine):
+        sys_ = pair("assert[g] Done", "skip", g_decls="| init prop !Done", engine=engine)
+        sys_.start(t=1.0)
+        sys_.run_until(sys_.now + 0.2)
+        assert sys_.read_state("g::j", "Done") is True
+        assert failures_of(sys_) == []
+        return sys_
+
+    def test_sockets_past_the_ceiling_keep_the_fine_wait(self, many_descriptors):
+        eng = RealtimeEngine(time_scale=1.0, transport="tcp")
+        many_descriptors()  # every socket opened from here on is > 1024
+        sys_ = self._tcp_ping(eng)
+        assert eng.transport._server.sockets[0].fileno() > 1024
+        assert eng.clock.loop._selector.fine
+        sys_.shutdown()
+
+    def test_clock_built_past_the_ceiling_falls_back_to_epoll(self, many_descriptors):
+        many_descriptors()  # the epoll descriptor itself is > 1024
+        eng = RealtimeEngine(time_scale=1.0, transport="tcp")
+        assert eng.clock.loop._selector.fileno() > 1024
+        sys_ = self._tcp_ping(eng)
+        assert not eng.clock.loop._selector.fine  # millisecond waits, but it runs
+        sys_.shutdown()
 
 
 class TestThreadPoolHost:

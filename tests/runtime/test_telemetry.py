@@ -2,6 +2,7 @@
 ring-buffer retention, exporters, and the deprecated-API shims."""
 
 import json
+import sys
 import warnings
 
 import pytest
@@ -168,6 +169,35 @@ class TestFacade:
         assert tel.events.total == 20
         assert tel.events.dropped == 12
         assert [e.attrs["i"] for e in tel.events] == list(range(12, 20))
+
+    def test_ring_rows_are_flat_tuples_and_seq_is_implicit(self):
+        tel = Telemetry(_Clock(), capacity=8)
+        seqs = [tel.emit("e", "n", parent=i or None, i=i, key="k") for i in range(20)]
+        assert seqs == list(range(1, 21))
+        rows = list(tel.events._buf)
+        assert rows[0] == (0.0, "e", "n", 12, "i", "key", 12, "k")
+        assert [e.seq for e in tel.events] == seqs[12:]
+        (last,) = [e for e in tel.events if e.seq == 20]
+        assert (last.parent, last.attrs) == (19, {"i": 19, "key": "k"})
+        assert last.record() == {"seq": 20, "time": 0.0, "kind": "e", "node": "n",
+                                 "parent": 19, "i": 19, "key": "k"}
+
+    def test_trace_events_are_views(self):
+        tel = Telemetry(_Clock())
+        tel.emit("e", "n", key="k")
+        (a,), (b,) = list(tel.events), list(tel.events)
+        assert a is not b and a.record() == b.record()
+        a.attrs["key"] = "changed"
+        a.kind = "other"
+        assert [e.record() for e in tel.events] == [b.record()]
+
+    def test_retained_event_stays_under_130_bytes(self):
+        # what a request through a shipped architecture emits: most
+        # events carry two or three attributes, some none
+        sys_ = _ping_system()
+        rows = list(sys_.telemetry.events._buf)
+        assert len(rows) > 10
+        assert sum(sys.getsizeof(r) for r in rows) / len(rows) <= 130 - 8 - 16  # slot, parent
 
     def test_capture_systems_collects_and_enables(self):
         with capture_systems() as captured:
