@@ -17,10 +17,13 @@ taken from the simulator's global sequence counter and asserted
 equal across modes (same semantics, different evaluator).
 
 Walls are best-of-``ROUNDS`` with the modes interleaved inside each
-round, which cancels most machine noise; the target ratio is >= 8x
-on both architectures (raised from 5x with the slot-addressed state
-layer: slot-direct loads, inlined case-arm conditions, and the
-scheduling fast paths cut the compiled storm wall by ~40%).
+round, which cancels most machine noise; the target ratio is >= 4x on
+both architectures.  It was 8x while the tree-walker re-imported the
+formula classes on every index resolution; with that gone the
+tree-walker runs the storm ~2x faster and the ratio sits near 5x with
+the compiled side unchanged.  A ratio cannot tell those apart, so the
+regression gates are the absolute storm floors in CI's compile-bench
+job; this floor only says the compiler is still worth having.
 """
 
 import statistics
@@ -38,7 +41,7 @@ DRAIN_EVERY = 512
 #: best-of rounds, modes interleaved within each round
 ROUNDS = 3
 #: acceptance floor on events/sec ratio, compiled over interpreted
-TARGET_RATIO = 8.0
+TARGET_RATIO = 4.0
 
 ARCHES = (
     ("failover", lambda: FailoverRedis(seed=0)),

@@ -19,9 +19,9 @@ Write kinds mirror the interpreter:
 * ``local``  — self-targeted assert/retract and ``save``;
 * ``remote`` — the target-table copy of assert/retract/``write``;
 * ``echo``   — the sender-table copy of a remote assert/retract.  The
-  interpreter applies it only after the ack and only if no newer update
-  for the key arrived in between (``_exec_assert``), so echoes are
-  excluded from cross-junction race candidates;
+  machine applies it only after the ack and only if no newer update for
+  the key arrived in between (``JunctionExecution.set_remote``), so
+  echoes are excluded from cross-junction race candidates;
 * ``host``   — a ``host NAME {writes}`` declared write.
 """
 

@@ -13,7 +13,7 @@ Two complementary passes:
     owner's run loop serializes them (the consume/reset handshake
     ``guard Req`` … ``retract[] Req`` relies on exactly this);
   - ``echo`` sites are excluded — the interpreter's ack/recv-seq guard
-    (``_exec_assert``) drops stale sender-side copies;
+    (``JunctionExecution.set_remote``) drops stale sender-side copies;
   - equal constant values (tt/tt, ff/ff) commute and are excluded.
 
   What remains is two *remote* writers racing on network arrival

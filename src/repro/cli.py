@@ -27,8 +27,8 @@ Commands:
                   SIGINT/SIGTERM drain in-flight work before the
                   summary instead of dying mid-write.
 * ``cluster``   — deploy across supervised worker processes (one OS
-                  process per instance, or ``--workers N`` shard
-                  groups) with heartbeat liveness probes and
+                  process per instance, or ``--engine cluster,workers=N``
+                  shard groups) with heartbeat liveness probes and
                   restart-with-backoff; ``--kill b1 --kill-at 4`` runs
                   a SIGKILL fault drill and exits non-zero unless the
                   supervisor recovers the worker.
@@ -63,38 +63,15 @@ from .semantics.program_sem import denote_program
 from .semantics.render import to_dot, to_text
 
 
-def _engine_spec(args, *, command: str, default: str = "sim",
+def _engine_spec(args, *, default: str = "sim",
                  default_time_scale: float | None = None):
     """Resolve the subcommand's ``--engine`` value to an
-    :class:`~repro.runtime.engine.EngineSpec`, folding the deprecated
-    per-flag forms (``--time-scale``, ``--workers``) in with a
-    :class:`DeprecationWarning`."""
+    :class:`~repro.runtime.engine.EngineSpec`."""
     import dataclasses
-    import warnings
 
     from .runtime.engine import EngineSpec
 
     spec = EngineSpec.of(getattr(args, "engine", None) or default)
-    ts = getattr(args, "time_scale", None)
-    if ts is not None:
-        warnings.warn(
-            f"repro {command}: --time-scale is deprecated; use "
-            f"--engine {spec.name},time_scale={ts}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if spec.time_scale is None and spec.name != "sim":
-            spec = dataclasses.replace(spec, time_scale=ts)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        warnings.warn(
-            f"repro {command}: --workers is deprecated; use "
-            f"--engine {spec.name},workers={workers}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if spec.workers is None:
-            spec = dataclasses.replace(spec, workers=workers)
     if default_time_scale is not None and spec.name != "sim" and spec.time_scale is None:
         # the CLI compresses wall-clock engines by default (the engine
         # constructors themselves default to real time)
@@ -340,7 +317,7 @@ def cmd_trace(args) -> int:
     from .runtime.engine import default_engine
     from .telemetry.sinks import chrome_json, to_jsonl
 
-    spec = _engine_spec(args, command="trace")
+    spec = _engine_spec(args)
     path = Path(args.file)
     with _compile_ctx(spec):
         if path.suffix == ".py":
@@ -530,7 +507,7 @@ def _print_summary(args, system, wall: float, *, drained: str | None = None) -> 
 def cmd_run(args) -> int:
     import time as _time
 
-    spec = _engine_spec(args, command="run", default_time_scale=0.05)
+    spec = _engine_spec(args, default_time_scale=0.05)
 
     holder: list = []
     wall0 = _time.perf_counter()
@@ -576,7 +553,7 @@ def cmd_workload(args) -> int:
         value_size=args.value_size,
         read_fraction=args.read_fraction,
     )
-    engine = _engine_spec(args, command="workload", default_time_scale=0.05)
+    engine = _engine_spec(args, default_time_scale=0.05)
     with _compile_ctx(engine):
         report = run_workload(spec, args.arch, engine)
     if args.json:
@@ -617,9 +594,7 @@ def cmd_cluster(args) -> int:
         kill_times.append(last + 2.0)
     drills = list(zip(kill_times, kills))
 
-    spec = _engine_spec(
-        args, command="cluster", default="cluster", default_time_scale=0.05
-    )
+    spec = _engine_spec(args, default="cluster", default_time_scale=0.05)
     if spec.name != "cluster":
         raise SystemExit(
             f"error: repro cluster deploys on the cluster engine, "
@@ -718,7 +693,7 @@ def cmd_reconfigure(args) -> int:
         print(plan.render())
         return 0
 
-    spec = _engine_spec(args, command="reconfigure", default_time_scale=0.05)
+    spec = _engine_spec(args, default_time_scale=0.05)
     from .runtime.system import System
 
     wall0 = _time.perf_counter()
@@ -839,7 +814,7 @@ def cmd_explore(args) -> int:
 
     from .explore import explore
 
-    spec = _engine_spec(args, command="explore")
+    spec = _engine_spec(args)
     if spec.name != "sim":
         raise SystemExit(
             f"error: explore requires the sim engine (controlled "
@@ -990,10 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--until", type=float, default=None,
         help="logical-seconds horizon (default: the scenario's own, or 30)",
     )
-    sp.add_argument(
-        "--time-scale", type=float, default=None,
-        help="deprecated: use --engine NAME,time_scale=X",
-    )
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser(
@@ -1073,16 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
              "cluster,workers=4,time_scale=0.05 (default: cluster)",
     )
     sp.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated: use --engine cluster,workers=N",
-    )
-    sp.add_argument(
         "--until", type=float, default=None,
         help="logical-seconds horizon (default: the scenario's own, or 30)",
-    )
-    sp.add_argument(
-        "--time-scale", type=float, default=None,
-        help="deprecated: use --engine cluster,time_scale=X",
     )
     sp.add_argument(
         "--heartbeat-interval", type=float, default=0.5,

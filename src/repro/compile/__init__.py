@@ -3,12 +3,13 @@
 At :class:`~repro.runtime.system.System` build time each bound
 junction's guard and body are lowered to a specialized Python module
 (:mod:`.codegen`), executed with ``exec(compile(...))``, and attached to
-the junction runtime as :class:`JunctionCode`.  The interpreter
-dispatches to the compiled generator when one is present; the
-tree-walking path remains the reference semantics and the automatic
-fallback for anything the compiler does not cover (and for ``explore``'s
-controlled scheduler, where ``System`` disables compilation so choice
-points stay label-stable).
+the junction runtime as :class:`JunctionCode`.  The junction-body
+machine (:class:`~repro.runtime.interpreter.JunctionExecution`) runs the
+compiled generator when one is present; the tree-walker
+(:mod:`repro.runtime.treewalk`) remains the reference semantics and the
+automatic fallback for anything the compiler does not cover (and for
+``explore``'s controlled scheduler, where ``System`` disables
+compilation so choice points stay label-stable).
 
 Toggling::
 

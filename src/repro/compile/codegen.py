@@ -4,88 +4,64 @@ At instance-bind time (:meth:`System._start_instance`) each junction's
 specialized body is lowered to one flat generator function::
 
     def _body(ex, C):
-        _t.set_slot(0, 'Req', False)
+        _t = ex.table
+        _V = _t.slots
         ...
-        yield Blocked('ack', msg_id=_mid)
+        _t.set_slot(0, 'Req', False)
+        yield ex.send_update(C[0], 'state', ex.data('state'))
 
-mirroring :meth:`JunctionExecution.exec_expr` statement-for-statement —
-same ``Blocked`` requests, same telemetry emissions, same failure types
-with byte-identical messages — while eliminating the per-event
-isinstance dispatch, the per-statement generator frames, and the
-formula-tree walks (pure formulas compile via :mod:`.formulas`).
+It is the second front-end of the junction-body machine
+(:class:`~repro.runtime.interpreter.JunctionExecution`; the first is
+the tree-walker, :mod:`repro.runtime.treewalk`): every effect is a call
+of one of the machine's public ops, so requests, telemetry and failure
+messages are the tree-walker's by construction.  What the generated
+code does itself is what needs no machine: sequencing, ``case``
+matching, the retry/return loop, slot-direct reads and local stores on
+the junction's own table, and pure formulas (compiled via
+:mod:`.formulas`) — that is what eliminates the per-event dispatch, the
+per-statement generator frames, and the formula-tree walks.
 
 The technique is the one proven in :mod:`repro.serde.codegen`:
 deterministic source text (equal junctions generate byte-identical
 source — hypothesis-tested), loaded with ``exec(compile(...))``.
 Runtime objects that cannot appear in source (resolved target
-junctions, formula objects for fallback evaluation, AST nodes handed to
-interpreter helpers) travel in the constant tuple ``C``.
+junctions, formulas, argument expressions) travel in the constant tuple
+``C``; AST *statements* never do.
 
 Anything the lowering does not cover — unexpanded templates, unknown
-terminators — makes the *whole junction* fall back to the tree-walking
-interpreter, which stays the reference semantics.
+terminators — makes the *whole junction* fall back to the tree-walker,
+which stays the reference semantics.
 """
 
 from __future__ import annotations
 
 from ..core import ast as A
-from ..core.formula import TRUE, UNKNOWN, Formula, propositions
-from ..runtime.channels import Message
-from ..runtime.host import HostContext
-from ..runtime.interpreter import (
-    Blocked,
-    ControlSignal,
-    RetryExhausted,
-    ReturnSignal,
-    RetrySignal,
-    ScopedTimeout,
-)
-from ..runtime.kvtable import UNDEF, Update
-from ..core.errors import (
-    DslFailure,
-    HostError,
-    ReconsiderFailure,
-    UndefError,
-    VerifyFailure,
-    VerifyUnknown,
-)
+from ..core.errors import CSawError, ReturnSignal, RetrySignal
+from ..core.formula import TRUE, UNKNOWN, Formula
+from ..runtime.interpreter import fold_number
 from .formulas import _FormulaEmitter, formula_function, is_pure
 
 
 class Unsupported(Exception):
     """A construct the compiler does not lower; the junction falls back
-    to the interpreter (raised and caught internally)."""
+    to the tree-walker (raised and caught internally)."""
 
 
 #: names available to generated modules (injected at exec time — the
 #: source stays import-free and byte-stable)
 _NAMESPACE = {
     "UNKNOWN": UNKNOWN,
-    "UNDEF": UNDEF,
-    "Blocked": Blocked,
-    "HostContext": HostContext,
-    "Message": Message,
-    "Update": Update,
     "ReturnSignal": ReturnSignal,
     "RetrySignal": RetrySignal,
-    "ControlSignal": ControlSignal,
-    "DslFailure": DslFailure,
-    "HostError": HostError,
-    "UndefError": UndefError,
-    "VerifyFailure": VerifyFailure,
-    "VerifyUnknown": VerifyUnknown,
-    "ReconsiderFailure": ReconsiderFailure,
-    "RetryExhausted": RetryExhausted,
-    "ScopedTimeout": ScopedTimeout,
 }
 
 
 class JunctionCode:
     """Compiled artifact of one bound junction."""
 
-    __slots__ = ("node", "source", "body_fn", "guard_fn", "consts", "eager")
+    __slots__ = ("node", "source", "body_fn", "guard_fn", "consts")
 
-    def __init__(self, node, source, body_fn, guard_fn, consts, eager):
+    def __init__(self, node, source, body_fn, guard_fn, consts):
         self.node = node
         #: the generated module source (``repro.api.generated_source``)
         self.source = source
@@ -95,14 +71,6 @@ class JunctionCode:
         #: guard); takes the owning table's flat slot list
         self.guard_fn = guard_fn
         self.consts = consts
-        #: bodies without parallel strands / transactions may run
-        #: eagerly inside ``start()`` (strand materialized lazily on the
-        #: first yield) — the sync fast path
-        self.eager = eager
-
-
-class _Dynamic(Exception):
-    """Internal: an Arg is not a compile-time number."""
 
 
 class BodyCompiler:
@@ -116,7 +84,6 @@ class BodyCompiler:
         self.module_fns: list[str] = []
         self._tmp_n = 0
         self._fn_n = 0
-        self._eager = True
         self._yields = False
 
     # -- small helpers ------------------------------------------------------
@@ -148,24 +115,18 @@ class BodyCompiler:
         it."""
         return self.jr.table.layout.slot_of(key)
 
-    def _formula_cond(self, f: Formula) -> str:
-        pred = self._pred(f)
-        if pred is not None:
-            return f"{pred}(_V) is True"
-        return f"ex._formula_true({self._const(f)})"
-
     def _formula_cond_inline(self, f: Formula, tag: str):
         """Inline a pure formula at its use site: ``(lines, expr)``
         where ``lines`` (at function base indent) compute the Kleene
         value into a ``tag``-prefixed temp and ``expr`` tests it.
 
-        Case-arm conditions use this instead of :meth:`_formula_cond`:
+        Case-arm conditions use this instead of a predicate function:
         a scheduling evaluates every arm condition on the miss path
         (the common storm case — no arm matches, fall to otherwise),
         so per-arm predicate-function calls are pure call overhead.
-        Returns None for impure formulas, which must stay lazy calls —
-        they walk runtime context and would be wasted work when an
-        earlier arm matches."""
+        Returns None for impure formulas, which must stay lazy
+        ``ex.truth`` calls — they walk runtime context and would be
+        wasted work when an earlier arm matches."""
         if not is_pure(f, self.jr.idx_names):
             return None
         em = _FormulaEmitter(self.jr.table.layout, tmp_prefix=f"_c{tag}_")
@@ -174,73 +135,26 @@ class BodyCompiler:
             return ([], "True" if val else "False")
         return (em.lines, f"{val} is True")
 
-    def _fold_number(self, arg) -> str:
-        """Compile-time fold of an Arg (mirrors ``eval_arg_number`` with
-        the junction's bind-time parameters); dynamic fallback keeps the
-        interpreter's failure behaviour for non-numeric args."""
+    def _number_expr(self, arg) -> str:
+        """An Arg as source: folded against the junction's bind-time
+        parameters where it is a number, else left to ``ex.number``
+        (which fails the strand at runtime, as the tree-walker does)."""
         try:
-            v = self._static_number(arg)
-        except _Dynamic:
-            return f"ex.eval_arg_number({self._const(arg)})"
+            v = fold_number(arg, self.jr.params)
+        except ValueError:
+            return f"ex.number({self._const(arg)})"
         if v != v or v in (float("inf"), float("-inf")):
             return f"float({str(v)!r})"
         return repr(v)
 
-    def _static_number(self, arg) -> float:
-        if isinstance(arg, A.Num):
-            return float(arg.value)
-        if isinstance(arg, A.Ref) and arg.is_simple:
-            v = self.jr.params.get(arg.name)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                return float(v)
-            raise _Dynamic
-        if isinstance(arg, A.BinArith):
-            l = self._static_number(arg.left)
-            r = self._static_number(arg.right)
-            return {"+": l + r, "-": l - r, "*": l * r, "/": l / r if r else float("inf")}[arg.op]
-        raise _Dynamic
-
-    def _static_target(self, target):
-        """Bind-time resolution of a communication target, for the
-        runtime-stable subset of :meth:`System.resolve_target` (the
-        instance map and the junction's parameters never change after
-        bind; ``idx`` cursors do)."""
-        if isinstance(target, str):
-            target = A.ref(target)
-        if not isinstance(target, A.Ref):
-            return None
-        parts = target.parts
-        if parts[0] == "me":
-            return None
-        if target.is_simple:
-            name = parts[0]
-            if name in self.jr.idx_names:
-                return None  # runtime cursor — resolve per execution
-            if name in self.jr.params:
-                v = self.jr.params[name]
-                if isinstance(v, str):
-                    return self._static_target(v)
-                return None
-            if name in self.system.instances:
-                try:
-                    return self.system.instances[name].sole_junction()
-                except Exception:
-                    return None
-            return None
-        if len(parts) == 2 and parts[0] in self.system.instances:
-            try:
-                return self.system.instances[parts[0]].junction(parts[1])
-            except Exception:
-                return None
-        return None
-
-    def _target_expr(self, target, out, ind) -> str:
-        tgt = self._static_target(target)
-        if tgt is not None:
-            return self._const(tgt)
-        t = self._tmp()
-        out.append(f"{'    ' * ind}{t} = _sys.resolve_target({self._const(target)}, _jr)")
-        return t
+    def _target_expr(self, target) -> str:
+        """A communication target as source: resolved now where it is
+        runtime-stable (``System.resolve_target(static=True)``), else
+        ``ex.resolve`` per execution."""
+        try:
+            return self._const(self.system.resolve_target(target, self.jr, static=True))
+        except CSawError:
+            return f"ex.resolve({self._const(target)})"
 
     # -- statement lowering -------------------------------------------------
 
@@ -266,28 +180,38 @@ class BodyCompiler:
                 self._stmt(item, out, ind)
             return
         if isinstance(e, A.HostBlock):
-            self._emit_host(e, out, ind)
+            out.append(f"{p}yield from ex.host({e.name!r}, {tuple(e.writes)!r})")
+            self._yields = True
             return
         if isinstance(e, A.Save):
-            out.append(f"{p}ex._exec_save({self._const(e)})")
+            out.append(f"{p}ex.save({e.name!r})")
             return
         if isinstance(e, A.Restore):
-            out.append(f"{p}ex._exec_restore({self._const(e)})")
+            out.append(f"{p}ex.restore({e.name!r})")
             return
         if isinstance(e, A.Write):
-            self._emit_write(e, out, ind)
+            val = self._tmp()
+            out.append(f"{p}{val} = ex.data({e.name!r})")
+            out.append(f"{p}yield ex.send_update({self._target_expr(e.target)}, {e.name!r}, {val})")
+            self._yields = True
             return
         if isinstance(e, (A.Assert, A.Retract)):
-            self._emit_assert(e, isinstance(e, A.Assert), out, ind)
+            self._emit_set_prop(e, isinstance(e, A.Assert), out, ind)
             return
         if isinstance(e, A.Keep):
             out.append(f"{p}_t.keep({tuple(e.keys)!r})")
             return
         if isinstance(e, A.Wait):
-            self._emit_wait(e, out, ind)
+            # pure formulas have no cursor to resolve: wake-up checks
+            # run the compiled predicate
+            pred = self._pred(e.formula)
+            out.append(f"{p}yield ex.wait({self._const(e.formula)}, {tuple(e.keys)!r}, {pred})")
+            self._yields = True
             return
         if isinstance(e, A.Verify):
-            self._emit_verify(e, out, ind)
+            pred = self._pred(e.formula)
+            value = f", {pred}(_V)" if pred is not None else ""
+            out.append(f"{p}ex.verify({self._const(e.formula)}{value})")
             return
         if isinstance(e, A.FateBlock):
             out.append(f"{p}try:")
@@ -296,10 +220,16 @@ class BodyCompiler:
             out.append(f"{p}    pass")
             return
         if isinstance(e, A.Transaction):
-            self._emit_transaction(e, out, ind)
+            out.append(f"{p}with ex.transaction():")
+            self._block(e.body, out, ind + 1)
             return
         if isinstance(e, A.Otherwise):
-            self._emit_otherwise(e, out, ind)
+            sc = self._tmp()
+            timeout = None if e.timeout is None else self._number_expr(e.timeout)
+            out.append(f"{p}with ex.deadline({timeout}) as {sc}:")
+            self._block(e.body, out, ind + 1)
+            out.append(f"{p}if {sc}.failed:")
+            self._block(e.handler, out, ind + 1)
             return
         if isinstance(e, (A.Par, A.RepPar)):
             self._emit_parallel(e.items, out, ind)
@@ -308,204 +238,46 @@ class BodyCompiler:
             self._emit_case(e, out, ind)
             return
         if isinstance(e, A.Start):
-            out.append(f"{p}_sys.exec_start({self._const(e)}, _jr)")
+            out.append(
+                f"{p}ex.start_instance({self._const(e.instance)}, {self._const(e.junction_args)})"
+            )
             return
         if isinstance(e, A.Stop):
-            out.append(f"{p}_sys.exec_stop({self._const(e)}, _jr)")
+            out.append(f"{p}ex.stop_instance({self._const(e.instance)})")
             return
-        # Call / For / If / anything unknown: the interpreter fails these
+        # Call / For / If / anything unknown: the tree-walker fails these
         # at runtime — keep that behaviour by not compiling the junction
         raise Unsupported(type(e).__name__)
 
-    # -- host ---------------------------------------------------------------
-
-    def _emit_host(self, e: A.HostBlock, out, ind) -> None:
+    def _emit_set_prop(self, e, value: bool, out, ind) -> None:
         p = "    " * ind
-        fn, hc, exc, err = self._tmp(), self._tmp(), self._tmp(), self._tmp()
-        missing = f"{self.node}: no host binding for {e.name!r}"
-        prefix = f"{self.node}: host block {e.name!r} raised "
-        out.append(f"{p}{fn} = _jr.instance.type.host_fns.get({e.name!r})")
-        out.append(f"{p}if {fn} is None:")
-        out.append(f"{p}    raise HostError({missing!r})")
-        out.append(f"{p}if _INLINE:")
-        out.append(f"{p}    {hc} = HostContext(_sys, _jr, {tuple(e.writes)!r})")
-        out.append(f"{p}    try:")
-        out.append(f"{p}        {fn}({hc})")
-        out.append(f"{p}    except DslFailure:")
-        out.append(f"{p}        raise")
-        out.append(f"{p}    except Exception as {exc}:")
-        out.append(f"{p}        {err} = HostError({prefix!r} + repr({exc}))")
-        out.append(f"{p}        {err}.__cause__ = {exc}")
-        out.append(f"{p}        raise {err} from {exc}")
-        out.append(f"{p}else:")
-        out.append(f"{p}    {hc} = HostContext(_sys, _jr, {tuple(e.writes)!r}, defer_writes=True)")
-        out.append(f"{p}    yield Blocked('host', fn={fn}, ctx={hc}, name={e.name!r})")
-        out.append(f"{p}if {hc}.elapsed > 0:")
-        out.append(f"{p}    yield Blocked('sleep', duration={hc}.elapsed)")
-        self._yields = True
-
-    # -- communication ------------------------------------------------------
-
-    def _emit_remote_update(self, tgt: str, key_expr: str, value_expr: str, out, ind) -> None:
-        p = "    " * ind
-        mid = self._tmp()
-        out.append(f"{p}{mid} = _sys.network.next_msg_id()")
-        out.append(
-            f"{p}_tel.bind_message({mid}, _tel.emit('send', {self.node!r}, "
-            f"parent=ex.sched_event, dst={tgt}.node, key={key_expr}, msg_id={mid}))"
-        )
-        out.append(
-            f"{p}_sys.delivery.send(Message(src={self.node!r}, dst={tgt}.node, "
-            f"kind='update', payload=Update(key={key_expr}, value={value_expr}, "
-            f"src={self.node!r}), msg_id={mid}), "
-            f"on_fail=lambda exc, m={mid}: ex.on_delivery_failure(m, exc))"
-        )
-        out.append(f"{p}yield Blocked('ack', msg_id={mid})")
-        self._yields = True
-
-    def _emit_write(self, e: A.Write, out, ind) -> None:
-        p = "    " * ind
-        val = self._tmp()
-        slot = self._slot_of(e.name)
-        if slot is not None:
-            out.append(f"{p}{val} = _V[{slot}]  # {e.name!r}")
-        else:
-            out.append(f"{p}{val} = _t.get({e.name!r})")
-        out.append(f"{p}if {val} is UNDEF:")
-        out.append(f"{p}    raise UndefError({f'{self.node}: write({e.name}) of undef'!r})")
-        tgt = self._target_expr(e.target, out, ind)
-        self._emit_remote_update(tgt, repr(e.name), val, out, ind)
-
-    def _emit_assert(self, e, value: bool, out, ind) -> None:
-        p = "    " * ind
-        idx = e.index
         slot = None
-        if isinstance(idx, A.Ref) and idx.is_simple and idx.name in self.jr.idx_names:
-            iv, key = self._tmp(), self._tmp()
-            islot = self._slot_of(idx.name)
-            if islot is not None:
-                out.append(f"{p}{iv} = _V[{islot}]  # {idx.name!r}")
-            else:
-                out.append(f"{p}{iv} = _t.get({idx.name!r})")
-            out.append(f"{p}if {iv} is UNDEF:")
-            out.append(
-                f"{p}    raise UndefError({f'{self.node}: index {idx.name!r} is undef'!r})"
-            )
-            out.append(f"{p}{key} = {e.prop + '['!r} + str({iv}) + ']'")
-            key_expr = key
+        if A.cursor_name(e.index, self.jr.idx_names) is not None:
+            key_expr = self._tmp()
+            out.append(f"{p}{key_expr} = ex.prop_key({e.prop!r}, {self._const(e.index)})")
         else:
             key_expr = repr(e.key())
             slot = self._slot_of(e.key())
-        if isinstance(e.target, A.SelfTarget):
-            if slot is not None:
-                out.append(f"{p}_t.set_slot({slot}, {key_expr}, {value!r})")
-            else:
-                out.append(f"{p}_t.set_local({key_expr}, {value!r})")
-            return
-        tgt = self._target_expr(e.target, out, ind)
-        sb = self._tmp()
-        out.append(f"{p}{sb} = _t.recv_seq_of({key_expr})")
-        self._emit_remote_update(tgt, key_expr, repr(value), out, ind)
-        if slot is not None:
-            # declared at bind time — the membership test is statically
-            # true (slots never disappear), only the late-ack check runs
-            out.append(f"{p}if _t.recv_seq_of({key_expr}) == {sb}:")
-            out.append(f"{p}    _t.set_slot({slot}, {key_expr}, {value!r})")
-        else:
-            out.append(f"{p}if _t.has({key_expr}) and _t.recv_seq_of({key_expr}) == {sb}:")
-            out.append(f"{p}    _t.set_local({key_expr}, {value!r})")
-
-    # -- wait / verify ------------------------------------------------------
-
-    def _emit_wait(self, e: A.Wait, out, ind) -> None:
-        p = "    " * ind
-        if is_pure(e.formula, self.jr.idx_names):
-            # resolve_indices is the identity on pure formulas, so the
-            # formula object and admit set are bind-time constants and
-            # wake-up checks run the compiled predicate
-            pred = self._pred(e.formula)
-            admits = frozenset(propositions(e.formula)) | frozenset(e.keys)
+        if not isinstance(e.target, A.SelfTarget):
             out.append(
-                f"{p}yield Blocked('wait', formula={self._const(e.formula)}, "
-                f"admits={self._const(admits)}, pred={pred})"
+                f"{p}yield from ex.set_remote({self._target_expr(e.target)}, {key_expr}, {value!r})"
             )
             self._yields = True
-            return
-        out.append(f"{p}yield from ex._exec_wait({self._const(e)})")
-        self._yields = True
-
-    def _emit_verify(self, e: A.Verify, out, ind) -> None:
-        p = "    " * ind
-        pred = self._pred(e.formula)
-        v = self._tmp()
-        if pred is not None:
-            out.append(f"{p}{v} = {pred}(_V)")
+        elif slot is not None:
+            out.append(f"{p}_t.set_slot({slot}, {key_expr}, {value!r})")
         else:
-            out.append(f"{p}{v} = ex.eval_formula({self._const(e.formula)})")
-        undecidable = f"{self.node}: verify {e.formula} is undecidable (instance not running)"
-        failed = f"{self.node}: verify {e.formula} failed"
-        out.append(f"{p}if {v} is UNKNOWN:")
-        out.append(f"{p}    raise VerifyUnknown({undecidable!r})")
-        out.append(f"{p}if {v} is not True:")
-        out.append(f"{p}    raise VerifyFailure({failed!r})")
-
-    # -- scopes -------------------------------------------------------------
-
-    def _emit_transaction(self, e: A.Transaction, out, ind) -> None:
-        p = "    " * ind
-        tx = self._tmp()
-        self._eager = False  # the undo log needs the owning strand
-        out.append(f"{p}{tx} = ex.tx_open()")
-        out.append(f"{p}try:")
-        self._block(e.body, out, ind + 1)
-        out.append(f"{p}except ControlSignal:")
-        out.append(f"{p}    ex.tx_commit({tx})")
-        out.append(f"{p}    raise")
-        out.append(f"{p}except DslFailure:")
-        out.append(f"{p}    ex.tx_rollback({tx})")
-        out.append(f"{p}    raise")
-        out.append(f"{p}except GeneratorExit:")
-        out.append(f"{p}    ex.tx_rollback({tx})")
-        out.append(f"{p}    raise")
-        out.append(f"{p}else:")
-        out.append(f"{p}    ex.tx_commit({tx})")
-
-    def _emit_otherwise(self, e: A.Otherwise, out, ind) -> None:
-        p = "    " * ind
-        sc, f = self._tmp(), self._tmp()
-        if e.timeout is None:
-            out.append(f"{p}{sc} = None")
-        else:
-            out.append(f"{p}{sc} = ex.open_deadline({self._fold_number(e.timeout)})")
-        out.append(f"{p}try:")
-        self._block(e.body, out, ind + 1)
-        out.append(f"{p}except DslFailure as {f}:")
-        out.append(f"{p}    ex._close_scope({sc})")
-        out.append(f"{p}    if isinstance({f}, ScopedTimeout) and {f}.scope is not {sc}:")
-        out.append(f"{p}        raise")
-        self._block(e.handler, out, ind + 1)
-        out.append(f"{p}except BaseException:")
-        out.append(f"{p}    ex._close_scope({sc})")
-        out.append(f"{p}    raise")
-        out.append(f"{p}else:")
-        out.append(f"{p}    ex._close_scope({sc})")
-
-    # -- parallel -----------------------------------------------------------
+            out.append(f"{p}_t.set_local({key_expr}, {value!r})")
 
     def _emit_parallel(self, items, out, ind) -> None:
         p = "    " * ind
-        self._eager = False  # children need a parent strand from the start
         fnames = []
         for item in items:
             fname = f"_par{self._fn_n}"
             self._fn_n += 1
             self._emit_gen_function(fname, item)
             fnames.append(fname)
-        ch = self._tmp()
         gens = ", ".join(f"{fn}(ex, C)" for fn in fnames)
-        trail = "," if len(fnames) == 1 else ""
-        out.append(f"{p}{ch} = ex.spawn_par(({gens}{trail}))")
-        out.append(f"{p}yield Blocked('join', children={ch})")
+        out.append(f"{p}yield ex.join([{gens}])")
         self._yields = True
 
     # -- case ---------------------------------------------------------------
@@ -515,7 +287,7 @@ class BodyCompiler:
         if e.otherwise is None:
             raise Unsupported("case without otherwise")
         n = self._tmp_n = self._tmp_n + 1
-        low, pm, ps, m, snap = f"_l{n}", f"_pm{n}", f"_ps{n}", f"_m{n}", f"_sn{n}"
+        low, prev, m, mark = f"_l{n}", f"_pm{n}", f"_m{n}", f"_mk{n}"
         conds = []
         pre_lines: list[str] = []
         for i, arm in enumerate(e.arms):
@@ -525,14 +297,13 @@ class BodyCompiler:
                 raise Unsupported(f"case terminator {arm.terminator!r}")
             inlined = self._formula_cond_inline(arm.formula, f"{n}a{i}")
             if inlined is None:
-                conds.append(f"ex._formula_true({self._const(arm.formula)})")
+                conds.append(f"ex.truth({self._const(arm.formula)}) is True")
             else:
                 lines, expr = inlined
                 pre_lines.extend(lines)
                 conds.append(expr)
         out.append(f"{p}{low} = 0")
-        out.append(f"{p}{pm} = None")
-        out.append(f"{p}{ps} = None")
+        out.append(f"{p}{prev} = None")
         out.append(f"{p}while True:")
         q = p + "    "
         out.append(f"{q}{m} = None")
@@ -543,18 +314,12 @@ class BodyCompiler:
             out.append(q + line[4:])
         for i, cond in enumerate(conds):
             kw = "if" if i == 0 else "elif"
-            guard = f"{low} <= {i} and " if i > 0 else f"{low} <= 0 and "
-            out.append(f"{q}{kw} {guard}({cond}):")
+            out.append(f"{q}{kw} {low} <= {i} and ({cond}):")
             out.append(f"{q}    {m} = {i}")
         out.append(f"{q}if {m} is None:")
         self._block(e.otherwise, out, ind + 2)
         out.append(f"{q}    break")
-        out.append(f"{q}{snap} = ex._prop_snapshot()")
-        out.append(f"{q}if {pm} is not None and {m} == {pm} and {snap} == {ps}:")
-        prefix = f"{self.node}: reconsider re-matched arm "
-        out.append(
-            f"{q}    raise ReconsiderFailure({prefix!r} + str({m}) + ' with unchanged state')"
-        )
+        out.append(f"{q}{mark} = ex.case_match({m}, {prev})")
         for i, arm in enumerate(e.arms):
             kw = "if" if i == 0 else "elif"
             out.append(f"{q}{kw} {m} == {i}:")
@@ -564,14 +329,10 @@ class BodyCompiler:
                 out.append(f"{q}    break")
             elif term == "next":
                 out.append(f"{q}    {low} = {i + 1}")
-                out.append(f"{q}    {pm} = None")
-                out.append(f"{q}    {ps} = None")
-                out.append(f"{q}    continue")
+                out.append(f"{q}    {prev} = None")
             else:  # reconsider
                 out.append(f"{q}    {low} = 0")
-                out.append(f"{q}    {pm} = {i}")
-                out.append(f"{q}    {ps} = {snap}")
-                out.append(f"{q}    continue")
+                out.append(f"{q}    {prev} = {mark}")
 
     # -- function assembly ---------------------------------------------------
 
@@ -579,27 +340,22 @@ class BodyCompiler:
         """A module-level generator function with the standard preamble
         (used for the root body and each parallel child).
 
-        ``root`` compiles the interpreter's retry/return loop into the
-        function itself, so the generated generator can serve as the
-        execution's root strand directly — no wrapper generator frame
-        per scheduling."""
+        ``root`` compiles the retry/return loop into the function
+        itself (as :func:`repro.runtime.treewalk.body` has it), so the
+        generated generator can serve as the execution's root strand
+        directly — no wrapper generator frame per scheduling."""
         saved = self._yields
         self._yields = False
         stmts: list[str] = []
         self._block(body, stmts, 3 if root else 1)
         lines = [
             f"def {fname}(ex, C):",
-            "    _sys = ex.system",
-            "    _jr = ex.jr",
             "    _t = ex.table",
             "    _V = _t.slots",
             "    _U = UNKNOWN",
-            "    _tel = _sys.telemetry",
-            "    _INLINE = _sys.engine.executor.inline",
         ]
         if root:
             lines += [
-                "    _retry = 0",
                 "    while True:",
                 "        try:",
                 *stmts,
@@ -607,11 +363,7 @@ class BodyCompiler:
                 "        except ReturnSignal:",
                 "            return",
                 "        except RetrySignal:",
-                "            _retry += 1",
-                "            if _retry > ex._retry_budget:",
-                f"                raise RetryExhausted({self.node!r}"
-                " + ': retry invoked more than '"
-                " + str(ex._retry_budget) + ' times')",
+                "            ex.retry()",
             ]
         else:
             lines += stmts
@@ -645,13 +397,12 @@ class BodyCompiler:
             body_fn=ns["_body"],
             guard_fn=ns[guard_name] if guard_name is not None else None,
             consts=tuple(self.consts),
-            eager=self._eager,
         )
 
 
 def compile_junction_code(system, jr) -> JunctionCode | None:
     """Compile one bound junction; ``None`` when any construct is
-    outside the lowering (the interpreter remains the reference path)."""
+    outside the lowering (the tree-walker remains the reference path)."""
     if jr.body is None:
         return None
     try:

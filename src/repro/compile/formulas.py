@@ -18,8 +18,8 @@ environment, without walking the formula tree per evaluation.
 
 Formulas that need runtime context — ``gamma@F`` (a remote table),
 ``S(iota)`` (instance liveness), or a proposition indexed by an ``idx``
-cursor (``!Work[tgt]``) — are *impure*: the caller falls back to the
-interpreter's ``evaluate`` path for them.
+cursor (``!Work[tgt]``) — are *impure*: the caller leaves them to the
+machine's ``truth`` op, which walks them with ``evaluate``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ def is_pure(f: Formula, idx_names: frozenset[str] | set[str]) -> bool:
     junction's value map (no ``@``, no ``S(..)``, no idx-indexed
     propositions that resolve through the table at runtime)."""
     if isinstance(f, Prop):
-        if isinstance(f.index, A.Ref):
-            return not (f.index.is_simple and f.index.name in idx_names)
-        return True
+        return A.cursor_name(f.index, idx_names) is None
     if isinstance(f, FalseF):
         return True
     if isinstance(f, Not):

@@ -70,6 +70,15 @@ def ref(text: str) -> Ref:
     return Ref(tuple(text.split("::")))
 
 
+def cursor_name(index: object, idx_names) -> str | None:
+    """The ``idx`` cursor a proposition index names (``Work[tgt]`` with
+    ``idx tgt of {...}`` — sec. 7.1's per-back-end propositions), or
+    None for a static index."""
+    if isinstance(index, Ref) and index.is_simple and index.name in idx_names:
+        return index.name
+    return None
+
+
 @dataclass(frozen=True)
 class Num:
     """A numeric literal argument (timeout values etc.)."""

@@ -13,6 +13,10 @@ Two families of errors exist:
   until an ``otherwise`` handler absorbs it (or the junction's scheduling
   aborts).  Transaction blocks roll their KV table back before
   re-raising.
+
+``return`` and ``retry`` travel the same way but are *control signals*
+(:class:`ControlSignal`), not failures: ``otherwise`` lets them through
+and transactions keep their writes.
 """
 
 from __future__ import annotations
@@ -133,3 +137,16 @@ class HostError(DslFailure):
 
 class SerdeError(CSawError):
     """The serialization framework rejected a schema or a value."""
+
+
+class ControlSignal(Exception):
+    """Non-failure control transfer out of a junction body; passes
+    through ``otherwise`` and commits enclosing transactions."""
+
+
+class ReturnSignal(ControlSignal):
+    """``return``: leave the enclosing fate scope / the junction."""
+
+
+class RetrySignal(ControlSignal):
+    """``retry``: restart the junction body (bounded)."""

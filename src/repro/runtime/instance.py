@@ -99,7 +99,7 @@ class JunctionRuntime:
         self.prop_names: set[str] = set()
         #: compiled guard/body (``repro.compile.JunctionCode``), set at
         #: instance bind time when compilation is enabled; None runs the
-        #: tree-walking interpreter
+        #: tree-walker (``repro.runtime.treewalk``)
         self.code = None
         # hot-path caches: schedule-replay labels/footprints and
         # telemetry handles are per-junction constants — building them

@@ -1,15 +1,22 @@
-"""The DSL interpreter: executes specialized junction bodies.
+"""The junction-body machine: strands, scopes and the instruction set.
 
 One *scheduling* of a junction creates a :class:`JunctionExecution`,
-which runs the junction's expression tree as a set of cooperating
-*strands* (micro-threads implemented as Python generators).  Strands
-yield :class:`Blocked` requests when they need to wait — on a formula
-(``wait``), a remote acknowledgement (``write``/``assert``/``retract``
-to another junction), simulated service time (host blocks), or child
-strands (parallel composition).  The execution cooperates with the
-discrete-event simulator: when every strand is blocked, control returns
-to the simulator, which advances time, delivers messages, and fires
-``otherwise`` deadlines.
+which runs the junction's body as a set of cooperating *strands*
+(micro-threads implemented as Python generators).  A body is any
+generator function ``body_fn(ex, consts)`` that touches the runtime
+only through the execution's public *ops* (the second half of the
+class; spec in docs/RUNTIME.md, "The junction-body machine").  Two
+front-ends translate the DSL into such bodies: the tree-walker
+(:mod:`.treewalk`, the reference, used when ``jr.code is None``) and the
+junction compiler (:mod:`repro.compile.codegen`).
+
+Strands yield :class:`Blocked` requests when they need to wait — on a
+formula (``wait``), a remote acknowledgement (``write``/``assert``/
+``retract`` to another junction), simulated service time (host blocks),
+or child strands (parallel composition).  The execution cooperates with
+the engine's clock: when every strand is blocked, control returns to the
+clock, which advances time, delivers messages, and fires ``otherwise``
+deadlines.
 
 Failure semantics follow the paper:
 
@@ -24,21 +31,16 @@ Failure semantics follow the paper:
 * Remote updates apply **locally only after the acknowledgement**
   arrives, so a failed remote update leaves the local table unchanged —
   this is what makes the paper's retry idioms (Fig. 4) work.
-
-``case`` implements the paper's terminators: ``break`` leaves the case;
-``next`` re-matches below the succeeded arm; ``reconsider`` re-matches
-from scratch and **fails** if the same arm would run again with the
-junction's proposition state unchanged (our operationalization of "if a
-different match is made ... otherwise the expression fails").
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from ..core import ast as A
 from ..core.errors import (
+    ControlSignal,
     DslFailure,
     HostError,
     ReconsiderFailure,
@@ -48,7 +50,19 @@ from ..core.errors import (
     VerifyFailure,
     VerifyUnknown,
 )
-from ..core.formula import UNKNOWN, Formula, evaluate, propositions
+from ..core.formula import (
+    UNKNOWN,
+    And,
+    At,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Prop,
+    evaluate,
+    propositions,
+)
+from . import treewalk
 from .channels import Message
 from .host import HostContext
 from .kvtable import UNDEF, Update
@@ -58,20 +72,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import System
 
 
-# ---------------------------------------------------------------------------
-# Control signals (not failures)
-# ---------------------------------------------------------------------------
-
-class ControlSignal(Exception):
-    """Non-failure control transfer; passes through ``otherwise``."""
-
-
-class ReturnSignal(ControlSignal):
-    """``return``: leave the enclosing fate scope / the junction."""
-
-
-class RetrySignal(ControlSignal):
-    """``retry``: restart the junction body (bounded)."""
+def fold_number(arg: object, params: dict) -> float:
+    """The value of a numeric Arg (``3*t``) under a junction's bound
+    parameters.  Raises ``ValueError`` saying why when it has none —
+    the compiler then defers to :meth:`JunctionExecution.number`, which
+    turns that into the strand's failure."""
+    if isinstance(arg, A.Num):
+        return float(arg.value)
+    if isinstance(arg, A.Ref) and arg.is_simple:
+        v = params.get(arg.name)
+        if isinstance(v, (int, float)):
+            return float(v)
+        raise ValueError(f"{arg} is not a numeric parameter")
+    if isinstance(arg, A.BinArith):
+        l = fold_number(arg.left, params)
+        r = fold_number(arg.right, params)
+        return {"+": l + r, "-": l - r, "*": l * r, "/": l / r if r else float("inf")}[arg.op]
+    raise ValueError(f"cannot evaluate {arg!r} as a number")
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +145,34 @@ class Blocked:
 
 
 class _DeadlineScope:
-    __slots__ = ("strand", "deadline", "handle", "active", "scope_id")
-    _ids = itertools.count()
+    """An open ``otherwise[t]`` scope (see
+    :meth:`JunctionExecution.deadline`): owner strand, the deadline's
+    timer handle if it has one, and whether it absorbed a failure."""
 
-    def __init__(self, strand: "Strand", deadline: float):
+    __slots__ = ("strand", "handle", "active", "failed")
+
+    def __init__(self, strand: "Strand"):
         self.strand = strand
-        self.deadline = deadline
         self.handle = None
         self.active = True
-        self.scope_id = next(self._ids)
+        self.failed = False
+
+    def __enter__(self) -> "_DeadlineScope":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.active = False
+        if self.handle is not None:
+            self.handle.cancel()
+        if exc_type is None or not issubclass(exc_type, DslFailure):
+            return False
+        if isinstance(exc, ScopedTimeout) and exc.scope is not self:
+            # a deadline belonging to an *enclosing* otherwise — not
+            # ours to absorb (exceptions stay within a strand, so the
+            # scope can only be an ancestor's)
+            return False
+        self.failed = True
+        return True
 
 
 class ScopedTimeout(TimeoutFailure):
@@ -156,7 +192,7 @@ class Strand:
 
     __slots__ = (
         "id", "gen", "parent", "state", "block",
-        "exc", "pending_throw", "window", "sleep_handle",
+        "pending_throw", "window", "sleep_handle",
     )
 
     _ids = itertools.count()
@@ -167,7 +203,6 @@ class Strand:
         self.parent = parent
         self.state = "ready"  # ready|blocked|done|failed|cancelled
         self.block: Blocked | None = None
-        self.exc: BaseException | None = None
         self.pending_throw: BaseException | None = None
         self.window = None  # open KV wait window, if any
         self.sleep_handle = None
@@ -177,7 +212,8 @@ class Strand:
 
 
 class _TxScope:
-    """An open transaction: owner strand + undo log.
+    """An open transaction (see :meth:`JunctionExecution.transaction`):
+    owner strand + undo log.
 
     The undo log records (key, previous value) for the *first* local
     write to each key made by the owner strand or any of its
@@ -186,13 +222,30 @@ class _TxScope:
     with parallel strands (a sibling's transaction failure must not
     wipe our writes, which a whole-table snapshot would)."""
 
-    __slots__ = ("owner", "log", "seen", "active")
+    __slots__ = ("ex", "owner", "log", "seen", "active")
 
-    def __init__(self, owner: "Strand"):
+    def __init__(self, ex: "JunctionExecution", owner: "Strand"):
+        self.ex = ex
         self.owner = owner
         self.log: list[tuple[str, object]] = []
         self.seen: set[str] = set()
         self.active = True
+
+    def __enter__(self) -> "_TxScope":
+        self.ex.active_txs.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.active = False
+        self.ex.active_txs.remove(self)
+        # return/retry are not failures: changes persist.  Anything
+        # else — a failure, or GeneratorExit when the strand is
+        # cancelled — rolls back.
+        if exc_type is not None and not issubclass(exc_type, ControlSignal):
+            values = self.ex.table.values
+            for key, old in reversed(self.log):
+                values[key] = old
+        return False
 
 
 def _is_self_or_ancestor(candidate: "Strand", strand: "Strand | None") -> bool:
@@ -209,7 +262,7 @@ class JunctionExecution:
     __slots__ = (
         "system", "jr", "table", "root", "strands", "ready",
         "awaiting_acks", "finished", "outcome", "failure",
-        "_pump_scheduled", "_current", "_retry_budget", "active_txs",
+        "_pump_scheduled", "_current", "_retry_budget", "_retries", "active_txs",
         "parent_event", "sched_event", "_sched_at",
     )
 
@@ -232,6 +285,7 @@ class JunctionExecution:
         self._pump_scheduled = False
         self._current: Strand | None = None
         self._retry_budget = system.max_retries
+        self._retries = 0
         self.active_txs: list[_TxScope] = []
         #: causal parent of this scheduling (the ``attempt`` event)
         self.parent_event = parent_event
@@ -253,6 +307,7 @@ class JunctionExecution:
         self.outcome = None
         self.failure = None
         self._current = None
+        self._retries = 0
         self.parent_event = parent_event
         self.sched_event = None
         self._sched_at = 0.0
@@ -280,10 +335,10 @@ class JunctionExecution:
             if tel.enabled else None
         )
         code = jr.code
-        # compiled bodies carry their own retry/return loop (codegen
-        # emits it into ``_body``), so the generated generator IS the
-        # root — no wrapper frame per scheduling
-        gen = code.body_fn(self, code.consts) if code is not None else self._root_gen()
+        # both front-ends carry the retry/return loop in the body
+        # function itself, so its generator IS the root strand — no
+        # wrapper frame per scheduling
+        gen = code.body_fn(self, code.consts) if code is not None else treewalk.body(self, None)
         # root fast path: advance to the first yield inline, with the
         # root strand registered and current (transactions/par opened
         # before the first yield attribute correctly).  Most junction
@@ -345,7 +400,6 @@ class JunctionExecution:
         except (DslFailure, ControlSignal) as exc:
             self._current = None
             s.state = "failed"
-            s.exc = exc
             self._finish_execution(exc)
             return
         except Exception as exc:  # host/library bug: surface as HostError
@@ -353,7 +407,6 @@ class JunctionExecution:
             wrapped = HostError(f"{jr.node}: internal error: {exc!r}")
             wrapped.__cause__ = exc
             s.state = "failed"
-            s.exc = wrapped
             self._finish_execution(wrapped)
             return
         self._current = None
@@ -368,31 +421,6 @@ class JunctionExecution:
             if tx.active and key not in tx.seen and _is_self_or_ancestor(tx.owner, cur):
                 tx.log.append((key, old))
                 tx.seen.add(key)
-
-    def _root_gen(self) -> Generator:
-        """Tree-walking root: the junction body with the retry/return
-        loop around it (compiled bodies embed the same loop — codegen
-        ``root=True``)."""
-        attempts = 0
-        while True:
-            try:
-                yield from self.exec_expr(self.jr.body)
-                return
-            except ReturnSignal:
-                return
-            except RetrySignal:
-                attempts += 1
-                if attempts > self._retry_budget:
-                    raise RetryExhausted(
-                        f"{self.jr.node}: retry invoked more than {self._retry_budget} times"
-                    )
-                continue
-
-    def _spawn(self, gen: Generator, parent: Strand | None) -> Strand:
-        s = Strand(gen, parent)
-        self.strands[s.id] = s
-        self.ready.append(s)
-        return s
 
     def _schedule_pump(self) -> None:
         if self._pump_scheduled or self.finished:
@@ -480,7 +508,7 @@ class JunctionExecution:
         if req.kind == "join":
             strand.state = "blocked"
             strand.block = req
-            # children were spawned by exec side; just wait
+            # children were spawned by the join op; just wait
             return
         if req.kind == "host":
             strand.state = "blocked"
@@ -498,16 +526,23 @@ class JunctionExecution:
                     except BaseException as werr:
                         exc = werr
                 if exc is not None and not isinstance(exc, DslFailure):
-                    wrapped = HostError(
-                        f"{self.jr.node}: host block {r.name!r} raised {exc!r}"
-                    )
-                    wrapped.__cause__ = exc
-                    exc = wrapped
+                    exc = self._host_raised(r.name, exc)
                 self._wake(s, throw=exc)
 
             self.system.engine.executor.invoke(req.fn, req.ctx, done)
             return
         raise RuntimeError(f"unknown block request {req.kind!r}")
+
+    def _wait_sat(self, req: Blocked) -> bool:
+        """Is a wait request's formula satisfied?  Uses the compiled
+        predicate when the front-end attached one (pure formulas), else
+        the reference tree-walk."""
+        pred = req.pred
+        if pred is not None:
+            # compiled predicates are slot-compiled: they read the flat
+            # slot list, not the by-name view
+            return pred(self.table.slots) is True
+        return self.truth(req.formula) is True
 
     def _wake(self, strand: Strand, throw: BaseException | None = None) -> None:
         if strand.state != "blocked" or self.finished:
@@ -537,7 +572,6 @@ class JunctionExecution:
 
     def _finish_strand(self, strand: Strand, exc: BaseException | None) -> None:
         strand.state = "failed" if exc is not None else "done"
-        strand.exc = exc
         self._unblock_cleanup(strand)
         parent = strand.parent
         if parent is None:
@@ -637,9 +671,52 @@ class JunctionExecution:
         if strand is not None:
             self._wake(strand, throw=exc)
 
-    # ------------------------------------------------------------------
-    # Formula evaluation
-    # ------------------------------------------------------------------
+    # ==================================================================
+    # The instruction set.  Everything below is what a junction body
+    # (tree-walked or generated) may call; nothing above is.  Ops that
+    # return a Blocked are yielded by the body, generator ops are
+    # delegated to with ``yield from``, the rest are plain calls.
+    # ==================================================================
+
+    # -- values -----------------------------------------------------------
+
+    def number(self, arg: object) -> float:
+        """A numeric Arg (``otherwise[3*t]``) under the junction's bound
+        parameters; a non-numeric one fails the strand."""
+        try:
+            return fold_number(arg, self.jr.params)
+        except ValueError as why:
+            raise DslFailure(f"{self.jr.node}: {why}") from None
+
+    def resolve(self, target: object) -> "JunctionRuntime":
+        """A communication target, through the junction's parameters
+        and current ``idx`` cursors."""
+        return self.system.resolve_target(target, self.jr)
+
+    def _cursor(self, idx: str) -> object:
+        """The current value of an ``idx`` cursor; undef fails."""
+        v = self.table.get(idx)
+        if v is UNDEF:
+            raise UndefError(f"{self.jr.node}: index {idx!r} is undef")
+        return v
+
+    def prop_key(self, prop: str, index: object) -> str:
+        """The table key of ``prop[index]``; an index naming an ``idx``
+        cursor is taken at the cursor's current value."""
+        if index is None:
+            return prop
+        idx = A.cursor_name(index, self.jr.idx_names)
+        return f"{prop}[{index if idx is None else self._cursor(idx)}]"
+
+    def data(self, name: str) -> object:
+        """The value ``write(name, ...)`` sends; writing ``undef`` fails
+        (sec. 6: data must have been produced by ``save``)."""
+        value = self.table.get(name)
+        if value is UNDEF:
+            raise UndefError(f"{self.jr.node}: write({name}) of undef")
+        return value
+
+    # -- formulas ---------------------------------------------------------
 
     def _prop_env(self, key: str):
         v = self.table.prop_value(key)
@@ -647,422 +724,237 @@ class JunctionExecution:
             return v
         return UNKNOWN
 
-    def resolve_indices(self, f: Formula) -> Formula:
-        """Resolve proposition indices that are idx variables against
-        the table's current cursor values (``!Work[tgt]`` with
-        ``idx tgt of {...}`` — sec. 7.1's per-back-end propositions)."""
-        from ..core.formula import And, At, Implies, Not, Or, Prop
-
-        if isinstance(f, Prop) and isinstance(f.index, A.Ref):
-            idx = f.index
-            if idx.is_simple and idx.name in self.jr.idx_names:
-                v = self.table.get(idx.name)
-                if v is UNDEF:
-                    raise UndefError(f"{self.jr.node}: index {idx.name!r} is undef")
-                return Prop(f.name, str(v))
-            return f
+    def _resolve_indices(self, f: Formula) -> Formula:
+        """``f`` with every cursor-indexed proposition (``!Work[tgt]``)
+        fixed at the cursor's current value."""
+        if isinstance(f, Prop):
+            idx = A.cursor_name(f.index, self.jr.idx_names)
+            return f if idx is None else Prop(f.name, str(self._cursor(idx)))
         if isinstance(f, Not):
-            return Not(self.resolve_indices(f.operand))
-        if isinstance(f, And):
-            return And(self.resolve_indices(f.left), self.resolve_indices(f.right))
-        if isinstance(f, Or):
-            return Or(self.resolve_indices(f.left), self.resolve_indices(f.right))
-        if isinstance(f, Implies):
-            return Implies(self.resolve_indices(f.left), self.resolve_indices(f.right))
+            return Not(self._resolve_indices(f.operand))
+        if isinstance(f, (And, Or, Implies)):
+            return type(f)(self._resolve_indices(f.left), self._resolve_indices(f.right))
         if isinstance(f, At):
-            return At(f.junction, self.resolve_indices(f.body))
+            return At(f.junction, self._resolve_indices(f.body))
         return f
 
-    def eval_formula(self, f: Formula):
+    def truth(self, f: Formula):
+        """Three-valued truth of ``f`` in this junction's context:
+        cursors resolved, ``gamma@F`` read from the remote table,
+        ``S(iota)`` from instance liveness (UNKNOWN when not running).
+        Front-ends may inline *pure* formulas instead — see
+        :func:`repro.compile.formulas.is_pure`."""
         return evaluate(
-            self.resolve_indices(f),
+            self._resolve_indices(f),
             self._prop_env,
             at=self.system.make_at_resolver(self.jr),
             live=self.system.make_live_resolver(),
         )
 
-    def _formula_true(self, f: Formula) -> bool:
-        return self.eval_formula(f) is True
+    def verify(self, f: Formula, value: object = None) -> None:
+        """``verify f``: fail unless it holds; an undecidable formula
+        (ternary *error*) fails distinctly.  ``value`` is ``f``'s truth
+        when the front-end already computed it inline."""
+        v = self.truth(f) if value is None else value
+        if v is UNKNOWN:
+            raise VerifyUnknown(f"{self.jr.node}: verify {f} is undecidable (instance not running)")
+        if v is not True:
+            raise VerifyFailure(f"{self.jr.node}: verify {f} failed")
 
-    def _wait_sat(self, req: Blocked) -> bool:
-        """Is a wait request's formula satisfied?  Uses the compiled
-        predicate when the compiler attached one (pure formulas), else
-        the reference tree-walk."""
-        pred = req.pred
-        if pred is not None:
-            # compiled predicates are slot-compiled: they read the flat
-            # slot list, not the by-name view
-            return pred(self.table.slots) is True
-        return self._formula_true(req.formula)
+    def case_match(self, arm: int, prev: tuple | None) -> tuple:
+        """Note that a ``case`` round matched ``arm``.  Returns the mark
+        a ``reconsider`` terminator hands to the next round as ``prev``;
+        that round fails if it matches the same arm with the junction's
+        proposition state unchanged (our operationalization of "if a
+        different match is made ... otherwise the expression fails")."""
+        props = {k: v for k, v in self.table.values.items() if isinstance(v, bool)}
+        mark = (arm, props)
+        if mark == prev:
+            raise ReconsiderFailure(
+                f"{self.jr.node}: reconsider re-matched arm {arm} with unchanged state"
+            )
+        return mark
 
-    # ------------------------------------------------------------------
-    # Argument evaluation
-    # ------------------------------------------------------------------
+    def retry(self) -> None:
+        """Count one ``retry`` of the body against the per-scheduling
+        budget (``System.max_retries``); past it the junction fails.
+        Called by the root loop on :class:`RetrySignal`, outside every
+        scope, so no ``otherwise`` absorbs the exhaustion."""
+        self._retries += 1
+        if self._retries > self._retry_budget:
+            raise RetryExhausted(
+                f"{self.jr.node}: retry invoked more than {self._retry_budget} times"
+            )
 
-    def eval_arg_number(self, arg: object) -> float:
-        if isinstance(arg, A.Num):
-            return arg.value
-        if isinstance(arg, A.Ref) and arg.is_simple:
-            v = self.jr.params.get(arg.name)
-            if isinstance(v, (int, float)):
-                return float(v)
-            raise DslFailure(f"{self.jr.node}: {arg} is not a numeric parameter")
-        if isinstance(arg, A.BinArith):
-            l = self.eval_arg_number(arg.left)
-            r = self.eval_arg_number(arg.right)
-            return {"+": l + r, "-": l - r, "*": l * r, "/": l / r if r else float("inf")}[arg.op]
-        raise DslFailure(f"{self.jr.node}: cannot evaluate {arg!r} as a number")
+    # -- blocking ---------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # Statement execution (generators)
-    # ------------------------------------------------------------------
+    def wait(self, f: Formula, keys: Iterable[str] = (), pred: object = None) -> Blocked:
+        """``wait[keys] f``: park until ``f`` holds, admitting remote
+        updates to its propositions and ``keys`` meanwhile.  Cursors are
+        resolved once, here (constant for the blocked statement).
+        ``pred`` — a compiled predicate over the slot list, pure
+        formulas only — replaces the tree walk in wake-up checks."""
+        if pred is None:
+            f = self._resolve_indices(f)
+        return Blocked(
+            "wait", formula=f, admits=frozenset(propositions(f)) | frozenset(keys), pred=pred
+        )
 
-    def exec_expr(self, e: A.Expr) -> Generator:
-        if isinstance(e, A.Skip):
-            return
-        if isinstance(e, A.Return):
-            raise ReturnSignal()
-        if isinstance(e, A.Retry):
-            raise RetrySignal()
-        if isinstance(e, A.Seq):
-            for item in e.items:
-                yield from self.exec_expr(item)
-            return
-        if isinstance(e, A.HostBlock):
-            yield from self._exec_host(e)
-            return
-        if isinstance(e, A.Save):
-            self._exec_save(e)
-            return
-        if isinstance(e, A.Restore):
-            self._exec_restore(e)
-            return
-        if isinstance(e, A.Write):
-            yield from self._exec_write(e)
-            return
-        if isinstance(e, (A.Assert, A.Retract)):
-            yield from self._exec_assert(e, isinstance(e, A.Assert))
-            return
-        if isinstance(e, A.Keep):
-            self.table.keep(e.keys)
-            return
-        if isinstance(e, A.Wait):
-            yield from self._exec_wait(e)
-            return
-        if isinstance(e, A.Verify):
-            self._exec_verify(e)
-            return
-        if isinstance(e, A.FateBlock):
-            try:
-                yield from self.exec_expr(e.body)
-            except ReturnSignal:
-                return
-            return
-        if isinstance(e, A.Transaction):
-            yield from self._exec_transaction(e)
-            return
-        if isinstance(e, A.Otherwise):
-            yield from self._exec_otherwise(e)
-            return
-        if isinstance(e, (A.Par, A.RepPar)):
-            yield from self._exec_parallel(e.items)
-            return
-        if isinstance(e, A.Case):
-            yield from self._exec_case(e)
-            return
-        if isinstance(e, A.Start):
-            self.system.exec_start(e, self.jr)
-            return
-        if isinstance(e, A.Stop):
-            self.system.exec_stop(e, self.jr)
-            return
-        if isinstance(e, A.Call):
-            raise DslFailure(f"{self.jr.node}: unexpanded function call {e}")
-        if isinstance(e, (A.For, A.If)):
-            raise DslFailure(f"{self.jr.node}: unexpanded template {type(e).__name__}")
-        raise DslFailure(f"{self.jr.node}: cannot execute {type(e).__name__}")
+    def send_update(self, target: "JunctionRuntime", key: str, value: object) -> Blocked:
+        """Send ``key := value`` to ``target``'s table and park until it
+        is acknowledged.  The send is reliable (retransmitted with
+        backoff); :class:`~repro.core.errors.DeliveryFailure` is raised
+        here if the link's breaker is open, or thrown into the parked
+        strand when the retransmission budget runs out."""
+        system = self.system
+        node = self.jr.node
+        msg_id = system.network.next_msg_id()
+        tel = system.telemetry
+        tel.bind_message(
+            msg_id,
+            tel.emit(
+                "send", node, parent=self.sched_event, dst=target.node, key=key, msg_id=msg_id
+            ),
+        )
+        system.delivery.send(
+            Message(
+                src=node,
+                dst=target.node,
+                kind="update",
+                payload=Update(key=key, value=value, src=node),
+                msg_id=msg_id,
+            ),
+            on_fail=lambda exc, m=msg_id: self.on_delivery_failure(m, exc),
+        )
+        return Blocked("ack", msg_id=msg_id)
 
-    # -- host ---------------------------------------------------------------
+    def set_remote(self, target: "JunctionRuntime", key: str, value: bool) -> Generator:
+        """``assert[target] key`` / ``retract[target] key``: the local
+        copy follows only after the remote update is acknowledged — and
+        only if no remote update to the key arrived in between (an ack,
+        possibly of a retransmission, confirms old state and must not
+        clobber newer information)."""
+        table = self.table
+        seq_before = table.recv_seq_of(key)
+        yield self.send_update(target, key, value)
+        if table.has(key) and table.recv_seq_of(key) == seq_before:
+            table.set_local(key, value)
 
-    def _exec_host(self, e: A.HostBlock) -> Generator:
-        fn = self.jr.instance.type.host_fns.get(e.name)
+    def host(self, name: str, writes: tuple) -> Generator:
+        """``host name {writes}``: run the bound host function against a
+        :class:`HostContext`, then sleep for the service time it took
+        (``ctx.take``)."""
+        jr = self.jr
+        fn = jr.instance.type.host_fns.get(name)
         if fn is None:
-            raise HostError(f"{self.jr.node}: no host binding for {e.name!r}")
-        if self.system.engine.executor.inline:
-            # the sim path: run synchronously inside the strand.  This
-            # branch must stay exactly as it always was — any extra
-            # yield would reorder the pump and break schedule replay.
-            ctx = HostContext(self.system, self.jr, e.writes)
+            raise HostError(f"{jr.node}: no host binding for {name!r}")
+        inline = self.system.engine.executor.inline
+        # off the runtime thread (realtime pool) writes are deferred into
+        # the context and applied at completion (HostContext.defer_writes)
+        ctx = HostContext(self.system, jr, writes, defer_writes=not inline)
+        if inline:
+            # the sim path: run synchronously inside the strand — an
+            # extra yield would reorder the pump and break schedule replay
             try:
                 fn(ctx)
             except DslFailure:
                 raise
             except Exception as exc:
-                err = HostError(f"{self.jr.node}: host block {e.name!r} raised {exc!r}")
-                err.__cause__ = exc
-                raise err from exc
+                raise self._host_raised(name, exc) from exc
         else:
-            # engine-executor path (realtime thread pool): the strand
-            # parks while the host function runs off the runtime thread;
-            # writes are deferred into the context and applied on the
-            # runtime thread at completion (see HostContext.defer_writes)
-            ctx = HostContext(self.system, self.jr, e.writes, defer_writes=True)
-            yield Blocked("host", fn=fn, ctx=ctx, name=e.name)
+            yield Blocked("host", fn=fn, ctx=ctx, name=name)
         if ctx.elapsed > 0:
             yield Blocked("sleep", duration=ctx.elapsed)
 
-    # -- save / restore ------------------------------------------------------
+    def _host_raised(self, name: str, exc: BaseException) -> HostError:
+        err = HostError(f"{self.jr.node}: host block {name!r} raised {exc!r}")
+        err.__cause__ = exc
+        return err
 
-    def _providers_for(self, name: str):
-        t = self.jr.instance.type
-        return t.data_state.get(name, t.state)
+    def join(self, gens: Iterable[Generator]) -> Blocked:
+        """Parallel composition: run each generator as a child strand of
+        the current one and park until all are done; a child's failure
+        cancels its siblings and is thrown into the parent."""
+        parent = self._current
+        children = [Strand(gen, parent) for gen in gens]
+        for c in children:
+            self.strands[c.id] = c
+            self.ready.append(c)
+        return Blocked("join", children=children)
 
-    def _exec_save(self, e: A.Save) -> None:
-        prov = self._providers_for(e.name)
-        if prov.save is None:
-            raise HostError(
-                f"{self.jr.node}: no state provider registered for save({e.name})"
+    # -- scopes (context managers) ----------------------------------------
+
+    def transaction(self) -> _TxScope:
+        """``<|E|>``: ``with ex.transaction(): E`` — a failure of ``E``
+        (or its cancellation) undoes the local writes made under it by
+        the current strand and its descendants; ``return``/``retry``
+        are not failures and keep them."""
+        return _TxScope(self, self._current)
+
+    def deadline(self, timeout: float | None) -> _DeadlineScope:
+        """``E1 otherwise[timeout] E2``::
+
+            with ex.deadline(timeout) as scope:
+                E1
+            if scope.failed:
+                E2
+
+        The scope absorbs a failure of ``E1``, including its own expiry
+        (thrown into the owning strand wherever it is parked), but not
+        the expiry of an enclosing scope, nor a control signal."""
+        scope = _DeadlineScope(self._current)
+        if timeout is not None:
+            clock = self.system.clock
+            scope.handle = clock.call_at(
+                clock.now + timeout,
+                lambda sc=scope: self._deadline_fired(sc),
+                label=self.jr._label_deadline,
+                footprint=self.jr._fp_strand,
             )
-        obj = prov.save(self.jr.instance.app, self.jr.instance)
-        payload = self.system.serializer.encode(prov.schema, obj)
-        self.table.set_local(e.name, payload)
-
-    def _exec_restore(self, e: A.Restore) -> None:
-        value = self.table.get(e.name)
-        if value is UNDEF:
-            raise UndefError(f"{self.jr.node}: restore({e.name}) of undef")
-        prov = self._providers_for(e.name)
-        if prov.restore is None:
-            raise HostError(
-                f"{self.jr.node}: no state provider registered for restore({e.name})"
-            )
-        obj = self.system.serializer.decode(value)
-        prov.restore(self.jr.instance.app, self.jr.instance, obj)
-
-    # -- communication ----------------------------------------------------------
-
-    def _exec_write(self, e: A.Write) -> Generator:
-        value = self.table.get(e.name)
-        if value is UNDEF:
-            raise UndefError(f"{self.jr.node}: write({e.name}) of undef")
-        target = self.system.resolve_target(e.target, self.jr)
-        yield from self._remote_update(target, e.name, value)
-
-    def _exec_assert(self, e, value: bool) -> Generator:
-        key = self._resolve_prop_key(e)
-        if isinstance(e.target, A.SelfTarget):
-            self.table.set_local(key, value)
-            return
-        target = self.system.resolve_target(e.target, self.jr)
-        seq_before = self.table.recv_seq_of(key)
-        yield from self._remote_update(target, key, value)
-        # local effect only after the remote update is acknowledged —
-        # and only if no remote update to the key arrived in between
-        # (an ack, possibly of a retransmission, confirms old state and
-        # must not clobber newer information)
-        if self.table.has(key) and self.table.recv_seq_of(key) == seq_before:
-            self.table.set_local(key, value)
-
-    def _resolve_prop_key(self, e) -> str:
-        index = e.index
-        if isinstance(index, A.Ref):
-            # an index variable (idx decl) resolves through the table
-            if index.is_simple and index.name in self.jr.idx_names:
-                v = self.table.get(index.name)
-                if v is UNDEF:
-                    raise UndefError(f"{self.jr.node}: index {index.name!r} is undef")
-                return f"{e.prop}[{v}]"
-        return e.key()
-
-    def _remote_update(self, target: "JunctionRuntime", key: str, value: object) -> Generator:
-        msg_id = self.system.network.next_msg_id()
-        tel = self.system.telemetry
-        tel.bind_message(
-            msg_id,
-            tel.emit(
-                "send",
-                self.jr.node,
-                parent=self.sched_event,
-                dst=target.node,
-                key=key,
-                msg_id=msg_id,
-            ),
-        )
-        # reliable send: retransmitted with backoff until acked; raises
-        # DeliveryFailure synchronously if the link's breaker is open
-        self.system.delivery.send(
-            Message(
-                src=self.jr.node,
-                dst=target.node,
-                kind="update",
-                payload=Update(key=key, value=value, src=self.jr.node),
-                msg_id=msg_id,
-            ),
-            on_fail=lambda exc, m=msg_id: self.on_delivery_failure(m, exc),
-        )
-        yield Blocked("ack", msg_id=msg_id)
-
-    # -- wait -----------------------------------------------------------------
-
-    def _exec_wait(self, e: A.Wait) -> Generator:
-        # idx cursors are resolved once, at wait entry (the cursor is a
-        # constant for the remainder of the blocked statement)
-        formula = self.resolve_indices(e.formula)
-        admits = frozenset(propositions(formula)) | frozenset(e.keys)
-        yield Blocked("wait", formula=formula, admits=admits)
-
-    # -- verify ---------------------------------------------------------------
-
-    def _exec_verify(self, e: A.Verify) -> None:
-        v = self.eval_formula(e.formula)
-        if v is UNKNOWN:
-            raise VerifyUnknown(f"{self.jr.node}: verify {e.formula} is undecidable (instance not running)")
-        if v is not True:
-            raise VerifyFailure(f"{self.jr.node}: verify {e.formula} failed")
-
-    # -- blocks -----------------------------------------------------------------
-
-    def tx_open(self) -> _TxScope:
-        """Open a ``<|E|>`` undo scope owned by the current strand
-        (shared by the interpreter and compiled bodies)."""
-        tx = _TxScope(self._current)
-        self.active_txs.append(tx)
-        return tx
-
-    def tx_commit(self, tx: _TxScope) -> None:
-        tx.active = False
-        self.active_txs.remove(tx)
-
-    def tx_rollback(self, tx: _TxScope) -> None:
-        tx.active = False
-        for key, old in reversed(tx.log):
-            self.table.values[key] = old
-        self.active_txs.remove(tx)
-
-    def _exec_transaction(self, e: A.Transaction) -> Generator:
-        tx = self.tx_open()
-        try:
-            yield from self.exec_expr(e.body)
-        except ControlSignal:
-            self.tx_commit(tx)  # return/retry are not failures: changes persist
-            raise
-        except DslFailure:
-            self.tx_rollback(tx)
-            raise
-        except GeneratorExit:
-            self.tx_rollback(tx)
-            raise
-        else:
-            self.tx_commit(tx)
-
-    def open_deadline(self, timeout: float) -> _DeadlineScope:
-        """Arm an ``otherwise[t]`` deadline scope owned by the current
-        strand (shared by the interpreter and compiled bodies)."""
-        deadline = self.system.clock.now + timeout
-        scope = _DeadlineScope(self._current, deadline)
-        scope.handle = self.system.clock.call_at(
-            deadline,
-            lambda sc=scope: self._deadline_fired(sc),
-            label=self.jr._label_deadline,
-            footprint=self.jr._fp_strand,
-        )
         return scope
-
-    def _exec_otherwise(self, e: A.Otherwise) -> Generator:
-        scope = None
-        if e.timeout is not None:
-            scope = self.open_deadline(self.eval_arg_number(e.timeout))
-        try:
-            yield from self.exec_expr(e.body)
-        except DslFailure as f:
-            self._close_scope(scope)
-            if isinstance(f, ScopedTimeout) and f.scope is not scope:
-                # a deadline belonging to an *enclosing* otherwise —
-                # not ours to absorb (exceptions stay within a strand,
-                # so the scope can only be an ancestor's)
-                raise
-            yield from self.exec_expr(e.handler)
-            return
-        except BaseException:
-            self._close_scope(scope)
-            raise
-        self._close_scope(scope)
-
-    def _close_scope(self, scope: _DeadlineScope | None) -> None:
-        if scope is None:
-            return
-        scope.active = False
-        if scope.handle is not None:
-            scope.handle.cancel()
 
     def _deadline_fired(self, scope: _DeadlineScope) -> None:
         if not scope.active or self.finished:
             return
         scope.active = False
-        # a scope opened during eager compiled execution (before the
-        # root strand was materialized) belongs to the root
-        strand = scope.strand if scope.strand is not None else self.root
-        if strand is None:
-            return
+        strand = scope.strand
         failure = ScopedTimeout(scope)
         if strand.state == "blocked":
             self._wake(strand, throw=failure)
         elif strand.state == "ready":
             strand.pending_throw = failure
 
-    # -- parallel ----------------------------------------------------------------
+    # -- host state, lifecycle --------------------------------------------
 
-    def spawn_par(self, gens) -> list[Strand]:
-        """Register child strands for the given generators under the
-        current strand (shared by the interpreter and compiled bodies)."""
-        strand = self._current
-        children = [Strand(gen, parent=strand) for gen in gens]
-        for c in children:
-            self.strands[c.id] = c
-            self.ready.append(c)
-        return children
+    def _providers_for(self, name: str):
+        t = self.jr.instance.type
+        return t.data_state.get(name, t.state)
 
-    def _exec_parallel(self, items) -> Generator:
-        children = self.spawn_par([self.exec_expr(item) for item in items])
-        yield Blocked("join", children=children)
+    def save(self, name: str) -> None:
+        """``save(name)``: serialize host state into data item ``name``."""
+        prov = self._providers_for(name)
+        if prov.save is None:
+            raise HostError(f"{self.jr.node}: no state provider registered for save({name})")
+        obj = prov.save(self.jr.instance.app, self.jr.instance)
+        payload = self.system.serializer.encode(prov.schema, obj)
+        self.table.set_local(name, payload)
 
-    # -- case -------------------------------------------------------------------
+    def restore(self, name: str) -> None:
+        """``restore(name)``: deserialize data item ``name`` back into
+        host state; ``undef`` fails."""
+        value = self.table.get(name)
+        if value is UNDEF:
+            raise UndefError(f"{self.jr.node}: restore({name}) of undef")
+        prov = self._providers_for(name)
+        if prov.restore is None:
+            raise HostError(f"{self.jr.node}: no state provider registered for restore({name})")
+        obj = self.system.serializer.decode(value)
+        prov.restore(self.jr.instance.app, self.jr.instance, obj)
 
-    def _prop_snapshot(self) -> dict:
-        return {k: v for k, v in self.table.values.items() if isinstance(v, bool)}
+    def start_instance(self, instance: A.Ref, junction_args: tuple) -> None:
+        """``start iota ...``; fails if it is already running."""
+        self.system.exec_start(instance, junction_args, self.jr)
 
-    def _exec_case(self, e: A.Case) -> Generator:
-        lower = 0
-        prev_match: int | None = None
-        prev_snapshot: dict | None = None
-        while True:
-            matched = None
-            for i in range(lower, len(e.arms)):
-                arm = e.arms[i]
-                if self._formula_true(arm.formula):
-                    matched = i
-                    break
-            if matched is None:
-                yield from self.exec_expr(e.otherwise)
-                return
-            snapshot = self._prop_snapshot()
-            if prev_match is not None and matched == prev_match and snapshot == prev_snapshot:
-                raise ReconsiderFailure(
-                    f"{self.jr.node}: reconsider re-matched arm {matched} with unchanged state"
-                )
-            arm = e.arms[matched]
-            yield from self.exec_expr(arm.body)
-            term = arm.terminator
-            if term == "break":
-                return
-            if term == "next":
-                lower = matched + 1
-                prev_match = None
-                prev_snapshot = None
-                continue
-            if term == "reconsider":
-                lower = 0
-                prev_match = matched
-                prev_snapshot = snapshot
-                continue
-            raise DslFailure(f"{self.jr.node}: unknown case terminator {term!r}")
+    def stop_instance(self, instance: A.Ref) -> None:
+        """``stop iota``; fails if it is not running."""
+        self.system.exec_stop(instance, self.jr)

@@ -28,7 +28,6 @@ Req`` …).
 from __future__ import annotations
 
 import random
-import warnings
 from functools import partial
 from typing import Callable, Mapping
 
@@ -65,7 +64,6 @@ from .engine import (
 from .instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
 from .interpreter import JunctionExecution
 from .kvtable import UNDEF, Update
-from .sim import Simulator
 
 
 class System:
@@ -80,7 +78,6 @@ class System:
         max_retries: int = 3,
         seed: int = 0,
         serializer: Serializer | None = None,
-        sim: Simulator | None = None,
         delivery_policy: DeliveryPolicy | None = None,
         telemetry: Telemetry | bool | None = None,
         host_contract: str = "strict",
@@ -97,28 +94,16 @@ class System:
         #: performs the write and emits a ``host_contract_violation``
         #: telemetry event (sec. 6's ``⌊H⌉{V}`` write contract)
         self.host_contract = host_contract
-        # -- execution engine resolution: explicit engine/spec > shared
-        #    sim (deprecated) > ambient default_engine() scope > fresh
-        #    SimEngine.  Spec strings and EngineSpec values carry a
-        #    compile mode too; the explicit ``compiled`` kwarg wins.
-        if sim is not None:
-            warnings.warn(
-                "System(sim=...) is deprecated; pass engine=SimEngine(sim) "
-                "or an EngineSpec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        # -- execution engine resolution: explicit engine/spec >
+        #    ambient default_engine() scope > fresh SimEngine.  Spec
+        #    strings and EngineSpec values carry a compile mode too; the
+        #    explicit ``compiled`` kwarg wins.
         spec_compiled: bool | None = None
         if isinstance(engine, (EngineSpec, str)):
             spec = EngineSpec.of(engine)
             spec_compiled = spec.compiled
             engine = spec.create()
-        if engine is not None:
-            if sim is not None:
-                raise ValueError("pass engine=... or sim=..., not both")
-        elif sim is not None:
-            engine = SimEngine(sim)
-        else:
+        if engine is None:
             factory = _default_engine_factory()
             if factory is not None:
                 engine = factory()
@@ -355,13 +340,15 @@ class System:
         ex = self._executions.get(caller.node)
         return ex.sched_event if ex is not None else None
 
-    def exec_start(self, node: A.Start, caller: JunctionRuntime | None) -> None:
-        """Execute a ``start`` statement."""
-        name = self._resolve_instance_name(node.instance, caller)
+    def exec_start(
+        self, instance: A.Ref, junction_args: tuple, caller: JunctionRuntime | None
+    ) -> None:
+        """Execute a ``start`` statement (the fields of ``A.Start``)."""
+        name = self._resolve_instance_name(instance, caller)
         inst = self.instance(name)
         if inst.running and not inst.crashed:
             raise StartStopFailure(f"start {name}: instance already running")
-        arg_groups = dict(node.junction_args)
+        arg_groups = dict(junction_args)
         junctions = list(inst.junctions.values())
         if None in arg_groups and len(arg_groups) == 1:
             if len(junctions) != 1:
@@ -492,9 +479,9 @@ class System:
             on_transfer=on_transfer,
         )
 
-    def exec_stop(self, node: A.Stop, caller: JunctionRuntime | None) -> None:
+    def exec_stop(self, instance: A.Ref, caller: JunctionRuntime | None) -> None:
         self.stop_instance(
-            self._resolve_instance_name(node.instance, caller),
+            self._resolve_instance_name(instance, caller),
             _parent=self._execution_event(caller),
         )
 
@@ -716,8 +703,15 @@ class System:
     # Target / formula resolution
     # ------------------------------------------------------------------
 
-    def resolve_target(self, target: object, caller: JunctionRuntime) -> JunctionRuntime:
-        """Resolve an assert/retract/write target to a junction."""
+    def resolve_target(
+        self, target: object, caller: JunctionRuntime, static: bool = False
+    ) -> JunctionRuntime:
+        """Resolve an assert/retract/write target to a junction.
+
+        ``static`` is the junction compiler's bind-time question: the
+        same resolution, but a target that goes through an ``idx``
+        cursor (which moves at runtime, unlike the instance map and the
+        junction's parameters) fails instead of being dereferenced."""
         if isinstance(target, str):
             target = A.ref(target)
         if not isinstance(target, A.Ref):
@@ -729,6 +723,8 @@ class System:
             name = parts[0]
             # an index variable? dereference through the table
             if name in caller.idx_names:
+                if static:
+                    raise DslFailure(f"{caller.node}: target {name!r} is a runtime cursor")
                 v = caller.table.get(name)
                 if v is UNDEF:
                     raise UndefError(f"{caller.node}: index {name!r} is undef")
@@ -736,7 +732,7 @@ class System:
             if name in caller.params:
                 v = caller.params[name]
                 if isinstance(v, str):
-                    return self.resolve_target(v, caller)
+                    return self.resolve_target(v, caller, static)
                 raise DslFailure(f"{caller.node}: parameter {name!r} is not a junction reference")
             if name in self.instances:
                 return self.instance(name).sole_junction()
@@ -769,8 +765,6 @@ class System:
     def make_live_resolver(self):
         def live(instance_ref):
             name = str(instance_ref) if not isinstance(instance_ref, A.Ref) else instance_ref.parts[0]
-            if isinstance(instance_ref, A.Ref):
-                name = instance_ref.parts[0]
             inst = self.instances.get(name)
             if inst is None:
                 return UNKNOWN

@@ -1,9 +1,8 @@
 """EngineSpec: the one value that says how a System executes.
 
 Covers the textual form, round-tripping, uniform acceptance by
-``System`` (spec string / EngineSpec / explicit kwarg precedence), and
-the CLI's deprecated per-flag shims (``--time-scale``, ``--workers``)
-folding into a spec with a DeprecationWarning.
+``System`` (spec string / EngineSpec / explicit kwarg precedence) and
+by the CLI's ``--engine`` flag.
 """
 
 import argparse
@@ -83,29 +82,10 @@ class TestSystemAcceptance:
 
 
 class TestCliShims:
-    def test_time_scale_flag_warns_and_folds(self):
-        args = argparse.Namespace(engine="realtime", time_scale=0.25)
-        with pytest.warns(DeprecationWarning, match="--time-scale is deprecated"):
-            spec = _engine_spec(args, command="run")
-        assert spec.name == "realtime"
-        assert spec.time_scale == 0.25
-
-    def test_workers_flag_warns_and_folds(self):
-        args = argparse.Namespace(engine="cluster", workers=3)
-        with pytest.warns(DeprecationWarning, match="--workers is deprecated"):
-            spec = _engine_spec(args, command="cluster")
-        assert spec.workers == 3
-
-    def test_engine_option_wins_over_deprecated_flag(self):
-        args = argparse.Namespace(engine="cluster,workers=8", workers=3)
-        with pytest.warns(DeprecationWarning):
-            spec = _engine_spec(args, command="cluster")
-        assert spec.workers == 8
-
     def test_no_flags_no_warning(self):
         import warnings
 
         args = argparse.Namespace(engine="sim")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _engine_spec(args, command="run") == EngineSpec()
+            assert _engine_spec(args) == EngineSpec()

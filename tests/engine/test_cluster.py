@@ -488,7 +488,7 @@ class TestDrain:
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "run", "failover",
-             "--engine", "realtime", "--time-scale", "1.0", "--until", "300"],
+             "--engine", "realtime,time_scale=1.0", "--until", "300"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
         )
         try:
@@ -516,7 +516,7 @@ class TestDrain:
             # latency through the double-socket relay must stay inside
             # the failover timeout budget
             rc = main([
-                "cluster", "failover", "--time-scale", "0.05",
+                "cluster", "failover", "--engine", "cluster,time_scale=0.05",
                 "--kill", "b1", "--kill-at", "4", "--until", "20",
             ])
         out = buf.getvalue()

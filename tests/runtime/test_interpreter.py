@@ -146,10 +146,11 @@ class TestAssertRetractWait:
         # start only f
         checked = []
         sys_.bind_host("F", "Check", lambda ctx: checked.append(ctx["Work"]))
-        sys_.exec_start(__import__("repro.core.ast", fromlist=["ast"]).Start(
+        sys_.exec_start(
             __import__("repro.core.ast", fromlist=["ast"]).ref("f"),
             ((None, (__import__("repro.core.ast", fromlist=["ast"]).Num(0.2),)),),
-        ), None)
+            None,
+        )
         sys_.run_until(2.0)
         assert checked == [False]
 
@@ -383,7 +384,7 @@ class TestVerify:
         # start only f
         from repro.core import ast as A
 
-        sys_.exec_start(A.Start(A.ref("f"), ((None, (A.Num(1.0),)),)), None)
+        sys_.exec_start(A.ref("f"), ((None, (A.Num(1.0),)),), None)
         sys_.run_until(1.0)
         names = failures_of(sys_)
         assert "VerifyUnknown" in names
@@ -393,7 +394,7 @@ class TestVerify:
                     f_decls="| init prop !Work", g_decls="| init prop !Work")
         from repro.core import ast as A
 
-        sys_.exec_start(A.Start(A.ref("f"), ((None, (A.Num(1.0),)),)), None)
+        sys_.exec_start(A.ref("f"), ((None, (A.Num(1.0),)),), None)
         sys_.run_until(1.0)
         assert failures_of(sys_) == []
 

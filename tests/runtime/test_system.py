@@ -95,7 +95,7 @@ class TestLifecycle:
         sys_ = fig3_system()
         sys_.start(t=5)
         with pytest.raises(StartStopFailure):
-            sys_.exec_start(A.Start(A.ref("f"), ((None, (A.Num(1.0),)),)), None)
+            sys_.exec_start(A.ref("f"), ((None, (A.Num(1.0),)),), None)
 
     def test_stop_then_restart(self):
         sys_ = fig3_system()
@@ -103,7 +103,7 @@ class TestLifecycle:
         sys_.run_until(1.0)
         sys_.stop_instance("g")
         assert not sys_.instance("g").running
-        sys_.exec_start(A.Start(A.ref("g"), ((None, (A.Num(5.0),)),)), None)
+        sys_.exec_start(A.ref("g"), ((None, (A.Num(5.0),)),), None)
         assert sys_.instance("g").running
 
     def test_stop_not_running_fails(self):
@@ -116,7 +116,7 @@ class TestLifecycle:
     def test_wrong_arity_start(self):
         sys_ = fig3_system()
         with pytest.raises(StartStopFailure):
-            sys_.exec_start(A.Start(A.ref("f"), ((None, ()),)), None)
+            sys_.exec_start(A.ref("f"), ((None, ()),), None)
 
     def test_host_level_start_instance(self):
         sys_ = fig3_system()
