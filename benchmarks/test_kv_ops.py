@@ -1,7 +1,7 @@
 """KV-table micro-op benchmark: the junction-state write path in isolation.
 
-The junction compiler's storm benchmark (``test_compile_throughput``)
-measures the whole pipeline; this one times the :class:`KVTable`
+The storm workloads of ``bench/run.py`` (``sim-failover-storm``) measure
+the whole pipeline; this one times the :class:`KVTable`
 primitives the write path is built from — ``set_local`` with and
 without a pending backlog, idle ``receive`` + ``apply_pending`` cycles,
 ``effective`` previews over a backlog, ``keep``, and a

@@ -247,16 +247,19 @@ class ShardedBroker:
             for rec in drained:
                 p = partition_for(rec.key, n_partitions)
                 targets[new_backends[p]].partition(p).append(rec.key, rec.value, ts=rec.ts)
-
-        report = self.system.reconfigure(
-            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
-        )
-        if report.ok and not report.rolled_back:
-            old_counts = self.partition_counts
+            # routing switches here, inside the cutover: resume replays
+            # the buffered requests before ``reconfigure`` returns, and
+            # they must be routed over the partitions just rebound (a
+            # rolled-back transition never reaches the transfer step)
             self.n_partitions = n_partitions
             self.backends = new_backends
-            self.partition_counts = (old_counts + [0] * n_partitions)[:n_partitions]
-        return report
+            self.partition_counts = (
+                self.partition_counts + [0] * n_partitions
+            )[:n_partitions]
+
+        return self.system.reconfigure(
+            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
+        )
 
 
 class ReplicatedBroker(FailoverService):

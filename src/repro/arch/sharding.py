@@ -277,17 +277,18 @@ class ShardedRedis(_ShardedService):
                     if value is not None:
                         dst.store.set(key, value)
                     store.delete(key)
-
-        report = self.system.reconfigure(
-            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
-        )
-        if report.ok and not report.rolled_back:
-            old_counts = self.shard_counts
+            # routing switches here, inside the cutover: resume replays
+            # the buffered requests before ``reconfigure`` returns, and
+            # they must be chosen for the back-end set just rebound (a
+            # rolled-back transition never reaches the transfer step)
             self.n_shards = n_shards
             self.backends = new_backends
             self.choose = new_choose
-            self.shard_counts = (old_counts + [0] * n_shards)[:n_shards]
-        return report
+            self.shard_counts = (self.shard_counts + [0] * n_shards)[:n_shards]
+
+        return self.system.reconfigure(
+            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
+        )
 
 
 class ParallelShardedRedis:
@@ -431,20 +432,19 @@ class ParallelShardedRedis:
                     if app is not None:
                         src = app.payload
                         break
-            if src is None:
-                return
-            snap = src.store.snapshot()
-            for name in new_backends:
-                if name not in old_backends:
-                    system.instance(name).app.payload.store.restore(snap)
-
-        report = self.system.reconfigure(
-            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
-        )
-        if report.ok and not report.rolled_back:
+            if src is not None:
+                snap = src.store.snapshot()
+                for name in new_backends:
+                    if name not in old_backends:
+                        system.instance(name).app.payload.store.restore(snap)
+            # the replica set switches inside the cutover, before resume
+            # replays buffered requests (see ``reconfigure_shards``)
             self.n_backends = n_backends
             self.backends = new_backends
-        return report
+
+        return self.system.reconfigure(
+            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
+        )
 
 
 class ShardedSuricata(_ShardedService):

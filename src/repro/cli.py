@@ -1,4 +1,15 @@
-"""Command-line interface: ``python -m repro <command> <file.csaw>``.
+"""Command-line interface: ``python -m repro <command> <target>``.
+
+Every verb that takes a target resolves it by one rule
+(:func:`repro.arch.loader.open_target`): a shipped architecture name
+(``sharding``, ``failover``, …), else a ``.csaw`` file (the back-end
+placeholders of a parameterized source expanded for four back-ends),
+else — for the verbs that run scripts — a ``.py`` file.  Verbs that *run* a target
+(``run``, ``cluster``, ``trace``, ``explore``) turn it into a scenario
+(:func:`repro.explore.resolve_scenario`): a shipped name runs its
+catalog row's exploration workload with the real host bindings, a
+``.csaw`` runs bare (unbound host blocks stubbed, open ``main``
+parameters defaulted to 1.0).
 
 Commands:
 
@@ -7,34 +18,39 @@ Commands:
                   checks and fails on unsuppressed errors.
 * ``analyze``   — static analysis: KV write-write races, dead junctions
                   and case arms, host write-contract violations, unused
-                  keys.  Accepts a ``.csaw`` file, a shipped
-                  architecture name, or an example ``.py`` script
-                  (analyzes every program its Systems load).
+                  keys.  A ``.py`` script is run and every program its
+                  Systems load is analyzed.
                   ``--fail-on race,dead,contract`` exits 2 when any
                   unsuppressed *error* finding of those checks remains.
-* ``fmt``       — pretty-print (normalize) an architecture file.
+* ``fmt``       — pretty-print (normalize) an architecture file
+                  (``--write`` only rewrites a plain ``.csaw`` file).
 * ``topo``      — print the communication topology (sec. 8.7's Topo).
 * ``semantics`` — print the event-structure semantics per junction
                   (``--dot`` for Graphviz output).
 * ``loc``       — count non-blank, non-comment lines.
-* ``trace``     — run an architecture (a ``.csaw`` file or an example
-                  ``.py`` script) with telemetry on and export the
-                  causal trace as JSONL or Chrome trace-event JSON
-                  (loadable in ``chrome://tracing`` / Perfetto).
-* ``run``       — execute an architecture on a chosen execution engine
+* ``trace``     — run a target (a ``.py`` script is run as ``__main__``
+                  and every System it builds is captured) with telemetry
+                  on and export the causal trace as JSONL or Chrome
+                  trace-event JSON (loadable in ``chrome://tracing`` /
+                  Perfetto).
+* ``run``       — execute a target on a chosen execution engine
                   (``--engine`` takes an EngineSpec string such as
                   ``realtime,time_scale=0.05`` or ``sim,compiled=off``);
                   SIGINT/SIGTERM drain in-flight work before the
                   summary instead of dying mid-write.
+* ``workload``  — drive a seeded million-user workload through a
+                  shipped architecture that speaks a request protocol.
 * ``cluster``   — deploy across supervised worker processes (one OS
                   process per instance, or ``--engine cluster,workers=N``
                   shard groups) with heartbeat liveness probes and
                   restart-with-backoff; ``--kill b1 --kill-at 4`` runs
                   a SIGKILL fault drill and exits non-zero unless the
                   supervisor recovers the worker.
+* ``reconfigure`` — apply the diff between two targets to a running
+                  system (quiesce, snapshot, cutover, resume).
 * ``explore``   — controlled-scheduler interleaving search: run a
-                  shipped architecture name, a ``.csaw`` file or a
-                  ``.py`` scenario script under every reachable
+                  target (a ``.py`` script must define
+                  ``build_scenario()``) under every reachable
                   schedule (``--strategy dpor|bfs|dfs|random``,
                   ``--budget N``), checking invariants over each final
                   state.  Failing interleavings serialize as replayable
@@ -51,9 +67,14 @@ lists, or names.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import signal
 import sys
+import time
 from pathlib import Path
 
+from .arch.loader import open_target, start_bare
 from .core.compiler import compile_program
 from .core.emit import emit_program
 from .core.errors import CSawError
@@ -82,8 +103,6 @@ def _engine_spec(args, *, default: str = "sim",
 def _compile_ctx(spec):
     """A context applying the spec's compile mode (``compiled=on/off``)
     to every System built inside it; a no-op when the spec is silent."""
-    import contextlib
-
     if spec.compiled is None:
         return contextlib.nullcontext()
     from .compile import compilation
@@ -91,9 +110,9 @@ def _compile_ctx(spec):
     return compilation(spec.compiled)
 
 
-def _parse_config(pairs: list[str]) -> dict:
+def _config(args) -> dict:
     out: dict[str, object] = {}
-    for pair in pairs:
+    for pair in args.config:
         if "=" not in pair:
             raise SystemExit(f"--config expects name=value, got {pair!r}")
         name, _, raw = pair.partition("=")
@@ -111,9 +130,47 @@ def _scalar(raw: str) -> object:
         return raw
 
 
+def _note(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
+def _compiled(args):
+    """The verb's target as ``(source text, compiled program, config)``."""
+    config = _config(args)
+    text = open_target(args.file).text
+    return text, compile_program(text, config=config), config
+
+
+def _run_script(path: str, capture) -> list:
+    """Run a Python script as ``__main__`` inside ``capture()`` (a
+    context collecting something from every System the script
+    constructs).  The script's stdout goes to stderr so the verb's own
+    output owns stdout."""
+    import runpy
+
+    path = str(Path(path))
+    argv = sys.argv
+    sys.argv = [path]
+    try:
+        with capture() as captured, contextlib.redirect_stdout(sys.stderr):
+            runpy.run_path(path, run_name="__main__")
+    finally:
+        sys.argv = argv
+    return captured
+
+
+def _print_failures(system) -> None:
+    for t, node, exc in system.failures:
+        print(f"  failure at t={t:.3f} in {node}: {exc!r}", file=sys.stderr)
+
+
+def _write_json(payload, path: str, what: str) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(payload)} {what} to {path}", file=sys.stderr)
+
+
 def cmd_check(args) -> int:
-    text = Path(args.file).read_text()
-    prog = compile_program(text, config=_parse_config(args.config))
+    text, prog, config = _compiled(args)
     print(f"OK: {len(prog.source.instance_types)} type(s), "
           f"{len(prog.source.instances)} instance(s), "
           f"{len(prog.junctions)} junction(s), "
@@ -122,57 +179,35 @@ def cmd_check(args) -> int:
         return 0
     from .analysis import fast_checks
 
-    report = fast_checks(
-        prog, _parse_config(args.config), source_text=text, label=args.file
-    )
+    report = fast_checks(prog, config, source_text=text, label=args.file)
     sys.stdout.write(report.render_text())
     errors = [f for f in report.unsuppressed() if f.severity == "error"]
     return 2 if errors else 0
 
 
-def _analysis_sources(args) -> list[tuple[str, object, str | None]]:
-    """Resolve the ``analyze`` argument to ``(label, program-or-text,
-    source_text)`` items: a shipped architecture name, a ``.csaw``
-    file (placeholders expanded), or a ``.py`` script whose Systems'
-    programs are captured while it runs."""
-    from .arch.loader import ARCHITECTURES, expand_placeholders, load_source
+def _analysis_sources(args, config) -> list[tuple[str, object, str | None]]:
+    """The ``analyze`` target as ``(label, program, source_text)``
+    items: one for DSL source, one per System for a ``.py`` script
+    (whose programs are captured while it runs)."""
+    target = open_target(args.file, scripts=True)
+    label = str(Path(args.file))
+    if target.kind != "py":
+        return [(label, compile_program(target.text, config=config), target.text)]
+    from .analysis.capture import capture_programs
 
-    name = args.file
-    if name in ARCHITECTURES:
-        text = load_source(name)
-        return [(name, text, text)]
-    path = Path(name)
-    if path.suffix == ".py":
-        import contextlib
-        import runpy
-
-        from .analysis.capture import capture_programs
-
-        argv = sys.argv
-        sys.argv = [str(path)]
-        try:
-            with capture_programs() as captured, contextlib.redirect_stdout(sys.stderr):
-                runpy.run_path(str(path), run_name="__main__")
-        finally:
-            sys.argv = argv
-        if not captured:
-            raise SystemExit(f"error: {name} constructed no System to analyze")
-        labels = (
-            [str(path)]
-            if len(captured) == 1
-            else [f"{path}#{i}" for i in range(len(captured))]
-        )
-        return [(lbl, prog, None) for lbl, prog in zip(labels, captured)]
-    text = path.read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text)
-    return [(str(path), text, text)]
+    captured = _run_script(args.file, capture_programs)
+    if not captured:
+        raise SystemExit(f"error: {args.file} constructed no System to analyze")
+    labels = (
+        [label]
+        if len(captured) == 1
+        else [f"{label}#{i}" for i in range(len(captured))]
+    )
+    return [(lbl, prog, None) for lbl, prog in zip(labels, captured)]
 
 
 def cmd_analyze(args) -> int:
-    import json
-
-    from .analysis import analyze_program, analyze_source
+    from .analysis import analyze_program
     from .analysis.model import CHECKS
 
     fail_on: tuple[str, ...] = ()
@@ -184,30 +219,18 @@ def cmd_analyze(args) -> int:
                 f"error: --fail-on accepts {','.join(CHECKS)}; got {','.join(bad)}"
             )
 
-    config = _parse_config(args.config)
-    reports = []
-    for label, source, text in _analysis_sources(args):
-        if isinstance(source, str):
-            reports.append(
-                analyze_source(
-                    source,
-                    config,
-                    label=label,
-                    deep=not args.fast,
-                    max_unfold=args.max_unfold,
-                )
-            )
-        else:  # a captured CompiledProgram from a .py script
-            reports.append(
-                analyze_program(
-                    source,
-                    config,
-                    source_text=text,
-                    label=label,
-                    deep=not args.fast,
-                    max_unfold=args.max_unfold,
-                )
-            )
+    config = _config(args)
+    reports = [
+        analyze_program(
+            program,
+            config,
+            source_text=text,
+            label=label,
+            deep=not args.fast,
+            max_unfold=args.max_unfold,
+        )
+        for label, program, text in _analysis_sources(args, config)
+    ]
 
     if args.json:
         payload = (
@@ -239,20 +262,25 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    text = Path(args.file).read_text()
-    out = emit_program(parse_program(text))
-    if args.write:
+    target = open_target(args.file)
+    out = emit_program(parse_program(target.text))
+    if not args.write:
+        sys.stdout.write(out)
+    elif target.kind != "csaw" or target.parameterized:
+        # the formatted text has the placeholders expanded: writing it
+        # back would un-parameterize the source
+        raise SystemExit(
+            f"error: fmt --write rewrites a plain .csaw file; {args.file} is a "
+            "shipped architecture or carries placeholders"
+        )
+    else:
         Path(args.file).write_text(out)
         print(f"formatted {args.file}")
-    else:
-        sys.stdout.write(out)
     return 0
 
 
 def cmd_topo(args) -> int:
-    text = Path(args.file).read_text()
-    prog = compile_program(text, config=_parse_config(args.config))
-    g = topology(prog)
+    g = topology(_compiled(args)[1])
     print(f"# {g.number_of_nodes()} junction(s), {g.number_of_edges()} edge(s)")
     for src, dst in sorted(g.edges()):
         print(f"{src} -> {dst}")
@@ -260,9 +288,8 @@ def cmd_topo(args) -> int:
 
 
 def cmd_semantics(args) -> int:
-    text = Path(args.file).read_text()
-    prog = compile_program(text, config=_parse_config(args.config))
-    sem = denote_program(prog, _parse_config(args.config))
+    _, prog, config = _compiled(args)
+    sem = denote_program(prog, config)
     if args.dot:
         print(to_dot(sem.startup, "startup"))
         for node, es in sorted(sem.junctions.items()):
@@ -279,59 +306,36 @@ def cmd_semantics(args) -> int:
 def cmd_loc(args) -> int:
     from .arch.loc import count_loc_text
 
-    text = Path(args.file).read_text()
-    print(count_loc_text(text))
+    print(count_loc_text(open_target(args.file).text))
     return 0
 
 
-def _trace_py(path: Path) -> list:
-    """Run a Python script, capturing the telemetry of every System it
-    constructs.  The script's stdout goes to stderr so the export owns
-    stdout."""
-    import contextlib
-    import runpy
+def _scenario(args, **kw):
+    """The verb's target as a runnable scenario."""
+    from .explore import resolve_scenario
 
-    from .telemetry.facade import capture_systems
-
-    argv = sys.argv
-    sys.argv = [str(path)]
-    try:
-        with capture_systems() as captured, contextlib.redirect_stdout(sys.stderr):
-            runpy.run_path(str(path), run_name="__main__")
-    finally:
-        sys.argv = argv
-    return captured
-
-
-def _trace_csaw(path: Path, config: dict, until: float, spec) -> list:
-    from .runtime.system import System
-
-    prog = compile_program(path.read_text(), config=config)
-    system = System(prog, engine=spec)
-    system.start()
-    system.run_until(until)
-    return [system.telemetry]
+    return resolve_scenario(
+        args.file, config=_config(args), horizon=args.until, note=_note, **kw
+    )
 
 
 def cmd_trace(args) -> int:
     from .runtime.engine import default_engine
+    from .telemetry.facade import capture_systems
     from .telemetry.sinks import chrome_json, to_jsonl
 
     spec = _engine_spec(args)
-    path = Path(args.file)
-    with _compile_ctx(spec):
-        if path.suffix == ".py":
-            if args.engine is not None:
-                # an explicit spec reroutes every System the script
-                # builds (scripts passing their own engine keep it)
-                with default_engine(spec):
-                    telemetries = _trace_py(path)
-            else:
-                telemetries = _trace_py(path)
+    # an explicit spec reroutes every System a script builds (scripts
+    # passing their own engine keep it); DSL targets always build on it
+    script = open_target(args.file, scripts=True).kind == "py"
+    reroute = not script or args.engine is not None
+    with _compile_ctx(spec), (
+        default_engine(spec) if reroute else contextlib.nullcontext()
+    ):
+        if script:
+            telemetries = _run_script(args.file, capture_systems)
         else:
-            telemetries = _trace_csaw(
-                path, _parse_config(args.config), args.until, spec
-            )
+            telemetries = [_scenario(args, bare_horizon=60.0).run().telemetry]
     if not telemetries:
         print("error: the traced program constructed no System", file=sys.stderr)
         return 1
@@ -359,31 +363,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _stub_bindings(system) -> list[str]:
-    """Bind no-op host functions and empty state providers for every
-    unbound ⌊H⌉ block / save schema, so a bare ``.csaw`` architecture
-    runs to completion without an embedding application."""
-    from .core import ast as A
-    from .runtime.instance import StateProviders
-
-    stubbed: list[str] = []
-    for tname, trt in sorted(system.types.items()):
-        declared: set[str] = set()
-        for cj in trt.junctions.values():
-            for e in A.walk(cj.body):
-                if isinstance(e, A.HostBlock):
-                    declared.add(e.name)
-        for name in sorted(declared - set(trt.host_fns)):
-            trt.bind_host(name, lambda ctx: None)
-            stubbed.append(f"{tname}.{name}")
-        if trt.state.save is None:
-            trt.state = StateProviders(
-                save=lambda app, inst: {},
-                restore=lambda app, inst, obj: None,
-            )
-    return stubbed
-
-
 class _GracefulSignal(Exception):
     """Raised out of a running engine loop by the SIGINT/SIGTERM
     handler so ``repro run`` / ``repro cluster`` can drain instead of
@@ -391,142 +370,74 @@ class _GracefulSignal(Exception):
 
     def __init__(self, signum: int):
         super().__init__(signum)
-        self.signum = signum
-
-    @property
-    def name(self) -> str:
-        import signal as _signal
-
-        try:
-            return _signal.Signals(self.signum).name
-        except ValueError:  # pragma: no cover - exotic signal numbers
-            return str(self.signum)
+        self.name = signal.Signals(signum).name
 
 
-class _graceful_signals:
-    """Context manager: route SIGINT/SIGTERM into :class:`_GracefulSignal`
-    (wall-clock engines only — the sim engine finishes instantly and the
-    default KeyboardInterrupt behaviour is right for it)."""
+@contextlib.contextmanager
+def _graceful_signals(enabled: bool = True):
+    """Route SIGINT/SIGTERM into :class:`_GracefulSignal` (wall-clock
+    engines only — the sim engine finishes instantly and the default
+    KeyboardInterrupt behaviour is right for it)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._prev: list[tuple[int, object]] = []
+    def handler(signum, frame):  # noqa: ARG001 - signal signature
+        raise _GracefulSignal(signum)
 
-    def __enter__(self):
-        if not self.enabled:
-            return self
-        import signal as _signal
-
-        def handler(signum, frame):  # noqa: ARG001 - signal signature
-            raise _GracefulSignal(signum)
-
-        for signum in (_signal.SIGINT, _signal.SIGTERM):
-            self._prev.append((signum, _signal.signal(signum, handler)))
-        return self
-
-    def __exit__(self, *exc):
-        import signal as _signal
-
-        for signum, prev in self._prev:
-            _signal.signal(signum, prev)
-        return False
+    signums = (signal.SIGINT, signal.SIGTERM) if enabled else ()
+    prev = [(signum, signal.signal(signum, handler)) for signum in signums]
+    try:
+        yield
+    finally:
+        for signum, old in prev:
+            signal.signal(signum, old)
 
 
-def _run_workload(args, engine, holder=None):
-    """The shared ``repro run`` / ``repro cluster`` drive: a shipped
-    scenario name runs its exploration workload, anything else loads as
-    a ``.csaw`` file with stubbed host bindings.  ``engine`` is an
+def _drive(args, spec, engine, *, draining: str, settle: float | None = None):
+    """The shared ``repro run`` / ``repro cluster`` path: run the
+    target's scenario under ``engine`` (an
     :class:`~repro.runtime.engine.EngineSpec` or a zero-arg engine
-    factory.  Returns the system."""
-    from .explore.scenarios import _ARCH_SCENARIOS, arch_scenario
+    factory), then ``settle`` more logical seconds; on SIGINT/SIGTERM
+    drain in-flight work instead; print the summary.  Returns
+    ``(system, interrupted)`` — ``system`` is ``None`` when the signal
+    beat the build."""
     from .runtime.engine import default_engine
 
-    if args.file in _ARCH_SCENARIOS:
-        # shipped architecture: the exploration scenario provides the
-        # host bindings and a deterministic workload
-        sc = arch_scenario(args.file)
-        if args.until is not None:
-            sc.horizon = args.until
-        if holder is not None:
-            holder.append(sc)
-        with default_engine(engine):
-            return sc.run()
-    from .arch.loader import expand_placeholders
-    from .core.compiler import compile_program
-    from .runtime.system import System
+    scenario = _scenario(args)
+    wall0 = time.perf_counter()
+    drained = ""
+    try:
+        with _compile_ctx(spec), _graceful_signals(enabled=spec.name != "sim"), \
+                default_engine(engine):
+            system = scenario.run()
+            if settle is not None:
+                system.run_until(system.now + settle)
+    except _GracefulSignal as sig:
+        system = scenario.system
+        if system is None:
+            print(f"{args.command}: {sig.name} before the system came up",
+                  file=sys.stderr)
+            return None, True
+        # drain in-flight messages and host calls before summarizing, so
+        # the telemetry counters below describe a settled system
+        print(f"{args.command}: {sig.name} — draining {draining}", file=sys.stderr)
+        drained = " drained=" + ("clean" if system.engine.drain(grace=5.0) else "timeout")
+    wall = time.perf_counter() - wall0
 
-    text = Path(args.file).read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text)
-    prog = compile_program(text, config=_parse_config(args.config))
-    system = System(prog, engine=engine() if callable(engine) else engine)
-    if holder is not None:
-        holder.append(system)
-    stubbed = _stub_bindings(system)
-    if stubbed:
-        print(f"stubbed host bindings: {', '.join(stubbed)}", file=sys.stderr)
-    main_args = {}
-    if prog.main is not None:
-        env = prog.config_env()
-        main_args = {p: 1.0 for p in prog.main.params if p not in env}
-    if main_args:
-        print(
-            f"defaulted main parameter(s) to 1.0: {sorted(main_args)}",
-            file=sys.stderr,
-        )
-    system.start(**main_args)
-    system.run_until(args.until if args.until is not None else 30.0)
-    return system
-
-
-def _recover_system(holder):
-    """Best-effort: the system under a run that was interrupted
-    mid-workload (scenarios stash the service on themselves first)."""
-    for obj in holder:
-        svc = getattr(obj, "_svc", None)
-        if svc is not None:
-            return svc.system
-        if hasattr(obj, "engine"):
-            return obj
-    return None
-
-
-def _print_summary(args, system, wall: float, *, drained: str | None = None) -> None:
     sent = int(system.telemetry.metrics.sum("net_sent"))
     delivered = int(system.telemetry.metrics.sum("net_delivered"))
-    drain_note = f" drained={drained}" if drained is not None else ""
     print(
         f"{args.file}: engine={system.engine.name} t={system.now:.3f} "
         f"sent={sent} delivered={delivered} wall={wall:.2f}s "
-        f"failures={len(system.failures)}{drain_note}"
+        f"failures={len(system.failures)}{drained}"
     )
-    for t, node, exc in system.failures:
-        print(f"  failure at t={t:.3f} in {node}: {exc!r}", file=sys.stderr)
+    _print_failures(system)
+    return system, bool(drained)
 
 
 def cmd_run(args) -> int:
-    import time as _time
-
     spec = _engine_spec(args, default_time_scale=0.05)
-
-    holder: list = []
-    wall0 = _time.perf_counter()
-    drained: str | None = None
-    try:
-        with _compile_ctx(spec), _graceful_signals(enabled=spec.name != "sim"):
-            system = _run_workload(args, spec, holder)
-    except _GracefulSignal as sig:
-        system = _recover_system(holder)
-        if system is None:
-            print(f"run: {sig.name} before the system came up", file=sys.stderr)
-            return 130
-        # drain in-flight messages and host calls before summarizing, so
-        # the telemetry counters below describe a settled system
-        print(f"run: {sig.name} — draining in-flight work", file=sys.stderr)
-        drained = "clean" if system.engine.drain(grace=5.0) else "timeout"
-    wall = _time.perf_counter() - wall0
-
-    _print_summary(args, system, wall, drained=drained)
+    system, _ = _drive(args, spec, spec, draining="in-flight work")
+    if system is None:
+        return 130
     system.shutdown()
     return 1 if system.failures else 0
 
@@ -541,24 +452,16 @@ def cmd_workload(args) -> int:
             file=sys.stderr,
         )
         return 1
-    spec = WorkloadSpec(
-        seed=args.seed,
-        users=args.users,
-        pattern=args.pattern,
-        mode=args.mode,
-        rate=args.rate,
-        concurrency=args.concurrency,
-        duration=args.duration,
-        max_ops=args.max_ops,
-        value_size=args.value_size,
-        read_fraction=args.read_fraction,
-    )
+    # every WorkloadSpec field the CLI exposes is a flag of the same name
+    spec = WorkloadSpec(**{
+        f: getattr(args, f)
+        for f in ("seed", "users", "pattern", "mode", "rate", "concurrency",
+                  "duration", "max_ops", "value_size", "read_fraction")
+    })
     engine = _engine_spec(args, default_time_scale=0.05)
     with _compile_ctx(engine):
         report = run_workload(spec, args.arch, engine)
     if args.json:
-        import json
-
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(
@@ -579,8 +482,6 @@ def cmd_workload(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    import time as _time
-
     from .runtime.cluster import ClusterEngine, reap_orphan_workers
     from .runtime.supervisor import BackoffPolicy
 
@@ -617,30 +518,17 @@ def cmd_cluster(args) -> int:
         engines.append(e)
         return e
 
-    holder: list = []
-    wall0 = _time.perf_counter()
-    drained: str | None = None
-    interrupted = False
-    try:
-        with _compile_ctx(spec), _graceful_signals():
-            system = _run_workload(args, factory, holder)
-            if drills:
-                # give supervised restarts room to land after the
-                # workload: backoff delay + handshake + stabilization
-                system.run_until(system.now + args.settle)
-    except _GracefulSignal as sig:
-        interrupted = True
-        system = _recover_system(holder)
-        if system is None:
-            for e in engines:
-                e.close()
-            print(f"cluster: {sig.name} before the system came up", file=sys.stderr)
-            return 130
-        print(f"cluster: {sig.name} — draining workers", file=sys.stderr)
-        drained = "clean" if system.engine.drain(grace=5.0) else "timeout"
-    wall = _time.perf_counter() - wall0
+    # with drills, give supervised restarts room to land after the
+    # workload: backoff delay + handshake + stabilization
+    system, interrupted = _drive(
+        args, spec, factory, draining="workers",
+        settle=args.settle if drills else None,
+    )
+    if system is None:
+        for e in engines:
+            e.close()
+        return 130
 
-    _print_summary(args, system, wall, drained=drained)
     engine = system.engine
     recovered = True
     if isinstance(engine, ClusterEngine):
@@ -659,30 +547,13 @@ def cmd_cluster(args) -> int:
     return 0 if recovered else 2
 
 
-def _load_arch_text(value: str, n_backends: int | None) -> str:
-    """A shipped architecture name or a ``.csaw`` path → DSL source
-    (``@BACKENDS@`` placeholders expanded)."""
-    from .arch.loader import ARCHITECTURES, expand_placeholders, load_source
-
-    if value in ARCHITECTURES:
-        return load_source(value, n_backends=n_backends)
-    text = Path(value).read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text, n_backends or 4)
-    return text
-
-
 def cmd_reconfigure(args) -> int:
-    import time as _time
-
     from .reconfig import diff_programs, plan_transition
 
-    config = _parse_config(args.config)
-    old = compile_program(
-        _load_arch_text(args.old, args.old_backends), config=config
-    )
-    new = compile_program(
-        _load_arch_text(args.new, args.new_backends), config=config
+    config = _config(args)
+    old, new = (
+        compile_program(open_target(target, n_backends=n).text, config=config)
+        for target, n in ((args.old, args.old_backends), (args.new, args.new_backends))
     )
     diff = diff_programs(old, new)
     print(f"diff: {diff.summary()}")
@@ -694,72 +565,42 @@ def cmd_reconfigure(args) -> int:
         return 0
 
     spec = _engine_spec(args, default_time_scale=0.05)
-    from .runtime.system import System
-
-    wall0 = _time.perf_counter()
+    wall0 = time.perf_counter()
     with _compile_ctx(spec), _graceful_signals(enabled=spec.name != "sim"):
-        system = System(old, engine=spec)
-        stubbed = _stub_bindings(system)
-        if stubbed:
-            print(f"stubbed host bindings: {', '.join(stubbed)}", file=sys.stderr)
-        main_args = {}
-        if old.main is not None:
-            env = old.config_env()
-            main_args = {p: 1.0 for p in old.main.params if p not in env}
-        if main_args:
-            print(
-                f"defaulted main parameter(s) to 1.0: {sorted(main_args)}",
-                file=sys.stderr,
-            )
-        system.start(**main_args)
+        system = start_bare(old, spec, note=_note)
         system.run_until(args.at)
         report = system.reconfigure(new, quiesce_grace=args.grace)
         system.run_until(args.until if args.until is not None else system.now + 5.0)
-    wall = _time.perf_counter() - wall0
+    wall = time.perf_counter() - wall0
 
     print(report.render())
     print(
         f"{args.old} -> {args.new}: engine={system.engine.name} "
         f"t={system.now:.3f} wall={wall:.2f}s failures={len(system.failures)}"
     )
-    for t, node, exc in system.failures:
-        print(f"  failure at t={t:.3f} in {node}: {exc!r}", file=sys.stderr)
+    _print_failures(system)
     system.shutdown()
     if system.failures:
         return 1
     return 0 if report.ok else 2
 
 
-def _explore_scenario(args):
-    from .explore import resolve_scenario
-
-    return resolve_scenario(
-        args.file, config=_parse_config(args.config), horizon=args.until
-    )
-
-
-def _write_trace(result, schedule_id: str, path: str) -> None:
+def _explore_replay(args, scenario, invariants) -> int:
+    from .explore import Schedule, ScheduleDivergence, replay
     from .telemetry.sinks import to_jsonl
 
-    out = to_jsonl(result.system.telemetry.events, system=f"schedule:{schedule_id}")
-    Path(path).write_text(out)
-    print(f"wrote telemetry to {path} (schedule:{schedule_id})", file=sys.stderr)
-
-
-def _explore_replay(args, scenario) -> int:
-    import json
-
-    from .explore import Schedule, ScheduleDivergence, replay
-
     sched = Schedule.from_json(json.loads(Path(args.replay).read_text()))
-    invariants = tuple(args.invariant) if args.invariant else None
     try:
         res = replay(scenario, sched, invariants=invariants)
     except ScheduleDivergence as e:
         print(f"error: replay diverged: {e}", file=sys.stderr)
         return 1
     if args.trace_out:
-        _write_trace(res, sched.schedule_id, args.trace_out)
+        label = f"schedule:{sched.schedule_id}"
+        Path(args.trace_out).write_text(
+            to_jsonl(res.system.telemetry.events, system=label)
+        )
+        print(f"wrote telemetry to {args.trace_out} ({label})", file=sys.stderr)
     if res.violations:
         for inv, msg in res.violations:
             print(f"violation [{inv}]: {msg}")
@@ -768,50 +609,27 @@ def _explore_replay(args, scenario) -> int:
     return 0
 
 
-def _explore_witness_races(args, scenario) -> int:
-    import json
-
+def _explore_witness_races(args, scenario, search: dict) -> int:
     from .analysis import analyze_source
-    from .arch.loader import ARCHITECTURES, load_source
     from .explore import witness_findings
 
-    if args.file in ARCHITECTURES:
-        text = load_source(args.file)
-    else:
-        path = Path(args.file)
-        if path.suffix == ".py":
-            raise SystemExit(
-                "error: --witness-races needs a .csaw file or architecture "
-                "name (the static analyzer works on DSL sources)"
-            )
-        text = path.read_text()
+    # the static analyzer works on DSL source: no .py scripts here
     report = analyze_source(
-        text, _parse_config(args.config), label=args.file, deep=True
+        open_target(args.file).text, _config(args), label=args.file, deep=True
     )
     races = [f for f in report.unsuppressed() if f.check == "race"]
     if not races:
         print(f"{args.file}: the analyzer reports no unsuppressed races")
         return 0
-    witnesses = witness_findings(
-        scenario,
-        races,
-        strategy=args.strategy,
-        budget=args.budget,
-        depth=args.depth,
-        seed=args.seed,
-    )
+    witnesses = witness_findings(scenario, races, **search)
     for w in witnesses:
         print(w.describe())
     if args.out:
-        payload = [w.to_json() for w in witnesses]
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {len(payload)} witness attempt(s) to {args.out}", file=sys.stderr)
+        _write_json([w.to_json() for w in witnesses], args.out, "witness attempt(s)")
     return 0
 
 
 def cmd_explore(args) -> int:
-    import json
-
     from .explore import explore
 
     spec = _engine_spec(args)
@@ -822,21 +640,17 @@ def cmd_explore(args) -> int:
         )
     # spec.compiled is accepted but moot: controlled scheduling always
     # runs the interpreter so event labels match recorded schedules
-    scenario = _explore_scenario(args)
-    if args.replay:
-        return _explore_replay(args, scenario)
-    if args.witness_races:
-        return _explore_witness_races(args, scenario)
-
+    scenario = _scenario(args)
     invariants = tuple(args.invariant) if args.invariant else None
-    result = explore(
-        scenario,
-        strategy=args.strategy,
-        budget=args.budget,
-        depth=args.depth,
-        invariants=invariants,
-        seed=args.seed,
+    search = dict(
+        strategy=args.strategy, budget=args.budget, depth=args.depth, seed=args.seed
     )
+    if args.replay:
+        return _explore_replay(args, scenario, invariants)
+    if args.witness_races:
+        return _explore_witness_races(args, scenario, search)
+
+    result = explore(scenario, invariants=invariants, **search)
     print(f"{scenario.name}: {result.summary()}")
     for v in result.violations:
         print(
@@ -844,13 +658,186 @@ def cmd_explore(args) -> int:
             f"{v.schedule.schedule_id}: {v.message}"
         )
     if args.out and result.violations:
-        payload = [v.to_json() for v in result.violations]
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(
-            f"wrote {len(payload)} failing schedule(s) to {args.out}",
-            file=sys.stderr,
+        _write_json(
+            [v.to_json() for v in result.violations], args.out, "failing schedule(s)"
         )
     return 2 if result.violations else 0
+
+
+# ---------------------------------------------------------------------------
+# The parser is a table: argument specs, then verbs over them
+# ---------------------------------------------------------------------------
+
+
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+#: arguments more than one verb takes, each declared once
+_SHARED = {
+    "target": _arg(
+        "file",
+        help="a shipped architecture name, a .csaw file (placeholders "
+             "expanded), or — where the verb runs scripts — a .py script",
+    ),
+    "config": _arg(
+        "--config", action="append", default=[], metavar="NAME=VALUE",
+        help="load-time configuration (sets, parameters) of .csaw sources; "
+             "repeatable",
+    ),
+    "engine": _arg(
+        "--engine", metavar="SPEC", default=None,
+        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
+             "key=value options, e.g. realtime,time_scale=0.05 or "
+             "sim,compiled=off (default: sim; cluster under `repro cluster`, "
+             "which takes no other; explore needs sim — controlled scheduling)",
+    ),
+    "until": _arg(
+        "--until", type=float, default=None,
+        help="logical-seconds horizon (default: the shipped scenario's own; "
+             "30 for a bare .csaw, 60 under trace; the trigger time + 5 "
+             "under reconfigure)",
+    ),
+    "json": _arg("--json", action="store_true", help="machine-readable output"),
+}
+
+#: (verb, handler, help, arguments) — an argument is a ``_SHARED`` key
+#: or an ``_arg(...)`` of the verb's own
+_VERBS = (
+    ("check", cmd_check, "parse, validate and compile", (
+        "target", "config",
+        _arg("--strict", action="store_true",
+             help="also run the analyzer's fast checks; exit 2 on errors"),
+    )),
+    ("analyze", cmd_analyze, "static analysis: races, dead code, host contracts", (
+        "target", "config", "json",
+        _arg("--fail-on", metavar="CHECKS", default="",
+             help="comma-separated checks (race,dead,contract,unused); exit 2 "
+                  "when any unsuppressed error finding of these checks remains"),
+        _arg("--fast", action="store_true",
+             help="key-flow checks only (skip event-structure denotation)"),
+        _arg("--max-unfold", type=int, default=1,
+             help="reconsider/retry unfolding depth for the deep pass (default: 1)"),
+    )),
+    ("fmt", cmd_fmt, "pretty-print / normalize", (
+        "target",
+        _arg("--write", action="store_true",
+             help="rewrite in place (plain .csaw files only)"),
+    )),
+    ("topo", cmd_topo, "print the communication topology", ("target", "config")),
+    ("semantics", cmd_semantics, "print event-structure semantics", (
+        "target", "config",
+        _arg("--dot", action="store_true", help="Graphviz output"),
+    )),
+    ("loc", cmd_loc, "count effective lines of code", ("target",)),
+    ("trace", cmd_trace, "run with telemetry and export the causal trace", (
+        "target", "config", "until", "engine",
+        _arg("--format", choices=("jsonl", "chrome"), default="jsonl",
+             help="export format (default: jsonl)"),
+        _arg("--out", help="write to this file instead of stdout"),
+    )),
+    ("run", cmd_run, "execute an architecture on a chosen execution engine", (
+        "target", "config", "engine", "until",
+    )),
+    ("workload", cmd_workload,
+     "drive a seeded million-user workload through an architecture "
+     "and report ops/sec, p50/p99 and drops", (
+        _arg("--arch", default="broker_sharded",
+             help="a shipped architecture that speaks a request protocol, e.g. "
+                  "broker_sharded | broker_failover | sharding | failover "
+                  "(default: broker_sharded)"),
+        "engine", "json",
+        _arg("--seed", type=int, default=0, help="generator seed (default: 0)"),
+        _arg("--users", type=int, default=10_000,
+             help="distinct-user population keys are drawn from (default: 10000)"),
+        _arg("--pattern", choices=("steady", "diurnal", "flash-crowd"),
+             default="steady", help="arrival curve (default: steady)"),
+        _arg("--mode", choices=("open", "closed"), default="open",
+             help="open loop (timed arrivals) or closed loop (fixed "
+                  "outstanding-op window; default: open)"),
+        _arg("--rate", type=float, default=200.0,
+             help="mean arrival rate in ops per logical second (open loop; "
+                  "default: 200)"),
+        _arg("--concurrency", type=int, default=8,
+             help="outstanding-op window (closed loop; default: 8)"),
+        _arg("--duration", type=float, default=10.0,
+             help="logical seconds of traffic (default: 10)"),
+        _arg("--max-ops", type=int, default=2000,
+             help="hard cap on generated operations (default: 2000)"),
+        _arg("--value-size", type=int, default=64,
+             help="payload bytes per write (default: 64)"),
+        _arg("--read-fraction", type=float, default=0.3,
+             help="fraction of ops that are reads (default: 0.3)"),
+    )),
+    ("cluster", cmd_cluster,
+     "deploy across supervised worker processes (one per instance "
+     "or shard group), with optional SIGKILL fault drills", (
+        "target", "config", "engine", "until",
+        _arg("--heartbeat-interval", type=float, default=0.5,
+             help="logical seconds between liveness pings (default: 0.5)"),
+        _arg("--heartbeat-timeout", type=float, default=2.0,
+             help="logical seconds without a pong before a worker is declared "
+                  "crashed (default: 2.0)"),
+        _arg("--backoff-base", type=float, default=0.5,
+             help="first restart delay in logical seconds (default: 0.5)"),
+        _arg("--backoff-cap", type=float, default=8.0,
+             help="maximum restart delay in logical seconds (default: 8.0)"),
+        _arg("--kill", action="append", default=[], metavar="INSTANCE",
+             help="fault drill: SIGKILL the worker hosting INSTANCE mid-run "
+                  "(repeatable; exits non-zero unless the supervisor recovers it)"),
+        _arg("--kill-at", action="append", type=float, default=[], metavar="T",
+             help="logical time of the matching --kill (default: 4s, spaced 2s)"),
+        _arg("--settle", type=float, default=20.0,
+             help="extra logical seconds after the workload for supervised "
+                  "restarts to land (only with --kill; default: 20)"),
+    )),
+    ("reconfigure", cmd_reconfigure,
+     "apply a .csaw architecture diff to a running system "
+     "(quiesce, snapshot, cutover, resume — zero dropped requests)", (
+        _arg("old", help="the running architecture: a shipped name or a .csaw file"),
+        _arg("new", help="the target architecture: a shipped name or a .csaw file"),
+        "config",
+        _arg("--old-backends", type=int, default=None, metavar="N",
+             help="back-end count for a parameterized OLD source (sharding)"),
+        _arg("--new-backends", type=int, default=None, metavar="N",
+             help="back-end count for a parameterized NEW source (sharding)"),
+        "engine",
+        _arg("--at", type=float, default=2.0,
+             help="logical time to trigger the transition (default: 2.0)"),
+        "until",
+        _arg("--grace", type=float, default=5.0,
+             help="quiesce grace in logical seconds before rollback (default: 5.0)"),
+        _arg("--diff-only", action="store_true",
+             help="print the architecture diff and exit"),
+        _arg("--plan-only", action="store_true",
+             help="print the transition plan and exit"),
+    )),
+    ("explore", cmd_explore,
+     "controlled-scheduler interleaving search with invariant checks", (
+        "target", "config",
+        _arg("--strategy", choices=("dpor", "bfs", "dfs", "random"), default="dpor",
+             help="search strategy (default: dpor — partial-order-reduced search)"),
+        _arg("--budget", type=int, default=200,
+             help="maximum schedules to run (default: 200)"),
+        _arg("--depth", type=int, default=None,
+             help="branch only at the first N choice points (default: unbounded)"),
+        _arg("--invariant", action="append", default=[], metavar="NAME",
+             help="invariant to check (repeatable; default: the scenario's own "
+                  "set — no-failures, convergence, at-most-once, ...)"),
+        _arg("--seed", type=int, default=0, help="seed for the random strategy"),
+        "engine", "until",
+        _arg("--replay", metavar="SCHEDULE_JSON",
+             help="replay a serialized schedule exactly instead of searching"),
+        _arg("--trace-out", metavar="FILE",
+             help="with --replay: export the run's telemetry JSONL (labeled with "
+                  "the schedule id) to FILE"),
+        _arg("--witness-races", action="store_true",
+             help="run the static analyzer and attempt a concrete witness "
+                  "schedule for every unsuppressed race finding"),
+        _arg("--out", metavar="FILE",
+             help="write failing schedules (or --witness-races results) as JSON"),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -858,343 +845,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="C-Saw architecture tooling"
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("file", help="a .csaw architecture file")
-        sp.add_argument(
-            "--config", action="append", default=[], metavar="NAME=VALUE",
-            help="load-time configuration (sets, parameters); repeatable",
-        )
-
-    sp = sub.add_parser("check", help="parse, validate and compile")
-    common(sp)
-    sp.add_argument(
-        "--strict", action="store_true",
-        help="also run the analyzer's fast checks; exit 2 on errors",
-    )
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser(
-        "analyze", help="static analysis: races, dead code, host contracts"
-    )
-    sp.add_argument(
-        "file",
-        help="a .csaw file, a shipped architecture name, or an example .py script",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (sets, parameters); repeatable",
-    )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.add_argument(
-        "--fail-on", metavar="CHECKS", default="",
-        help="comma-separated checks (race,dead,contract,unused); exit 2 "
-             "when any unsuppressed error finding of these checks remains",
-    )
-    sp.add_argument(
-        "--fast", action="store_true",
-        help="key-flow checks only (skip event-structure denotation)",
-    )
-    sp.add_argument(
-        "--max-unfold", type=int, default=1,
-        help="reconsider/retry unfolding depth for the deep pass (default: 1)",
-    )
-    sp.set_defaults(fn=cmd_analyze)
-
-    sp = sub.add_parser("fmt", help="pretty-print / normalize")
-    sp.add_argument("file")
-    sp.add_argument("--write", action="store_true", help="rewrite in place")
-    sp.set_defaults(fn=cmd_fmt)
-
-    sp = sub.add_parser("topo", help="print the communication topology")
-    common(sp)
-    sp.set_defaults(fn=cmd_topo)
-
-    sp = sub.add_parser("semantics", help="print event-structure semantics")
-    common(sp)
-    sp.add_argument("--dot", action="store_true", help="Graphviz output")
-    sp.set_defaults(fn=cmd_semantics)
-
-    sp = sub.add_parser("loc", help="count effective lines of code")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_loc)
-
-    sp = sub.add_parser(
-        "trace", help="run with telemetry and export the causal trace"
-    )
-    sp.add_argument("file", help="a .csaw architecture or an example .py script")
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
-    sp.add_argument(
-        "--format", choices=("jsonl", "chrome"), default="jsonl",
-        help="export format (default: jsonl)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=60.0,
-        help="simulated seconds to run a .csaw file for (default: 60)",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default=None,
-        help="engine spec, e.g. sim, sim,compiled=off, "
-             "realtime,time_scale=0.05 (default: sim)",
-    )
-    sp.add_argument("--out", help="write to this file instead of stdout")
-    sp.set_defaults(fn=cmd_trace)
-
-    sp = sub.add_parser(
-        "run", help="execute an architecture on a chosen execution engine"
-    )
-    sp.add_argument(
-        "file",
-        help="a shipped architecture name (driven by its exploration "
-             "workload) or a .csaw file (unbound host blocks are stubbed)",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="sim",
-        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
-             "key=value options, e.g. realtime,time_scale=0.05 or "
-             "sim,compiled=off (default: sim)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="logical-seconds horizon (default: the scenario's own, or 30)",
-    )
-    sp.set_defaults(fn=cmd_run)
-
-    sp = sub.add_parser(
-        "workload",
-        help="drive a seeded million-user workload through an architecture "
-             "and report ops/sec, p50/p99 and drops",
-    )
-    sp.add_argument(
-        "--arch", default="broker_sharded",
-        help="architecture adapter: broker_sharded | broker_failover | "
-             "sharding | failover (default: broker_sharded)",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="sim",
-        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
-             "key=value options (default: sim)",
-    )
-    sp.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
-    sp.add_argument(
-        "--users", type=int, default=10_000,
-        help="distinct-user population keys are drawn from (default: 10000)",
-    )
-    sp.add_argument(
-        "--pattern", choices=("steady", "diurnal", "flash-crowd"),
-        default="steady", help="arrival curve (default: steady)",
-    )
-    sp.add_argument(
-        "--mode", choices=("open", "closed"), default="open",
-        help="open loop (timed arrivals) or closed loop (fixed "
-             "outstanding-op window; default: open)",
-    )
-    sp.add_argument(
-        "--rate", type=float, default=200.0,
-        help="mean arrival rate in ops per logical second (open loop; "
-             "default: 200)",
-    )
-    sp.add_argument(
-        "--concurrency", type=int, default=8,
-        help="outstanding-op window (closed loop; default: 8)",
-    )
-    sp.add_argument(
-        "--duration", type=float, default=10.0,
-        help="logical seconds of traffic (default: 10)",
-    )
-    sp.add_argument(
-        "--max-ops", type=int, default=2000,
-        help="hard cap on generated operations (default: 2000)",
-    )
-    sp.add_argument(
-        "--value-size", type=int, default=64,
-        help="payload bytes per write (default: 64)",
-    )
-    sp.add_argument(
-        "--read-fraction", type=float, default=0.3,
-        help="fraction of ops that are reads (default: 0.3)",
-    )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=cmd_workload)
-
-    sp = sub.add_parser(
-        "cluster",
-        help="deploy across supervised worker processes (one per instance "
-             "or shard group), with optional SIGKILL fault drills",
-    )
-    sp.add_argument(
-        "file",
-        help="a shipped architecture name (driven by its exploration "
-             "workload) or a .csaw file (unbound host blocks are stubbed)",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="cluster",
-        help="engine spec (name must be cluster), e.g. "
-             "cluster,workers=4,time_scale=0.05 (default: cluster)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="logical-seconds horizon (default: the scenario's own, or 30)",
-    )
-    sp.add_argument(
-        "--heartbeat-interval", type=float, default=0.5,
-        help="logical seconds between liveness pings (default: 0.5)",
-    )
-    sp.add_argument(
-        "--heartbeat-timeout", type=float, default=2.0,
-        help="logical seconds without a pong before a worker is declared "
-             "crashed (default: 2.0)",
-    )
-    sp.add_argument(
-        "--backoff-base", type=float, default=0.5,
-        help="first restart delay in logical seconds (default: 0.5)",
-    )
-    sp.add_argument(
-        "--backoff-cap", type=float, default=8.0,
-        help="maximum restart delay in logical seconds (default: 8.0)",
-    )
-    sp.add_argument(
-        "--kill", action="append", default=[], metavar="INSTANCE",
-        help="fault drill: SIGKILL the worker hosting INSTANCE mid-run "
-             "(repeatable; exits non-zero unless the supervisor recovers it)",
-    )
-    sp.add_argument(
-        "--kill-at", action="append", type=float, default=[], metavar="T",
-        help="logical time of the matching --kill (default: 4s, spaced 2s)",
-    )
-    sp.add_argument(
-        "--settle", type=float, default=20.0,
-        help="extra logical seconds after the workload for supervised "
-             "restarts to land (only with --kill; default: 20)",
-    )
-    sp.set_defaults(fn=cmd_cluster)
-
-    sp = sub.add_parser(
-        "reconfigure",
-        help="apply a .csaw architecture diff to a running system "
-             "(quiesce, snapshot, cutover, resume — zero dropped requests)",
-    )
-    sp.add_argument(
-        "old",
-        help="the running architecture: a shipped name or a .csaw file",
-    )
-    sp.add_argument(
-        "new",
-        help="the target architecture: a shipped name or a .csaw file",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration applied to both sources; repeatable",
-    )
-    sp.add_argument(
-        "--old-backends", type=int, default=None, metavar="N",
-        help="back-end count for a parameterized OLD source (sharding)",
-    )
-    sp.add_argument(
-        "--new-backends", type=int, default=None, metavar="N",
-        help="back-end count for a parameterized NEW source (sharding)",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="sim",
-        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
-             "key=value options (default: sim)",
-    )
-    sp.add_argument(
-        "--at", type=float, default=2.0,
-        help="logical time to trigger the transition (default: 2.0)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="logical-seconds horizon after the transition "
-             "(default: trigger time + 5)",
-    )
-    sp.add_argument(
-        "--grace", type=float, default=5.0,
-        help="quiesce grace in logical seconds before rollback (default: 5.0)",
-    )
-    sp.add_argument(
-        "--diff-only", action="store_true",
-        help="print the architecture diff and exit",
-    )
-    sp.add_argument(
-        "--plan-only", action="store_true",
-        help="print the transition plan and exit",
-    )
-    sp.set_defaults(fn=cmd_reconfigure)
-
-    sp = sub.add_parser(
-        "explore",
-        help="controlled-scheduler interleaving search with invariant checks",
-    )
-    sp.add_argument(
-        "file",
-        help="a shipped architecture name, a .csaw file, or a .py scenario "
-             "script defining build_scenario()",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
-    sp.add_argument(
-        "--strategy", choices=("dpor", "bfs", "dfs", "random"), default="dpor",
-        help="search strategy (default: dpor — partial-order-reduced search)",
-    )
-    sp.add_argument(
-        "--budget", type=int, default=200,
-        help="maximum schedules to run (default: 200)",
-    )
-    sp.add_argument(
-        "--depth", type=int, default=None,
-        help="branch only at the first N choice points (default: unbounded)",
-    )
-    sp.add_argument(
-        "--invariant", action="append", default=[], metavar="NAME",
-        help="invariant to check (repeatable; default: the scenario's own "
-             "set — no-failures, convergence, at-most-once, ...)",
-    )
-    sp.add_argument(
-        "--seed", type=int, default=0, help="seed for the random strategy"
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default=None,
-        help="engine spec; accepted for uniformity but must name sim "
-             "(exploration needs controlled scheduling)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="simulated-seconds horizon for .csaw scenarios",
-    )
-    sp.add_argument(
-        "--replay", metavar="SCHEDULE_JSON",
-        help="replay a serialized schedule exactly instead of searching",
-    )
-    sp.add_argument(
-        "--trace-out", metavar="FILE",
-        help="with --replay: export the run's telemetry JSONL (labeled with "
-             "the schedule id) to FILE",
-    )
-    sp.add_argument(
-        "--witness-races", action="store_true",
-        help="run the static analyzer and attempt a concrete witness "
-             "schedule for every unsuppressed race finding",
-    )
-    sp.add_argument(
-        "--out", metavar="FILE",
-        help="write failing schedules (or --witness-races results) as JSON",
-    )
-    sp.set_defaults(fn=cmd_explore)
-
+    for verb, fn, help_, arguments in _VERBS:
+        sp = sub.add_parser(verb, help=help_)
+        for a in arguments:
+            flags, kw = _SHARED[a] if isinstance(a, str) else a
+            sp.add_argument(*flags, **kw)
+        sp.set_defaults(fn=fn)
     return p
 
 

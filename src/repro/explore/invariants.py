@@ -137,7 +137,8 @@ def _at_most_once(system, obs) -> list[str]:
 
 @register_invariant(
     "reconfig-no-drop",
-    "every request submitted across a reconfiguration completes exactly once",
+    "every request submitted across a reconfiguration completes exactly once, "
+    "and every acknowledged write is stored where the new layout places it",
 )
 def _reconfig_no_drop(system, obs) -> list[str]:
     out = []
@@ -162,6 +163,11 @@ def _reconfig_no_drop(system, obs) -> list[str]:
         out.append(f"unsubmitted request id(s) completed: {phantom[:8]}")
     for rid, err in obs.get("failed", ()):
         out.append(f"request {rid} failed: {err}")
+    for key, held, home in obs.get("misplaced", ()):
+        out.append(
+            f"acknowledged write to {key!r} is stored on {held}, not on {home} "
+            "where a fresh deployment of the new size places it"
+        )
     return out
 
 

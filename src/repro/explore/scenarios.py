@@ -6,24 +6,35 @@ system for every schedule, so a scenario must be a pure recipe: same
 build, same seeds, same workload every time.  The only thing allowed
 to vary between runs is the interleaving the controller picks.
 
-Three scenario sources mirror the CLI targets:
+:func:`resolve_scenario` is the one way a target becomes something
+runnable (``repro run``, ``cluster``, ``trace`` and ``explore`` all call
+it), over the target rule of :func:`repro.arch.loader.open_target`:
 
-* :func:`arch_scenario` — a shipped architecture name; each of the ten
-  architectures gets a small deterministic workload (a few store
-  commands, a job burst, a snapshot round) sized for exploration,
-  where hundreds of runs must stay cheap;
-* :class:`CsawScenario` — a ``.csaw`` source run bare (no host
-  bindings), for pure-DSL fixtures such as the racy corpus under
+* a shipped architecture name → :func:`arch_scenario`: the service its
+  :data:`~repro.arch.catalog.CATALOG` row builds, driven by the small
+  deterministic script of the protocol it speaks (or by the row's own
+  scripted drive), sized for exploration, where hundreds of runs must
+  stay cheap;
+* a ``.csaw`` source → :class:`CsawScenario`: run bare, host bindings
+  stubbed, for pure-DSL fixtures such as the racy corpus under
   ``tests/explore``;
-* ``.py`` targets are loaded by the CLI via :func:`load_py_scenario`:
-  the script must define ``build_scenario() -> Scenario``.
+* a ``.py`` script → :func:`load_py_scenario`: the script must define
+  ``build_scenario() -> Scenario``.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
+from ..arch.catalog import CATALOG, ArchRow
+from ..arch.loader import open_target, start_bare
+from ..brokerlite import BrokerRequest, partition_for
 from ..core.compiler import compile_program
+from ..redislite import Command
+from ..redislite.workload import djb2
 from ..runtime.system import System
 from .linearize import Op
 
@@ -34,8 +45,13 @@ class Scenario:
     #: invariants checked by default for this scenario
     invariants: tuple[str, ...] = ("no-failures", "convergence", "at-most-once")
 
-    def __init__(self, name: str):
+    #: the system under the run, from the moment it is built — what a
+    #: SIGINT/SIGTERM handler drains when the run is cut short
+    system: System | None = None
+
+    def __init__(self, name: str, horizon: float = 30.0):
         self.name = name
+        self.horizon = horizon
 
     def run(self) -> System:
         """Build a fresh system, drive the workload to the horizon and
@@ -59,18 +75,21 @@ class CsawScenario(Scenario):
         name: str = "csaw",
         config: dict | None = None,
         horizon: float = 30.0,
+        note: Callable[[str], None] | None = None,
     ):
-        super().__init__(name)
+        super().__init__(name, horizon)
         self.source = source
         self.config = config or {}
-        self.horizon = horizon
+        self.note = note
         self.program = compile_program(source, config=self.config)  # fail fast
 
     def run(self) -> System:
-        system = System(compile_program(self.source, config=self.config))
-        system.start()
-        system.run_until(self.horizon)
-        return system
+        self.system = start_bare(
+            compile_program(self.source, config=self.config), note=self.note
+        )
+        self.note = None  # every run stubs the same things: say so once
+        self.system.run_until(self.horizon)
+        return self.system
 
 
 def load_py_scenario(path: Path) -> Scenario:
@@ -92,411 +111,236 @@ def load_py_scenario(path: Path) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# The two request protocols: their scripts, and what a run records
+# ---------------------------------------------------------------------------
+
+
+def _redis_request(svc, kind, key, value):
+    return Command(kind, key, value) if kind == "SET" else Command(kind, key)
+
+
+def _redis_record(kind, key, value, reply, start, end):
+    got = value if kind == "SET" else reply.value
+    return Op(kind=kind, key=key, value=got, start=start, end=end, ok=bool(reply.ok))
+
+
+def _redis_placement(svc, key):
+    held = [
+        i for i in range(svc.n_shards)
+        if key in svc.backend_app(i).payload.store.keys()
+    ]
+    return held, [djb2(key) % svc.n_shards]
+
+
+def _broker_request(svc, op, key, value):
+    if op == "PUB":
+        return BrokerRequest(op="PUB", partition=0, key=key, value=value)
+    p = svc.partition_of({"op": op, "key": key, "partition": 0})
+    if op == "FETCH":
+        return BrokerRequest(op="FETCH", partition=p, offset=0, max_records=8)
+    return BrokerRequest(op="COMMIT", partition=p, group="g", offset=1)
+
+
+def _broker_record(op, key, value, reply, start, end):
+    return (
+        op, key, bool(reply.ok), reply.offset,
+        len(reply.records) if reply.records is not None else None,
+    )
+
+
+def _broker_placement(svc, key):
+    held = [
+        (i, p)
+        for i in range(svc.n_partitions)
+        for p, log in sorted(svc.server(i).partitions.items())
+        if any(rec.key == key for rec in log.records)
+    ]
+    home = partition_for(key, svc.n_partitions)
+    return held, [(home, home)]
+
+
+@dataclass(frozen=True)
+class _Protocol:
+    """What the scenarios need to know about one request protocol."""
+
+    #: (op, key, value) — the exploration script
+    script: tuple
+    #: the reconfiguration scenario's script: the first op settles, the
+    #: other two land inside the quiesce window
+    window_script: tuple
+    #: (service, op, key, value) → the request ``service.submit`` takes
+    request: Callable
+    #: (op, key, value, reply, start, end) → one observation record
+    record: Callable
+    #: the ``observe()`` key the records are reported under
+    records_as: str
+    invariants: tuple[str, ...]
+    #: the service method that resizes the deployment live
+    resize: str
+    #: (service, key) → (where the key is stored, where a fresh
+    #: deployment of the current size stores it)
+    placement: Callable
+
+
+_PROTOCOLS = {
+    # two writers racing on "a" plus reads, checked for linearizability
+    "redis": _Protocol(
+        script=(
+            ("SET", "a", b"1"),
+            ("SET", "b", b"x"),
+            ("SET", "a", b"2"),
+            ("GET", "a", None),
+            ("GET", "b", None),
+        ),
+        window_script=(("SET", "a", b"0"), ("SET", "b", b"1"), ("GET", "a", None)),
+        request=_redis_request,
+        record=_redis_record,
+        records_as="history",
+        invariants=("no-failures", "convergence", "at-most-once", "linearizable"),
+        resize="reconfigure_shards",
+        placement=_redis_placement,
+    ),
+    # publishes (two keys racing on one partition), a fetch and a
+    # commit.  No ``linearizable`` here — the history invariant speaks
+    # GET/SET; the broker's ordering guarantee (per-key offset order)
+    # is asserted by ``observe()`` consumers via the offsets returned
+    "broker": _Protocol(
+        script=(
+            ("PUB", "a", b"1"),
+            ("PUB", "b", b"x"),
+            ("PUB", "a", b"2"),
+            ("FETCH", "a", None),
+            ("COMMIT", "a", None),
+        ),
+        window_script=(("PUB", "a", b"0"), ("PUB", "b", b"1"), ("PUB", "c", b"2")),
+        request=_broker_request,
+        record=_broker_record,
+        records_as="results",
+        invariants=Scenario.invariants,
+        resize="reconfigure_partitions",
+        placement=_broker_placement,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # Shipped-architecture scenarios
 # ---------------------------------------------------------------------------
 
 
-class _RedisArchScenario(Scenario):
-    """Common driver for the redis-backed architectures: preload a few
-    keys, issue a deterministic GET/SET mix, record a timed history for
-    the linearizability invariant."""
+class ArchScenario(Scenario):
+    """The exploration workload of one catalog row: build the service,
+    run the script of the protocol it speaks (recording a timed
+    history), then the row's own drive."""
 
-    invariants = ("no-failures", "convergence", "at-most-once", "linearizable")
-
-    #: (kind, key, value) — two writers racing on "a" plus reads
-    WORKLOAD = (
-        ("SET", "a", b"1"),
-        ("SET", "b", b"x"),
-        ("SET", "a", b"2"),
-        ("GET", "a", None),
-        ("GET", "b", None),
-    )
-
-    def __init__(self, name: str, horizon: float = 20.0):
-        super().__init__(name)
-        self.horizon = horizon
+    def __init__(self, name: str, row: ArchRow):
+        super().__init__(name, row.horizon)
+        self.row = row
+        self.protocol = _PROTOCOLS.get(row.protocol)
+        if self.protocol is not None:
+            self.invariants = self.protocol.invariants
 
     def build(self):
-        raise NotImplementedError
+        self.service = svc = self.row.build(seed=0, **self.row.explore)
+        self.system = svc.system
+        return svc
 
     def run(self) -> System:
-        from ..redislite import Command
+        svc = self.build()
+        system, proto = svc.system, self.protocol
+        self._observe = dict
+        if proto is not None:
+            records: list = []
+            self._observe = lambda: {proto.records_as: list(records)}
 
-        self._svc = svc = self.build()
-        history: list[Op] = []
-        sim = svc.system.sim
-
-        def submit(kind, key, value):
-            start = sim.now
-            cmd = Command(kind, key, value) if kind == "SET" else Command(kind, key)
-
-            def done(reply, k=kind, ky=key, v=value, s=start):
-                got = v if k == "SET" else reply.value
-                history.append(
-                    Op(kind=k, key=ky, value=got, start=s, end=sim.now, ok=bool(reply.ok))
+            def submit(op, key, value):
+                start = system.now
+                svc.submit(
+                    proto.request(svc, op, key, value),
+                    lambda reply: records.append(
+                        proto.record(op, key, value, reply, start, system.now)
+                    ),
                 )
 
-            svc.submit(cmd, done)
-
-        # sequential submits with small gaps keep per-step co-enabled
-        # sets small; the interesting concurrency is inside the runtime
-        for kind, key, value in self.WORKLOAD:
-            submit(kind, key, value)
-            svc.system.run_until(sim.now + 2.0)
-        svc.system.run_until(self.horizon)
-        self._history = history
-        return svc.system
-
-    def observe(self, system: System) -> dict:
-        return {"history": self._history}
-
-
-class _CachingScenario(_RedisArchScenario):
-    def build(self):
-        from ..arch.caching import CachedRedis
-
-        return CachedRedis(capacity=8, seed=0)
-
-
-class _ShardingScenario(_RedisArchScenario):
-    def build(self):
-        from ..arch.sharding import ShardedRedis
-
-        return ShardedRedis(n_shards=2, seed=0)
-
-
-class _ParallelShardingScenario(_RedisArchScenario):
-    def build(self):
-        from ..arch.sharding import ParallelShardedRedis
-
-        return ParallelShardedRedis(n_backends=3, seed=0)
-
-
-class _FailoverScenario(_RedisArchScenario):
-    def build(self):
-        from ..arch.failover import FailoverRedis
-
-        return FailoverRedis(timeout=0.5, seed=0)
-
-
-class _FastFailoverScenario(_RedisArchScenario):
-    def build(self):
-        from ..arch.failover import FastFailoverRedis
-
-        return FastFailoverRedis(timeout=0.5, seed=0)
-
-
-class _WatchedScenario(_RedisArchScenario):
-    def build(self):
-        from ..arch.watched import WatchedRedis
-
-        return WatchedRedis(timeout=0.5, seed=0)
-
-
-class _MigrationScenario(_RedisArchScenario):
-    """Redis workload followed by a live migration."""
-
-    def build(self):
-        from ..arch.migration import MigratableRedis
-
-        return MigratableRedis(seed=0)
-
-    def run(self) -> System:
-        system = super().run()
-        self._svc.migrate("NodeB")
-        system.run_until(system.now + 10.0)
+            # sequential submits with small gaps keep per-step co-enabled
+            # sets small; the interesting concurrency is inside the runtime
+            for op, key, value in proto.script:
+                submit(op, key, value)
+                system.run_until(system.now + 2.0)
+            system.run_until(self.horizon)
+        if self.row.drive is not None:
+            self._observe = self.row.drive(svc, self.horizon) or self._observe
         return system
 
-
-class _BrokerScenarioBase(Scenario):
-    """Common driver for the broker architectures: a deterministic
-    publish/fetch/commit mix with two keys racing on one partition.
-    No ``linearizable`` here — the history invariant speaks GET/SET;
-    the broker's ordering guarantee (per-key offset order) is asserted
-    directly in :meth:`observe` consumers via the offsets returned."""
-
-    invariants = ("no-failures", "convergence", "at-most-once")
-
-    #: (op, key, value) — publishes followed by a fetch and a commit
-    WORKLOAD = (
-        ("PUB", "a", b"1"),
-        ("PUB", "b", b"x"),
-        ("PUB", "a", b"2"),
-        ("FETCH", "a", None),
-        ("COMMIT", "a", None),
-    )
-
-    def __init__(self, name: str, horizon: float = 20.0):
-        super().__init__(name)
-        self.horizon = horizon
-
-    def build(self):
-        raise NotImplementedError
-
-    def run(self) -> System:
-        from ..brokerlite import BrokerRequest
-
-        self._svc = svc = self.build()
-        results: list[tuple] = []
-        sim = svc.system.sim
-
-        def submit(op, key, value):
-            p = svc.partition_of({"op": op, "key": key, "partition": 0})
-            if op == "PUB":
-                req = BrokerRequest(op="PUB", partition=0, key=key, value=value)
-            elif op == "FETCH":
-                req = BrokerRequest(op="FETCH", partition=p, offset=0, max_records=8)
-            else:
-                req = BrokerRequest(op="COMMIT", partition=p, group="g", offset=1)
-
-            def done(reply, op=op, key=key):
-                results.append(
-                    (op, key, bool(reply.ok), reply.offset,
-                     len(reply.records) if reply.records is not None else None)
-                )
-
-            svc.submit(req, done)
-
-        for op, key, value in self.WORKLOAD:
-            submit(op, key, value)
-            svc.system.run_until(sim.now + 2.0)
-        svc.system.run_until(self.horizon)
-        self._results = results
-        return svc.system
-
     def observe(self, system: System) -> dict:
-        return {"results": list(self._results)}
+        return self._observe()
 
 
-class _BrokerShardedScenario(_BrokerScenarioBase):
-    def build(self):
-        from ..arch.broker import ShardedBroker
+class ReconfigScenario(ArchScenario):
+    """A sharded service resized mid-workload (2 → 3 back-ends): client
+    requests are scheduled to land *inside* the quiesce window, so
+    exploration drives the transition's races (inbound update vs.
+    pause, replay vs. new-shard bring-up).  Checked by
+    ``reconfig-no-drop``: every submitted request completes exactly
+    once, the transition itself finishes, and every acknowledged write
+    is stored exactly where a fresh deployment of the new size would
+    have put it.
 
-        return ShardedBroker(n_partitions=2, seed=0)
-
-
-class _BrokerFailoverScenario(_BrokerScenarioBase):
-    def build(self):
-        from ..arch.broker import ReplicatedBroker
-
-        return ReplicatedBroker(timeout=0.5, seed=0)
-
-
-class BrokerReconfigScenario(Scenario):
-    """The broker re-partitioned mid-workload (2 → 3 partitions):
-    publishes are scheduled to land inside the quiesce window, so
-    exploration drives the transition's races.  Checked by
-    ``reconfig-no-drop``.  Like :class:`ReconfigScenario`, deliberately
-    NOT in ``_ARCH_SCENARIOS`` (the shipped table is part of the
-    differential's byte-compared surface)."""
-
-    invariants = (
-        "no-failures",
-        "convergence",
-        "at-most-once",
-        "reconfig-no-drop",
-    )
-
-    def __init__(self, name: str = "broker-reconfig", horizon: float = 30.0):
-        super().__init__(name)
-        self.horizon = horizon
-
-    def run(self) -> System:
-        from ..arch.broker import ShardedBroker
-        from ..brokerlite import BrokerRequest
-
-        self._svc = svc = ShardedBroker(n_partitions=2, seed=0)
-        sys_ = svc.system
-        submitted: list[int] = []
-        completed: list[int] = []
-        failed: list[tuple[int, str]] = []
-
-        def submit(rid: int, key: str, value: bytes):
-            submitted.append(rid)
-
-            def done(reply, rid=rid):
-                if reply.ok:
-                    completed.append(rid)
-                else:
-                    failed.append((rid, "reply not ok"))
-
-            svc.submit(BrokerRequest(op="PUB", partition=0, key=key, value=value), done)
-
-        submit(0, "a", b"0")
-        sys_.run_until(sys_.now + 2.0)
-        # these land while the transition quiesces/replays — the race
-        # under exploration
-        sys_.clock.call_after(0.0, lambda: submit(1, "b", b"1"))
-        sys_.clock.call_after(0.002, lambda: submit(2, "c", b"2"))
-        report = svc.reconfigure_partitions(3)
-        self._report = report
-        sys_.run_until(self.horizon)
-        self._obs = {
-            "submitted": submitted,
-            "completed": completed,
-            "failed": failed,
-            "reconfig_ok": report.ok,
-            "reconfig_reason": report.reason,
-        }
-        return sys_
-
-    def observe(self, system: System) -> dict:
-        return dict(self._obs)
-
-
-def make_broker_reconfig_scenario(horizon: float = 30.0) -> Scenario:
-    """The broker live re-partitioning exploration scenario (2 → 3
-    partitions with publishes racing the quiesce window)."""
-    return BrokerReconfigScenario(horizon=horizon)
-
-
-class _ElasticScenario(Scenario):
-    """Job burst, a scale-out, another burst."""
-
-    def __init__(self, name: str, horizon: float = 30.0):
-        super().__init__(name)
-        self.horizon = horizon
-
-    def run(self) -> System:
-        from ..arch.elastic import ElasticWorkers
-
-        svc = ElasticWorkers(seed=0)
-        done = []
-        for _ in range(3):
-            svc.submit_job(2, done.append)
-        svc.system.run_until(svc.system.now + 8.0)
-        svc.scale_out()
-        svc.system.run_until(svc.system.now + 4.0)
-        for _ in range(3):
-            svc.submit_job(2, done.append)
-        svc.system.run_until(self.horizon)
-        self._done = done
-        return svc.system
-
-    def observe(self, system: System) -> dict:
-        return {"jobs_done": len(self._done)}
-
-
-class _SnapshotScenario(Scenario):
-    """Two audited snapshot rounds over the remote-snapshot arch."""
-
-    def __init__(self, name: str, horizon: float = 30.0):
-        super().__init__(name)
-        self.horizon = horizon
-
-    def run(self) -> System:
-        from ..arch.snapshot import RemoteAuditor
-
-        aud = RemoteAuditor(placement="cross-vm", seed=0)
-        released = []
-        hook = aud.audit_hook()
-        hook({"x": 1}, lambda: released.append(aud.system.now))
-        aud.system.run_until(aud.system.now + 8.0)
-        hook({"x": 2}, lambda: released.append(aud.system.now))
-        aud.system.run_until(self.horizon)
-        self._released = released
-        return aud.system
-
-    def observe(self, system: System) -> dict:
-        return {"snapshots_released": len(self._released)}
-
-
-class _CheckpointingScenario(Scenario):
-    """A store workload with a checkpoint in the middle."""
-
-    def __init__(self, name: str, horizon: float = 30.0):
-        super().__init__(name)
-        self.horizon = horizon
-
-    def run(self) -> System:
-        from ..arch.checkpointing import CheckpointedService
-        from ..redislite import Command, DirectPort, RedisServer
-
-        server = RedisServer()
-        ref = {}
-        svc = CheckpointedService(server, stall=lambda d: ref["p"].stall(d))
-        # the stall port shares the service's engine clock instead of
-        # deep-importing a Simulator of its own
-        ref["p"] = DirectPort(svc.system.clock, server)
-        server.execute(Command("SET", "k", b"v"))
-        svc.checkpoint_now()
-        svc.system.run_until(svc.system.now + 5.0)
-        server.execute(Command("SET", "k", b"w"))
-        svc.checkpoint_now()
-        svc.system.run_until(self.horizon)
-        self._svc = svc
-        return svc.system
-
-    def observe(self, system: System) -> dict:
-        return {"checkpoints": self._svc.checkpoints}
-
-
-class ReconfigScenario(Scenario):
-    """A sharded store resharded mid-workload: client updates are
-    scheduled to land *inside* the quiesce window, so exploration
-    drives the transition's races (inbound update vs. pause, replay
-    vs. new-shard bring-up).  Checked by ``reconfig-no-drop``: every
-    submitted request completes exactly once on some interleaving-
-    independent shard, and the transition itself must finish.
-
-    Deliberately NOT in ``_ARCH_SCENARIOS`` — the shipped-architecture
-    table is part of the byte-compared differential surface; use
-    :func:`make_reconfig_scenario`.
+    Deliberately not what the shipped name resolves to — that table is
+    part of the byte-compared differential surface; use
+    :func:`make_reconfig_scenario` or the ``reconfig`` /
+    ``broker-reconfig`` targets.
     """
 
-    invariants = (
-        "no-failures",
-        "convergence",
-        "at-most-once",
-        "reconfig-no-drop",
-    )
-
-    def __init__(self, name: str = "reconfig", horizon: float = 30.0):
-        super().__init__(name)
+    def __init__(self, name: str = "reconfig", arch: str = "sharding",
+                 horizon: float = 30.0):
+        super().__init__(name, CATALOG[arch])
         self.horizon = horizon
+        self.invariants = Scenario.invariants + ("reconfig-no-drop",)
 
     def run(self) -> System:
-        from ..arch.sharding import ShardedRedis
-        from ..redislite import Command
-
-        self._svc = svc = ShardedRedis(n_shards=2, seed=0)
-        sys_ = svc.system
+        svc = self.build()
+        system, proto = svc.system, self.protocol
         submitted: list[int] = []
         completed: list[int] = []
         failed: list[tuple[int, str]] = []
+        written: list[str] = []
 
-        def submit(rid: int, kind: str, key: str, value=None):
+        def submit(rid: int, op: str, key: str, value):
             submitted.append(rid)
-            cmd = Command(kind, key, value) if value is not None else Command(kind, key)
 
-            def done(reply, rid=rid):
-                if reply.ok:
-                    completed.append(rid)
-                else:
+            def done(reply):
+                if not reply.ok:
                     failed.append((rid, "reply not ok"))
+                    return
+                completed.append(rid)
+                if value is not None:
+                    written.append(key)
 
-            svc.submit(cmd, done)
+            svc.submit(proto.request(svc, op, key, value), done)
 
-        submit(0, "SET", "a", b"0")
-        sys_.run_until(sys_.now + 2.0)
+        first, second, third = proto.window_script
+        submit(0, *first)
+        system.run_until(system.now + 2.0)
         # these land while the transition quiesces/replays — the race
         # under exploration
-        sys_.clock.call_after(0.0, lambda: submit(1, "SET", "b", b"1"))
-        sys_.clock.call_after(0.002, lambda: submit(2, "GET", "a"))
-        report = svc.reconfigure_shards(3)
-        self._report = report
-        sys_.run_until(self.horizon)
-        self._obs = {
+        system.clock.call_after(0.0, lambda: submit(1, *second))
+        system.clock.call_after(0.002, lambda: submit(2, *third))
+        report = getattr(svc, proto.resize)(3)
+        system.run_until(self.horizon)
+        placed = {key: proto.placement(svc, key) for key in sorted(set(written))}
+        self._observe = lambda: {
             "submitted": submitted,
             "completed": completed,
             "failed": failed,
             "reconfig_ok": report.ok,
             "reconfig_reason": report.reason,
+            "placed": {key: held for key, (held, _) in placed.items()},
+            "misplaced": [
+                (key, held, home) for key, (held, home) in placed.items() if held != home
+            ],
         }
-        return sys_
-
-    def observe(self, system: System) -> dict:
-        return dict(self._obs)
+        return system
 
 
 def make_reconfig_scenario(horizon: float = 30.0) -> Scenario:
@@ -505,52 +349,49 @@ def make_reconfig_scenario(horizon: float = 30.0) -> Scenario:
     return ReconfigScenario(horizon=horizon)
 
 
+#: name → scenario factory, one per catalog row
 _ARCH_SCENARIOS = {
-    "caching": _CachingScenario,
-    "sharding": _ShardingScenario,
-    "parallel_sharding": _ParallelShardingScenario,
-    "failover": _FailoverScenario,
-    "failover_fast": _FastFailoverScenario,
-    "watched_failover": _WatchedScenario,
-    "migration": _MigrationScenario,
-    "elastic": _ElasticScenario,
-    "remote_snapshot": _SnapshotScenario,
-    "checkpointing": _CheckpointingScenario,
-    "broker_sharded": _BrokerShardedScenario,
-    "broker_failover": _BrokerFailoverScenario,
+    name: functools.partial(ArchScenario, name, row) for name, row in CATALOG.items()
 }
+
+#: the reconfiguration targets of ``repro explore``: target → architecture
+_RECONFIG_TARGETS = {"reconfig": "sharding", "broker-reconfig": "broker_sharded"}
 
 
 def arch_scenario(name: str) -> Scenario:
     """The exploration scenario of a shipped architecture."""
     try:
-        cls = _ARCH_SCENARIOS[name]
+        make = _ARCH_SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"no exploration scenario for {name!r}; have {sorted(_ARCH_SCENARIOS)}"
         ) from None
-    return cls(name)
+    return make()
 
 
-def resolve_scenario(target: str, *, config: dict | None = None, horizon: float | None = None) -> Scenario:
-    """CLI target resolution: architecture name, ``.csaw`` or ``.py``."""
-    if target in _ARCH_SCENARIOS:
-        sc = arch_scenario(target)
-        if horizon is not None:
-            sc.horizon = horizon
-        return sc
-    if target == "reconfig":
-        return make_reconfig_scenario(horizon if horizon is not None else 30.0)
-    if target == "broker-reconfig":
-        return make_broker_reconfig_scenario(horizon if horizon is not None else 30.0)
-    path = Path(target)
-    if path.suffix == ".py":
-        return load_py_scenario(path)
-    from ..arch.loader import expand_placeholders
-
-    text = path.read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text)
-    return CsawScenario(
-        text, name=str(path), config=config, horizon=horizon if horizon is not None else 30.0
-    )
+def resolve_scenario(
+    target: str,
+    *,
+    config: dict | None = None,
+    horizon: float | None = None,
+    bare_horizon: float = 30.0,
+    note: Callable[[str], None] | None = None,
+) -> Scenario:
+    """Target resolution: architecture name, ``.csaw`` or ``.py``.
+    ``horizon`` overrides the scenario's own; a bare ``.csaw`` has none
+    and runs to ``bare_horizon`` (``note`` hears what it had to stub)."""
+    if target in _RECONFIG_TARGETS:
+        sc = ReconfigScenario(target, _RECONFIG_TARGETS[target])
+    else:
+        opened = open_target(target, scripts=True)
+        if opened.kind == "py":
+            return load_py_scenario(Path(target))
+        if opened.kind == "csaw":
+            sc = CsawScenario(
+                opened.text, name=target, config=config, horizon=bare_horizon, note=note
+            )
+        else:
+            sc = arch_scenario(target)
+    if horizon is not None:
+        sc.horizon = horizon
+    return sc

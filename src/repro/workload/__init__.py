@@ -12,8 +12,9 @@ seam.
   population, arrival curves (steady / diurnal / flash-crowd) realized
   by Lewis-Shedler thinning, and :func:`materialize`, which turns a
   spec into a concrete, digestable event schedule;
-* :mod:`~repro.workload.driver` — per-architecture adapters and
-  :func:`run_workload`, which builds the service under
+* :mod:`~repro.workload.driver` — the adapters (one per
+  :data:`~repro.arch.catalog.CATALOG` row that speaks a request
+  protocol) and :func:`run_workload`, which builds the service under
   ``default_engine``, drives the schedule open- or closed-loop, and
   returns a :class:`WorkloadReport` (ops/sec, p50/p99, drops, digests).
 

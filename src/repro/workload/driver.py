@@ -2,7 +2,11 @@
 
 An *adapter* wraps one architecture behind a uniform submit surface
 (`submit(event, on_done(ok))`), so the same schedule drives the broker,
-the sharded store, or the fail-over store interchangeably.  The driver
+the sharded store, or the fail-over store interchangeably.  Adapters
+are not written per architecture: every
+:data:`~repro.arch.catalog.CATALOG` row that speaks a request protocol
+is one (the row builds the service, the protocol turns an event into a
+request).  The driver
 builds the service under ``default_engine`` — the spec decides sim,
 realtime or cluster — and runs the schedule either open-loop (arrivals
 land at their generated times via ``clock.call_after``) or closed-loop
@@ -22,20 +26,21 @@ On the sim engine all three are deterministic functions of
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
+from ..arch.catalog import CATALOG
+from ..brokerlite import BrokerRequest, partition_for
+from ..redislite import Command
 from .generators import Event, materialize, schedule_digest
 from .spec import WorkloadSpec
 
 #: grace period (logical seconds) for in-flight ops after the last arrival
 DRAIN_GRACE = 30.0
-
-#: partitions/shards the standard adapters deploy
-N_BACKENDS = 4
 
 
 @dataclass
@@ -53,87 +58,47 @@ def _value_for(event: Event, size: int) -> bytes:
     return (raw * (size // len(raw) + 1))[:size]
 
 
-def _build_broker_sharded(spec: WorkloadSpec) -> Adapter:
-    from ..arch.broker import ShardedBroker
-    from ..brokerlite import BrokerRequest, partition_for
-
-    svc = ShardedBroker(n_partitions=N_BACKENDS, seed=spec.seed)
-
-    def submit(event: Event, on_done: Callable[[bool], None]) -> None:
-        if event.op == "write":
-            req = BrokerRequest(
-                op="PUB", partition=0, key=event.key,
-                value=_value_for(event, spec.value_size),
-            )
-        else:
-            req = BrokerRequest(
-                op="FETCH", partition=partition_for(event.key, N_BACKENDS),
-                offset=0, max_records=8,
-            )
-        svc.submit(req, lambda reply: on_done(reply.ok))
-
-    return Adapter("broker_sharded", svc, svc.system, submit)
+def _redis_request(svc, event: Event, size: int):
+    if event.op == "write":
+        return Command("SET", event.key, _value_for(event, size))
+    return Command("GET", event.key)
 
 
-def _build_broker_failover(spec: WorkloadSpec) -> Adapter:
-    from ..arch.broker import ReplicatedBroker
-    from ..brokerlite import BrokerRequest, partition_for
-
-    svc = ReplicatedBroker(n_partitions=N_BACKENDS, seed=spec.seed, timeout=0.5)
-
-    def submit(event: Event, on_done: Callable[[bool], None]) -> None:
-        if event.op == "write":
-            req = BrokerRequest(
-                op="PUB", partition=0, key=event.key,
-                value=_value_for(event, spec.value_size),
-            )
-        else:
-            req = BrokerRequest(
-                op="FETCH", partition=partition_for(event.key, N_BACKENDS),
-                offset=0, max_records=8,
-            )
-        svc.submit(req, lambda reply: on_done(reply.ok))
-
-    return Adapter("broker_failover", svc, svc.system, submit)
+def _broker_request(svc, event: Event, size: int):
+    if event.op == "write":
+        return BrokerRequest(
+            op="PUB", partition=0, key=event.key, value=_value_for(event, size)
+        )
+    return BrokerRequest(
+        op="FETCH", partition=partition_for(event.key, svc.n_partitions),
+        offset=0, max_records=8,
+    )
 
 
-def _build_sharding(spec: WorkloadSpec) -> Adapter:
-    from ..arch.sharding import ShardedRedis
-    from ..redislite import Command
+#: protocol → (service, event, value size) → the request to submit
+_REQUESTS = {"redis": _redis_request, "broker": _broker_request}
 
-    svc = ShardedRedis(n_shards=N_BACKENDS, seed=spec.seed)
+
+def _adapter(name: str, spec: WorkloadSpec) -> Adapter:
+    """Build the catalog row's workload deployment and put it behind
+    the submit surface of the protocol it speaks."""
+    row = CATALOG[name]
+    svc = row.build(seed=spec.seed, **row.workload)
+    request = _REQUESTS[row.protocol]
 
     def submit(event: Event, on_done: Callable[[bool], None]) -> None:
-        if event.op == "write":
-            cmd = Command("SET", event.key, _value_for(event, spec.value_size))
-        else:
-            cmd = Command("GET", event.key)
-        svc.submit(cmd, lambda reply: on_done(bool(reply.ok)))
+        svc.submit(
+            request(svc, event, spec.value_size), lambda reply: on_done(bool(reply.ok))
+        )
 
-    return Adapter("sharding", svc, svc.system, submit)
+    return Adapter(name, svc, svc.system, submit)
 
 
-def _build_failover(spec: WorkloadSpec) -> Adapter:
-    from ..arch.failover import FailoverRedis
-    from ..redislite import Command
-
-    svc = FailoverRedis(seed=spec.seed, timeout=0.5)
-
-    def submit(event: Event, on_done: Callable[[bool], None]) -> None:
-        if event.op == "write":
-            cmd = Command("SET", event.key, _value_for(event, spec.value_size))
-        else:
-            cmd = Command("GET", event.key)
-        svc.submit(cmd, lambda reply: on_done(bool(reply.ok)))
-
-    return Adapter("failover", svc, svc.system, submit)
-
-
+#: name → adapter builder, one per catalog row that speaks a protocol
 ADAPTERS: dict[str, Callable[[WorkloadSpec], Adapter]] = {
-    "broker_sharded": _build_broker_sharded,
-    "broker_failover": _build_broker_failover,
-    "sharding": _build_sharding,
-    "failover": _build_failover,
+    name: functools.partial(_adapter, name)
+    for name, row in CATALOG.items()
+    if row.protocol is not None
 }
 
 
@@ -165,24 +130,10 @@ class WorkloadReport:
         return h.hexdigest()
 
     def as_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "engine": self.engine,
-            "spec": self.spec.as_dict(),
-            "ops_submitted": self.ops_submitted,
-            "ops_completed": self.ops_completed,
-            "ops_failed": self.ops_failed,
-            "ops_dropped": self.ops_dropped,
-            "logical_seconds": self.logical_seconds,
-            "wall_seconds": self.wall_seconds,
-            "ops_per_sec": self.ops_per_sec,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "schedule_digest": self.schedule_digest,
-            "completion_digest": self.completion_digest,
-            "telemetry_digest": self.telemetry_digest,
-            "digest": self.digest,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        out["spec"] = self.spec.as_dict()
+        out["digest"] = self.digest
+        return out
 
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
@@ -233,8 +184,6 @@ def run_workload(
     spec: WorkloadSpec,
     arch: str = "broker_sharded",
     engine="sim",
-    *,
-    shutdown: bool = True,
 ) -> WorkloadReport:
     """Materialize the spec, build ``arch`` under ``engine`` and drive
     the schedule; returns the :class:`WorkloadReport`."""
@@ -287,6 +236,5 @@ def run_workload(
         telemetry_digest=th.hexdigest(),
         latencies=ok_lat,
     )
-    if shutdown:
-        system.shutdown()
+    system.shutdown()
     return report

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.arch.loader import dsl_path
 from repro.cli import main
 
 GOOD = """
@@ -106,3 +107,49 @@ class TestLoc:
     def test_counts(self, good_file, capsys):
         assert main(["loc", good_file]) == 0
         assert int(capsys.readouterr().out.strip()) == 6
+
+
+class TestOneTargetRule:
+    """Every verb resolves its target the same way: a shipped name, or
+    a ``.csaw`` file whose placeholders are expanded."""
+
+    TARGETS = ("sharding", str(dsl_path("sharding")))
+
+    @pytest.mark.parametrize("target", TARGETS, ids=("name", "placeholder-file"))
+    @pytest.mark.parametrize(
+        "verb", ("check", "topo", "semantics", "trace", "run", "analyze", "loc", "fmt")
+    )
+    def test_verb_accepts_target(self, verb, target, capsys):
+        assert main([verb, target]) == 0, capsys.readouterr().err
+
+    def test_name_and_file_are_the_same_source(self, capsys):
+        outs = []
+        for target in self.TARGETS:
+            assert main(["topo", target]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "Fnt::junction -> Bck4::junction" in outs[0]
+
+    def test_trace_starts_a_bare_file_like_run(self, capsys):
+        # failover.csaw leaves main's ``t`` open and binds no host
+        # block: trace stubs and defaults exactly as run does
+        target = str(dsl_path("failover"))
+        for verb in ("run", "trace"):
+            assert main([verb, target, "--until", "5"]) == 0
+            err = capsys.readouterr().err
+            assert "defaulted main parameter(s) to 1.0: ['t']" in err
+            assert "stubbed host bindings" in err
+
+    @pytest.mark.parametrize("target", TARGETS, ids=("name", "placeholder-file"))
+    def test_fmt_write_refuses_to_expand_a_source_in_place(self, target):
+        before = dsl_path("sharding").read_text()
+        with pytest.raises(SystemExit, match="fmt --write"):
+            main(["fmt", target, "--write"])
+        assert dsl_path("sharding").read_text() == before
+
+    def test_script_where_a_source_is_needed(self, tmp_path, capsys):
+        f = tmp_path / "s.py"
+        f.write_text("print('hi')\n")
+        assert main(["check", str(f)]) == 1
+        assert "expected a shipped architecture name or a .csaw file" in (
+            capsys.readouterr().err
+        )

@@ -479,6 +479,15 @@ class TestDrain:
         eng.close()
 
     def test_repro_run_realtime_sigterm_drains(self):
+        self.sigterm_drains("failover")
+
+    @pytest.mark.parametrize("arch", ("elastic", "checkpointing", "remote_snapshot"))
+    def test_sigterm_drains_architectures_that_are_not_request_ports(self, arch):
+        # their scenarios used to hide the system from the signal
+        # handler ("before the system came up", exit 130)
+        self.sigterm_drains(arch)
+
+    def sigterm_drains(self, arch):
         # the graceful-shutdown satellite, end to end: SIGTERM a live
         # `repro run --engine realtime` and expect a drained summary
         # and exit code 0 instead of a mid-write death
@@ -487,7 +496,7 @@ class TestDrain:
             p for p in ("src", env.get("PYTHONPATH", "")) if p
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "run", "failover",
+            [sys.executable, "-m", "repro", "run", arch,
              "--engine", "realtime,time_scale=1.0", "--until", "300"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
         )

@@ -64,3 +64,36 @@ def test_explore_via_cli_target():
     sc = resolve_scenario("reconfig")
     assert sc.name == "reconfig"
     assert "reconfig-no-drop" in sc.invariants
+
+
+def test_invariant_reports_a_misplaced_key():
+    obs = {
+        "submitted": [0],
+        "completed": [0],
+        "failed": [],
+        "reconfig_ok": True,
+        "misplaced": [("b", [0], [2])],
+    }
+    msgs = check_invariants(None, obs, ["reconfig-no-drop"])
+    assert len(msgs) == 1
+    assert "'b'" in msgs[0][1] and "[0]" in msgs[0][1] and "[2]" in msgs[0][1]
+
+
+@pytest.mark.parametrize("target,writes", (
+    ("reconfig", {"a", "b"}),
+    ("broker-reconfig", {"a", "b", "c"}),
+))
+def test_scenario_observes_where_acked_writes_landed(target, writes):
+    """One scenario class serves both protocols, and records for every
+    acknowledged write where it is stored — on the very back-end a
+    fresh deployment of the new size chooses."""
+    from repro.explore import ReconfigScenario, resolve_scenario, run_schedule
+
+    sc = resolve_scenario(target)
+    assert type(sc) is ReconfigScenario
+    res = run_schedule(sc)
+    obs = sc.observe(res.system)
+    assert set(obs["placed"]) == writes
+    assert all(len(held) == 1 for held in obs["placed"].values()), obs["placed"]
+    assert obs["misplaced"] == []
+    assert res.violations == []
