@@ -14,9 +14,6 @@ Run:  pytest benchmarks/ --benchmark-only -s
 from __future__ import annotations
 
 import importlib.util
-import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -42,30 +39,6 @@ if importlib.util.find_spec("pytest_benchmark") is None:
     @pytest.fixture
     def benchmark():
         return _FallbackBenchmark()
-
-
-#: where BENCH_*.json result files land (CI uploads them as artifacts)
-BENCH_DIR = Path(os.environ.get("BENCH_JSON_DIR", "."))
-
-
-def record_bench(name: str, payload: dict, *, engine: str = "sim",
-                 wall_seconds: float | None = None) -> dict:
-    """Append one entry to ``BENCH_<name>.json``.
-
-    Every entry is stamped with the execution ``engine``, the host CPU
-    count and (when given) the wall-clock duration, so a result file is
-    interpretable without knowing which machine/engine produced it.
-    """
-    entry = dict(payload)
-    entry.setdefault("engine", engine)
-    entry.setdefault("cpu_count", os.cpu_count())
-    if wall_seconds is not None:
-        entry.setdefault("wall_seconds", round(wall_seconds, 6))
-    path = BENCH_DIR / f"BENCH_{name}.json"
-    entries = json.loads(path.read_text()) if path.exists() else []
-    entries.append(entry)
-    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    return entry
 
 
 def print_series(title: str, series, unit: str = "", every: int = 1) -> None:

@@ -98,7 +98,6 @@ def analyze_source(
     program = compile_program(text, config=config)
     return analyze_program(
         program,
-        config,
         source_text=text,
         label=label,
         deep=deep,

@@ -46,9 +46,6 @@ class Binding:
     started: frozenset[str]  # instance names started anywhere
     has_dynamic_starts: bool
 
-    def by_node(self) -> dict[str, BoundJunction]:
-        return {bj.node: bj for bj in self.junctions}
-
     def sole_junction_node(self, instance: str) -> str | None:
         """The runtime's instance-name target resolution: an instance
         with exactly one junction."""

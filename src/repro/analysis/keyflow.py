@@ -77,9 +77,6 @@ class KeyFlow:
     def writers_of(self, target: str, key: str) -> list[WriteSite]:
         return [w for w in self.writes if w.target == target and w.key == key]
 
-    def written_keys(self) -> set[tuple[str, str]]:
-        return {(w.target, w.key) for w in self.writes}
-
     def read_keys(self) -> set[tuple[str, str]]:
         return {(r.node, r.key) for r in self.reads}
 

@@ -29,7 +29,7 @@ from typing import Callable
 from ..brokerlite import BrokerReply, BrokerRequest, BrokerServer, partition_for
 from ..runtime.system import System
 from .failover import FailoverService
-from .loader import backend_names, load_program
+from .loader import BACKENDS, backend_names, load_program
 from .ports import BackApp, FrontApp
 
 
@@ -105,11 +105,13 @@ class ShardedBroker:
         sys_ = self.system
         self.front = FrontApp(sys_, "Fnt::junction")
         sys_.bind_app("Front", lambda inst: self.front)
-        # index parsed from the name ("Bck7" -> partition 6) so back-ends
-        # added by a live re-partitioning own the right partition
-        sys_.bind_app("Back", lambda inst: BackApp(
-            BrokerServer(name=f"partition{int(inst.name[3:]) - 1}", cost=cost_model)
-        ))
+        # the index is the back-end's position in the family of the
+        # program running *now*, so back-ends added by a live
+        # re-partitioning own the right partition
+        sys_.bind_app("Back", lambda inst: BackApp(BrokerServer(
+            name=f"partition{sys_.program.family(BACKENDS).index(inst.name)}",
+            cost=cost_model,
+        )))
 
         @sys_.host("Front", "Route")
         def _route(ctx):
@@ -297,9 +299,3 @@ class ReplicatedBroker(FailoverService):
             p = partition_for(key, self.n_partitions)
             for idx in range(len(self.back_instances())):
                 self.backend_app(idx).payload.partition(p).append(key, value)
-
-    def replica_record_counts(self) -> list[int]:
-        return [
-            self.backend_app(i).payload.records_stored()
-            for i in range(len(self.back_instances()))
-        ]

@@ -17,12 +17,11 @@ scope" (sec. 7.2) — :class:`LruCache` lives entirely in Python.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
-from ..redislite.server import Command, CostModel, RedisServer, Reply
+from ..redislite.server import Command, CostModel, RedisServer
 from ..runtime.system import System
 from .loader import load_program
-from .ports import BackApp, FrontApp
+from .ports import BackApp, FrontApp, RedisPort
 
 
 class LruCache:
@@ -64,7 +63,7 @@ class _CacheApp(FrontApp):
         self.lookup_hit = False
 
 
-class CachedRedis:
+class CachedRedis(RedisPort):
     """Redis behind the Fig. 7 caching layer (RequestPort).
 
     ``lookup_cost`` models the cache probe; it must be far below the
@@ -176,19 +175,6 @@ class CachedRedis:
     @property
     def sim(self):
         return self.system.sim
-
-    # -- RequestPort ---------------------------------------------------------
-
-    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
-        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
-
-        def done(reply: dict | None):
-            if reply is None:
-                on_done(Reply(ok=False))
-            else:
-                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
-
-        self.front.submit(request, done)
 
     def preload(self, commands) -> None:
         for cmd in commands:

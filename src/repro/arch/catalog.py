@@ -47,6 +47,9 @@ class ArchRow:
     explore: dict = field(default_factory=dict)
     #: constructor sizes of the workload deployment
     workload: dict = field(default_factory=dict)
+    #: the ``build`` keyword that is the size of the program's ``Bck``
+    #: family: what ``--config Bck=N`` sets when a verb runs this row
+    backends: str | None = None
     #: ``drive(service, horizon)`` → a zero-argument observation
     #: function, or ``None``: the whole scripted exploration workload of
     #: a service that is not a request port, or what follows the
@@ -117,10 +120,12 @@ CATALOG: dict[str, ArchRow] = {
         drive=_drive_snapshot, horizon=30.0,
     ),
     "sharding": ArchRow(
-        ShardedRedis, "redis", explore={"n_shards": 2}, workload={"n_shards": 4}
+        ShardedRedis, "redis", explore={"n_shards": 2}, workload={"n_shards": 4},
+        backends="n_shards",
     ),
     "parallel_sharding": ArchRow(
-        ParallelShardedRedis, "redis", explore={"n_backends": 3}
+        ParallelShardedRedis, "redis", explore={"n_backends": 3},
+        backends="n_backends",
     ),
     "caching": ArchRow(CachedRedis, "redis", explore={"capacity": 8}),
     "checkpointing": ArchRow(
@@ -140,6 +145,7 @@ CATALOG: dict[str, ArchRow] = {
     "broker_sharded": ArchRow(
         ShardedBroker, "broker",
         explore={"n_partitions": 2}, workload={"n_partitions": 4},
+        backends="n_partitions",
     ),
     "broker_failover": ArchRow(
         ReplicatedBroker, "broker",

@@ -18,11 +18,11 @@ import re
 from typing import Callable
 
 from ..core.compiler import CompiledProgram, compile_program
-from ..redislite.server import Command, RedisServer, Reply
+from ..redislite.server import Command, RedisServer
 from ..runtime.faults import FaultPlan
 from ..runtime.system import System
 from .loader import load_program, load_source
-from .ports import BackApp, FrontApp
+from .ports import BackApp, FrontApp, RedisPort
 
 
 def swap_backend_source(
@@ -218,11 +218,8 @@ class FailoverService:
     def fault_plan(self) -> FaultPlan:
         return FaultPlan(self.system)
 
-    def submit_request(self, request: dict, on_done: Callable[[dict | None], None]) -> None:
-        self.front.submit(request, on_done)
 
-
-class FailoverRedis(FailoverService):
+class FailoverRedis(FailoverService, RedisPort):
     """Fail-over over two redislite replicas (RequestPort).
 
     ``slow_backend`` (index, extra seconds) injects a per-request delay
@@ -242,17 +239,6 @@ class FailoverRedis(FailoverService):
             return ({"ok": reply.ok, "value": reply.value, "hit": reply.hit}, cost)
 
         super().__init__(make_backend, exec_fn, **kw)
-
-    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
-        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
-
-        def done(reply: dict | None):
-            if reply is None:
-                on_done(Reply(ok=False))
-            else:
-                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
-
-        self.front.submit(request, done)
 
     def preload(self, commands) -> None:
         for cmd in commands:

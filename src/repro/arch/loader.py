@@ -1,10 +1,11 @@
 """Loading the architecture library's DSL sources.
 
-Architectures live as ``.csaw`` files under ``repro/arch/dsl``.  The
-sharding program is parameterized by the number of back-ends (a
-compile-time configuration parameter in the paper, sec. 5.2); the
-loader expands the ``@BACKENDS@`` / ``@BACKSET@`` / ``@STARTS@``
-placeholders before compilation.
+Architectures live as ``.csaw`` files under ``repro/arch/dsl``, each
+of them C-Saw as written.  The sharded ones are parameterized by the
+number of back-ends (a compile-time configuration parameter in the
+paper, sec. 5.2): they declare the indexed instance family
+``Bck[4]: Back``, whose size the load-time ``config`` entry ``Bck``
+overrides — ``n_backends=N`` here is that entry and nothing else.
 
 Two functions serve every tool that takes a *target* (each CLI verb,
 the exploration scenarios): :func:`open_target` resolves what the user
@@ -47,33 +48,38 @@ def dsl_path(name: str) -> Path:
     return p
 
 
-def expand_placeholders(text: str, n_backends: int = 4) -> str:
-    """Instantiate the ``@BACKENDS@`` / ``@BACKSET@`` / ``@STARTS@``
-    placeholders of a back-end-parameterized source."""
-    names = [f"Bck{i}" for i in range(1, n_backends + 1)]
-    text = text.replace("@BACKENDS@", ", ".join(f"{b}: Back" for b in names))
-    text = text.replace("@BACKSET@", "{" + ", ".join(names) + "}")
-    text = text.replace("@STARTS@", " + ".join(f"start {b}(t)" for b in names))
-    return text
+#: the indexed instance family of the sharded architectures
+#: (``Bck[4]: Back``); its size is the back-end count
+BACKENDS = "Bck"
 
 
-def load_source(name: str, *, n_backends: int | None = None) -> str:
-    """Read (and, for sharding, instantiate) an architecture source."""
-    text = dsl_path(name).read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text, n_backends or 4)
-    elif n_backends is not None:
-        raise ValueError(f"architecture {name!r} is not parameterized by back-end count")
-    return text
+def load_source(name: str) -> str:
+    """Read an architecture source."""
+    return dsl_path(name).read_text()
+
+
+def compile_sized(
+    text: str, n_backends: int | None, config=None, *, what: str
+) -> CompiledProgram:
+    """Compile DSL ``text``; ``n_backends`` is the ``config`` entry
+    that sizes its :data:`BACKENDS` family, and an error without one."""
+    if n_backends is None:
+        return compile_program(text, config=config)
+    program = compile_program(text, config={**(config or {}), BACKENDS: n_backends})
+    if not program.family(BACKENDS):
+        raise ValueError(f"{what} is not parameterized by back-end count")
+    return program
 
 
 def load_program(name: str, *, n_backends: int | None = None, config=None) -> CompiledProgram:
     """Load and compile an architecture."""
-    return compile_program(load_source(name, n_backends=n_backends), config=config)
+    return compile_sized(
+        load_source(name), n_backends, config, what=f"architecture {name!r}"
+    )
 
 
 def backend_names(n: int) -> list[str]:
-    return [f"Bck{i}" for i in range(1, n + 1)]
+    return list(A.family_members(BACKENDS, n))
 
 
 @dataclass(frozen=True)
@@ -81,18 +87,15 @@ class Target:
     """What a target named on a command line resolved to."""
 
     kind: str  #: ``"arch"`` (a shipped name), ``"csaw"`` or ``"py"``
-    text: str | None  #: DSL source, placeholders expanded (``None`` for a script)
-    parameterized: bool = False  #: a ``.csaw`` file that carries placeholders
+    text: str | None  #: DSL source (``None`` for a script)
 
 
-def open_target(
-    target: str, *, n_backends: int | None = None, scripts: bool = False
-) -> Target:
+def open_target(target: str, *, scripts: bool = False) -> Target:
     """The one target rule: a name in :data:`ARCHITECTURES`, else a
-    ``.csaw`` file (placeholders expanded for ``n_backends``, default
-    4), else — for the verbs that run scripts — a ``.py`` file."""
+    ``.csaw`` file, else — for the verbs that run scripts — a ``.py``
+    file."""
     if target in ARCHITECTURES:
-        return Target("arch", load_source(target, n_backends=n_backends))
+        return Target("arch", load_source(target))
     if Path(target).suffix == ".py":
         if not scripts:
             raise CSawError(
@@ -100,9 +103,7 @@ def open_target(
                 "file (a .py script has no single DSL source)"
             )
         return Target("py", None)
-    raw = Path(target).read_text()
-    text = expand_placeholders(raw, n_backends or 4)
-    return Target("csaw", text, text != raw)
+    return Target("csaw", Path(target).read_text())
 
 
 def start_bare(

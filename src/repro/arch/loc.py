@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from pathlib import Path
 
 from .loader import load_source
 
@@ -42,20 +41,14 @@ def count_loc_text(text: str, comment_prefixes: tuple[str, ...] = ("#",)) -> int
     return n
 
 
-def dsl_loc(name: str, *, n_backends: int | None = None) -> int:
+def dsl_loc(name: str) -> int:
     """LoC of an architecture's DSL source."""
-    if name == "sharding":
-        return count_loc_text(load_source(name, n_backends=n_backends or 4))
     return count_loc_text(load_source(name))
 
 
 def count_loc_object(obj: object) -> int:
     """LoC of a Python class/function/module via source inspection."""
     return count_loc_text(inspect.getsource(obj))
-
-
-def count_loc_file(path: str | Path) -> int:
-    return count_loc_text(Path(path).read_text())
 
 
 @dataclass

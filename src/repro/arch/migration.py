@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..redislite.server import Command, CostModel, RedisServer, Reply
+from ..redislite.server import Command, CostModel, RedisServer
 from ..runtime.system import System
 from .loader import load_program
-from .ports import BackApp, FrontApp
+from .ports import BackApp, FrontApp, RedisPort
 
 _NODES = ("NodeA", "NodeB")
 
@@ -30,7 +30,7 @@ class _RouterApp(FrontApp):
         self.migration_done_cb: Callable[[], None] | None = None
 
 
-class MigratableRedis:
+class MigratableRedis(RedisPort):
     """A redislite service whose dataset can live-migrate between two
     nodes (RequestPort)."""
 
@@ -156,19 +156,6 @@ class MigratableRedis:
 
     def node_server(self, name: str) -> RedisServer:
         return self.system.instance(name).app.payload
-
-    # -- RequestPort -------------------------------------------------------
-
-    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
-        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
-
-        def done(reply: dict | None):
-            if reply is None:
-                on_done(Reply(ok=False))
-            else:
-                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
-
-        self.front.submit(request, done)
 
     def preload(self, commands) -> None:
         server = self.node_server(self.front.active)

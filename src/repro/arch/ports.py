@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from ..redislite.server import Command, Reply
 from ..runtime.system import System
 
 
@@ -98,3 +99,23 @@ class BackApp:
     def set_reply(self, reply: dict) -> None:
         self.reply = reply
         self.executed += 1
+
+
+class RedisPort:
+    """The redislite ``RequestPort`` of a service whose ``front`` is a
+    :class:`FrontApp`: a :class:`Command` goes in as the request dict
+    the host blocks read, the reply dict comes back as a
+    :class:`Reply` (``ok=False`` when the architecture gave up)."""
+
+    front: FrontApp
+
+    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
+        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
+
+        def done(reply: dict | None):
+            if reply is None:
+                on_done(Reply(ok=False))
+            else:
+                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
+
+        self.front.submit(request, done)

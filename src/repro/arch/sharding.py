@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..redislite.bench import RequestPort
-from ..redislite.server import Command, RedisServer, Reply
+from ..redislite.server import Command, RedisServer
 from ..redislite.workload import SIZE_CLASSES, djb2
 from ..runtime.system import System
 from ..suricatalite.packet import Packet
 from ..suricatalite.pipeline import Pipeline
-from .loader import backend_names, load_program
-from .ports import BackApp, FrontApp
+from .loader import BACKENDS, backend_names, load_program
+from .ports import BackApp, FrontApp, RedisPort
 
 #: choose function signature: request dict -> shard index (0-based)
 ChooseFn = Callable[[dict], int]
@@ -98,10 +97,11 @@ class _ShardedService:
         sys_ = self.system
         self.front = FrontApp(sys_, "Fnt::junction")
         sys_.bind_app("Front", lambda inst: self.front)
-        # index parsed from the name ("Bck7" -> 6) so backends added by
-        # a live reconfiguration get the right shard number
+        # the index is the back-end's position in the family of the
+        # program running *now*, so backends added by a live
+        # reconfiguration get the right shard number
         sys_.bind_app("Back", lambda inst, mk=make_backend: BackApp(
-            mk(int(inst.name[3:]) - 1)
+            mk(sys_.program.family(BACKENDS).index(inst.name))
         ))
 
         @sys_.host("Front", "Choose")
@@ -169,7 +169,7 @@ class _ShardedService:
         return self.system.instance(self.backends[shard]).app
 
 
-class ShardedRedis(_ShardedService):
+class ShardedRedis(_ShardedService, RedisPort):
     """Redis sharded over N back-end instances (RequestPort)."""
 
     def __init__(
@@ -209,19 +209,6 @@ class ShardedRedis(_ShardedService):
             n_shards, choose, make_backend, exec_fn,
             latency=latency, timeout=timeout, seed=seed,
         )
-
-    # -- RequestPort -------------------------------------------------------
-
-    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
-        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
-
-        def done(reply: dict | None):
-            if reply is None:
-                on_done(Reply(ok=False))
-            else:
-                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
-
-        self.front.submit(request, done)
 
     def preload(self, commands) -> None:
         """Load the dataset directly into the right shards (unmeasured)."""
@@ -291,7 +278,7 @@ class ShardedRedis(_ShardedService):
         )
 
 
-class ParallelShardedRedis:
+class ParallelShardedRedis(RedisPort):
     """Fig. 6 (sec. 7.1): the front engages a host-chosen *subset* of
     back-ends in parallel — warm replication for availability.
 
@@ -396,19 +383,6 @@ class ParallelShardedRedis:
             for b in self.backends
             if self.system.read_state("Fnt::junction", f"ActiveBackend[{b}]") is True
         ]
-
-    # -- RequestPort -------------------------------------------------------
-
-    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
-        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
-
-        def done(reply: dict | None):
-            if reply is None:
-                on_done(Reply(ok=False))
-            else:
-                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
-
-        self.front.submit(request, done)
 
     def preload(self, commands) -> None:
         for cmd in commands:

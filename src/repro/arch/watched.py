@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..redislite.server import Command, RedisServer, Reply
+from ..redislite.server import Command, RedisServer
 from ..runtime.faults import FaultPlan
 from ..runtime.system import System
 from .loader import load_program
-from .ports import BackApp, FrontApp
+from .ports import BackApp, FrontApp, RedisPort
 
 
 class WatchedService:
@@ -131,7 +131,7 @@ class WatchedService:
         return "both"
 
 
-class WatchedRedis(WatchedService):
+class WatchedRedis(WatchedService, RedisPort):
     """Watched fail-over over two redislite back-ends (RequestPort)."""
 
     def __init__(self, *, cost_model=None, **kw):
@@ -145,17 +145,6 @@ class WatchedRedis(WatchedService):
             return ({"ok": reply.ok, "value": reply.value, "hit": reply.hit}, cost)
 
         super().__init__(make_backend, exec_fn, **kw)
-
-    def submit(self, cmd: Command, on_done: Callable[[Reply], None]) -> None:
-        request = {"op": cmd.op, "key": cmd.key, "value": cmd.value}
-
-        def done(reply: dict | None):
-            if reply is None:
-                on_done(Reply(ok=False))
-            else:
-                on_done(Reply(ok=reply["ok"], value=reply["value"], hit=reply["hit"]))
-
-        self.front.submit(request, done)
 
     def preload(self, commands) -> None:
         for cmd in commands:

@@ -70,9 +70,6 @@ class PartitionLog:
     def size(self) -> int:
         return len(self.records)
 
-    def bytes_stored(self) -> int:
-        return sum(len(r.value) for r in self.records)
-
     def snapshot(self) -> list[list]:
         return [r.as_list() for r in self.records]
 

@@ -2,9 +2,8 @@
 
 Every verb that takes a target resolves it by one rule
 (:func:`repro.arch.loader.open_target`): a shipped architecture name
-(``sharding``, ``failover``, …), else a ``.csaw`` file (the back-end
-placeholders of a parameterized source expanded for four back-ends),
-else — for the verbs that run scripts — a ``.py`` file.  Verbs that *run* a target
+(``sharding``, ``failover``, …), else a ``.csaw`` file, else — for the
+verbs that run scripts — a ``.py`` file.  Verbs that *run* a target
 (``run``, ``cluster``, ``trace``, ``explore``) turn it into a scenario
 (:func:`repro.explore.resolve_scenario`): a shipped name runs its
 catalog row's exploration workload with the real host bindings, a
@@ -23,7 +22,8 @@ Commands:
                   ``--fail-on race,dead,contract`` exits 2 when any
                   unsuppressed *error* finding of those checks remains.
 * ``fmt``       — pretty-print (normalize) an architecture file
-                  (``--write`` only rewrites a plain ``.csaw`` file).
+                  (``--write`` rewrites a ``.csaw`` file, never a
+                  shipped name).
 * ``topo``      — print the communication topology (sec. 8.7's Topo).
 * ``semantics`` — print the event-structure semantics per junction
                   (``--dot`` for Graphviz output).
@@ -59,9 +59,10 @@ Commands:
                   attempts a concrete witness schedule for every static
                   race finding.
 
-Configuration values (set contents, parameters) are supplied as
-``--config name=value`` pairs; values parse as numbers, comma-separated
-lists, or names.
+Configuration values (family sizes, set contents, parameters) are
+supplied as ``--config name=value`` pairs; values parse as numbers,
+comma-separated lists, or names.  ``--config Bck=16`` sizes the
+back-end family ``Bck[4]: Back`` of the sharded architectures.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import sys
 import time
 from pathlib import Path
 
-from .arch.loader import open_target, start_bare
+from .arch.loader import compile_sized, open_target, start_bare
 from .core.compiler import compile_program
 from .core.emit import emit_program
 from .core.errors import CSawError
@@ -135,10 +136,10 @@ def _note(line: str) -> None:
 
 
 def _compiled(args):
-    """The verb's target as ``(source text, compiled program, config)``."""
-    config = _config(args)
+    """The verb's target as ``(source text, compiled program)``; the
+    program carries ``--config``, so tools read it from there."""
     text = open_target(args.file).text
-    return text, compile_program(text, config=config), config
+    return text, compile_program(text, config=_config(args))
 
 
 def _run_script(path: str, capture) -> list:
@@ -170,16 +171,16 @@ def _write_json(payload, path: str, what: str) -> None:
 
 
 def cmd_check(args) -> int:
-    text, prog, config = _compiled(args)
+    text, prog = _compiled(args)
     print(f"OK: {len(prog.source.instance_types)} type(s), "
-          f"{len(prog.source.instances)} instance(s), "
+          f"{len(prog.instance_map())} instance(s), "
           f"{len(prog.junctions)} junction(s), "
           f"{len(prog.source.functions)} function(s)")
     if not args.strict:
         return 0
     from .analysis import fast_checks
 
-    report = fast_checks(prog, config, source_text=text, label=args.file)
+    report = fast_checks(prog, source_text=text, label=args.file)
     sys.stdout.write(report.render_text())
     errors = [f for f in report.unsuppressed() if f.severity == "error"]
     return 2 if errors else 0
@@ -223,7 +224,9 @@ def cmd_analyze(args) -> int:
     reports = [
         analyze_program(
             program,
-            config,
+            # a program compiled here carries ``--config``; one a script
+            # built is analyzed under it
+            config if text is None else None,
             source_text=text,
             label=label,
             deep=not args.fast,
@@ -266,12 +269,10 @@ def cmd_fmt(args) -> int:
     out = emit_program(parse_program(target.text))
     if not args.write:
         sys.stdout.write(out)
-    elif target.kind != "csaw" or target.parameterized:
-        # the formatted text has the placeholders expanded: writing it
-        # back would un-parameterize the source
+    elif target.kind != "csaw":
         raise SystemExit(
-            f"error: fmt --write rewrites a plain .csaw file; {args.file} is a "
-            "shipped architecture or carries placeholders"
+            f"error: fmt --write rewrites a .csaw file; {args.file} is a "
+            "shipped architecture"
         )
     else:
         Path(args.file).write_text(out)
@@ -288,8 +289,7 @@ def cmd_topo(args) -> int:
 
 
 def cmd_semantics(args) -> int:
-    _, prog, config = _compiled(args)
-    sem = denote_program(prog, config)
+    sem = denote_program(_compiled(args)[1])
     if args.dot:
         print(to_dot(sem.startup, "startup"))
         for node, es in sorted(sem.junctions.items()):
@@ -552,7 +552,7 @@ def cmd_reconfigure(args) -> int:
 
     config = _config(args)
     old, new = (
-        compile_program(open_target(target, n_backends=n).text, config=config)
+        compile_sized(open_target(target).text, n, config, what=target)
         for target, n in ((args.old, args.old_backends), (args.new, args.new_backends))
     )
     diff = diff_programs(old, new)
@@ -677,13 +677,13 @@ def _arg(*flags, **kw):
 _SHARED = {
     "target": _arg(
         "file",
-        help="a shipped architecture name, a .csaw file (placeholders "
-             "expanded), or — where the verb runs scripts — a .py script",
+        help="a shipped architecture name, a .csaw file, or — where the "
+             "verb runs scripts — a .py script",
     ),
     "config": _arg(
         "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (sets, parameters) of .csaw sources; "
-             "repeatable",
+        help="load-time configuration (family sizes such as Bck=16, sets, "
+             "parameters) of .csaw sources; repeatable",
     ),
     "engine": _arg(
         "--engine", metavar="SPEC", default=None,
@@ -722,7 +722,7 @@ _VERBS = (
     ("fmt", cmd_fmt, "pretty-print / normalize", (
         "target",
         _arg("--write", action="store_true",
-             help="rewrite in place (plain .csaw files only)"),
+             help="rewrite in place (.csaw files only)"),
     )),
     ("topo", cmd_topo, "print the communication topology", ("target", "config")),
     ("semantics", cmd_semantics, "print event-structure semantics", (
@@ -798,9 +798,11 @@ _VERBS = (
         _arg("new", help="the target architecture: a shipped name or a .csaw file"),
         "config",
         _arg("--old-backends", type=int, default=None, metavar="N",
-             help="back-end count for a parameterized OLD source (sharding)"),
+             help="size of the OLD source's Bck family (--config Bck=N for "
+                  "that side only)"),
         _arg("--new-backends", type=int, default=None, metavar="N",
-             help="back-end count for a parameterized NEW source (sharding)"),
+             help="size of the NEW source's Bck family (--config Bck=N for "
+                  "that side only)"),
         "engine",
         _arg("--at", type=float, default=2.0,
              help="logical time to trigger the transition (default: 2.0)"),

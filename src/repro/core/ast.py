@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .errors import CompileError
 from .formula import Formula
 
 
@@ -634,13 +635,24 @@ class MainDef:
     body: Expr
 
 
+def family_members(name: str, size: object) -> Tuple[str, ...]:
+    """The instances an indexed family ``name[size]`` declares:
+    ``name1 … name<size>`` — the one place that naming rule lives, and
+    the one place a size is checked."""
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise CompileError(f"instance family {name!r} needs a size ≥ 1, got {size!r}")
+    return tuple(f"{name}{i}" for i in range(1, size + 1))
+
+
 @dataclass(frozen=True)
 class Program:
     """A parsed architecture description.
 
-    ``instances`` maps instance name to instance-type name.  ``defs``
-    holds junction definitions keyed by qualified name; ``functions``
-    holds templates keyed by name.
+    ``instances`` maps instance name to instance-type name, one entry
+    per ``x: T`` binding; ``families`` holds each indexed family
+    ``F[n]: T`` as ``(F, n, T)`` — it declares ``F1 … Fn``, and ``F``
+    names their set.  ``defs`` holds junction definitions keyed by
+    qualified name; ``functions`` holds templates keyed by name.
     """
 
     instance_types: Tuple[str, ...]
@@ -648,9 +660,16 @@ class Program:
     main: Optional[MainDef]
     defs: Tuple[JunctionDef, ...] = ()
     functions: Tuple[FunctionDef, ...] = ()
+    families: Tuple[Tuple[str, int, str], ...] = ()
+
+    def all_instances(self) -> Tuple[Tuple[str, str], ...]:
+        """Every instance declared: the bindings, then each family's members."""
+        return self.instances + tuple(
+            (m, t) for name, size, t in self.families for m in family_members(name, size)
+        )
 
     def instance_map(self) -> dict[str, str]:
-        return dict(self.instances)
+        return dict(self.all_instances())
 
     def junctions_of_type(self, type_name: str) -> list[JunctionDef]:
         return [d for d in self.defs if d.type_name == type_name]

@@ -187,10 +187,10 @@ def emit_program(p: A.Program) -> str:
     out: list[str] = []
     if p.instance_types:
         out.append("instance_types { " + ", ".join(p.instance_types) + " }")
-    if p.instances:
-        out.append(
-            "instances { " + ", ".join(f"{n}: {t}" for n, t in p.instances) + " }"
-        )
+    bindings = [f"{n}: {t}" for n, t in p.instances]
+    bindings += [f"{n}[{size}]: {t}" for n, size, t in p.families]
+    if bindings:
+        out.append("instances { " + ", ".join(bindings) + " }")
     if p.main is not None:
         out.append("")
         out.append(f"def main({', '.join(p.main.params)}) =")

@@ -121,13 +121,6 @@ class DeliveryFailure(CommunicationFailure):
     rather than only when their own deadline expires."""
 
 
-class GuardNotSatisfied(CSawError):
-    """A junction was explicitly scheduled while its guard is false.
-
-    This is not a :class:`DslFailure`: the junction simply does not run.
-    """
-
-
 class HostError(DslFailure):
     """A host-language block raised an exception.
 

@@ -90,6 +90,7 @@ class Parser:
     def parse_program(self) -> A.Program:
         instance_types: list[str] = []
         instances: list[tuple[str, str]] = []
+        families: list[tuple[str, int, str]] = []
         main: A.MainDef | None = None
         defs: list[A.JunctionDef] = []
         functions: list[A.FunctionDef] = []
@@ -101,7 +102,7 @@ class Parser:
                 instance_types.extend(self._parse_name_block())
             elif tok.is_kw("instances"):
                 self.advance()
-                instances.extend(self._parse_binding_block())
+                self._parse_binding_block(instances, families)
             elif tok.is_kw("def"):
                 kind, node = self._parse_def()
                 if kind == "main":
@@ -121,6 +122,7 @@ class Parser:
             main=main,
             defs=tuple(defs),
             functions=tuple(functions),
+            families=tuple(families),
         )
 
     def _parse_name_block(self) -> list[str]:
@@ -131,18 +133,27 @@ class Parser:
         self.expect_punct("}")
         return names
 
-    def _parse_binding_block(self) -> list[tuple[str, str]]:
+    def _parse_binding_block(self, instances: list, families: list) -> None:
+        """``{ x: T, F[n]: T, ... }``: bindings and indexed families."""
         self.expect_punct("{")
-        out = []
         while True:
             name = self.expect_ident()
+            size = None
+            if self.accept_punct("["):
+                tok = self.peek()
+                if tok.kind != "number" or not tok.value.isdigit():
+                    raise self.error("expected a whole-number family size")
+                size = int(self.advance().value)
+                self.expect_punct("]")
             self.expect_punct(":")
             type_name = self.expect_ident()
-            out.append((name, type_name))
+            if size is None:
+                instances.append((name, type_name))
+            else:
+                families.append((name, size, type_name))
             if not self.accept_punct(","):
                 break
         self.expect_punct("}")
-        return out
 
     # -- definitions ---------------------------------------------------------
 

@@ -15,7 +15,8 @@ The paper states several validity constraints (secs. 4 and 6):
 * Definitions must be given the right number of parameters (checked at
   expansion for functions; here for ``start``).
 * Instances must name declared instance types; junction definitions
-  must belong to declared types.
+  must belong to declared types.  An indexed family ``F[n]`` has a
+  size ≥ 1, and neither ``F`` nor any of ``F1 … Fn`` is declared twice.
 
 Two entry points:
 
@@ -48,14 +49,16 @@ def validate_program(program: A.Program) -> None:
         dupes = _duplicates(program.instance_types)
         raise ValidationError(f"duplicate instance type name(s): {', '.join(dupes)}")
 
-    inst_names = [n for n, _ in program.instances]
+    instances = program.all_instances()
+    # a family's own name is taken too: it denotes the set of its members
+    inst_names = [n for n, _ in instances] + [f[0] for f in program.families]
     if len(inst_names) != len(set(inst_names)):
         dupes = _duplicates(inst_names)
         raise ValidationError(
             f"duplicate instance name(s): {', '.join(dupes)} — each name in "
             f"`instances {{...}}` must be unique"
         )
-    for name, tname in program.instances:
+    for name, tname in instances:
         if tname not in types:
             raise ValidationError(f"instance {name!r} has undeclared type {tname!r}")
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..arch.catalog import CATALOG, ArchRow
-from ..arch.loader import open_target, start_bare
+from ..arch.loader import BACKENDS, open_target, start_bare
 from ..brokerlite import BrokerRequest, partition_for
 from ..core.compiler import compile_program
 from ..redislite import Command
@@ -233,15 +233,18 @@ class ArchScenario(Scenario):
     run the script of the protocol it speaks (recording a timed
     history), then the row's own drive."""
 
-    def __init__(self, name: str, row: ArchRow):
+    def __init__(self, name: str, row: ArchRow, config: dict | None = None):
         super().__init__(name, row.horizon)
         self.row = row
+        self.sizes = dict(row.explore)
+        if row.backends is not None and BACKENDS in (config or {}):
+            self.sizes[row.backends] = config[BACKENDS]
         self.protocol = _PROTOCOLS.get(row.protocol)
         if self.protocol is not None:
             self.invariants = self.protocol.invariants
 
     def build(self):
-        self.service = svc = self.row.build(seed=0, **self.row.explore)
+        self.service = svc = self.row.build(seed=0, **self.sizes)
         self.system = svc.system
         return svc
 
@@ -358,15 +361,16 @@ _ARCH_SCENARIOS = {
 _RECONFIG_TARGETS = {"reconfig": "sharding", "broker-reconfig": "broker_sharded"}
 
 
-def arch_scenario(name: str) -> Scenario:
-    """The exploration scenario of a shipped architecture."""
+def arch_scenario(name: str, config: dict | None = None) -> Scenario:
+    """The exploration scenario of a shipped architecture (``config``:
+    the ``Bck`` entry sizes a sharded one's deployment)."""
     try:
         make = _ARCH_SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"no exploration scenario for {name!r}; have {sorted(_ARCH_SCENARIOS)}"
         ) from None
-    return make()
+    return make(config)
 
 
 def resolve_scenario(
@@ -391,7 +395,7 @@ def resolve_scenario(
                 opened.text, name=target, config=config, horizon=bare_horizon, note=note
             )
         else:
-            sc = arch_scenario(target)
+            sc = arch_scenario(target, config)
     if horizon is not None:
         sc.horizon = horizon
     return sc

@@ -15,6 +15,9 @@ Categories mirror what the reconfiguration planner needs:
   at runtime it is stopped and started fresh, there is no state to carry
   across a type change),
 * instance types added / removed,
+* the indexed instance families, when their declarations differ — a
+  reshard of one source is this one argument (``~ family Bck[5]: Back``)
+  beside the instances and the set-naming templates it implies,
 * junction templates added / changed / removed (templates of newly
   added types ride along, making the diff an applicable patch),
 * a changed ``main`` start-up expression (new parameter defaults, new
@@ -44,6 +47,9 @@ class ArchDiff:
     types_added: tuple[str, ...] = ()
     #: instance-type names present only in the old program
     types_removed: tuple[str, ...] = ()
+    #: the new program's ``(name, size, type)`` family declarations when
+    #: they differ from the old one's (``()``: none are left)
+    families: tuple[tuple[str, int, str], ...] | None = None
     #: new templates for junctions that are new or changed — including
     #: the junctions of newly added types, so the diff alone suffices
     #: to reconstruct the target program
@@ -66,6 +72,7 @@ class ArchDiff:
             or self.instances_removed
             or self.types_added
             or self.types_removed
+            or self.families is not None
             or self.junctions_changed
             or self.junctions_removed
             or self.main_changed
@@ -85,6 +92,10 @@ class ArchDiff:
             lines.append(f"+ type {tname}")
         for tname in self.types_removed:
             lines.append(f"- type {tname}")
+        for name, size, tname in self.families or ():
+            lines.append(f"~ family {name}[{size}]: {tname}")
+        if self.families == ():
+            lines.append("- families")
         for cj in self.junctions_changed:
             lines.append(f"~ junction {cj.qualified}")
         for tname, jname in self.junctions_removed:
@@ -158,11 +169,13 @@ def diff_programs(old: CompiledProgram, new: CompiledProgram) -> ArchDiff:
         if key not in new.config:
             config_removed.append(key)
 
+    families = tuple(sorted(new.source.families))
     return ArchDiff(
         instances_added=tuple(sorted(added)),
         instances_removed=tuple(sorted(removed)),
         types_added=types_added,
         types_removed=types_removed,
+        families=None if families == tuple(sorted(old.source.families)) else families,
         junctions_changed=tuple(junctions_changed),
         junctions_removed=tuple(junctions_removed),
         new_main=new.main if main_changed else None,
@@ -190,7 +203,10 @@ def apply_diff(old: CompiledProgram, diff: ArchDiff) -> CompiledProgram:
         if name not in removed_names
     ]
     instances += [pair for pair in diff.instances_added]
-    instances.sort()
+    # a family's members are declared by ``families``, not one by one
+    families = old.source.families if diff.families is None else diff.families
+    members = {m for name, size, _ in families for m in A.family_members(name, size)}
+    instances = sorted(pair for pair in instances if pair[0] not in members)
 
     types = [t for t in old.source.instance_types if t not in diff.types_removed]
     types += [t for t in diff.types_added if t not in types]
@@ -228,6 +244,7 @@ def apply_diff(old: CompiledProgram, diff: ArchDiff) -> CompiledProgram:
             for j in junctions
         ),
         functions=(),
+        families=families,
     )
     return CompiledProgram(
         source=source,
@@ -249,6 +266,7 @@ def program_signature(p: CompiledProgram):
     return (
         frozenset(p.source.instance_types),
         tuple(sorted(p.instance_map().items())),
+        tuple(sorted(p.source.families)),
         tuple(
             sorted(
                 (j.type_name, j.name, j.params, j.decls, j.body)

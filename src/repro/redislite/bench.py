@@ -164,10 +164,6 @@ class BenchResults:
                 count += h.count
         return total / count if count else float("nan")
 
-    def latency_histogram(self, op: str):
-        """The per-op latency histogram (bucketized shape for reports)."""
-        return self.metrics.histogram("bench_latency_seconds", op=op)
-
 
 class BenchDriver:
     """Closed-loop driver: ``clients`` concurrent synthetic clients."""

@@ -272,10 +272,6 @@ class ClusterTransport(Transport):
 
     # -- delivery -----------------------------------------------------------
 
-    def _link_for_instance(self, inst: str) -> _WorkerLink | None:
-        name = self.owner.get(inst)
-        return self.links.get(name) if name is not None else None
-
     def deliver(self, msg, latency, dispatch, *, label=None, footprint=None):
         self.in_flight += 1
         self.clock.call_after(latency, lambda m=msg: self._transmit(m, dispatch))

@@ -13,7 +13,7 @@ only participate once started — by ``main``, by another junction's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from ..core import ast as A
 from ..core.compiler import CompiledJunction
@@ -187,9 +187,6 @@ class JunctionRuntime:
 
     def checkpoint(self) -> dict[str, object]:
         return self.table.snapshot()
-
-    def restore_checkpoint(self, snap: Mapping[str, object]) -> None:
-        self.table.values.update(snap)
 
 
 def _set_elements(s: object) -> tuple:

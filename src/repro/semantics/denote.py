@@ -24,7 +24,7 @@ the formal rule; the paper's figures sometimes merge them into a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..core import ast as A
@@ -284,7 +284,7 @@ class Denoter:
         preds: dict[int, set[int]] = {}
         for a, b in body_clo:
             preds.setdefault(b, set()).add(a)
-        for ev in body.events:
+        for ev in body.in_order():
             copy, _m = handler.copy_fresh()
             events |= copy.events
             le |= set(copy.le)
@@ -377,7 +377,7 @@ def expand_waits(es: ES, junction: str, budget: int = 32) -> ES:
     from ..core.parser import parse_formula
 
     for _ in range(budget):
-        waits = [e for e in es.events if isinstance(e.label, WaitL)]
+        waits = [e for e in es.in_order() if isinstance(e.label, WaitL)]
         if not waits:
             return es
         es = _expand_one(es, waits[0], junction, parse_formula)

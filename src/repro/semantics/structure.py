@@ -46,11 +46,11 @@ class EventStructure:
 
     # -- lookups -----------------------------------------------------------
 
-    def by_id(self, eid: int) -> Event:
-        for e in self.events:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
+    def in_order(self) -> list[Event]:
+        """The events in identifier (creation) order.  Whatever allocates
+        fresh identifiers per event iterates this, never the set, so the
+        numbering does not depend on the hash seed."""
+        return sorted(self.events, key=lambda e: e.id)
 
     @property
     def ids(self) -> frozenset:
@@ -201,7 +201,7 @@ class EventStructure:
         id bijection old→new."""
         mapping: dict[int, int] = {}
         new_events = []
-        for e in self.events:
+        for e in self.in_order():
             ne = fresh_event(e.label, e.outward)
             mapping[e.id] = ne.id
             new_events.append(ne)

@@ -23,7 +23,7 @@ reference each other (including recursively).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ..core.errors import SerdeError
 
 
@@ -112,9 +112,6 @@ class Struct(CType):
 
     name: str
     fields: tuple[Field, ...]
-
-    def field_map(self) -> dict[str, object]:
-        return {f.name: f.type for f in self.fields}
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,3 @@ class Packet:
     size: int
     payload: bytes = b""
     app: str = "unknown"  # generator annotation (http/dns/... )
-
-    def five_tuple(self) -> FiveTuple:
-        return self.flow

@@ -29,7 +29,7 @@ class TestLoader:
 
     def test_n_backends_only_for_sharding(self):
         with pytest.raises(ValueError):
-            load_source("caching", n_backends=2)
+            load_program("caching", n_backends=2)
 
     def test_backend_names(self):
         assert backend_names(2) == ["Bck1", "Bck2"]

@@ -106,11 +106,25 @@ class TestProgramEmission:
         p = parse_program(load_source(name))
         assert parse_program(emit_program(p)) == p
 
+    def test_family_emits_as_declared_and_is_a_fixed_point(self):
+        src = (
+            "instance_types { F, B }\n"
+            "instances { f: F, g: F, Bck[3]: B }\n"
+            "\n"
+            "def main() =\n"
+            "  start f () + (for b in Bck + start b ())\n"
+        )
+        assert emit_program(parse_program(src)) == src
+        # a family declared first formats to the same program
+        moved = src.replace("f: F, g: F, Bck[3]: B", "Bck[3]: B, f: F, g: F")
+        assert parse_program(moved) == parse_program(src)
+        assert emit_program(parse_program(moved)) == src
+
     @pytest.mark.parametrize("name", ["sharding", "parallel_sharding"])
     def test_roundtrip_sharding(self, name):
         from repro.arch.loader import load_source
 
-        p = parse_program(load_source(name, n_backends=4))
+        p = parse_program(load_source(name))
         assert parse_program(emit_program(p)) == p
 
     def test_emits_all_decl_kinds(self):

@@ -125,9 +125,12 @@ def _normalize(e):
     return e
 
 
-@given(st.lists(st.tuples(names, st.booleans()), min_size=1, max_size=4, unique_by=lambda t: t[0]))
+@given(
+    st.lists(st.tuples(names, st.booleans()), min_size=1, max_size=4, unique_by=lambda t: t[0]),
+    st.lists(st.tuples(names, st.integers(1, 9), st.just("T")), max_size=2, unique_by=lambda t: t[0]),
+)
 @settings(max_examples=50)
-def test_program_emit_parse_roundtrip(props):
+def test_program_emit_parse_roundtrip(props, families):
     decls = tuple(A.InitProp(n, v) for n, v in props)
     prog = A.Program(
         instance_types=("T",),
@@ -135,5 +138,6 @@ def test_program_emit_parse_roundtrip(props):
         main=A.MainDef((), A.Start(A.ref("x"), ())),
         defs=(A.JunctionDef("T", "j", (), decls, A.Skip()),),
         functions=(),
+        families=tuple(families),
     )
     assert parse_program(emit_program(prog)) == prog

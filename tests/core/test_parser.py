@@ -62,6 +62,26 @@ class TestPrograms:
         )
         assert p.instance_map() == {"f": "F", "b1": "B", "b2": "B"}
 
+    def test_indexed_family_beside_plain_bindings(self):
+        p = parse_program(
+            """
+            instance_types { F, B }
+            instances { f: F, Bck[3]: B, g: F }
+            def main() = start f() + for b in Bck + start b()
+            def F::j() = skip
+            """
+        )
+        assert p.instances == (("f", "F"), ("g", "F"))
+        assert p.families == (("Bck", 3, "B"),)
+        assert p.instance_map() == {
+            "f": "F", "g": "F", "Bck1": "B", "Bck2": "B", "Bck3": "B",
+        }
+
+    @pytest.mark.parametrize("size", ("2.5", "n", "", "-1"))
+    def test_family_size_is_a_whole_number(self, size):
+        with pytest.raises(ParseError, match="whole-number family size|expected"):
+            parse_program(f"instance_types {{ B }} instances {{ Bck[{size}]: B }}")
+
 
 class TestDeclarations:
     def _decls(self, decl_text):
@@ -404,5 +424,6 @@ class TestPaperPrograms:
     def test_sharding_parses_with_backends(self):
         from repro.arch.loader import load_source
 
-        p = parse_program(load_source("sharding", n_backends=4))
-        assert len(p.instances) == 5
+        p = parse_program(load_source("sharding"))
+        assert p.families == (("Bck", 4, "Back"),)
+        assert len(p.all_instances()) == 5

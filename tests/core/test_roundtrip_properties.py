@@ -142,12 +142,18 @@ def programs():
         ),
     )
     peer = A.JunctionDef("TG", "j", ("q",), decls, A.Skip())
-    return stmts().map(
-        lambda body: A.Program(
+    families = st.lists(
+        st.tuples(st.sampled_from(("Bck", "Wrk")), st.integers(1, 5), st.just("TG")),
+        max_size=2,
+        unique_by=lambda f: f[0],
+    )
+    return st.tuples(stmts(), families).map(
+        lambda t: A.Program(
             instance_types=("T", "TG"),
             instances=(("x", "T"), ("g", "TG")),
             main=main,
-            defs=(A.JunctionDef("T", "j", ("q",), decls, body), peer),
+            defs=(A.JunctionDef("T", "j", ("q",), decls, t[0]), peer),
+            families=tuple(t[1]),
         )
     )
 

@@ -49,6 +49,38 @@ class TestProgramValidation:
         with pytest.raises(ValidationError):
             validate_program(p)
 
+    @pytest.mark.parametrize(
+        "bindings, dupe",
+        (("Bck1: T, Bck[2]: T", "Bck1"), ("Bck[2]: T, Bck2: T", "Bck2"),
+         ("Bck: T, Bck[2]: T", "Bck"), ("Bck[2]: T, Bck[3]: T", "Bck1, Bck2, Bck")),
+        ids=("member-after", "member-before", "family-name", "two-families"),
+    )
+    def test_family_member_clashes_with_another_declaration(self, bindings, dupe):
+        p = prog(
+            f"""
+            instance_types {{ T }}
+            instances {{ {bindings} }}
+            def main() = start Bck1()
+            """
+        )
+        with pytest.raises(
+            ValidationError, match=rf"duplicate instance name\(s\): {dupe} "
+        ):
+            validate_program(p)
+
+    def test_family_size_is_checked_once_with_the_family_named(self):
+        from repro.core.errors import CompileError
+
+        p = prog(
+            """
+            instance_types { T }
+            instances { Bck[0]: T }
+            def main() = start Bck1()
+            """
+        )
+        with pytest.raises(CompileError, match="'Bck' needs a size ≥ 1, got 0"):
+            validate_program(p)
+
     def test_duplicate_instance_names_the_duplicates(self):
         p = prog(
             """

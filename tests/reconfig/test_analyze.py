@@ -15,8 +15,8 @@ a non-empty diff, and ``apply_diff`` reconstructs the target up to
 
 import pytest
 
-from repro.analysis import analyze_source
-from repro.arch.loader import ARCHITECTURES, load_source
+from repro.analysis import analyze_program
+from repro.arch.loader import ARCHITECTURES, load_program, load_source
 from repro.core.compiler import compile_program
 from repro.reconfig import apply_diff, diff_programs, program_signature
 
@@ -29,14 +29,14 @@ def _fmt(findings):
     return "\n".join(f"{f.kind} at {f.node} (key {f.key!r})" for f in findings)
 
 
-def assert_green(text, label):
-    report = analyze_source(text, label=label)
+def assert_green(program, label):
+    report = analyze_program(program, label=label)
     assert _errors(report) == [], _fmt(_errors(report))
 
 
 @pytest.mark.parametrize("name", ARCHITECTURES)
 def test_shipped_source_is_green(name):
-    assert_green(load_source(name), name)
+    assert_green(load_program(name), name)
 
 
 # -- generated reconfiguration targets --------------------------------------
@@ -48,8 +48,10 @@ def swap_variants():
     for program_name in ("failover", "failover_fast"):
         yield (
             f"{program_name}:b2->b3",
-            load_source(program_name),
-            swap_backend_source("b2", "b3", program_name=program_name),
+            compile_program(load_source(program_name)),
+            compile_program(
+                swap_backend_source("b2", "b3", program_name=program_name)
+            ),
         )
 
 
@@ -58,8 +60,8 @@ def reshard_variants():
         for n_old, n_new in ((2, 3), (2, 4), (3, 5)):
             yield (
                 f"{name}:{n_old}->{n_new}",
-                load_source(name, n_backends=n_old),
-                load_source(name, n_backends=n_new),
+                load_program(name, n_backends=n_old),
+                load_program(name, n_backends=n_new),
             )
 
 
@@ -76,12 +78,48 @@ def test_generated_target_is_green(label):
 
 @pytest.mark.parametrize("label", sorted(TRANSITIONS))
 def test_transition_diff_applies(label):
-    old_text, new_text = TRANSITIONS[label]
-    old = compile_program(old_text)
-    new = compile_program(new_text)
+    old, new = TRANSITIONS[label]
     d = diff_programs(old, new)
     assert not d.is_empty, label
     assert program_signature(apply_diff(old, d)) == program_signature(new)
     # and the reverse direction patches back
     back = diff_programs(new, old)
     assert program_signature(apply_diff(new, back)) == program_signature(old)
+
+
+@pytest.mark.parametrize("name", ("sharding", "parallel_sharding", "broker_sharded"))
+def test_a_reshard_is_a_diff_of_one_argument(name):
+    old, new = (load_program(name, n_backends=n) for n in (4, 5))
+    lines = diff_programs(old, new).summary().splitlines()
+    # the family's new size, the instance it declares, and the two
+    # templates that name the family's set — nothing else
+    assert lines == [
+        "+ instance Bck5: Back",
+        "~ family Bck[5]: Back",
+        "~ junction Front::junction",
+        "~ main",
+    ]
+    assert diff_programs(load_program(name), old).is_empty  # 4 is the default
+
+
+def test_a_family_comes_and_goes_with_its_program():
+    sharded, cached = load_program("sharding", n_backends=2), load_program("caching")
+    there, back = diff_programs(sharded, cached), diff_programs(cached, sharded)
+    assert "- families" in there.summary() and "~ family Bck[2]: Back" in back.summary()
+    assert program_signature(apply_diff(sharded, there)) == program_signature(cached)
+    assert program_signature(apply_diff(cached, back)) == program_signature(sharded)
+    assert apply_diff(cached, back).family("Bck") == ("Bck1", "Bck2")
+
+
+@pytest.mark.parametrize("size", (0, -2, 2.5, True, "4"))
+def test_bad_size_is_one_error_naming_the_family(size):
+    from repro.arch.sharding import ShardedRedis
+    from repro.core.errors import CompileError
+
+    for build in (
+        lambda: load_program("sharding", n_backends=size),
+        lambda: compile_program(load_source("sharding"), config={"Bck": size}),
+        lambda: ShardedRedis(n_shards=size),
+    ):
+        with pytest.raises(CompileError, match="instance family 'Bck' needs a size ≥ 1"):
+            build()
