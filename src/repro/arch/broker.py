@@ -27,10 +27,8 @@ from __future__ import annotations
 from typing import Callable
 
 from ..brokerlite import BrokerReply, BrokerRequest, BrokerServer, partition_for
-from ..runtime.system import System
 from .failover import FailoverService
-from .loader import BACKENDS, backend_names, load_program
-from .ports import BackApp, FrontApp
+from .ports import BackApp, FamilyService, FrontApp, Roles
 
 
 def request_to_dict(req: BrokerRequest) -> dict:
@@ -77,7 +75,38 @@ def reply_from_dict(d: dict | None) -> BrokerReply:
     )
 
 
-class ShardedBroker:
+def broker_exec(app: BackApp, request: dict, now: float) -> tuple[dict, float]:
+    """The ``exec_fn`` of a back-end whose payload is a ``BrokerServer``."""
+    reply, cost = app.payload.execute(request_from_dict(request), now=now)
+    return reply_to_dict(reply), cost
+
+
+class BrokerPort:
+    """The client side of a broker service over ``n_partitions``
+    partitions whose ``front`` is a :class:`FrontApp`."""
+
+    front: FrontApp
+    n_partitions: int
+
+    def partition_of(self, request: dict) -> int:
+        """The owning partition: key hash for PUB, the carried
+        partition number (mod N, so stale clients stay in range)
+        otherwise."""
+        if request["op"].upper() == "PUB":
+            return partition_for(request["key"], self.n_partitions)
+        return request.get("partition", 0) % self.n_partitions
+
+    def submit(self, req: BrokerRequest, on_done: Callable[[BrokerReply], None]) -> None:
+        self.front.submit(request_to_dict(req), lambda d: on_done(reply_from_dict(d)))
+
+
+_SHARDED_ROLES = Roles(
+    front="Front", node="Fnt::junction", backs=("Back",),
+    first="Route", respond="Deliver", execute="Apply", request="rec", reply="ack",
+)
+
+
+class ShardedBroker(FamilyService, BrokerPort):
     """brokerlite partitioned over N back-end instances.
 
     Partition ``i`` lives on back-end instance ``i`` (``Bck{i+1}``);
@@ -95,104 +124,25 @@ class ShardedBroker:
         seed: int = 0,
     ):
         self.n_partitions = n_partitions
-        self._cost_model = cost_model
         self.timeout = timeout
-        self.program = load_program("broker_sharded", n_backends=n_partitions)
-        self.system = System(self.program, latency=latency, seed=seed)
-        self.backends = backend_names(n_partitions)
+        super().__init__(
+            "broker_sharded", _SHARDED_ROLES, FrontApp,
+            lambda inst: BackApp(
+                BrokerServer(name=f"partition{self._index(inst)}", cost=cost_model)
+            ),
+            broker_exec, n_backends=n_partitions, latency=latency, seed=seed,
+        )
         self.partition_counts = [0] * n_partitions
+        self._start(t=timeout)
 
-        sys_ = self.system
-        self.front = FrontApp(sys_, "Fnt::junction")
-        sys_.bind_app("Front", lambda inst: self.front)
-        # the index is the back-end's position in the family of the
-        # program running *now*, so back-ends added by a live
-        # re-partitioning own the right partition
-        sys_.bind_app("Back", lambda inst: BackApp(BrokerServer(
-            name=f"partition{sys_.program.family(BACKENDS).index(inst.name)}",
-            cost=cost_model,
-        )))
-
-        @sys_.host("Front", "Route")
-        def _route(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("broker front scheduled with no pending request")
-            p = self.partition_of(req)
-            req["partition"] = p  # the owner appends/reads its own log
-            self.partition_counts[p] += 1
-            ctx.set("tgt", self.backends[p])
-            ctx.take(5e-6)
-
-        @sys_.host("Front", "Deliver")
-        def _deliver(ctx):
-            ctx.app.respond()
-
-        @sys_.host("Front", "Complain")
-        def _complain(ctx):
-            ctx.app.fail_current()
-
-        @sys_.host("Back", "Apply")
-        def _apply(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            server: BrokerServer = app.payload
-            reply, cost = server.execute(request_from_dict(app.current), now=ctx.now)
-            app.set_reply(reply_to_dict(reply))
-            ctx.take(cost)
-
-        @sys_.host("Back", "Complain")
-        def _back_complain(ctx):
-            pass
-
-        sys_.bind_state(
-            "Front", data_name="rec",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "Front", data_name="ack",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: app.set_reply(obj),
-        )
-        sys_.bind_state(
-            "Back", data_name="rec",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.bind_state(
-            "Back", data_name="ack",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: None,
-        )
-
-        sys_.start(t=timeout)
-
-    @property
-    def sim(self):
-        return self.system.sim
-
-    def backend_app(self, partition: int) -> BackApp:
-        return self.system.instance(self.backends[partition]).app
+    def _route(self, ctx, request: dict) -> None:
+        p = self.partition_of(request)
+        request["partition"] = p  # the owner appends/reads its own log
+        self.partition_counts[p] += 1
+        ctx.set("tgt", self.backends[p])
 
     def server(self, partition: int) -> BrokerServer:
         return self.backend_app(partition).payload
-
-    def partition_of(self, request: dict) -> int:
-        """The owning partition: key hash for PUB, the carried
-        partition number (mod N, so stale clients stay in range)
-        otherwise."""
-        if request["op"].upper() == "PUB":
-            return partition_for(request["key"], self.n_partitions)
-        return request.get("partition", 0) % self.n_partitions
-
-    # -- client API ----------------------------------------------------------
-
-    def submit(self, req: BrokerRequest, on_done: Callable[[BrokerReply], None]) -> None:
-        self.front.submit(request_to_dict(req), lambda d: on_done(reply_from_dict(d)))
 
     def publish(self, key: str, value: bytes, on_done: Callable[[BrokerReply], None]) -> None:
         self.submit(BrokerRequest(op="PUB", partition=0, key=key, value=value), on_done)
@@ -210,8 +160,6 @@ class ShardedBroker:
     def records_stored(self) -> int:
         return sum(self.partition_sizes())
 
-    # -- live re-partitioning ------------------------------------------------
-
     def reconfigure_partitions(self, n_partitions: int, *, quiesce_grace: float = 5.0):
         """Change the partition count through a live reconfiguration
         with zero dropped requests.  The state-transfer step drains
@@ -225,46 +173,27 @@ class ShardedBroker:
         at-least-once — the reason real brokers forbid shrinking
         partition counts.  Returns the
         :class:`~repro.reconfig.ReconfigReport`."""
-        if n_partitions == self.n_partitions:
-            return self.system.reconfigure(quiesce_grace=quiesce_grace)
-        old_backends = list(self.backends)
-        new_backends = backend_names(n_partitions)
-        new_program = load_program("broker_sharded", n_backends=n_partitions)
 
-        def transfer(system: System, removed_apps: dict) -> None:
+        def move(sources: list[BrokerServer], targets: list[BrokerServer]) -> None:
             drained = []
-            for name in old_backends:
-                app = (
-                    removed_apps.get(name)
-                    if name in removed_apps
-                    else system.instances[name].app
-                )
-                if app is not None:
-                    records, _cost = app.payload.drain_records()
-                    drained.extend(records)
-                    app.payload.commits = {}
-            targets = {
-                name: system.instance(name).app.payload for name in new_backends
-            }
+            for server in sources:
+                records, _cost = server.drain_records()
+                drained.extend(records)
+                server.commits = {}
             for rec in drained:
                 p = partition_for(rec.key, n_partitions)
-                targets[new_backends[p]].partition(p).append(rec.key, rec.value, ts=rec.ts)
-            # routing switches here, inside the cutover: resume replays
-            # the buffered requests before ``reconfigure`` returns, and
-            # they must be routed over the partitions just rebound (a
-            # rolled-back transition never reaches the transfer step)
+                targets[p].partition(p).append(rec.key, rec.value, ts=rec.ts)
+
+        def switch() -> None:
             self.n_partitions = n_partitions
-            self.backends = new_backends
             self.partition_counts = (
                 self.partition_counts + [0] * n_partitions
             )[:n_partitions]
 
-        return self.system.reconfigure(
-            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
-        )
+        return self._resize(n_partitions, move, switch, quiesce_grace=quiesce_grace)
 
 
-class ReplicatedBroker(FailoverService):
+class ReplicatedBroker(FailoverService, BrokerPort):
     """brokerlite behind the fail-over front-end: every command fans
     out to all registered replicas, so each replica's partition logs
     are full copies (warm replication).  Inherits the PR 8 leader-swap
@@ -272,30 +201,16 @@ class ReplicatedBroker(FailoverService):
 
     def __init__(self, *, cost_model=None, n_partitions: int = 4, **kw):
         self.n_partitions = n_partitions
-
-        def make_backend(i: int) -> BrokerServer:
-            return BrokerServer(name=f"replica{i}", cost=cost_model)
-
-        def exec_fn(app: BackApp, request: dict, now: float):
-            server: BrokerServer = app.payload
-            reply, cost = server.execute(request_from_dict(request), now=now)
-            return reply_to_dict(reply), cost
-
         kw.setdefault("program_name", "broker_failover")
-        super().__init__(make_backend, exec_fn, **kw)
+        super().__init__(
+            lambda i: BrokerServer(name=f"replica{i}", cost=cost_model), broker_exec, **kw
+        )
 
-    def partition_of(self, request: dict) -> int:
-        if request["op"].upper() == "PUB":
-            return partition_for(request["key"], self.n_partitions)
-        return request.get("partition", 0) % self.n_partitions
-
-    def submit(self, req: BrokerRequest, on_done: Callable[[BrokerReply], None]) -> None:
-        d = request_to_dict(req)
-        d["partition"] = self.partition_of(d)
-        self.front.submit(d, lambda r: on_done(reply_from_dict(r)))
+    def _route(self, ctx, request: dict) -> None:
+        request["partition"] = self.partition_of(request)
 
     def preload(self, records) -> None:
         for key, value in records:
             p = partition_for(key, self.n_partitions)
-            for idx in range(len(self.back_instances())):
-                self.backend_app(idx).payload.partition(p).append(key, value)
+            for b in self.back_instances():
+                self.system.instance(b).app.payload.partition(p).append(key, value)

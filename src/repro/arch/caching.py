@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..redislite.server import Command, CostModel, RedisServer
+from ..redislite.server import CostModel, RedisServer
 from ..runtime.system import System
-from .loader import load_program
-from .ports import BackApp, FrontApp, RedisPort
+from .ports import BackApp, FrontApp, RedisPort, RequestReply, Roles, redis_exec
 
 
 class LruCache:
@@ -63,7 +62,14 @@ class _CacheApp(FrontApp):
         self.lookup_hit = False
 
 
-class CachedRedis(RedisPort):
+_ROLES = Roles(
+    front="CacheT", node="Cache::junction", backs=("FunT",),
+    first="CheckCacheable", respond="Respond", execute="F", request="n", reply="m",
+    cost=1e-6,
+)
+
+
+class CachedRedis(RequestReply, RedisPort):
     """Redis behind the Fig. 7 caching layer (RequestPort).
 
     ``lookup_cost`` models the cache probe; it must be far below the
@@ -81,30 +87,16 @@ class CachedRedis(RedisPort):
         lookup_cost: float = 5e-6,
         seed: int = 0,
     ):
-        self.program = load_program("caching")
-        self.system = System(self.program, latency=latency, seed=seed)
         self.cache = LruCache(capacity)
         self.lookup_cost = lookup_cost
-        sys_ = self.system
-
-        self.front = _CacheApp(sys_, "Cache::junction", self.cache)
-        sys_.bind_app("CacheT", lambda inst: self.front)
         self.server = RedisServer(name="fun", cost=cost_model)
-        sys_.bind_app("FunT", lambda inst: BackApp(self.server))
-
-        @sys_.host("CacheT", "CheckCacheable")
-        def _check(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("cache front scheduled with no pending request")
-            cacheable = req["op"] == "GET"
-            if req["op"] == "SET":
-                ctx.app.cache.invalidate(req["key"])
-            ctx.app.lookup_hit = False
-            ctx.set("Cacheable", cacheable)
-            ctx.take(1e-6)
+        super().__init__(
+            "caching", _ROLES,
+            lambda system, node: _CacheApp(system, node, self.cache),
+            lambda inst: BackApp(self.server), redis_exec,
+            latency=latency, seed=seed,
+        )
+        sys_ = self.system
 
         @sys_.host("CacheT", "LookupCache")
         def _lookup(ctx):
@@ -126,55 +118,14 @@ class CachedRedis(RedisPort):
                 ctx.app.cache.put(req["key"], reply["value"])
             ctx.take(1e-6)
 
-        @sys_.host("CacheT", "Respond")
-        def _respond(ctx):
-            ctx.app.respond()
+        self._start(t=timeout)
 
-        @sys_.host("CacheT", "Complain")
-        def _complain(ctx):
-            ctx.app.fail_current()
-
-        @sys_.host("FunT", "F")
-        def _fun(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            req = app.current
-            cmd = Command(req["op"], req["key"], req.get("value", b""))
-            reply, cost = self.server.execute(cmd, now=ctx.now)
-            app.set_reply({"ok": reply.ok, "value": reply.value, "hit": reply.hit})
-            ctx.take(cost)
-
-        @sys_.host("FunT", "Complain")
-        def _fun_complain(ctx):
-            pass
-
-        sys_.bind_state(
-            "CacheT", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "CacheT", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: app.set_reply(obj),
-        )
-        sys_.bind_state(
-            "FunT", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.bind_state(
-            "FunT", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: None,
-        )
-
-        sys_.start(t=timeout)
-
-    @property
-    def sim(self):
-        return self.system.sim
+    def _route(self, ctx, request: dict) -> None:
+        """``CheckCacheable``: GETs are; a SET invalidates the entry."""
+        if request["op"] == "SET":
+            ctx.app.cache.invalidate(request["key"])
+        ctx.app.lookup_hit = False
+        ctx.set("Cacheable", request["op"] == "GET")
 
     def preload(self, commands) -> None:
         for cmd in commands:

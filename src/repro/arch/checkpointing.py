@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from ..runtime.engine import SimEngine
-from ..runtime.faults import FaultPlan
 from ..runtime.system import System
 from .loader import load_program
+from .ports import Service
 
 
 class Checkpointable(Protocol):
@@ -55,7 +55,7 @@ class _AudApp:
         self.snapshots_stored += 1
 
 
-class CheckpointedService:
+class CheckpointedService(Service):
     """Periodic checkpointing + crash recovery for a substrate.
 
     ``stall`` is how the architecture freezes the protected service —
@@ -125,15 +125,11 @@ class CheckpointedService:
             restore=lambda app, inst, obj: app.store(obj),
         )
 
-        sys_.start(t=timeout)
+        self._start(t=timeout)
 
     def _stall(self, cost: float) -> None:
         if cost > 0:
             self._stall_fn(cost)
-
-    @property
-    def sim(self):
-        return self.system.sim
 
     # -- harness controls ---------------------------------------------------
 
@@ -153,6 +149,3 @@ class CheckpointedService:
         """Restart the crashed Act and push the last snapshot back."""
         self.system.restart_instance("Act")
         self.system.external_update("Aud::restorer", "RestoreReq", True)
-
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(self.system)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..core.errors import DslFailure
 from ..runtime.system import System
-from .loader import load_program
-from .ports import BackApp, FrontApp
+from .ports import BackApp, FrontApp, RequestReply, Roles
 
 WORKERS = ("Wrk1", "Wrk2", "Wrk3", "Wrk4")
 
@@ -31,7 +31,14 @@ class _ElasticFront(FrontApp):
         self.next_id = 0
 
 
-class ElasticWorkers:
+_ROLES = Roles(
+    front="Front", node="Fnt::route", backs=("Worker",),
+    first="Choose", respond=None, execute="Exec", request="n", reply=None,
+    cost=0.0,
+)
+
+
+class ElasticWorkers(RequestReply):
     """A job service whose worker pool grows and shrinks at runtime."""
 
     def __init__(
@@ -43,47 +50,11 @@ class ElasticWorkers:
         seed: int = 0,
     ):
         self.unit_cost = unit_cost
-        self.program = load_program("elastic")
-        self.system = System(self.program, latency=latency, seed=seed)
+        super().__init__(
+            "elastic", _ROLES, _ElasticFront, lambda inst: BackApp(inst.name),
+            self._run_job, latency=latency, seed=seed,
+        )
         sys_ = self.system
-
-        self.front = _ElasticFront(sys_, "Fnt::route")
-        sys_.bind_app("Front", lambda inst: self.front)
-        sys_.bind_app("Worker", lambda inst: BackApp(inst.name))
-
-        @sys_.host("Front", "Choose")
-        def _choose(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("elastic front scheduled with no job")
-            app = ctx.app
-            if not app.active:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("no running workers")
-            app.rr = (app.rr + 1) % len(app.active)
-            ctx.set("tgt", app.active[app.rr])
-            # dispatch is asynchronous: the route junction does not wait
-            # for the result, so the next job can be chosen immediately
-            app.current, app.current_done = app.current, None
-            app._dispatched = app.current
-            app._rearm()
-
-        @sys_.host("Front", "Complain")
-        def _complain(ctx):
-            if ctx.junction == "route":
-                # dispatch failed: fail the job that was being shipped
-                job_id = (getattr(ctx.app, "_dispatched", None) or {}).get("id")
-                cb = ctx.app.jobs.pop(job_id, None)
-                if cb is not None:
-                    cb(None)
-                ctx.app.current = None
-                ctx.app._rearm()
-            elif ctx.app.scale_done is not None:
-                cb, ctx.app.scale_done = ctx.app.scale_done, None
-                cb(False)
 
         @sys_.host("Front", "PlanScale")
         def _plan(ctx):
@@ -109,40 +80,42 @@ class ElasticWorkers:
                 cb, ctx.app.scale_done = ctx.app.scale_done, None
                 cb(True)
 
-        @sys_.host("Worker", "Exec")
-        def _exec(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            units = app.current.get("units", 1)
-            ctx.take(units * self.unit_cost)
-            app.executed += 1
-            # deliver the result out of band (application-level), as
-            # dispatch was asynchronous
-            cb = self.front.jobs.pop(app.current.get("id"), None)
+        self._start(t=timeout)
+
+    def _route(self, ctx, request: dict) -> None:
+        app = ctx.app
+        if not app.active:
+            raise DslFailure("no running workers")
+        app.rr = (app.rr + 1) % len(app.active)
+        ctx.set("tgt", app.active[app.rr])
+        # dispatch is asynchronous: the route junction does not wait
+        # for the result, so the next job can be chosen immediately
+        app.current_done = None
+        app._dispatched = app.current
+        app._rearm()
+
+    def _complain(self, ctx) -> None:
+        if ctx.junction == "route":
+            # dispatch failed: fail the job that was being shipped
+            job_id = (getattr(ctx.app, "_dispatched", None) or {}).get("id")
+            cb = ctx.app.jobs.pop(job_id, None)
             if cb is not None:
-                result = {"worker": app.payload, "units": units}
-                ctx.system.sim.call_after(0.0, lambda r=result, c=cb: c(r))
+                cb(None)
+            ctx.app.current = None
+            ctx.app._rearm()
+        elif ctx.app.scale_done is not None:
+            cb, ctx.app.scale_done = ctx.app.scale_done, None
+            cb(False)
 
-        @sys_.host("Worker", "Complain")
-        def _worker_complain(ctx):
-            pass
-
-        sys_.bind_state(
-            "Front", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "Worker", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.start(t=timeout)
-
-    @property
-    def sim(self):
-        return self.system.sim
+    def _run_job(self, app: BackApp, job: dict, now: float) -> tuple[dict, float]:
+        units = job.get("units", 1)
+        result = {"worker": app.payload, "units": units}
+        # deliver the result out of band (application-level), as
+        # dispatch was asynchronous
+        cb = self.front.jobs.pop(job.get("id"), None)
+        if cb is not None:
+            self.system.sim.call_after(0.0, lambda: cb(result))
+        return result, units * self.unit_cost
 
     @property
     def active_workers(self) -> list[str]:

@@ -18,11 +18,13 @@ import re
 from typing import Callable
 
 from ..core.compiler import CompiledProgram, compile_program
-from ..redislite.server import Command, RedisServer
-from ..runtime.faults import FaultPlan
+from ..redislite.server import RedisServer
 from ..runtime.system import System
-from .loader import load_program, load_source
-from .ports import BackApp, FrontApp, RedisPort
+from ..suricatalite.pipeline import Pipeline
+from .loader import load_source
+from .ports import (
+    BackApp, ExecFn, FrontApp, RedisPort, RequestReply, Roles, redis_exec, suricata_exec,
+)
 
 
 def swap_backend_source(
@@ -57,13 +59,19 @@ class _FoFrontApp(FrontApp):
         self.canonical: dict = {"seq": 0}
 
 
-class FailoverService:
+_ROLES = Roles(
+    front="FrontT", node="f::c", backs=("BackT",),
+    first="H1", respond="H3", execute="H2", request="req", reply="preresp",
+)
+
+
+class FailoverService(RequestReply):
     """A request/reply service with warm-replica fail-over."""
 
     def __init__(
         self,
         make_backend: Callable[[int], object],
-        exec_fn: Callable[[BackApp, dict, float], tuple[dict, float]],
+        exec_fn: ExecFn,
         *,
         latency: float = 100e-6,
         timeout: float = 0.5,
@@ -73,94 +81,39 @@ class FailoverService:
         program_name: str = "failover",
         program: CompiledProgram | None = None,
     ):
-        self.exec_fn = exec_fn
         self.program_name = program_name
-        self.program = program if program is not None else load_program(program_name)
-        self.system = System(self.program, latency=latency, seed=seed)
+        super().__init__(
+            program_name, _ROLES, _FoFrontApp,
+            # a replica's number is its position among the replicas
+            # running *now*: one swapped in live takes over the number
+            # of the one it replaces
+            lambda inst: BackApp(make_backend(self.back_instances().index(inst.name))),
+            exec_fn, latency=latency, seed=seed, program=program,
+        )
         sys_ = self.system
-
-        self.front = _FoFrontApp(sys_, "f::c")
-        sys_.bind_app("FrontT", lambda inst: self.front)
-        self._backend_counter = [0]
-
-        def app_factory(inst, mk=make_backend):
-            idx = int(inst.name[1:]) - 1  # b1 -> 0, b2 -> 1
-            return BackApp(mk(idx))
-
-        sys_.bind_app("BackT", app_factory)
-
-        @sys_.host("FrontT", "H1")
-        def _h1(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("fail-over front scheduled with no request")
-            ctx.take(5e-6)
-
-        @sys_.host("FrontT", "H3")
-        def _h3(ctx):
-            ctx.app.seq += 1
-            ctx.app.canonical = {"seq": ctx.app.seq}
-            ctx.app.respond()
-
-        @sys_.host("FrontT", "Complain")
-        def _f_complain(ctx):
-            ctx.app.fail_current()
-
-        @sys_.host("BackT", "H2")
-        def _h2(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            reply, cost = self.exec_fn(app, app.current, ctx.now)
-            app.set_reply(reply)
-            ctx.take(cost)
-
-        @sys_.host("BackT", "Complain")
-        def _b_complain(ctx):
-            pass
-
-        # -- state providers --------------------------------------------
-        # FrontT 'state': the canonical state (f::b and f::c exchange it)
+        # 'state': the canonical state (f::b and f::c exchange it)
         sys_.bind_state(
             "FrontT", data_name="state",
             save=lambda app, inst: app.canonical,
             restore=lambda app, inst, obj: setattr(app, "canonical", obj),
         )
         sys_.bind_state(
-            "FrontT", data_name="req",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "FrontT", data_name="preresp",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: app.set_reply(obj),
-        )
-        sys_.bind_state(
             "BackT", data_name="state",
             save=lambda app, inst: getattr(app, "canonical", {"seq": 0}),
             restore=lambda app, inst, obj: setattr(app, "canonical", obj),
         )
-        sys_.bind_state(
-            "BackT", data_name="req",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.bind_state(
-            "BackT", data_name="preresp",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: None,
-        )
-
-        sys_.start(t=timeout)
+        self._start(t=timeout)
         # let the registration/initialization phase complete
         sys_.run_until(sys_.now + run_for)
 
         # the paper schedules reactivate from the application; poll it
         if reactivate_poll is not None:
             self._arm_reactivate_poll(reactivate_poll)
+
+    def _respond(self, ctx) -> None:
+        ctx.app.seq += 1
+        ctx.app.canonical = {"seq": ctx.app.seq}
+        ctx.app.respond()
 
     def back_instances(self) -> list[str]:
         """The replica instance names, sorted — derived live so a
@@ -183,12 +136,8 @@ class FailoverService:
 
         self.system.sim.call_after(interval, poll)
 
-    @property
-    def sim(self):
-        return self.system.sim
-
     def backend_app(self, idx: int) -> BackApp:
-        return self.system.instance(f"b{idx + 1}").app
+        return self.system.instance(self.back_instances()[idx]).app
 
     def registered_backends(self) -> list[str]:
         out = []
@@ -215,9 +164,6 @@ class FailoverService:
         )
         return self.system.reconfigure(new_program, quiesce_grace=quiesce_grace)
 
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(self.system)
-
 
 class FailoverRedis(FailoverService, RedisPort):
     """Fail-over over two redislite replicas (RequestPort).
@@ -227,23 +173,20 @@ class FailoverRedis(FailoverService, RedisPort):
     compares with the first-response-wins variant."""
 
     def __init__(self, *, cost_model=None, slow_backend=None, **kw):
-        def make_backend(i: int) -> RedisServer:
-            return RedisServer(name=f"replica{i}", cost=cost_model)
-
         def exec_fn(app: BackApp, request: dict, now: float):
-            server: RedisServer = app.payload
-            cmd = Command(request["op"], request["key"], request.get("value", b""))
-            reply, cost = server.execute(cmd, now=now)
-            if slow_backend is not None and server.name == f"replica{slow_backend[0]}":
+            reply, cost = redis_exec(app, request, now)
+            if slow_backend is not None and app.payload.name == f"replica{slow_backend[0]}":
                 cost += slow_backend[1]
-            return ({"ok": reply.ok, "value": reply.value, "hit": reply.hit}, cost)
+            return reply, cost
 
-        super().__init__(make_backend, exec_fn, **kw)
+        super().__init__(
+            lambda i: RedisServer(name=f"replica{i}", cost=cost_model), exec_fn, **kw
+        )
 
     def preload(self, commands) -> None:
         for cmd in commands:
-            for i in (0, 1):
-                self.backend_app(i).payload.execute(cmd, now=0.0)
+            for b in self.back_instances():
+                self.system.instance(b).app.payload.execute(cmd, now=0.0)
 
 
 class FastFailoverRedis(FailoverRedis):
@@ -262,39 +205,7 @@ class FailoverSuricata(FailoverService):
     fail-over architecture unchanged."""
 
     def __init__(self, **kw):
-        from ..suricatalite.packet import FiveTuple, Packet
-        from ..suricatalite.pipeline import Pipeline
-
-        def make_backend(i: int) -> Pipeline:
-            return Pipeline()
-
-        def exec_fn(app: BackApp, request: dict, now: float):
-            pipeline: Pipeline = app.payload
-            cost = 0.0
-            for rec in request["packets"]:
-                f = rec["flow"]
-                pkt = Packet(
-                    ts=now,
-                    flow=FiveTuple(f[0], f[1], int(f[2]), int(f[3]), f[4]),
-                    size=rec["size"],
-                    payload=rec.get("payload", b""),
-                    app=rec.get("app", "unknown"),
-                )
-                cost += pipeline.process(pkt)
-            return ({"processed": len(request["packets"])}, cost)
-
-        super().__init__(make_backend, exec_fn, **kw)
+        super().__init__(lambda i: Pipeline(), suricata_exec, **kw)
 
     def submit_packets(self, packets, on_done: Callable[[dict | None], None]) -> None:
-        recs = []
-        for pkt in packets:
-            f = pkt.flow
-            recs.append(
-                {
-                    "flow": (f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.proto),
-                    "size": pkt.size,
-                    "payload": pkt.payload,
-                    "app": pkt.app,
-                }
-            )
-        self.front.submit({"packets": recs}, on_done)
+        self.front.submit({"packets": [pkt.to_record() for pkt in packets]}, on_done)

@@ -106,6 +106,16 @@ def open_target(target: str, *, scripts: bool = False) -> Target:
     return Target("csaw", Path(target).read_text())
 
 
+def declared_hosts(type_rt) -> set[str]:
+    """The ⌊H⌉ names the junctions of instance type ``type_rt`` run."""
+    return {
+        e.name
+        for cj in type_rt.junctions.values()
+        for e in A.walk(cj.body)
+        if isinstance(e, A.HostBlock)
+    }
+
+
 def start_bare(
     program: CompiledProgram,
     engine=None,
@@ -125,13 +135,7 @@ def start_bare(
     system = System(program, engine=engine)
     stubbed: list[str] = []
     for tname, trt in sorted(system.types.items()):
-        declared = {
-            e.name
-            for cj in trt.junctions.values()
-            for e in A.walk(cj.body)
-            if isinstance(e, A.HostBlock)
-        }
-        for name in sorted(declared - set(trt.host_fns)):
+        for name in sorted(declared_hosts(trt) - set(trt.host_fns)):
             trt.bind_host(name, lambda ctx: None)
             stubbed.append(f"{tname}.{name}")
         if trt.state.save is None:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..redislite.server import Command, CostModel, RedisServer
+from ..redislite.server import CostModel, RedisServer
 from ..runtime.system import System
-from .loader import load_program
-from .ports import BackApp, FrontApp, RedisPort
+from .ports import BackApp, FrontApp, RedisPort, RequestReply, Roles, redis_exec
 
 _NODES = ("NodeA", "NodeB")
 
@@ -30,7 +29,14 @@ class _RouterApp(FrontApp):
         self.migration_done_cb: Callable[[], None] | None = None
 
 
-class MigratableRedis(RedisPort):
+_ROLES = Roles(
+    front="Front", node="Fnt::route", backs=("Node",),
+    first="PickActive", respond="Respond", execute="Exec", request="n", reply="m",
+    cost=0.0,
+)
+
+
+class MigratableRedis(RequestReply, RedisPort):
     """A redislite service whose dataset can live-migrate between two
     nodes (RequestPort)."""
 
@@ -42,38 +48,12 @@ class MigratableRedis(RedisPort):
         timeout: float = 0.5,
         seed: int = 0,
     ):
-        self.program = load_program("migration")
-        self.system = System(self.program, latency=latency, seed=seed)
-        sys_ = self.system
-
-        self.front = _RouterApp(sys_, "Fnt::route")
-        sys_.bind_app("Front", lambda inst: self.front)
-        sys_.bind_app(
-            "Node",
+        super().__init__(
+            "migration", _ROLES, _RouterApp,
             lambda inst: BackApp(RedisServer(name=inst.name, cost=cost_model)),
+            redis_exec, latency=latency, seed=seed,
         )
-
-        @sys_.host("Front", "PickActive")
-        def _pick(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("router scheduled with no pending request")
-            ctx.set("active", f"{ctx.app.active}::serve")
-
-        @sys_.host("Front", "Respond")
-        def _respond(ctx):
-            ctx.app.respond()
-
-        @sys_.host("Front", "Complain")
-        def _complain(ctx):
-            if ctx.junction == "route":
-                ctx.app.fail_current()
-            # a failed migration leaves routing untouched
-            elif ctx.app.migration_done_cb is not None:
-                cb, ctx.app.migration_done_cb = ctx.app.migration_done_cb, None
-                cb(False)
+        sys_ = self.system
 
         @sys_.host("Front", "PlanMigration")
         def _plan(ctx):
@@ -90,52 +70,15 @@ class MigratableRedis(RedisPort):
                 cb, ctx.app.migration_done_cb = ctx.app.migration_done_cb, None
                 cb(True)
 
-        @sys_.host("Node", "Exec")
-        def _exec(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            req = app.current
-            server: RedisServer = app.payload
-            reply, cost = server.execute(
-                Command(req["op"], req["key"], req.get("value", b"")), now=ctx.now
-            )
-            app.set_reply({"ok": reply.ok, "value": reply.value, "hit": reply.hit})
-            ctx.take(cost)
-
         @sys_.host("Node", "Freeze")
         def _freeze(ctx):
             server: RedisServer = ctx.app.payload
             _snap, cost = server.checkpoint()
             ctx.take(cost)
 
-        @sys_.host("Node", "Complain")
-        def _node_complain(ctx):
-            pass
-
-        sys_.bind_state(
-            "Front", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "Front", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: app.set_reply(obj),
-        )
         sys_.bind_state(
             "Front", data_name="state",
             save=lambda app, inst: None,   # state only passes through
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "Node", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.bind_state(
-            "Node", data_name="m",
-            save=lambda app, inst: app.reply,
             restore=lambda app, inst, obj: None,
         )
         sys_.bind_state(
@@ -143,12 +86,18 @@ class MigratableRedis(RedisPort):
             save=lambda app, inst: app.payload.checkpoint()[0],
             restore=lambda app, inst, obj: app.payload.restore(obj),
         )
+        self._start(t=timeout)
 
-        sys_.start(t=timeout)
+    def _route(self, ctx, request: dict) -> None:
+        ctx.set("active", f"{ctx.app.active}::serve")
 
-    @property
-    def sim(self):
-        return self.system.sim
+    def _complain(self, ctx) -> None:
+        if ctx.junction == "route":
+            ctx.app.fail_current()
+        # a failed migration leaves routing untouched
+        elif ctx.app.migration_done_cb is not None:
+            cb, ctx.app.migration_done_cb = ctx.app.migration_done_cb, None
+            cb(False)
 
     @property
     def active(self) -> str:

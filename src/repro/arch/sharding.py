@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..redislite.server import Command, RedisServer
+from ..redislite.server import RedisServer
 from ..redislite.workload import SIZE_CLASSES, djb2
-from ..runtime.system import System
 from ..suricatalite.packet import Packet
 from ..suricatalite.pipeline import Pipeline
-from .loader import BACKENDS, backend_names, load_program
-from .ports import BackApp, FrontApp, RedisPort
+from .ports import (
+    BackApp, ExecFn, FamilyService, FrontApp, RedisPort, Roles, redis_exec, suricata_exec,
+)
 
 #: choose function signature: request dict -> shard index (0-based)
 ChooseFn = Callable[[dict], int]
@@ -71,15 +71,22 @@ def five_tuple_chooser(n: int) -> ChooseFn:
     return choose
 
 
-class _ShardedService:
-    """Common assembly for sharded services."""
+_ROLES = Roles(
+    front="Front", node="Fnt::junction", backs=("Back",),
+    first="Choose", respond="Respond", execute="Exec", request="n", reply="m",
+)
+
+
+class _ShardedService(FamilyService):
+    """``dsl/sharding.csaw`` over ``n_shards`` back-ends: ``Choose``
+    writes the ``idx tgt`` the chooser picks."""
 
     def __init__(
         self,
         n_shards: int,
         choose: ChooseFn,
         make_backend: Callable[[int], object],
-        exec_fn: Callable[[BackApp, dict, float], tuple[dict, float]],
+        exec_fn: ExecFn,
         *,
         latency: float = 100e-6,
         timeout: float = 2.0,
@@ -87,86 +94,19 @@ class _ShardedService:
     ):
         self.n_shards = n_shards
         self.choose = choose
-        self.exec_fn = exec_fn
         self.timeout = timeout
-        self.program = load_program("sharding", n_backends=n_shards)
-        self.system = System(self.program, latency=latency, seed=seed)
-        self.backends = backend_names(n_shards)
+        super().__init__(
+            "sharding", _ROLES, FrontApp,
+            lambda inst: BackApp(make_backend(self._index(inst))), exec_fn,
+            n_backends=n_shards, latency=latency, seed=seed,
+        )
         self.shard_counts = [0] * n_shards
+        self._start(t=timeout)
 
-        sys_ = self.system
-        self.front = FrontApp(sys_, "Fnt::junction")
-        sys_.bind_app("Front", lambda inst: self.front)
-        # the index is the back-end's position in the family of the
-        # program running *now*, so backends added by a live
-        # reconfiguration get the right shard number
-        sys_.bind_app("Back", lambda inst, mk=make_backend: BackApp(
-            mk(sys_.program.family(BACKENDS).index(inst.name))
-        ))
-
-        @sys_.host("Front", "Choose")
-        def _choose(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                # a stale Req with an empty queue; fail this scheduling
-                from ..core.errors import DslFailure
-
-                raise DslFailure("front-end scheduled with no pending request")
-            shard = self.choose(req)
-            self.shard_counts[shard] += 1
-            ctx.set("tgt", self.backends[shard])
-            ctx.take(5e-6)
-
-        @sys_.host("Front", "Respond")
-        def _respond(ctx):
-            ctx.app.respond()
-
-        @sys_.host("Front", "Complain")
-        def _complain(ctx):
-            ctx.app.fail_current()
-
-        @sys_.host("Back", "Exec")
-        def _exec(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            reply, cost = self.exec_fn(app, app.current, ctx.now)
-            app.set_reply(reply)
-            ctx.take(cost)
-
-        @sys_.host("Back", "Complain")
-        def _back_complain(ctx):
-            pass
-
-        sys_.bind_state(
-            "Front", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "Front", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: app.set_reply(obj),
-        )
-        sys_.bind_state(
-            "Back", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.bind_state(
-            "Back", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: None,
-        )
-
-        sys_.start(t=timeout)
-
-    @property
-    def sim(self):
-        return self.system.sim
-
-    def backend_app(self, shard: int) -> BackApp:
-        return self.system.instance(self.backends[shard]).app
+    def _route(self, ctx, request: dict) -> None:
+        shard = self.choose(request)
+        self.shard_counts[shard] += 1
+        ctx.set("tgt", self.backends[shard])
 
 
 class ShardedRedis(_ShardedService, RedisPort):
@@ -183,32 +123,20 @@ class ShardedRedis(_ShardedService, RedisPort):
         timeout: float = 2.0,
         seed: int = 0,
     ):
+        if mode not in ("key", "size"):
+            raise ValueError(f"unknown sharding mode {mode!r}")
         self._mode = mode
         self._size_table = size_table or {}
-        self._cost_model = cost_model
-        if mode == "key":
-            choose = key_hash_chooser(n_shards)
-        elif mode == "size":
-            choose = object_size_chooser(n_shards, self._size_table)
-        else:
-            raise ValueError(f"unknown sharding mode {mode!r}")
-
-        def make_backend(i: int) -> RedisServer:
-            return RedisServer(name=f"shard{i}", cost=cost_model)
-
-        def exec_fn(app: BackApp, request: dict, now: float):
-            server: RedisServer = app.payload
-            cmd = Command(request["op"], request["key"], request.get("value", b""))
-            reply, cost = server.execute(cmd, now=now)
-            return (
-                {"ok": reply.ok, "value": reply.value, "hit": reply.hit},
-                cost,
-            )
-
         super().__init__(
-            n_shards, choose, make_backend, exec_fn,
+            n_shards, self._chooser(n_shards),
+            lambda i: RedisServer(name=f"shard{i}", cost=cost_model), redis_exec,
             latency=latency, timeout=timeout, seed=seed,
         )
+
+    def _chooser(self, n: int) -> ChooseFn:
+        if self._mode == "key":
+            return key_hash_chooser(n)
+        return object_size_chooser(n, self._size_table)
 
     def preload(self, commands) -> None:
         """Load the dataset directly into the right shards (unmeasured)."""
@@ -228,57 +156,31 @@ class ShardedRedis(_ShardedService, RedisPort):
         entry under the new chooser (exactly where a fresh ``n_shards``
         deployment would have put it).  Returns the
         :class:`~repro.reconfig.ReconfigReport`."""
-        if n_shards == self.n_shards:
-            return self.system.reconfigure(quiesce_grace=quiesce_grace)
-        old_backends = list(self.backends)
-        new_backends = backend_names(n_shards)
-        new_program = load_program("sharding", n_backends=n_shards)
-        if self._mode == "key":
-            new_choose = key_hash_chooser(n_shards)
-        else:
-            new_choose = object_size_chooser(n_shards, self._size_table)
+        new_choose = self._chooser(n_shards)
 
-        def transfer(system: System, removed_apps: dict) -> None:
-            sources: list[RedisServer] = []
-            for name in old_backends:
-                app = (
-                    removed_apps.get(name)
-                    if name in removed_apps
-                    else system.instances[name].app
-                )
-                if app is not None:
-                    sources.append(app.payload)
-            targets = {
-                name: system.instance(name).app.payload for name in new_backends
-            }
-            for i, server in enumerate(sources):
+        def move(sources: list[RedisServer], targets: list[RedisServer]) -> None:
+            for server in sources:
                 store = server.store
                 for key in list(store.keys()):
-                    idx = new_choose(
+                    dst = targets[new_choose(
                         {"op": "GET", "key": key, "size": store.object_size(key) or 0}
-                    )
-                    dst = targets[new_backends[idx]]
+                    )]
                     if dst.store is store:
                         continue
                     value = store.get(key)
                     if value is not None:
                         dst.store.set(key, value)
                     store.delete(key)
-            # routing switches here, inside the cutover: resume replays
-            # the buffered requests before ``reconfigure`` returns, and
-            # they must be chosen for the back-end set just rebound (a
-            # rolled-back transition never reaches the transfer step)
+
+        def switch() -> None:
             self.n_shards = n_shards
-            self.backends = new_backends
             self.choose = new_choose
             self.shard_counts = (self.shard_counts + [0] * n_shards)[:n_shards]
 
-        return self.system.reconfigure(
-            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
-        )
+        return self._resize(n_shards, move, switch, quiesce_grace=quiesce_grace)
 
 
-class ParallelShardedRedis(RedisPort):
+class ParallelShardedRedis(FamilyService, RedisPort):
     """Fig. 6 (sec. 7.1): the front engages a host-chosen *subset* of
     back-ends in parallel — warm replication for availability.
 
@@ -299,83 +201,15 @@ class ParallelShardedRedis(RedisPort):
     ):
         self.n_backends = n_backends
         self.replicas = replicas
-        self.program = load_program("parallel_sharding", n_backends=n_backends)
-        self.system = System(self.program, latency=latency, seed=seed)
-        self.backends = backend_names(n_backends)
-        sys_ = self.system
-
-        self.front = FrontApp(sys_, "Fnt::junction")
-        sys_.bind_app("Front", lambda inst: self.front)
-        sys_.bind_app(
-            "Back",
+        super().__init__(
+            "parallel_sharding", _ROLES, FrontApp,
             lambda inst: BackApp(RedisServer(name=inst.name, cost=cost_model)),
+            redis_exec, n_backends=n_backends, latency=latency, seed=seed,
         )
+        self._start(t=timeout)
 
-        @sys_.host("Front", "Choose")
-        def _choose(ctx):
-            req = ctx.app.begin_next()
-            if req is None:
-                from ..core.errors import DslFailure
-
-                raise DslFailure("parallel front scheduled with no request")
-            k = self.replicas or self.n_backends
-            chosen = self.backends[:k]
-            ctx.set("tgt", chosen)
-            ctx.take(5e-6)
-
-        @sys_.host("Front", "Respond")
-        def _respond(ctx):
-            ctx.app.respond()
-
-        @sys_.host("Front", "Complain")
-        def _complain(ctx):
-            ctx.app.fail_current()
-
-        @sys_.host("Back", "Exec")
-        def _exec(ctx):
-            app: BackApp = ctx.app
-            if app.current is None:
-                return
-            req = app.current
-            server: RedisServer = app.payload
-            cmd = Command(req["op"], req["key"], req.get("value", b""))
-            reply, cost = server.execute(cmd, now=ctx.now)
-            app.set_reply({"ok": reply.ok, "value": reply.value, "hit": reply.hit})
-            ctx.take(cost)
-
-        @sys_.host("Back", "Complain")
-        def _back_complain(ctx):
-            pass
-
-        sys_.bind_state(
-            "Front", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: None,
-        )
-        sys_.bind_state(
-            "Front", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: app.set_reply(obj),
-        )
-        sys_.bind_state(
-            "Back", data_name="n",
-            save=lambda app, inst: app.current,
-            restore=lambda app, inst, obj: app.receive(obj),
-        )
-        sys_.bind_state(
-            "Back", data_name="m",
-            save=lambda app, inst: app.reply,
-            restore=lambda app, inst, obj: None,
-        )
-
-        sys_.start(t=timeout)
-
-    @property
-    def sim(self):
-        return self.system.sim
-
-    def backend_app(self, i: int) -> BackApp:
-        return self.system.instance(self.backends[i]).app
+    def _route(self, ctx, request: dict) -> None:
+        ctx.set("tgt", self.backends[: self.replicas or self.n_backends])
 
     def active_backends(self) -> list[str]:
         return [
@@ -392,33 +226,16 @@ class ParallelShardedRedis(RedisPort):
     def reconfigure_backends(self, n_backends: int, *, quiesce_grace: float = 5.0):
         """Live-resize the warm-replica pool; newly added back-ends get
         a full replica copy in the state-transfer step."""
-        if n_backends == self.n_backends:
-            return self.system.reconfigure(quiesce_grace=quiesce_grace)
-        old_backends = list(self.backends)
-        new_backends = backend_names(n_backends)
-        new_program = load_program("parallel_sharding", n_backends=n_backends)
 
-        def transfer(system: System, removed_apps: dict) -> None:
-            src = None
-            for name in old_backends:
-                if name in new_backends and name in system.instances:
-                    app = system.instances[name].app
-                    if app is not None:
-                        src = app.payload
-                        break
-            if src is not None:
-                snap = src.store.snapshot()
-                for name in new_backends:
-                    if name not in old_backends:
-                        system.instance(name).app.payload.store.restore(snap)
-            # the replica set switches inside the cutover, before resume
-            # replays buffered requests (see ``reconfigure_shards``)
+        def move(sources: list[RedisServer], targets: list[RedisServer]) -> None:
+            snap = sources[0].store.snapshot()
+            for server in targets[len(sources):]:
+                server.store.restore(snap)
+
+        def switch() -> None:
             self.n_backends = n_backends
-            self.backends = new_backends
 
-        return self.system.reconfigure(
-            new_program, on_transfer=transfer, quiesce_grace=quiesce_grace
-        )
+        return self._resize(n_backends, move, switch, quiesce_grace=quiesce_grace)
 
 
 class ShardedSuricata(_ShardedService):
@@ -439,32 +256,8 @@ class ShardedSuricata(_ShardedService):
         batch_size: int = 200,
     ):
         self.batch_size = batch_size
-
-        def make_backend(i: int) -> Pipeline:
-            return Pipeline()
-
-        def exec_fn(app: BackApp, request: dict, now: float):
-            from ..suricatalite.packet import FiveTuple
-
-            pipeline: Pipeline = app.payload
-            cost = 0.0
-            alerts = 0
-            for pkt_rec in request["packets"]:
-                f = pkt_rec["flow"]
-                pkt = Packet(
-                    ts=now,
-                    flow=FiveTuple(f[0], f[1], int(f[2]), int(f[3]), f[4]),
-                    size=pkt_rec["size"],
-                    payload=pkt_rec.get("payload", b""),
-                    app=pkt_rec.get("app", "unknown"),
-                )
-                before = len(pipeline.ctx.alerts)
-                cost += pipeline.process(pkt)
-                alerts += len(pipeline.ctx.alerts) - before
-            return ({"processed": len(request["packets"]), "alerts": alerts}, cost)
-
         super().__init__(
-            n_shards, five_tuple_chooser(n_shards), make_backend, exec_fn,
+            n_shards, five_tuple_chooser(n_shards), lambda i: Pipeline(), suricata_exec,
             latency=latency, timeout=timeout, seed=seed,
         )
         self._pending_batches: dict[int, list[dict]] = {i: [] for i in range(n_shards)}
@@ -473,14 +266,7 @@ class ShardedSuricata(_ShardedService):
     def feed(self, pkt: Packet) -> None:
         """Queue a packet; full batches are dispatched through the DSL."""
         shard = pkt.flow.hash() % self.n_shards
-        f = pkt.flow
-        rec = {
-            "flow": (f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.proto),
-            "size": pkt.size,
-            "payload": pkt.payload,
-            "app": pkt.app,
-        }
-        self._pending_batches[shard].append(rec)
+        self._pending_batches[shard].append(pkt.to_record())
         if len(self._pending_batches[shard]) >= self.batch_size:
             self.flush_shard(shard)
 

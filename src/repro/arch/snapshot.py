@@ -21,6 +21,7 @@ from ..curlite.client import AuditHook
 from ..runtime.engine import SimEngine
 from ..runtime.system import System
 from .loader import load_program
+from .ports import Service
 
 #: latencies for the two placements (seconds, one-way)
 SAME_VM_LATENCY = 25e-6
@@ -43,7 +44,7 @@ class _AudApp:
         self.log.append(state)
 
 
-class RemoteAuditor:
+class RemoteAuditor(Service):
     """A running remote-snapshot architecture; produces curlite hooks."""
 
     def __init__(
@@ -116,11 +117,7 @@ class RemoteAuditor:
             restore=lambda app, inst, obj: app.record(obj),
         )
 
-        sys_.start(t=timeout)
-
-    @property
-    def sim(self):
-        return self.system.sim
+        self._start(t=timeout)
 
     def audit_hook(self) -> AuditHook:
         """An :data:`~repro.curlite.client.AuditHook` driving this

@@ -638,19 +638,20 @@ def cmd_explore(args) -> int:
             f"error: explore requires the sim engine (controlled "
             f"scheduling), got --engine {spec.name}"
         )
-    # spec.compiled is accepted but moot: controlled scheduling always
-    # runs the interpreter so event labels match recorded schedules
     scenario = _scenario(args)
     invariants = tuple(args.invariant) if args.invariant else None
     search = dict(
         strategy=args.strategy, budget=args.budget, depth=args.depth, seed=args.seed
     )
-    if args.replay:
-        return _explore_replay(args, scenario, invariants)
-    if args.witness_races:
-        return _explore_witness_races(args, scenario, search)
-
-    result = explore(scenario, invariants=invariants, **search)
+    # every run builds its systems afresh: generated code unless the
+    # spec says compiled=off (schedules replay under either, the labels
+    # being the machine's)
+    with _compile_ctx(spec):
+        if args.replay:
+            return _explore_replay(args, scenario, invariants)
+        if args.witness_races:
+            return _explore_witness_races(args, scenario, search)
+        result = explore(scenario, invariants=invariants, **search)
     print(f"{scenario.name}: {result.summary()}")
     for v in result.violations:
         print(

@@ -7,9 +7,10 @@ the junction runtime as :class:`JunctionCode`.  The junction-body
 machine (:class:`~repro.runtime.interpreter.JunctionExecution`) runs the
 compiled generator when one is present; the tree-walker
 (:mod:`repro.runtime.treewalk`) remains the reference semantics and the
-automatic fallback for anything the compiler does not cover (and for
-``explore``'s controlled scheduler, where ``System`` disables
-compilation so choice points stay label-stable).
+automatic fallback for anything the compiler does not cover.
+``explore``'s controlled scheduler runs the compiled code too: choice
+points are labelled by the machine's ops, which both front-ends call,
+so a schedule recorded under one replays under the other.
 
 Toggling::
 

@@ -591,14 +591,13 @@ class System:
     def _compile_junction(self, jr: JunctionRuntime):
         """Compile a freshly-bound junction (tentpole of the junction
         compiler).  Disabled per system via ``compiled=False`` /
-        ``compilation(False)``, and always under a schedule controller
-        (``repro explore`` replays against interpreter event labels).
+        ``compilation(False)`` and nothing else: under a schedule
+        controller too, since every choice-point label and footprint is
+        made by the machine's ops, which both front-ends call.
         Restarting an instance with the same arguments reuses the cached
         code — the generated module closes over no per-execution state.
         """
         if not self._compiled:
-            return None
-        if getattr(self.clock, "controller", None) is not None:
             return None
         key = (jr.node, tuple(sorted(jr.ast_params.items())))
         try:

@@ -6,8 +6,8 @@ is what :class:`~repro.runtime.interpreter.JunctionExecution` runs when
 everything through the machine's public ops — so does the code
 :mod:`repro.compile.codegen` generates, which is how the two stay one
 semantics.  The tree-walker is the *reference*: the differential suites
-compare compiled bodies against it, and it is the only path under
-``repro explore``'s controller.
+compare compiled bodies against it — telemetry byte for byte, and the
+schedules ``repro explore`` visits id for id.
 
 ``case`` implements the paper's terminators: ``break`` leaves the case;
 ``next`` re-matches below the succeeded arm; ``reconsider`` re-matches

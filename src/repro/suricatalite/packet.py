@@ -37,3 +37,25 @@ class Packet:
     size: int
     payload: bytes = b""
     app: str = "unknown"  # generator annotation (http/dns/... )
+
+    def to_record(self) -> dict:
+        """The serde-safe dict a packet travels as inside a request
+        (its timestamp stays behind: the receiver stamps arrival)."""
+        f = self.flow
+        return {
+            "flow": (f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.proto),
+            "size": self.size,
+            "payload": self.payload,
+            "app": self.app,
+        }
+
+    @classmethod
+    def from_record(cls, record: dict, ts: float) -> "Packet":
+        f = record["flow"]
+        return cls(
+            ts=ts,
+            flow=FiveTuple(f[0], f[1], int(f[2]), int(f[3]), f[4]),
+            size=record["size"],
+            payload=record.get("payload", b""),
+            app=record.get("app", "unknown"),
+        )

@@ -1,6 +1,9 @@
 """The catalog is the one per-architecture table: the exploration
 scenarios and the workload adapters are derived from it."""
 
+import re
+from pathlib import Path
+
 from repro.arch.catalog import CATALOG
 from repro.arch.loader import ARCHITECTURES
 from repro.explore.scenarios import _ARCH_SCENARIOS, arch_scenario
@@ -9,6 +12,15 @@ from repro.workload import ADAPTERS
 
 def test_one_row_per_shipped_architecture():
     assert tuple(CATALOG) == ARCHITECTURES
+
+
+def test_nightly_explore_matrix_is_the_shipped_names():
+    """The workflow is plain text to us (no YAML dependency): the
+    ``- name`` items under ``arch:`` are ARCHITECTURES, in its order."""
+    workflow = Path(__file__).parents[2] / ".github/workflows/explore.yml"
+    matrix = re.search(r"^ +arch:\n((?: +- \w+\n)+)", workflow.read_text(), re.M)
+    assert matrix, "explore.yml has no `arch:` matrix"
+    assert tuple(re.findall(r"- (\w+)", matrix.group(1))) == ARCHITECTURES
 
 
 def test_scenarios_are_derived_from_the_rows():

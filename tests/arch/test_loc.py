@@ -1,11 +1,16 @@
 """Table 2 LoC accounting tests."""
 
+from repro.arch import loc, ports, sharding
 from repro.arch.loader import load_program
 from repro.arch.loc import (
+    count_loc_object,
     count_loc_text,
     dsl_loc,
     serde_generated_loc,
     table2,
+    table2_bindings,
+    table2_shared,
+    uncounted_bases,
 )
 from repro.core.emit import emit_program
 
@@ -50,6 +55,26 @@ class TestTable2:
         row = next(r for r in table2() if r.feature == "Sharding")
         assert row.suricata_binding_loc is not None
         assert row.dsl_loc < row.direct_loc
+
+
+class TestCountingRule:
+    """A binding column is the substrate-specific class and nothing
+    else; what the classes share is counted once, beside the table."""
+
+    def test_a_column_is_its_substrate_specific_object(self):
+        rows = {r.feature: r for r in table2()}
+        for feature, (redis, suricata) in table2_bindings().items():
+            assert rows[feature].redis_binding_loc == count_loc_object(redis)
+            if suricata is not None:
+                assert rows[feature].suricata_binding_loc == count_loc_object(suricata)
+
+    def test_everything_a_binding_inherits_is_counted(self):
+        assert set(table2_shared()) == {ports, sharding._ShardedService}
+        assert uncounted_bases() == []
+
+    def test_a_base_left_out_of_the_shared_layer_shows(self, monkeypatch):
+        monkeypatch.setattr(loc, "table2_shared", lambda: {ports: 0})
+        assert set(uncounted_bases()) == {sharding._ShardedService}
 
 
 class TestSerdeBenefit:
