@@ -9,7 +9,7 @@ compiles text first (keeping the comment directives).
 from __future__ import annotations
 
 from ..core.compiler import CompiledProgram, compile_program
-from .bind import bind_program
+from ..core.elaborate import elaborate
 from .contracts import contract_findings
 from .deadcode import dead_code, unused_keys
 from .directives import parse_directives
@@ -50,7 +50,7 @@ def analyze_program(
             )
         )
 
-    binding = bind_program(program, env)
+    binding = elaborate(program, env)
     for node, reason in binding.unbound:
         report.add(
             Finding(

@@ -15,8 +15,8 @@ warn mode); this pass checks it before any run, for *every* junction of
 
 from __future__ import annotations
 
+from ..core.elaborate import Binding
 from ..core.validate import collect_declared
-from .bind import Binding
 from .directives import Directives, family
 from .keyflow import UNRESOLVED, KeyFlow
 from .model import Finding

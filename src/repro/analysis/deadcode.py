@@ -19,11 +19,11 @@ machine-checked documentation of the program's interface.
 from __future__ import annotations
 
 from ..core import ast as A
+from ..core.elaborate import Binding
 from ..core.formula import Formula, UNKNOWN, evaluate, to_dnf
 from ..semantics.denote import _atomize
-from .bind import Binding
 from .directives import Directives, family
-from .keyflow import KeyFlow, _formula_keys, _declared_sets
+from .keyflow import KeyFlow, _formula_keys
 from .model import Finding
 
 
@@ -126,7 +126,7 @@ def _unsat_reason(f: Formula, kf: KeyFlow, node: str, possible: dict) -> str:
 
 def _dead_case_arms(bj, env, directives: Directives) -> list[Finding]:
     findings: list[Finding] = []
-    idx_elems = _declared_sets(bj)["idx"]
+    idx_elems = bj.idx_sets
     for e in A.walk(bj.body):
         if not isinstance(e, A.Case):
             continue

@@ -6,7 +6,8 @@ are the race pass's job) and records :class:`WriteSite` /
 the runtime resolves them:
 
 * an ``assert``/``retract``/``write`` target that is an instance name
-  resolves to the instance's sole junction;
+  resolves to the instance's sole junction, else the one named
+  ``junction`` (:meth:`repro.core.elaborate.Binding.node_of`);
 * a target that is an ``idx`` cursor expands to every element of the
   cursor's underlying set;
 * a proposition index that is an ``idx`` cursor expands likewise — and
@@ -30,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core import ast as A
+from ..core.elaborate import Binding, BoundJunction
 from ..core.formula import Formula, Prop, prop_nodes
-from .bind import Binding, BoundJunction
 
 #: placeholder target when static resolution is impossible
 UNRESOLVED = "?"
@@ -94,8 +95,7 @@ def collect_keyflow(binding: Binding) -> KeyFlow:
 
 
 def _collect_junction(kf: KeyFlow, bj: BoundJunction, binding: Binding) -> None:
-    sets = _declared_sets(bj)
-    idx_elems = sets["idx"]
+    idx_elems = bj.idx_sets
 
     for d in bj.decls:
         if isinstance(d, A.InitProp):
@@ -161,63 +161,21 @@ def _collect_junction(kf: KeyFlow, bj: BoundJunction, binding: Binding) -> None:
                 kf.reads.append(ReadSite(bj.node, k, "data", str(e)))
 
 
-def _declared_sets(bj: BoundJunction) -> dict[str, dict[str, tuple[str, ...]]]:
-    """Element names of each set-like declaration, by kind."""
-    literals: dict[str, tuple[str, ...]] = {}
-    for d in bj.decls:
-        if isinstance(d, A.SetDecl) and d.literal is not None:
-            literals[d.name] = tuple(str(i) for i in d.literal.items)
-    out: dict[str, dict[str, tuple[str, ...]]] = {"idx": {}, "subset": {}}
-    for d in bj.decls:
-        if isinstance(d, (A.IdxDecl, A.SubsetDecl)):
-            kind = "idx" if isinstance(d, A.IdxDecl) else "subset"
-            of = d.of_set
-            if isinstance(of, A.SetLit):
-                out[kind][d.name] = tuple(str(i) for i in of.items)
-            elif isinstance(of, A.Ref) and of.is_simple and of.name in literals:
-                out[kind][d.name] = literals[of.name]
-            else:
-                out[kind][d.name] = ()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Target / index resolution
 # ---------------------------------------------------------------------------
 
 
-def _node_of(name: str, binding: Binding) -> str | None:
-    """A target element (``Inst`` or ``Inst::junction``) as a node."""
-    if "::" in name:
-        return name
-    return binding.sole_junction_node(name)
-
-
 def _targets(
     target: object, bj: BoundJunction, binding: Binding, kf: KeyFlow, stmt: str
 ) -> list[str]:
-    """Resolve a communication target to candidate nodes."""
-    if isinstance(target, A.SelfTarget):
-        return [bj.node]
-    if not isinstance(target, A.Ref):
+    """Resolve a communication target to candidate nodes
+    (:meth:`~repro.core.elaborate.Binding.targets`, the runtime's rule)."""
+    nodes = binding.targets(target, bj)
+    if not nodes:
         kf.unresolved.append((bj.node, stmt))
         return [UNRESOLVED]
-    if not target.is_simple:
-        return [str(target)]
-    name = target.name
-    idx_elems = _declared_sets(bj)["idx"]
-    if name in idx_elems:
-        nodes = [_node_of(el, binding) for el in idx_elems[name]]
-        known = [n for n in nodes if n is not None]
-        if not known:
-            kf.unresolved.append((bj.node, stmt))
-            return [UNRESOLVED]
-        return known
-    node = _node_of(name, binding)
-    if node is None:
-        kf.unresolved.append((bj.node, stmt))
-        return [UNRESOLVED]
-    return [node]
+    return nodes
 
 
 def _prop_updates(
@@ -237,7 +195,7 @@ def _prop_updates(
     ):
         out = []
         for el in idx_elems[tgt.name]:
-            node = _node_of(el, binding)
+            node = binding.node_of(el)
             if node is None:
                 kf.unresolved.append((bj.node, str(e)))
                 node = UNRESOLVED

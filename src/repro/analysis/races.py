@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ..core.elaborate import Binding
 from ..semantics.denote import Denoter
 from ..semantics.events import Wr
-from .bind import Binding
 from .directives import Directives
 from .keyflow import UNRESOLVED, KeyFlow, WriteSite
 from .model import Finding
@@ -171,24 +171,6 @@ def intra_junction_races(
             findings.append(_skipped(bj.node, f"{es.size()} events"))
             continue
         events = {e.id: e for e in es.events}
-        clo = es.closure_le()
-        hist: dict[int, set] = {e.id: {e.id} for e in es.events}
-        for p, q in clo:
-            hist[q].add(p)
-        conflict_pairs = [tuple(p) for p in es.conflict if len(p) == 2]
-
-        def _concurrent(x: int, y: int) -> bool:
-            """No order and conflict-free histories.  Histories are
-            downward closed, so an *inherited* conflict between them
-            exists iff a *base* conflict pair straddles them — no need
-            to materialize the inherited relation (quadratic blowup)."""
-            if (x, y) in clo or (y, x) in clo:
-                return False
-            hx, hy = hist[x], hist[y]
-            for p, q in conflict_pairs:
-                if (p in hx and q in hy) or (p in hy and q in hx):
-                    return False
-            return True
 
         # isolated (outward=False) events are alternative copies from the
         # otherwise/transaction rules; sequential composition does not
@@ -206,7 +188,7 @@ def intra_junction_races(
                 continue
             if str(la) == str(lb):
                 continue  # copies of one statement (otherwise duplication)
-            if not _concurrent(a.id, b.id):
+            if not es.concurrent(a.id, b.id):
                 continue
             table = sorted(tables)[0]
             sig = (bj.node, la.key, str(la), str(lb))
@@ -226,7 +208,7 @@ def intra_junction_races(
                         f"{table}'s table concurrently ({la} vs {lb})"
                     ),
                     sites=(f"{bj.node}: {la}", f"{bj.node}: {lb}"),
-                    witness=_linear_extension(hist, events, a.id, b.id),
+                    witness=_linear_extension(es, events, a.id, b.id),
                     suppressed=suppressed_by is not None,
                     suppressed_by=suppressed_by or "",
                 )
@@ -256,11 +238,11 @@ def _val(v) -> str:
     return "*"
 
 
-def _linear_extension(hist: dict, events: dict, a: int, b: int) -> tuple[str, ...]:
+def _linear_extension(es, events: dict, a: int, b: int) -> tuple[str, ...]:
     """A schedule reaching both events: topological order of the union
     of their histories, racing writes last."""
-    ids = (hist[a] | hist[b]) - {a, b}
-    order = sorted(ids, key=lambda i: (len(hist[i]), i))
+    ids = (es.history(a) | es.history(b)) - {a, b}
+    order = sorted(ids, key=lambda i: (len(es.history(i)), i))
     steps = [str(events[i]) for i in order]
     steps.append(str(events[a]))
     steps.append(f"{events[b]}   <- races the previous write")

@@ -21,6 +21,7 @@ from typing import Callable
 
 from ..core import ast as A
 from ..core.compiler import CompiledProgram, compile_program
+from ..core.elaborate import main_env
 from ..core.errors import CSawError
 
 _DSL_DIR = Path(__file__).parent / "dsl"
@@ -143,10 +144,7 @@ def start_bare(
                 save=lambda app, inst: {},
                 restore=lambda app, inst, obj: None,
             )
-    main_args = {}
-    if program.main is not None:
-        env = program.config_env()
-        main_args = {p: 1.0 for p in program.main.params if p not in env}
+    main_args = {p: 1.0 for p in main_env(program)[1]}
     if note is not None:
         if stubbed:
             note(f"stubbed host bindings: {', '.join(stubbed)}")

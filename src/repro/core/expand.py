@@ -25,7 +25,7 @@ static in a C-Saw program.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import ast as A
 from .errors import ExpansionError
@@ -148,14 +148,16 @@ def subst_arg(a: object, env: Mapping[str, Value]) -> object:
     """Substitute bound names inside an argument expression, folding
     arithmetic when both operands become numbers."""
     if isinstance(a, A.Ref):
-        if a.is_simple and a.name in env:
-            return env[a.name]
-        if not a.is_simple and a.parts[0] in env:
-            head = env[a.parts[0]]
-            if isinstance(head, A.Ref):
-                return A.Ref(head.parts + a.parts[1:])
-            raise ExpansionError(f"cannot qualify non-reference value with ::{a.parts[1:]}")
-        return a
+        if a.parts[0] not in env:
+            return a
+        head = env[a.parts[0]]
+        if a.parts[0] == ME:
+            return _resolve_me(a, *head.parts)
+        if a.is_simple:
+            return head
+        if isinstance(head, A.Ref):
+            return A.Ref(head.parts + a.parts[1:])
+        raise ExpansionError(f"cannot qualify non-reference value with ::{a.parts[1:]}")
     if isinstance(a, A.Num):
         return a
     if isinstance(a, A.SetLit):
@@ -349,99 +351,30 @@ def subst_expr(e: A.Expr, env: Mapping[str, Value]) -> A.Expr:
 # ``me::`` resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_me_ref(r: object, instance: str, junction: str) -> object:
-    if not isinstance(r, A.Ref) or r.parts[0] != "me":
-        return r
-    parts = r.parts
-    if parts == ("me", "junction"):
+#: env key under which substitution finds ``Ref((instance, junction))``,
+#: the junction being closed: every position that can hold a
+#: reference goes through :func:`subst_arg`, so binding it resolves
+#: ``me::junction`` / ``me::instance[::j]`` wherever they stand
+ME = "me"
+
+
+def _resolve_me(r: A.Ref, instance: str, junction: str) -> A.Ref:
+    if r.parts == (ME, "junction"):
         return A.Ref((instance, junction))
-    if parts[0] == "me" and len(parts) >= 2 and parts[1] == "instance":
-        if len(parts) == 2:
-            return A.Ref((instance,))
-        return A.Ref((instance,) + parts[2:])
+    if r.parts[1:2] == ("instance",):
+        return A.Ref((instance,) + r.parts[2:])
     raise ExpansionError(f"unknown special reference {r}")
 
 
 def resolve_me_formula(f: Formula, instance: str, junction: str) -> Formula:
-    if isinstance(f, Prop):
-        return Prop(f.name, _resolve_me_ref(f.index, instance, junction))
-    if isinstance(f, Not):
-        return Not(resolve_me_formula(f.operand, instance, junction))
-    if isinstance(f, And):
-        return And(
-            resolve_me_formula(f.left, instance, junction),
-            resolve_me_formula(f.right, instance, junction),
-        )
-    if isinstance(f, Or):
-        return Or(
-            resolve_me_formula(f.left, instance, junction),
-            resolve_me_formula(f.right, instance, junction),
-        )
-    if isinstance(f, Implies):
-        return Implies(
-            resolve_me_formula(f.left, instance, junction),
-            resolve_me_formula(f.right, instance, junction),
-        )
-    if isinstance(f, At):
-        return At(
-            _resolve_me_ref(f.junction, instance, junction),
-            resolve_me_formula(f.body, instance, junction),
-        )
-    if isinstance(f, Live):
-        return Live(_resolve_me_ref(f.instance, instance, junction))
-    return f
-
-
-def resolve_me_decl(d: A.Decl, instance: str, junction: str) -> A.Decl:
-    if isinstance(d, A.InitProp):
-        return A.InitProp(d.name, d.value, _resolve_me_ref(d.index, instance, junction))
-    if isinstance(d, A.Guard):
-        return A.Guard(resolve_me_formula(d.formula, instance, junction))
-    return d
+    return subst_formula(f, {ME: A.Ref((instance, junction))})
 
 
 def resolve_me_expr(e: A.Expr, instance: str, junction: str) -> A.Expr:
     """Rewrite ``me::junction`` / ``me::instance[::j]`` references to the
-    concrete instance and junction names (done at bind time)."""
-
-    def rme(x):
-        return resolve_me_expr(x, instance, junction)
-
-    if isinstance(e, A.Write):
-        return A.Write(e.name, _resolve_me_ref(e.target, instance, junction))
-    if isinstance(e, A.Assert):
-        return A.Assert(
-            _resolve_me_ref(e.target, instance, junction),
-            e.prop,
-            _resolve_me_ref(e.index, instance, junction),
-        )
-    if isinstance(e, A.Retract):
-        return A.Retract(
-            _resolve_me_ref(e.target, instance, junction),
-            e.prop,
-            _resolve_me_ref(e.index, instance, junction),
-        )
-    if isinstance(e, A.Wait):
-        return A.Wait(e.keys, resolve_me_formula(e.formula, instance, junction))
-    if isinstance(e, A.Verify):
-        return A.Verify(resolve_me_formula(e.formula, instance, junction))
-    if isinstance(e, A.Start):
-        return A.Start(
-            _resolve_me_ref(e.instance, instance, junction), e.junction_args
-        )
-    if isinstance(e, A.Stop):
-        return A.Stop(_resolve_me_ref(e.instance, instance, junction))
-    if isinstance(e, A.Case):
-        arms = tuple(
-            A.CaseArm(
-                resolve_me_formula(a.formula, instance, junction),
-                rme(a.body),
-                a.terminator,
-            )
-            for a in e.arms
-        )
-        return A.Case(arms, rme(e.otherwise))
-    return _rebuild(e, rme)
+    concrete instance and junction names (:func:`specialize` does it
+    as part of closing a junction)."""
+    return subst_expr(e, {ME: A.Ref((instance, junction))})
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +512,38 @@ def unroll_expr(e: A.Expr, env: Mapping[str, Value]) -> A.Expr:
     return _rebuild(e, lambda c: unroll_expr(c, env))
 
 
+class Closed(NamedTuple):
+    """A closed junction: what :func:`specialize` returns.  It unpacks
+    as the pair ``(body, decls)``."""
+
+    body: A.Expr
+    decls: tuple[A.Decl, ...]
+
+    @property
+    def guard(self) -> Formula | None:
+        """The formula of the (last) ``guard`` declaration, if any."""
+        guards = [d.formula for d in self.decls if isinstance(d, A.Guard)]
+        return guards[-1] if guards else None
+
+
 def specialize(
     body: A.Expr,
     decls: tuple[A.Decl, ...],
     env: Mapping[str, Value],
-) -> tuple[A.Expr, tuple[A.Decl, ...]]:
-    """Bind-time specialization: substitute parameter values into
-    ``body`` and ``decls``, resolve set declarations, and unroll all
-    templates.  Returns the closed body and the flattened declarations
-    (ForInit expanded to concrete InitProps).
+    me: tuple[str, str] | None = None,
+) -> Closed:
+    """Close a junction: substitute parameter values into ``body`` and
+    ``decls``, resolve set declarations, unroll all templates and —
+    given ``me``, the ``(instance, junction)`` being closed — resolve
+    ``me::`` references.  Returns the closed body and the flattened
+    declarations (ForInit expanded to concrete InitProps).
 
     Set declarations with literals extend the environment so later
     declarations and the body can iterate over them.
     """
     env = dict(env)
+    if me is not None:
+        env[ME] = A.Ref(me)
     out_decls: list[A.Decl] = []
     # register subset parents first so body unrolling sees them
     for d in decls:
@@ -627,5 +578,4 @@ def specialize(
         else:
             out_decls.append(d)
 
-    new_body = unroll_expr(subst_expr(body, env), env)
-    return new_body, tuple(out_decls)
+    return Closed(unroll_expr(subst_expr(body, env), env), tuple(out_decls))

@@ -6,115 +6,42 @@ communication from one junction to another, derived by analyzing the
 ``assert``/``retract``/``write`` targets in each junction's (inlined
 and specialized) DSL expression.
 
-Targets that are parameters or index variables are resolved
-conservatively: an ``idx x of S`` target contributes an edge to every
-member of ``S``.
+Junctions are closed by :func:`repro.core.elaborate.elaborate` — with
+the arguments ``main`` starts them with — and targets are read by its
+static target rule: a bare instance name is the runtime's
+``sole_junction``, and an ``idx x of S`` target contributes an edge to
+every member of ``S``.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import networkx as nx
 
 from . import ast as A
 from .compiler import CompiledProgram
-from .expand import specialize, to_ast_value
-
-
-def _junction_nodes(program: CompiledProgram) -> dict[str, list[str]]:
-    """Map instance name -> its junction names."""
-    out: dict[str, list[str]] = {}
-    for inst, tname in program.instance_map().items():
-        out[inst] = [j.name for j in program.junctions_of_type(tname)]
-    return out
-
-
-def _resolve_targets(
-    target: object,
-    inst: str,
-    junctions_by_instance: dict[str, list[str]],
-    idx_sets: dict[str, tuple],
-) -> Iterable[str]:
-    """Resolve a target reference to zero or more ``inst::junction``
-    node names."""
-    if isinstance(target, A.SelfTarget):
-        return []
-    if not isinstance(target, A.Ref):
-        return []
-    parts = target.parts
-    if parts[0] == "me":
-        if parts == ("me", "junction"):
-            return []
-        if len(parts) == 3 and parts[1] == "instance":
-            return [f"{inst}::{parts[2]}"]
-        return []
-    if parts[0] in idx_sets:
-        out: list[str] = []
-        for elem in idx_sets[parts[0]]:
-            out.extend(
-                _resolve_targets(elem, inst, junctions_by_instance, {})
-                if isinstance(elem, (A.Ref, A.SelfTarget))
-                else []
-            )
-        return out
-    head = parts[0]
-    if head in junctions_by_instance:
-        if len(parts) == 1:
-            juncs = junctions_by_instance[head]
-            if len(juncs) == 1:
-                return [f"{head}::{juncs[0]}"]
-            return [f"{head}::{j}" for j in juncs]
-        return [f"{head}::{parts[1]}"]
-    return []
+from .elaborate import elaborate
 
 
 def topology(program: CompiledProgram, env: dict[str, object] | None = None) -> nx.DiGraph:
     """Compute the communication topology of ``program``.
 
-    ``env`` supplies values for junction parameters (by name) so that
-    parameterized targets resolve; entries are lifted with
-    :func:`~repro.core.expand.to_ast_value`.  Unresolvable targets are
-    skipped (they contribute no edges).
+    ``env`` supplies values for ``main``'s parameters (and, by name,
+    for the parameters of junctions ``main`` does not start).  Junctions
+    that do not close and targets that do not resolve contribute no
+    edges.
     """
     g: "nx.DiGraph" = nx.DiGraph()
-    inst_map = program.instance_map()
-    junctions_by_instance = _junction_nodes(program)
-    base_env = program.config_env()
-    if env:
-        base_env.update({k: to_ast_value(v) for k, v in env.items()})
-
-    for inst, tname in inst_map.items():
+    for inst, tname in program.instance_map().items():
         for cj in program.junctions_of_type(tname):
-            node = f"{inst}::{cj.name}"
-            g.add_node(node, instance=inst, type=tname, junction=cj.name)
+            g.add_node(f"{inst}::{cj.name}", instance=inst, type=tname, junction=cj.name)
 
-    for inst, tname in inst_map.items():
-        for cj in program.junctions_of_type(tname):
-            node = f"{inst}::{cj.name}"
-            # Best-effort specialization: parameters without supplied
-            # values stay symbolic and their targets are skipped.
-            try:
-                body, decls = specialize(cj.body, cj.decls, base_env)
-            except Exception:
-                body, decls = cj.body, cj.decls
-            idx_sets: dict[str, tuple] = {}
-            for d in decls:
-                if isinstance(d, (A.IdxDecl, A.SubsetDecl)):
-                    of = d.of_set
-                    if isinstance(of, A.Ref) and of.name in base_env:
-                        of = base_env[of.name]
-                    if isinstance(of, A.SetLit):
-                        idx_sets[d.name] = of.items
-            for e in A.walk(body):
-                targets: Iterable[str] = []
-                if isinstance(e, (A.Assert, A.Retract)):
-                    targets = _resolve_targets(e.target, inst, junctions_by_instance, idx_sets)
-                elif isinstance(e, A.Write):
-                    targets = _resolve_targets(e.target, inst, junctions_by_instance, idx_sets)
-                for t in targets:
-                    if t != node and g.has_node(t):
-                        g.add_edge(node, t)
+    binding = elaborate(program, env)
+    for bj in binding.junctions:
+        for e in A.walk(bj.body):
+            if isinstance(e, (A.Assert, A.Retract, A.Write)):
+                for t in binding.targets(e.target, bj):
+                    if t != bj.node and g.has_node(t):
+                        g.add_edge(bj.node, t)
     return g
 
 

@@ -43,10 +43,9 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from dataclasses import dataclass, field
 
-from ..core import ast as A
 from ..core.compiler import CompiledProgram
+from ..core.elaborate import main_env, main_starts, start_groups
 from ..core.errors import SerdeError
-from ..core.expand import specialize, to_ast_value
 from .diff import ArchDiff, diff_programs
 from .plan import TransitionPlan, plan_transition
 
@@ -102,37 +101,6 @@ class _JunctionSnapshot:
     values: dict = field(default_factory=dict)
     pending: list = field(default_factory=list)
     nbytes: int = 0
-
-
-def _main_start_args(
-    program: CompiledProgram, env: Mapping[str, object]
-) -> dict[str, dict[str, tuple]]:
-    """Per-instance junction arguments from ``main``'s start expression,
-    specialized against ``env`` — the same specialization path
-    ``System.start`` uses, so reconfigured and freshly-started bindings
-    agree exactly."""
-    main = program.main
-    if main is None:
-        return {}
-    body, _ = specialize(main.body, (), dict(env))
-    imap = program.instance_map()
-    out: dict[str, dict[str, tuple]] = {}
-    for node in A.walk(body):
-        if not isinstance(node, A.Start):
-            continue
-        name = str(node.instance)
-        tname = imap.get(name)
-        if tname is None:
-            continue  # dynamic target (idx deref) — runtime-only
-        groups = dict(node.junction_args)
-        if None in groups and len(groups) == 1:
-            junctions = program.junctions_of_type(tname)
-            if len(junctions) == 1:
-                groups = {junctions[0].name: groups[None]}
-            else:
-                continue
-        out[name] = {j: tuple(args) for j, args in groups.items() if j is not None}
-    return out
 
 
 def _quiescent(system: "System", jr) -> bool:
@@ -222,22 +190,22 @@ def _execute(
 
     # -- new main environment: new config, then parameters carried over
     #    from the original start, then explicit overrides
-    env = new.config_env()
-    if new.main is not None:
-        for p in new.main.params:
-            if p in system._main_env:
-                env[p] = system._main_env[p]
-    for k, v in main_args.items():
-        env[k] = to_ast_value(v)
-    if new.main is not None:
-        missing = [p for p in new.main.params if p not in env]
-        if missing:
-            raise ReconfigError(f"main parameters missing values: {missing}")
-    new_start_args = _main_start_args(new, env)
+    params = new.main.params if new.main is not None else ()
+    carried = {p: system._main_env[p] for p in params if p in system._main_env}
+    env, missing = main_env(new, {**carried, **main_args})
+    if missing:
+        raise ReconfigError(f"main parameters missing values: {missing}")
+    # the same elaboration ``System.start`` runs through, so reconfigured
+    # and freshly-started bindings agree exactly
+    new_imap = new.instance_map()
+    _, starts = main_starts(new, env)
+    new_start_args = {
+        name: start_groups(name, new.junctions_of_type(new_imap[name]), groups)
+        for name, groups in starts.items()
+    }
 
     # -- derive the rebind set: kept running instances whose junction
     #    templates, start arguments or config changed
-    new_imap = new.instance_map()
     added = tuple(name for name, _ in diff.instances_added)
     removed = tuple(name for name, _ in diff.instances_removed)
     changed_types = {cj.type_name for cj in diff.junctions_changed}

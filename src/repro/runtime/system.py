@@ -39,12 +39,8 @@ from ..core.errors import (
     StartStopFailure,
     UndefError,
 )
-from ..core.expand import (
-    resolve_me_decl,
-    resolve_me_expr,
-    specialize,
-    to_ast_value,
-)
+from ..core.elaborate import junction_env, main_env, start_groups
+from ..core.expand import specialize, to_ast_value
 from ..core.formula import TRUE, UNKNOWN, evaluate
 from ..core.validate import validate_closed_junction
 from ..serde.framing import Serializer
@@ -260,10 +256,7 @@ class System:
         main = self.program.main
         if main is None:
             return
-        env = self.program.config_env()
-        for k, v in main_args.items():
-            env[k] = to_ast_value(v)
-        missing = [p for p in main.params if p not in env]
+        env, missing = main_env(self.program, main_args)
         if missing:
             raise CompileError(f"main parameters missing values: {missing}")
         self._main_env = dict(env)
@@ -348,14 +341,7 @@ class System:
         inst = self.instance(name)
         if inst.running and not inst.crashed:
             raise StartStopFailure(f"start {name}: instance already running")
-        arg_groups = dict(junction_args)
-        junctions = list(inst.junctions.values())
-        if None in arg_groups and len(arg_groups) == 1:
-            if len(junctions) != 1:
-                raise StartStopFailure(
-                    f"start {name}: anonymous arguments but {len(junctions)} junctions"
-                )
-            arg_groups = {junctions[0].name: arg_groups[None]}
+        arg_groups = start_groups(name, inst.junctions.values(), junction_args)
         self._start_instance(inst, arg_groups, parent=self._execution_event(caller))
 
     def start_instance(self, name: str, /, **junction_args) -> None:
@@ -411,23 +397,12 @@ class System:
         template (the table is re-initialized; the caller restores any
         carried-over state afterwards)."""
         cj = jr.compiled
-        if len(args) != len(cj.params):
-            raise StartStopFailure(
-                f"start {inst.name}: junction {jr.name!r} expects {len(cj.params)} "
-                f"parameter(s), got {len(args)}"
-            )
-        env = dict(config_env)
-        env.update(dict(zip(cj.params, args)))
-        body, decls = specialize(cj.body, cj.decls, env)
-        body = resolve_me_expr(body, inst.name, jr.name)
-        decls = tuple(resolve_me_decl(d, inst.name, jr.name) for d in decls)
-        validate_closed_junction(cj.qualified, decls, body, cj.params)
-        jr.body = body
-        jr.decls = decls
-        jr.guard = TRUE
-        for d in decls:
-            if isinstance(d, A.Guard):
-                jr.guard = d.formula
+        env = junction_env(config_env, cj, args, inst.name)
+        closed = specialize(cj.body, cj.decls, env, (inst.name, jr.name))
+        validate_closed_junction(cj.qualified, closed.decls, closed.body, cj.params)
+        jr.body, jr.decls = closed
+        guard = closed.guard
+        jr.guard = TRUE if guard is None else guard
         jr.ast_params = dict(zip(cj.params, args))
         jr.params = {p: _to_runtime_value(v) for p, v in jr.ast_params.items()}
         jr.init_state()

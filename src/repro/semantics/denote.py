@@ -46,7 +46,7 @@ from .events import (
     TT,
     FF,
 )
-from .structure import EventStructure
+from .structure import EventStructure, reachable
 
 ES = EventStructure
 
@@ -263,12 +263,9 @@ class Denoter:
             if ev.id not in right2:
                 le.add((ev.id, m2[ev.id]))
         conflict = set(e1.conflict | e2.conflict | c1.conflict | c2.conflict)
-        clo1 = e1.closure_le()
-        clo2 = e2.closure_le()
-        for a, b in clo1:
-            conflict.add(frozenset((b, m1[a])))
-        for a, b in clo2:
-            conflict.add(frozenset((b, m2[a])))
+        for es, m in ((e1, m1), (e2, m2)):
+            for a, after in es.descendants.items():
+                conflict.update(frozenset((b, m[a])) for b in after)
         conflict = {p for p in conflict if len(p) == 2}
         return ES(events, frozenset(le), frozenset(conflict))
 
@@ -280,17 +277,13 @@ class Denoter:
         events = set(body.isolate().events)
         le = set(body.le)
         conflict = set(body.conflict)
-        body_clo = body.closure_le()
-        preds: dict[int, set[int]] = {}
-        for a, b in body_clo:
-            preds.setdefault(b, set()).add(a)
         for ev in body.in_order():
             copy, _m = handler.copy_fresh()
             events |= copy.events
             le |= set(copy.le)
             conflict |= set(copy.conflict)
             left = {c.id for c in copy.leftmost()}
-            for p in preds.get(ev.id, ()):  # e' ⪇ e enable the copy
+            for p in body.ancestors[ev.id]:  # e' ⪇ e enable the copy
                 for l in left:
                     le.add((p, l))
             for l in left:  # the copy conflicts with e itself
@@ -391,9 +384,9 @@ def _expand_one(es: ES, w: Event, junction: str, parse_formula) -> ES:
     except Exception:
         formula = FalseF()  # unparseable (shouldn't happen from our own AST)
     dnf = to_dnf(formula)
-    clo = es.closure_le()
     direct_preds = {a for (a, b) in es.le if b == w.id}
-    downstream_ids = {b for (a, b) in clo if a == w.id}
+    # one walk: the structure is replaced before anything asks again
+    downstream_ids = reachable(es.successors, w.id)
     downstream = frozenset(e for e in es.events if e.id in downstream_ids)
     remaining_events = frozenset(
         e for e in es.events if e.id != w.id and e.id not in downstream_ids

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 from ..core import ast as A
 from ..core.compiler import CompiledProgram
-from ..core.expand import resolve_me_decl, resolve_me_expr, specialize, to_ast_value
+from ..core.elaborate import Binding, elaborate
 from .denote import Denoter
 from .events import AdHoc, StartL, Wr, fresh_event, TT, FF
-from .structure import EventStructure
-
-ES = EventStructure
+from .structure import EventStructure as ES
 
 
 @dataclass
@@ -45,48 +43,28 @@ class ProgramSemantics:
 def denote_startup(program: CompiledProgram, env: dict | None = None) -> ES:
     """The start-up portion: ``main`` → ``Start_init(ι)`` → per-instance
     init writes."""
-    main_ev = fresh_event(AdHoc("main"))
-    es = ES.of_events([main_ev])
-    if program.main is None:
-        return es
-    cfg = program.config_env()
-    for k, v in (env or {}).items():
-        cfg[k] = to_ast_value(v)
-    try:
-        body, _ = specialize(program.main.body, (), cfg)
-    except Exception:
-        body = program.main.body
+    return _startup(elaborate(program, env))
 
-    inst_map = program.instance_map()
-    for node in A.walk(body):
+
+def _startup(binding: Binding) -> ES:
+    main_ev = fresh_event(AdHoc("main"))
+    events, le = [main_ev], []
+    for node in A.walk(binding.main):
         if not isinstance(node, A.Start):
             continue
         iname = str(node.instance)
         start_ev = fresh_event(StartL("init", iname))
-        es = ES(
-            es.events | {start_ev},
-            es.le | {(main_ev.id, start_ev.id)},
-            es.conflict,
-        )
-        tname = inst_map.get(iname)
-        if tname is None:
-            continue
-        for cj in program.junctions_of_type(tname):
-            try:
-                _, decls = specialize(cj.body, cj.decls, cfg)
-            except Exception:
-                decls = cj.decls
-            decls = tuple(resolve_me_decl(d, iname, cj.name) for d in decls)
-            jnode = f"{iname}::{cj.name}"
-            for d in decls:
+        events.append(start_ev)
+        le.append((main_ev.id, start_ev.id))
+        for bj in binding.junctions:
+            if bj.instance != iname:
+                continue
+            for d in bj.decls:
                 if isinstance(d, A.InitProp):
-                    wr = fresh_event(Wr(frozenset([jnode]), d.key(), TT if d.value else FF))
-                    es = ES(
-                        es.events | {wr},
-                        es.le | {(start_ev.id, wr.id)},
-                        es.conflict,
-                    )
-    return es
+                    wr = fresh_event(Wr(frozenset([bj.node]), d.key(), TT if d.value else FF))
+                    events.append(wr)
+                    le.append((start_ev.id, wr.id))
+    return ES(frozenset(events), frozenset(le), frozenset())
 
 
 def denote_program(
@@ -95,36 +73,24 @@ def denote_program(
     *,
     max_unfold: int = 1,
 ) -> ProgramSemantics:
-    """Denote start-up plus every instance's junctions.
-
-    ``env`` supplies values for main/junction parameters where needed
-    (sets, timeouts); junctions whose parameters remain unbound are
-    denoted from their unspecialized bodies (templates intact where
-    possible, else skipped with an ``AdHoc`` stub)."""
-    cfg = program.config_env()
-    for k, v in (env or {}).items():
-        cfg[k] = to_ast_value(v)
-
-    startup = denote_startup(program, env)
+    """Denote start-up plus every instance's junctions, each closed as
+    :func:`repro.core.elaborate.elaborate` closes it: ``env`` supplies
+    ``main``'s parameters, and parameters by name for a junction
+    ``main`` does not start.  A junction that does not close (an
+    argument with no value) is an ``AdHoc`` ``unbound(node)`` stub."""
+    binding = elaborate(program, env)
+    closed = {bj.node: bj for bj in binding.junctions}
+    startup = _startup(binding)
     junctions: dict[str, ES] = {}
     for iname, tname in program.instance_map().items():
         for cj in program.junctions_of_type(tname):
             node = f"{iname}::{cj.name}"
-            try:
-                body, decls = specialize(cj.body, cj.decls, cfg)
-                body = resolve_me_expr(body, iname, cj.name)
-                decls = tuple(resolve_me_decl(d, iname, cj.name) for d in decls)
-            except Exception:
-                junctions[node] = ES.of_events(
-                    [fresh_event(AdHoc(f"unbound({node})", node))]
-                )
-                continue
-            guard = None
-            for d in decls:
-                if isinstance(d, A.Guard):
-                    guard = d.formula
-            den = Denoter(node, max_unfold=max_unfold)
-            junctions[node] = den.denote_junction(body, guard)
+            bj = closed.get(node)
+            if bj is None:
+                junctions[node] = ES.of_events([fresh_event(AdHoc(f"unbound({node})", node))])
+            else:
+                den = Denoter(node, max_unfold=max_unfold)
+                junctions[node] = den.denote_junction(bj.body, bj.guard)
     return ProgramSemantics(startup=startup, junctions=junctions)
 
 
@@ -140,7 +106,7 @@ def denote_junction(
     into its event structure (paper sec. 8.5).
 
     This is the stable entry point for analysis and compile consumers —
-    it wraps the same specialization + :class:`Denoter` pipeline
+    it wraps the same elaboration + :class:`Denoter` pipeline
     :func:`denote_program` uses, without requiring a deep import of
     :mod:`repro.semantics.denote`.
 
@@ -152,36 +118,14 @@ def denote_junction(
     static analyzer's concurrency pass and the junction compiler's
     footprint derivation need.
 
-    ``env`` supplies values for main/junction parameters (sets,
-    timeouts) beyond the program's own configuration.  Raises
-    ``KeyError`` for an unknown node and ``ValueError`` when the
-    junction's parameters cannot be specialized with the given
-    environment.
+    ``env`` is :func:`denote_program`'s.  Raises ``KeyError`` for an
+    unknown node and ``ValueError`` when the junction does not close
+    under the given environment.
     """
-    iname, sep, jname = node.partition("::")
-    if not sep:
-        raise KeyError(f"junction node must be 'instance::junction', got {node!r}")
-    tname = program.instance_map().get(iname)
-    if tname is None:
-        raise KeyError(f"unknown instance {iname!r}")
-    for cj in program.junctions_of_type(tname):
-        if cj.name == jname:
-            break
-    else:
-        raise KeyError(f"instance {iname!r} has no junction {jname!r}")
-
-    cfg = program.config_env()
-    for k, v in (env or {}).items():
-        cfg[k] = to_ast_value(v)
-    try:
-        body, decls = specialize(cj.body, cj.decls, cfg)
-        body = resolve_me_expr(body, iname, cj.name)
-        decls = tuple(resolve_me_decl(d, iname, cj.name) for d in decls)
-    except Exception as exc:
-        raise ValueError(f"cannot specialize {node}: {exc}") from exc
-    guard = None
-    for d in decls:
-        if isinstance(d, A.Guard):
-            guard = d.formula
+    binding = elaborate(program, env)
+    closed = {bj.node: bj for bj in binding.junctions}
+    if node not in closed:
+        reason = dict(binding.unbound)[node]  # KeyError: no such junction
+        raise ValueError(f"cannot specialize {node}: {reason}")
     den = Denoter(node, max_unfold=max_unfold)
-    return den.denote_junction(body, guard, expand=expand)
+    return den.denote_junction(closed[node].body, closed[node].guard, expand=expand)

@@ -18,38 +18,24 @@ from .structure import EventStructure
 
 
 def immediate_causality(es: EventStructure) -> set[tuple[int, int]]:
-    clo = es.closure_le()
+    """``a ⪇ b`` with nothing strictly between: the direct enablements
+    no other direct successor of ``a`` leads to."""
     out = set()
-    for a, b in clo:
-        if a == b:
-            continue
-        if any((a, c) in clo and (c, b) in clo and c not in (a, b) for c in es.ids):
-            continue
-        out.add((a, b))
+    for a, direct in es.successors.items():
+        via = set().union(*(es.descendants[c] for c in direct))
+        out.update((a, b) for b in direct if b not in via and b != a)
     return out
 
 
 def minimal_conflicts(es: EventStructure) -> set[frozenset]:
-    """Conflicts ``e1 # e2`` minimal in the sense of sec. 8.2.1."""
-    inh = es.inherited_conflicts()
-    # one history per event, not one per (pair, ancestor): ``history``
-    # recomputes the causality closure on every call
-    history = {i: es.history(i) for i in es.ids}
-    out = set()
-    for pair in inh:
-        a, b = tuple(pair)
-        minimal = True
-        for ea in history[a]:
-            for eb in history[b]:
-                p = frozenset((ea, eb))
-                if len(p) == 2 and p in inh and p != pair:
-                    minimal = False
-                    break
-            if not minimal:
-                break
-        if minimal:
-            out.add(pair)
-    return out
+    """Conflicts ``e1 # e2`` minimal in the sense of sec. 8.2.1: an
+    inherited conflict never is, and a declared one is unless another
+    declared conflict lies below it."""
+    return {
+        pair
+        for pair in es.conflict
+        if len(pair) == 2 and all(p == pair for p in es.straddling(*pair))
+    }
 
 
 def to_dot(es: EventStructure, name: str = "events") -> str:
@@ -70,13 +56,13 @@ def to_dot(es: EventStructure, name: str = "events") -> str:
 def to_text(es: EventStructure) -> str:
     """Deterministic listing: events in a topological order with their
     immediate enablers, followed by minimal conflicts."""
-    clo = es.closure_le()
-    imm = immediate_causality(es)
-    order = _topo_order(es, clo)
+    enablers: dict[int, list[int]] = {}
+    for a, b in sorted(immediate_causality(es)):
+        enablers.setdefault(b, []).append(a)
     id2e = {e.id: e for e in es.events}
     lines = []
-    for eid in order:
-        preds = sorted(a for (a, b) in imm if b == eid)
+    for eid in _topo_order(es):
+        preds = enablers.get(eid, ())
         pred_s = ", ".join(str(id2e[p]) for p in preds)
         arrow = f"  <- [{pred_s}]" if preds else ""
         lines.append(f"{id2e[eid]}{arrow}")
@@ -86,9 +72,13 @@ def to_text(es: EventStructure) -> str:
     return "\n".join(lines)
 
 
-def _topo_order(es: EventStructure, clo) -> list[int]:
+def _topo_order(es: EventStructure) -> list[int]:
     remaining = {e.id for e in es.events}
-    preds = {i: {a for (a, b) in clo if b == i and a in remaining} for i in remaining}
+    # direct enablers suffice: theirs were emitted before them
+    preds: dict[int, set] = {i: set() for i in remaining}
+    for a, b in es.le:
+        if b in preds:
+            preds[b].add(a)
     order = []
     while remaining:
         ready = sorted(i for i in remaining if not (preds[i] & remaining))

@@ -16,9 +16,41 @@ peripheries ``⇒[[E]]`` (rightmost) and ``⇐[[E]]`` (leftmost),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 from .events import Event, fresh_event, isolate_event
+
+
+def _adjacency(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return out
+
+
+def reachable(adj: dict, start: int, done: dict | None = None) -> set[int]:
+    """Everything a walk over ``adj`` reaches from ``start`` (``start``
+    itself only on a cycle).  ``done`` maps events to sets already
+    complete, which the walk takes whole instead of re-entering."""
+    seen: set[int] = set()
+    stack = [start]
+    while stack:
+        for b in adj.get(stack.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                if done and b in done:
+                    seen |= done[b]
+                else:
+                    stack.append(b)
+    return seen
+
+
+def _closure(adj: dict, order: list[int]) -> dict[int, frozenset]:
+    out: dict[int, frozenset] = {}
+    for a in order:
+        out[a] = frozenset(reachable(adj, a, out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,63 +88,69 @@ class EventStructure:
     def ids(self) -> frozenset:
         return frozenset(e.id for e in self.events)
 
+    # -- derived relations: computed once per structure, from adjacency --------
+
+    @cached_property
+    def successors(self) -> dict[int, list[int]]:
+        """``a`` → the events ``a`` directly enables."""
+        return _adjacency(self.le)
+
+    @cached_property
+    def descendants(self) -> dict[int, frozenset]:
+        """``a`` → every ``b`` with ``a < b``, for each event."""
+        # later events first: an event's successors were mostly created
+        # after it, so most walks stop at once on finished sets
+        return _closure(self.successors, sorted(self.ids, reverse=True))
+
+    @cached_property
+    def ancestors(self) -> dict[int, frozenset]:
+        """``b`` → every ``a`` with ``a < b``, for each event."""
+        return _closure(_adjacency((b, a) for a, b in self.le), sorted(self.ids))
+
+    @cached_property
+    def _partners(self) -> dict[int, list[int]]:
+        """``a`` → the events in *declared* conflict with ``a``."""
+        pairs = [tuple(p) for p in self.conflict if len(p) == 2]
+        return _adjacency(pairs + [(b, a) for a, b in pairs])
+
     def closure_le(self) -> frozenset:
         """Transitive closure of the strict enablement pairs."""
-        pairs = set(self.le)
-        changed = True
-        succ: dict[int, set[int]] = {}
-        for a, b in pairs:
-            succ.setdefault(a, set()).add(b)
-        while changed:
-            changed = False
-            for a in list(succ):
-                ext = set()
-                for b in succ[a]:
-                    ext |= succ.get(b, set())
-                if not ext <= succ[a]:
-                    succ[a] |= ext
-                    changed = True
-        return frozenset((a, b) for a, bs in succ.items() for b in bs)
+        return frozenset((a, b) for a, ds in self.descendants.items() for b in ds)
 
     def leq(self, a: int, b: int) -> bool:
         """Reflexive-transitive ``a ≤ b``."""
-        return a == b or (a, b) in self.closure_le()
+        return a == b or b in self.descendants.get(a, ())
 
     def history(self, eid: int) -> frozenset:
         """``[e] = {e' | e' ≤ e}`` (ids)."""
-        clo = self.closure_le()
-        return frozenset({eid} | {a for (a, b) in clo if b == eid})
+        return self.ancestors.get(eid, frozenset()) | {eid}
+
+    def straddling(self, a: int, b: int) -> Iterator[frozenset]:
+        """The *declared* conflicts with one side in ``[a]`` and the
+        other in ``[b]``.  Histories are downward closed, so ``a # b``
+        under inheritance (``e1#e2 ∧ e2 ≤ e3 → e1#e3``) exactly when
+        there is one."""
+        hb = self.history(b)
+        for c in self.history(a):
+            for d in self._partners.get(c, ()):
+                if d in hb:
+                    yield frozenset((c, d))
 
     def conflicts(self, a: int, b: int) -> bool:
         """Conflict including inheritance."""
-        return frozenset((a, b)) in self.inherited_conflicts()
+        return a != b and any(True for _ in self.straddling(a, b))
 
     def inherited_conflicts(self) -> frozenset:
-        """Close the conflict relation under inheritance:
-        ``e1#e2 ∧ e2 ≤ e3 → e1#e3``."""
-        clo = self.closure_le()
-        desc: dict[int, set[int]] = {}
-        for a, b in clo:
-            desc.setdefault(a, set()).add(b)
-        out = set(self.conflict)
-        frontier = list(self.conflict)
-        while frontier:
-            pair = frontier.pop()
-            ab = tuple(pair)
-            if len(ab) != 2:
-                continue
-            a, b = ab
-            for b2 in desc.get(b, ()):
-                p = frozenset((a, b2))
-                if len(p) == 2 and p not in out:
-                    out.add(p)
-                    frontier.append(p)
-            for a2 in desc.get(a, ()):
-                p = frozenset((a2, b))
-                if len(p) == 2 and p not in out:
-                    out.add(p)
-                    frontier.append(p)
-        return frozenset(out)
+        """The conflict relation closed under inheritance, as pairs."""
+        up = {e: self.descendants[e] | {e} for e in self._partners}
+        return frozenset(
+            frozenset((x, y))
+            for a, bs in self._partners.items()
+            for b in bs
+            for x in up[a]
+            for y in up[b]
+            if x != y
+        )
 
     # -- validity ------------------------------------------------------------
 
@@ -129,10 +167,9 @@ class EventStructure:
                 raise ValueError("conflict must relate two distinct events")
             if not pair <= ids:
                 raise ValueError(f"dangling conflict {set(pair)}")
-        clo = self.closure_le()
-        for a, b in clo:
-            if (b, a) in clo:
-                raise ValueError(f"enablement cycle through {a},{b}")
+        for a, after in self.descendants.items():
+            if a in after:
+                raise ValueError(f"enablement cycle through {a}")
         # finite causes is automatic for finite structures
 
     def validate_prime(self) -> None:
@@ -145,10 +182,9 @@ class EventStructure:
         The wait-expansion post-processing restores it locally by
         duplicating downstream structure."""
         self.validate()
-        inh = self.inherited_conflicts()
         for e in self.events:
             hist = self.history(e.id)
-            for pair in inh:
+            for pair in self.conflict:  # an inherited pair sits above one
                 if pair <= hist:
                     raise ValueError(
                         f"event {e} has conflicting causes {set(pair)}"
@@ -157,16 +193,7 @@ class EventStructure:
     def concurrent(self, a: int, b: int) -> bool:
         """Two events are concurrent iff incomparable by enablement and
         their histories are conflict-free (sec. 8.1)."""
-        if a == b:
-            return False
-        if self.leq(a, b) or self.leq(b, a):
-            return False
-        inh = self.inherited_conflicts()
-        for ea in self.history(a):
-            for eb in self.history(b):
-                if frozenset((ea, eb)) in inh and ea != eb:
-                    return False
-        return True
+        return a != b and not (self.leq(a, b) or self.leq(b, a) or self.conflicts(a, b))
 
     # -- peripheries -----------------------------------------------------------
 

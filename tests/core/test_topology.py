@@ -1,5 +1,8 @@
 """Topology extraction (sec. 8.7) tests."""
 
+import pytest
+
+from repro.arch.catalog import CATALOG
 from repro.core.compiler import compile_program
 from repro.core.topology import topology, topology_edges
 
@@ -92,13 +95,16 @@ def test_self_edges_excluded():
 
 
 def test_failover_topology_shape():
-    """The fail-over architecture's topology matches Fig. 8."""
+    """The fail-over architecture's topology matches Fig. 8 — from
+    ``main``'s own start arguments, and with them restated by hand."""
     from repro.arch.loader import load_program
 
     prog = load_program("failover")
-    edges = topology_edges(
+    edges = topology_edges(prog)
+    assert edges == topology_edges(
         prog, env={"backends": ["b1::serve", "b2::serve"], "t": 1.0}
     )
+    assert len(edges) == 18
     # startup registers with f::b
     assert ("b1::startup", "f::b") in edges
     # f::b signals f::c
@@ -108,3 +114,20 @@ def test_failover_topology_shape():
     assert ("f::c", "b2::serve") in edges
     # serve responds to f::c
     assert ("b1::serve", "f::c") in edges
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_topology_sound_against_the_runtime(name):
+    """Every edge a run sends on is an edge of ``Topo``, computed from
+    the program alone: junctions are closed with ``main``'s own start
+    arguments, as the runtime closes them."""
+    from repro.explore.scenarios import arch_scenario
+
+    scenario = arch_scenario(name)
+    system = scenario.run()
+    sent = {
+        (e.node, e.attrs["dst"]) for e in system.telemetry.events if e.kind == "send"
+    }
+    sent = {(a, b) for a, b in sent if a != b and a != "__init__::main"}
+    assert sent, "the scripted workload sent nothing"
+    assert sent <= topology_edges(system.program)

@@ -3,8 +3,8 @@ every shipped architecture denotes into valid event structures."""
 
 import pytest
 
-from repro.arch.loader import load_program
-from repro.semantics import Sched, Unsched, denote_program
+from repro.arch.loader import ARCHITECTURES, load_program
+from repro.semantics import Sched, Unsched, denote_program, to_text
 
 
 CASES = [
@@ -32,15 +32,22 @@ def test_architecture_denotes_validly(name, kwargs, env):
         assert unscheds, f"{node} lacks an Unsched event"
 
 
-@pytest.mark.slow
 def test_failover_denotes_validly():
     prog = load_program("failover")
-    sem = denote_program(
-        prog, {"backends": ["b1::serve", "b2::serve"], "t": 1.0}, max_unfold=1
-    )
+    sem = denote_program(prog, {"t": 1.0}, max_unfold=1)
     assert sem.total_events() > 500
     for es in sem.all_structures():
         es.validate()
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_every_shipped_junction_denotes(name):
+    """No ``unbound(node)`` stub: every junction closes under the
+    arguments ``main`` itself starts it with, and can be printed."""
+    sem = denote_program(load_program(name))
+    for node, es in sem.junctions.items():
+        assert not es.find(lambda e: str(e.label).startswith("unbound(")), node
+        assert "Sched_" in to_text(es)
 
 
 def test_at_guard_becomes_opaque_read():
