@@ -33,9 +33,9 @@ The surface covers the four things an embedding application touches:
   form used by analysis/compile consumers);
 * **reconfiguration** — live architecture transitions: ``diff_programs``
   produces an ``ArchDiff``, ``plan_transition`` compiles it to a
-  per-instance ``TransitionPlan``, and ``System.reconfigure`` applies
-  it to a running system with zero dropped requests (returns a
-  ``ReconfigReport``); see ``docs/RECONFIG.md``;
+  ``TransitionPlan``, and ``System.reconfigure`` runs that plan step by
+  step on a running system with zero dropped requests (returns a
+  ``ReconfigReport``: the plan, the steps run); see ``docs/RECONFIG.md``;
 * **observability** — the ``Telemetry`` facade (``system.telemetry``)
   and its metric/exporter types; see ``docs/OBSERVABILITY.md``;
 * **errors** — the ``CSawError`` hierarchy root and the failure types

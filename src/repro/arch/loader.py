@@ -117,6 +117,11 @@ def declared_hosts(type_rt) -> set[str]:
     }
 
 
+def bare_main_args(program: CompiledProgram) -> dict[str, float]:
+    """1.0 for every ``main`` parameter the configuration leaves open."""
+    return {p: 1.0 for p in main_env(program)[1]}
+
+
 def start_bare(
     program: CompiledProgram,
     engine=None,
@@ -144,7 +149,7 @@ def start_bare(
                 save=lambda app, inst: {},
                 restore=lambda app, inst, obj: None,
             )
-    main_args = {p: 1.0 for p in main_env(program)[1]}
+    main_args = bare_main_args(program)
     if note is not None:
         if stubbed:
             note(f"stubbed host bindings: {', '.join(stubbed)}")

@@ -75,7 +75,7 @@ import sys
 import time
 from pathlib import Path
 
-from .arch.loader import compile_sized, open_target, start_bare
+from .arch.loader import bare_main_args, compile_sized, open_target, start_bare
 from .core.compiler import compile_program
 from .core.emit import emit_program
 from .core.errors import CSawError
@@ -547,8 +547,27 @@ def cmd_cluster(args) -> int:
     return 0 if recovered else 2
 
 
+def _static_plan(old, new, diff):
+    """The plan ``start_bare(old).reconfigure(new)`` executes, from the
+    two programs alone: the executor's rebind rule over what the old
+    ``main`` elaborates to in place of a running system's junctions."""
+    from .core.elaborate import main_env
+    from .reconfig import plan_transition
+    from .reconfig.executor import rebind_set, start_args
+
+    old_args, new_args = (
+        start_args(p, main_env(p, bare_main_args(p))[0]) for p in (old, new)
+    )
+    junctions = {name: old.junctions_of_type(t) for name, t in old.instance_map().items()}
+    bound = {
+        name: {cj.name: dict(zip(cj.params, groups.get(cj.name, ()))) for cj in junctions[name]}
+        for name, groups in old_args.items()
+    }
+    return plan_transition(diff, rebind=rebind_set(diff, new, new_args, bound))
+
+
 def cmd_reconfigure(args) -> int:
-    from .reconfig import diff_programs, plan_transition
+    from .reconfig import diff_programs
 
     config = _config(args)
     old, new = (
@@ -560,8 +579,7 @@ def cmd_reconfigure(args) -> int:
     if args.diff_only:
         return 0
     if args.plan_only:
-        plan = plan_transition(diff)
-        print(plan.render())
+        print(_static_plan(old, new, diff).render())
         return 0
 
     spec = _engine_spec(args, default_time_scale=0.05)

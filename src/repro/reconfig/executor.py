@@ -1,53 +1,50 @@
-"""Transition executor: apply an :class:`ArchDiff` to a *running* System.
+"""Transition executor: run a :class:`TransitionPlan` on a *running* System.
 
-The executor is engine-portable — it drives the transition from
-blocking code through the same ``engine.run_until`` surface the
-embedding application uses, so the identical plan executes on the sim,
-realtime and cluster engines.  On the cluster engine, worker processes
-for added instances spawn in the prepare phase and removed instances'
-workers retire after the transition, both while the event loop is idle
-(`engine.prepare_instances` / `engine.retire_instances`).
+The executor interprets the plan (:mod:`repro.reconfig.plan`).  It
+derives the transition once — diff, new ``main`` environment, rebind
+set (:func:`rebind_set`), plan — then walks ``plan.ordered()``, hands
+every step of a kind to that kind's entry in :data:`HANDLERS` and
+records ``(step_id, began, ended)`` in ``ReconfigReport.steps``.  It
+keeps no step order of its own, and a kind without a handler fails the
+import.  It is blocking code over the ``engine.run_until`` surface the
+embedding application uses, so the identical plan runs on the sim,
+realtime and cluster engines (on a cluster ``spawn`` deploys worker
+processes and the removed instances' workers retire after ``resume``,
+both while the event loop is idle).
 
-Zero-drop protocol
-------------------
+``quiesce`` is the zero-drop protocol of docs/RECONFIG.md, two waves:
+pause the affected instances' client-facing junctions (their tables
+keep receiving, acking and deduplicating, so requests buffer instead of
+dropping), then pump the engine until every affected junction is idle
+at once.  Unaffected instances never stop serving.
 
-Quiesce happens in two waves (the decentralized part — unaffected
-instances never stop serving):
+From there to ``resume`` the engine never runs, one atomic blocking
+stretch: ``snapshot`` serde-copies the junction tables, ``cutover``
+swaps program and templates, ``stop`` / ``rebind`` / ``start`` change
+the instances (a rebound junction gets its snapshot back for the keys
+the new binding still declares, buffered updates included),
+``transfer`` moves application state, ``resume`` unpauses and replays.
 
-1. *Close the doors*: junctions of affected instances that have ever
-   been driven from outside the architecture (``external_update`` /
-   ``poke`` — the client-facing boundary) are paused.  A paused
-   junction schedules no new executions, but its table still receives,
-   acks and dedups inbound updates through the reliable-delivery
-   layer, so client requests submitted during the window buffer
-   instead of dropping.
-2. *Drain*: the engine pumps until every affected junction is
-   simultaneously quiescent — not mid-execution, and (unless paused)
-   with no pending updates.  In-flight request chains complete
-   normally because only the boundary is closed.  If the drain misses
-   the grace deadline the transition rolls back (unpause, retire any
-   pre-spawned workers) having mutated nothing.
-
-Cutover then runs as one atomic blocking stretch (the engine never
-runs between quiesce convergence and resume): junction tables are
-serde-snapshotted, templates swapped, junctions re-specialized against
-the new program, snapshots restored for keys the new binding still
-declares, buffered updates carried over, removed instances stopped and
-added instances started.  ``resume`` unpauses everything and replays
-the buffered work.
+A step that raises before the cutover begins — a drain that misses its
+grace included — rolls back (unpause, retire pre-spawned workers,
+``reconfig_rollback``; nothing was mutated); the missed drain is
+reported as ``rolled_back``, anything else re-raised.  After it there
+is no way back: whatever ``quiesce`` paused is resumed, so the service
+keeps answering, and the error propagates.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
-
 from dataclasses import dataclass, field
+from itertools import groupby
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..core.compiler import CompiledProgram
 from ..core.elaborate import main_env, main_starts, start_groups
 from ..core.errors import SerdeError
+from ..runtime.instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
 from .diff import ArchDiff, diff_programs
-from .plan import TransitionPlan, plan_transition
+from .plan import KINDS, TransitionPlan, plan_transition
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.system import System
@@ -57,6 +54,10 @@ __all__ = ["ReconfigError", "ReconfigReport", "execute_reconfiguration"]
 
 class ReconfigError(Exception):
     """A live reconfiguration could not be planned or applied."""
+
+
+class _DrainTimeout(ReconfigError):
+    """The quiesce step missed its grace deadline."""
 
 
 @dataclass
@@ -75,6 +76,8 @@ class ReconfigReport:
     snapshot_bytes: int = 0
     diff: ArchDiff | None = None
     plan: TransitionPlan | None = None
+    #: ``(step_id, began, ended)`` of every step run, in the order run
+    steps: list[tuple[str, float, float]] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
@@ -96,51 +99,296 @@ class ReconfigReport:
         return line
 
 
-@dataclass
-class _JunctionSnapshot:
-    values: dict = field(default_factory=dict)
-    pending: list = field(default_factory=list)
-    nbytes: int = 0
-
-
-def _quiescent(system: "System", jr) -> bool:
-    if jr.node in system._executions:
-        return False
-    return jr.paused or not jr.table.has_pending
-
-
-def _snapshot_junction(system: "System", jr) -> _JunctionSnapshot:
-    """Serde-roundtrip the junction's KV state.  Values the generic
-    codec covers travel through ``Serializer`` (this is the path a
-    future cross-host transfer takes — and it counts transfer bytes);
-    host-object values (app handles, UNDEF) are carried by reference."""
-    snap = _JunctionSnapshot(pending=jr.table.pending_updates())
+def _snapshot_junction(system: "System", jr) -> tuple[dict, list, int]:
+    """Serde-roundtrip the junction's KV state: its values, its pending
+    updates, the bytes encoded.  Values the generic codec covers travel
+    through ``Serializer`` (this is the path a future cross-host
+    transfer takes — and it counts transfer bytes); host-object values
+    (app handles, UNDEF) are carried by reference."""
+    values, nbytes = {}, 0
     for key, value in jr.table.values.items():
         try:
             saved = system.serializer.encode(None, value)
-            snap.values[key] = system.serializer.decode(saved)
-            snap.nbytes += len(saved.blob)
+            values[key] = system.serializer.decode(saved)
+            nbytes += len(saved.blob)
         except (SerdeError, TypeError):
-            snap.values[key] = value
-    return snap
+            values[key] = value
+    return values, jr.table.pending_updates(), nbytes
 
 
-def _rebind_args(
-    jr, cj, new_start_args: Mapping[str, Mapping[str, tuple]], inst_name: str
-) -> tuple:
-    """Arguments for rebinding one junction: the new ``main``'s start
-    expression wins; otherwise carried-over arguments matched by
-    parameter name."""
-    from_main = new_start_args.get(inst_name, {}).get(cj.name)
+def _rebind_args(bound: Mapping[str, object], cj, from_main: tuple | None) -> tuple | None:
+    """Arguments for rebinding a junction to ``cj``: the new ``main``'s
+    start expression wins; otherwise the arguments it is ``bound`` with
+    now, matched by parameter name — ``None`` when a parameter has none."""
     if from_main is not None:
         return from_main
-    missing = [p for p in cj.params if p not in jr.ast_params]
-    if missing:
-        raise ReconfigError(
-            f"cannot rebind {jr.node}: no value for new parameter(s) {missing} "
-            "(not started by the new main; pass main_args or start it explicitly)"
+    if all(p in bound for p in cj.params):
+        return tuple(bound[p] for p in cj.params)
+    return None
+
+
+def start_args(program: CompiledProgram, env: Mapping[str, object]) -> dict[str, dict[str, tuple]]:
+    """Instance → junction → the arguments ``main`` closed under ``env``
+    starts it with — the elaboration ``System.start`` runs through, so
+    reconfigured and freshly-started bindings agree exactly."""
+    imap = program.instance_map()
+    return {
+        name: start_groups(name, program.junctions_of_type(imap[name]), groups)
+        for name, groups in main_starts(program, env)[1].items()
+    }
+
+
+def rebind_set(
+    diff: ArchDiff,
+    new: CompiledProgram,
+    new_args: Mapping[str, Mapping[str, tuple]],
+    bound: Mapping[str, Mapping[str, Mapping[str, object]]],
+) -> tuple[str, ...]:
+    """The kept instances whose junctions must rebind, in ``bound``'s
+    order: a junction template of their type changed or went, a config
+    entry changed, or ``new_args`` (:func:`start_args` of ``new``)
+    differs from what a junction is bound with.  ``bound`` is instance →
+    junction → parameter → value for what runs now: the executor passes
+    the live junctions' arguments, ``repro reconfigure --plan-only``
+    what the old ``main`` elaborates to."""
+    removed = {name for name, _ in diff.instances_removed}
+    retemplated = {cj.type_name for cj in diff.junctions_changed}
+    retemplated |= {tname for tname, _ in diff.junctions_removed}
+    everything = bool(diff.config_set or diff.config_removed)
+    new_imap = new.instance_map()
+
+    def differs(name: str, cj) -> bool:
+        params = bound[name].get(cj.name)
+        if params is None:  # not bound now: nothing to rebind
+            return False
+        args = _rebind_args(params, cj, new_args.get(name, {}).get(cj.name))
+        return args is not None and args != tuple(params.get(p) for p in cj.params)
+
+    return tuple(
+        name
+        for name in bound
+        if name not in removed and name in new_imap
+        and (
+            everything
+            or new_imap[name] in retemplated
+            or any(differs(name, cj) for cj in new.junctions_of_type(new_imap[name]))
         )
-    return tuple(jr.ast_params[p] for p in cj.params)
+    )
+
+
+@dataclass
+class _Transition:
+    """What the step handlers share, derived once before the first step."""
+
+    system: "System"
+    new: CompiledProgram
+    env: dict
+    new_args: dict[str, dict[str, tuple]]
+    imap: dict[str, str]  # the new program's instance → type
+    report: ReconfigReport
+    grace: float
+    poll: float
+    on_transfer: object
+    begin_ev: int | None = None
+    cut_ev: int | None = None
+    #: the cutover has begun: before it a failure rolls back, after it
+    #: the transition can only be resumed
+    cut: bool = False
+    quiesced: dict[str, InstanceRuntime] = field(default_factory=dict)
+    snapshots: dict[str, dict[str, tuple]] = field(default_factory=dict)
+    removed_apps: dict[str, object] = field(default_factory=dict)
+
+    def emit(self, kind: str, node: str = "__reconfig__", *, parent=None, **attrs):
+        parent = self.begin_ev if parent is None else parent
+        return self.system.telemetry.emit(kind, node, parent=parent, **attrs)
+
+
+def _derive(system: "System", new, main_args, grace, poll, on_transfer) -> _Transition:
+    diff = diff_programs(system.program, new)
+    # the new main environment: new config, then parameters carried over
+    # from the original start, then explicit overrides
+    params = new.main.params if new.main is not None else ()
+    carried = {p: system._main_env[p] for p in params if p in system._main_env}
+    env, missing = main_env(new, {**carried, **main_args})
+    if missing:
+        raise ReconfigError(f"main parameters missing values: {missing}")
+    new_args = start_args(new, env)
+    bound = {
+        name: {jn: jr.ast_params for jn, jr in inst.junctions.items() if jr.body is not None}
+        for name, inst in system.instances.items()
+        if inst.running
+    }
+    rebind = rebind_set(diff, new, new_args, bound)
+    plan = plan_transition(diff, rebind=rebind, transfer=on_transfer is not None)
+    report = ReconfigReport(
+        ok=False,
+        started_at=system.clock.now,
+        instances_added=tuple(name for name, _ in diff.instances_added),
+        instances_removed=tuple(name for name, _ in diff.instances_removed),
+        instances_rebound=tuple(sorted(rebind)),
+        diff=diff,
+        plan=plan,
+    )
+    imap = new.instance_map()
+    return _Transition(system, new, env, new_args, imap, report, grace, poll, on_transfer)
+
+
+def _unpause(tr: _Transition, names) -> int:
+    """Unpause and wake the named instances that still exist; returns
+    how many buffered updates that replays."""
+    replayed = 0
+    for name in names:
+        inst = tr.system.instances.get(name)
+        if inst is None:
+            continue
+        inst.set_paused(False)
+        for jr in inst.junctions.values():
+            replayed += jr.table.pending_count
+            tr.system._attempt_soon(jr)
+    return replayed
+
+
+def _quiesce(tr: _Transition, names) -> None:
+    system, clock = tr.system, tr.system.clock
+    tr.quiesced = {name: system.instances[name] for name in names}
+    junctions = [jr for inst in tr.quiesced.values() for jr in inst.junctions.values()]
+    # wave 1: close the client-facing boundary
+    tr.emit("reconfig_quiesce")
+    for jr in junctions:
+        if jr.external_inbound:
+            jr.paused = True
+    # wave 2: drain — until none is mid-execution or, unless paused, has
+    # pending updates
+    deadline = clock.now + max(tr.grace, 0.0)
+    while any(
+        jr.node in system._executions or (jr.table.has_pending and not jr.paused)
+        for jr in junctions
+    ):
+        if clock.now >= deadline:
+            raise _DrainTimeout(f"quiesce did not drain within {tr.grace}s")
+        system.engine.run_until(min(clock.now + max(tr.poll, 1e-6), deadline))
+    # from here to resume the engine never runs: the cutover is atomic
+    # with respect to message delivery and scheduling
+    for inst in tr.quiesced.values():
+        inst.set_paused(True)
+
+
+def _snapshot(tr: _Transition, names) -> None:
+    for name in names:
+        snaps = tr.snapshots[name] = {
+            jname: _snapshot_junction(tr.system, jr)
+            for jname, jr in tr.quiesced[name].junctions.items()
+            if jr.body is not None
+        }
+        tr.report.snapshot_bytes += sum(nbytes for _, _, nbytes in snaps.values())
+    tr.emit("reconfig_snapshot", bytes=tr.report.snapshot_bytes)
+
+
+def _cutover(tr: _Transition, _names) -> None:
+    system, new = tr.system, tr.new
+    tr.cut = True
+    tr.cut_ev = tr.emit("reconfig_cutover")
+    system.program = new
+    system._main_env = dict(tr.env)
+    system._compile_cache.clear()
+    for tname in set(new.source.instance_types):  # added ones: made before ``bind``
+        system.types[tname].junctions = {j.name: j for j in new.junctions_of_type(tname)}
+    # template bookkeeping for instances no step touches (not running,
+    # or unaffected): future starts bind against the new program
+    for name, inst in system.instances.items():
+        trt = system.types.get(tr.imap.get(name, ""))
+        if trt is None or name in tr.quiesced:
+            continue
+        for jname in [j for j in inst.junctions if j not in trt.junctions]:
+            if inst.junctions[jname].body is None:
+                del inst.junctions[jname]
+        for jname, cj in trt.junctions.items():
+            jr = inst.junctions.get(jname)
+            if jr is None:
+                inst.junctions[jname] = JunctionRuntime(inst, cj)
+            elif jr.body is None:
+                jr.compiled = cj
+
+
+def _stop(tr: _Transition, names) -> None:
+    for name in names:
+        inst = tr.system.instances[name]
+        tr.removed_apps[name] = inst.app
+        if inst.running:
+            tr.system.stop_instance(name, _parent=tr.cut_ev)
+        del tr.system.instances[name]
+
+
+def _rebind(tr: _Transition, names) -> None:
+    system, config_env = tr.system, tr.new.config_env()
+    for name in names:
+        inst, trt = system.instances[name], system.types[tr.imap[name]]
+        snap = tr.snapshots.get(name, {})
+        # drop junctions the new type no longer declares
+        for jname in [j for j in inst.junctions if j not in trt.junctions]:
+            jr = inst.junctions.pop(jname)
+            system._executions.pop(jr.node, None)
+            system.network.unregister(jr.node)
+        for jname, cj in trt.junctions.items():
+            jr = inst.junctions.get(jname)
+            if jr is None:
+                jr = inst.junctions[jname] = JunctionRuntime(inst, cj)
+                jr.paused = True
+            was_bound = jr.body is not None
+            jr.compiled = cj
+            args = _rebind_args(jr.ast_params, cj, tr.new_args.get(name, {}).get(jname))
+            if args is None:
+                raise ReconfigError(
+                    f"cannot rebind {jr.node}: new parameter(s) among {cj.params} have no value "
+                    "(not started by the new main; pass main_args or start it explicitly)"
+                )
+            system._bind_junction(inst, jr, args, config_env)
+            if was_bound and jname in snap:
+                values, pending, _ = snap[jname]
+                # restore by key *name*: the new program may declare
+                # the same keys at different slots
+                for key, value in values.items():
+                    if key in jr.table.values:
+                        jr.table.values[key] = value
+                jr.table.enqueue_pending(u for u in pending if u.key in jr.table.values)
+        tr.emit("reconfig_rebind", name, parent=tr.cut_ev)
+
+
+def _start(tr: _Transition, names) -> None:
+    system = tr.system
+    for name in names:
+        inst = system.instances[name] = InstanceRuntime(name, system.types[tr.imap[name]])
+        if name in tr.new_args:
+            system._start_instance(inst, tr.new_args[name], parent=tr.cut_ev)
+
+
+def _transfer(tr: _Transition, _names) -> None:
+    tr.on_transfer(tr.system, tr.removed_apps)
+    tr.emit("reconfig_transfer", parent=tr.cut_ev)
+
+
+def _resume(tr: _Transition, names) -> None:
+    report = tr.report
+    report.updates_replayed += _unpause(tr, names)
+    tr.emit("reconfig_resume", replayed=report.updates_replayed)
+    if report.updates_replayed:
+        tr.system.telemetry.counter("reconfig_replayed_updates").inc(report.updates_replayed)
+
+
+#: one handler per step kind, applied to that kind's targets in plan
+#: order; tests fail a step by patching its entry
+HANDLERS = {
+    "spawn": lambda tr, names: tr.system.engine.prepare_instances(tuple(names)),
+    "quiesce": _quiesce,
+    "snapshot": _snapshot,
+    "cutover": _cutover,
+    "stop": _stop,
+    "rebind": _rebind,
+    "start": _start,
+    "transfer": _transfer,
+    "resume": _resume,
+}
+assert set(HANDLERS) == set(KINDS), set(HANDLERS) ^ set(KINDS)
 
 
 def execute_reconfiguration(
@@ -161,306 +409,72 @@ def execute_reconfiguration(
         raise ReconfigError("reconfigure a *running* system (call start() first)")
     system._reconfiguring = True
     try:
-        return _execute(
-            system,
-            new_program if new_program is not None else system.program,
-            main_args or {},
-            quiesce_grace,
-            poll,
-            bind,
-            on_transfer,
-        )
+        new = new_program if new_program is not None else system.program
+        tr = _derive(system, new, main_args or {}, quiesce_grace, poll, on_transfer)
+        return _execute(tr, bind)
     finally:
         system._reconfiguring = False
 
 
-def _execute(
-    system: "System",
-    new: CompiledProgram,
-    main_args: Mapping[str, object],
-    quiesce_grace: float,
-    poll: float,
-    bind,
-    on_transfer,
-) -> ReconfigReport:
-    tel = system.telemetry
-    clock = system.clock
-    old = system.program
-    diff = diff_programs(old, new)
-
-    # -- new main environment: new config, then parameters carried over
-    #    from the original start, then explicit overrides
-    params = new.main.params if new.main is not None else ()
-    carried = {p: system._main_env[p] for p in params if p in system._main_env}
-    env, missing = main_env(new, {**carried, **main_args})
-    if missing:
-        raise ReconfigError(f"main parameters missing values: {missing}")
-    # the same elaboration ``System.start`` runs through, so reconfigured
-    # and freshly-started bindings agree exactly
-    new_imap = new.instance_map()
-    _, starts = main_starts(new, env)
-    new_start_args = {
-        name: start_groups(name, new.junctions_of_type(new_imap[name]), groups)
-        for name, groups in starts.items()
-    }
-
-    # -- derive the rebind set: kept running instances whose junction
-    #    templates, start arguments or config changed
-    added = tuple(name for name, _ in diff.instances_added)
-    removed = tuple(name for name, _ in diff.instances_removed)
-    changed_types = {cj.type_name for cj in diff.junctions_changed}
-    changed_types.update(t for t, _ in diff.junctions_removed)
-    config_changed = bool(diff.config_set or diff.config_removed)
-
-    rebind: list[str] = []
-    for name, inst in system.instances.items():
-        if name in removed or name not in new_imap or not inst.running:
-            continue
-        tname = new_imap[name]
-        if tname in changed_types or config_changed:
-            rebind.append(name)
-            continue
-        for cj in new.junctions_of_type(tname):
-            jr = inst.junctions.get(cj.name)
-            if jr is None or jr.body is None:
-                continue
-            try:
-                if _rebind_args(jr, cj, new_start_args, name) != tuple(
-                    jr.ast_params.get(p) for p in cj.params
-                ):
-                    rebind.append(name)
-                    break
-            except ReconfigError:
-                continue
-    rebind.sort()
-
-    plan = plan_transition(
-        diff, rebind=tuple(rebind), transfer=on_transfer is not None
-    )
-
-    report = ReconfigReport(
-        ok=False,
-        started_at=clock.now,
-        instances_added=added,
-        instances_removed=removed,
-        instances_rebound=tuple(rebind),
-        diff=diff,
-        plan=plan,
-    )
-    if diff.is_empty and not rebind:
+def _execute(tr: _Transition, bind) -> ReconfigReport:
+    """Interpret ``tr.report.plan`` (the module docstring says how)."""
+    system, report = tr.system, tr.report
+    tel, clock, diff = system.telemetry, system.clock, report.diff
+    if diff.is_empty and not report.instances_rebound:
         report.ok = True
         report.finished_at = clock.now
         report.reason = "no changes"
         return report
 
-    begin_ev = tel.emit(
+    tr.begin_ev = tel.emit(
         "reconfig_begin",
         "__reconfig__",
-        added=list(added),
-        removed=list(removed),
-        rebound=list(rebind),
+        added=list(report.instances_added),
+        removed=list(report.instances_removed),
+        rebound=list(report.instances_rebound),
     )
     tel.counter("reconfig_transitions").inc()
     tel.gauge("reconfig_in_progress").set(1)
-
     try:
-        # ---- prepare: host bindings for new types, backend resources
-        #      (cluster worker processes) for added instances — blocking,
-        #      before anything observable changes
-        from ..runtime.instance import InstanceTypeRuntime
-
+        # host bindings for new types — before anything observable changes
         for tname in diff.types_added:
-            if tname not in system.types:
-                system.types[tname] = InstanceTypeRuntime(
-                    tname, new.junctions_of_type(tname)
-                )
+            trt = InstanceTypeRuntime(tname, tr.new.junctions_of_type(tname))
+            system.types.setdefault(tname, trt)
         if bind is not None:
             bind(system)
-        system.engine.prepare_instances(added)
-
-        # ---- quiesce wave 1: close the client-facing boundary
-        affected = [
-            system.instances[n]
-            for n in sorted(set(rebind) | set(removed))
-            if n in system.instances
-        ]
-        tel.emit("reconfig_quiesce", "__reconfig__", parent=begin_ev)
-        for inst in affected:
-            for jr in inst.junctions.values():
-                if jr.external_inbound:
-                    jr.paused = True
-
-        # ---- quiesce wave 2: drain in-flight work
-        deadline = clock.now + max(quiesce_grace, 0.0)
-        step = max(poll, 1e-6)
-
-        def drained() -> bool:
-            return all(
-                _quiescent(system, jr)
-                for inst in affected
-                for jr in inst.junctions.values()
-            )
-
-        while not drained():
-            if clock.now >= deadline:
-                for inst in affected:
-                    inst.set_paused(False)
-                    for jr in inst.junctions.values():
-                        system._attempt_soon(jr)
-                system.engine.retire_instances(added)
-                tel.emit("reconfig_rollback", "__reconfig__", parent=begin_ev)
-                report.rolled_back = True
-                report.finished_at = clock.now
-                report.reason = f"quiesce did not drain within {quiesce_grace}s"
-                return report
-            system.engine.run_until(min(clock.now + step, deadline))
-
-        # from here to resume the engine never runs: the cutover is
-        # atomic with respect to message delivery and scheduling
-        for inst in affected:
-            inst.set_paused(True)
-
-        # ---- snapshot
-        snapshots: dict[str, dict[str, _JunctionSnapshot]] = {}
-        for inst in affected:
-            snapshots[inst.name] = {
-                jname: _snapshot_junction(system, jr)
-                for jname, jr in inst.junctions.items()
-                if jr.body is not None
-            }
-            report.snapshot_bytes += sum(
-                s.nbytes for s in snapshots[inst.name].values()
-            )
-        tel.emit(
-            "reconfig_snapshot",
-            "__reconfig__",
-            parent=begin_ev,
-            bytes=report.snapshot_bytes,
-        )
-
-        # ---- cutover
-        cut_ev = tel.emit("reconfig_cutover", "__reconfig__", parent=begin_ev)
-        system.program = new
-        system._main_env = dict(env)
-        system._compile_cache.clear()
-        system._junction_cache.clear()
-        for tname in set(new.source.instance_types):
-            trt = system.types.get(tname)
-            if trt is None:
-                system.types[tname] = InstanceTypeRuntime(
-                    tname, new.junctions_of_type(tname)
-                )
-            else:
-                trt.junctions = {j.name: j for j in new.junctions_of_type(tname)}
-
-        removed_apps: dict[str, object] = {}
-        for name in removed:
-            inst = system.instances.get(name)
-            if inst is None:
-                continue
-            removed_apps[name] = inst.app
-            if inst.running:
-                system.stop_instance(name, _parent=cut_ev)
-            del system.instances[name]
-
-        config_env = new.config_env()
-        from ..runtime.instance import JunctionRuntime
-
-        for name, inst in system.instances.items():
-            trt = system.types.get(new_imap.get(name, ""))
-            if trt is None:
-                continue
-            if name in rebind:
-                snap = snapshots.get(name, {})
-                # drop junctions the new type no longer declares
-                for jname in [j for j in inst.junctions if j not in trt.junctions]:
-                    jr = inst.junctions.pop(jname)
-                    system._executions.pop(jr.node, None)
-                    system.network.unregister(jr.node)
-                for jname, cj in trt.junctions.items():
-                    jr = inst.junctions.get(jname)
-                    if jr is None:
-                        jr = inst.junctions[jname] = JunctionRuntime(inst, cj)
-                        jr.paused = True
-                    was_bound = jr.body is not None
-                    jr.compiled = cj
-                    args = _rebind_args(jr, cj, new_start_args, name)
-                    system._bind_junction(inst, jr, args, config_env)
-                    if was_bound and jname in snap:
-                        s = snap[jname]
-                        # restore by key *name*: the new program may
-                        # declare the same keys at different slots
-                        for key, value in s.values.items():
-                            if key in jr.table.values:
-                                jr.table.values[key] = value
-                        jr.table.enqueue_pending(
-                            u for u in s.pending if u.key in jr.table.values
-                        )
-                tel.emit("reconfig_rebind", name, parent=cut_ev)
-            else:
-                # template bookkeeping for instances that don't rebind
-                # now (not running, or unaffected): future starts bind
-                # against the new program
-                for jname in [j for j in inst.junctions if j not in trt.junctions]:
-                    jr = inst.junctions[jname]
-                    if jr.body is None:
-                        del inst.junctions[jname]
-                for jname, cj in trt.junctions.items():
-                    jr = inst.junctions.get(jname)
-                    if jr is None:
-                        inst.junctions[jname] = JunctionRuntime(inst, cj)
-                    elif jr.body is None:
-                        jr.compiled = cj
-
-        from ..runtime.instance import InstanceRuntime
-
-        for name, tname in diff.instances_added:
-            inst = system.instances[name] = InstanceRuntime(
-                name, system.types[tname]
-            )
-            if name in new_start_args:
-                system._start_instance(inst, new_start_args[name], parent=cut_ev)
-
-        # node-name resolutions made during the cutover must not
-        # outlive it: instances and junction runtimes were replaced
-        system._junction_cache.clear()
-
-        # ---- transfer (application-level state movement, e.g. resharding)
-        if on_transfer is not None:
-            on_transfer(system, removed_apps)
-            tel.emit("reconfig_transfer", "__reconfig__", parent=cut_ev)
-
-        # ---- resume: unpause and replay buffered work
-        for inst in affected:
-            if inst.name not in system.instances:
-                continue
-            inst.set_paused(False)
-            for jr in inst.junctions.values():
-                report.updates_replayed += jr.table.pending_count
-                system._attempt_soon(jr)
-        tel.emit(
-            "reconfig_resume",
-            "__reconfig__",
-            parent=begin_ev,
-            replayed=report.updates_replayed,
-        )
-        if report.updates_replayed:
-            tel.counter("reconfig_replayed_updates").inc(report.updates_replayed)
-
-        # drain the immediate wake-ups, then release backend resources
-        # of the removed instances (cluster workers) while the loop is
-        # idle again
+        for kind, steps in groupby(report.plan.ordered(), key=lambda s: s.kind):
+            steps = list(steps)
+            began = clock.now
+            try:
+                HANDLERS[kind](tr, [s.target for s in steps])
+            finally:
+                report.steps.extend((s.step_id, began, clock.now) for s in steps)
+            if tr.cut:
+                # node-name resolutions made during the cutover must not
+                # outlive it: instances and junction runtimes are replaced
+                system._junction_cache.clear()
+    except BaseException as exc:
+        if tr.cut:
+            # no way back: let what quiesce paused serve again, then fail
+            _resume(tr, tr.quiesced)
+            raise
+        _unpause(tr, tr.quiesced)
+        system.engine.retire_instances(report.instances_added)
+        tr.emit("reconfig_rollback")
+        if not isinstance(exc, _DrainTimeout):
+            raise
+        report.rolled_back = True
+        report.finished_at = clock.now
+        report.reason = str(exc)
+        return report
+    else:
+        # drain the immediate wake-ups, then release backend resources of
+        # the removed instances (cluster workers) while the loop is idle
         system.engine.run_until(clock.now)
-        system.engine.retire_instances(removed)
-
+        system.engine.retire_instances(report.instances_removed)
         report.ok = True
         report.finished_at = clock.now
-        tel.emit(
-            "reconfig_end",
-            "__reconfig__",
-            parent=begin_ev,
-            duration=round(report.duration, 6),
-        )
+        tr.emit("reconfig_end", duration=round(report.duration, 6))
         tel.histogram("reconfig_seconds").observe(report.duration)
         return report
     finally:

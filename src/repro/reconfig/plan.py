@@ -1,24 +1,29 @@
-"""Transition planner: an :class:`ArchDiff` → per-instance lifecycle steps.
+"""Transition planner: an :class:`ArchDiff` → lifecycle steps per instance.
 
-The plan is decentralized in Concerto-D's sense: each affected instance
-gets its *own* lifecycle chain (quiesce → snapshot → rebind/stop/start
-→ resume) and unaffected instances appear nowhere — they keep serving
-throughout.  The only global synchronization point is the ``cutover``
-step, which waits for every quiesce/snapshot/spawn and gates every
-rebind/start/stop/resume:
+The plan is decentralized in Concerto-D's sense: only *affected*
+instances have steps and the others appear nowhere — they keep serving
+throughout:
 
+* added instance A:              ``spawn:A → cutover → start:A``
 * kept-but-affected instance X:  ``quiesce:X → snapshot:X → cutover →
   rebind:X → resume:X``
 * removed instance R:            ``quiesce:R → snapshot:R → cutover →
   stop:R``
-* added instance A:              ``spawn:A → cutover → start:A →
-  resume:A``
-* application state transfer:    ``cutover → transfer → resume:*``
 
-The executor (:mod:`repro.reconfig.executor`) applies plans phase by
-phase; :meth:`TransitionPlan.ordered` is the contract tests check —
-every topological order it can emit respects quiesce-before-cutover and
-cutover-before-resume.
+Across instances the kinds run in the order of :data:`KINDS`, each
+waiting for the nearest earlier kind that has steps — what the
+executor used to keep to itself.  ``spawn`` is first: a cluster spawn
+takes tens of milliseconds and nothing is paused while it runs.  A
+``snapshot`` waits for *every* ``quiesce``, because the drain is joint
+(an instance is only still once the others it talks to are).  After
+the ``cutover``, ``stop`` → ``rebind`` → ``start``: a junction
+re-specializes against the instance set the new program leaves, and an
+added instance's first events follow.  ``transfer`` reads the removed
+instances' apps and writes the added ones', so it comes after all
+three and before any ``resume`` — and only what ``quiesce`` paused and
+the cutover kept has one.  The executor
+(:mod:`repro.reconfig.executor`) interprets
+:meth:`TransitionPlan.ordered` and keeps no order of its own.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ __all__ = ["PlanStep", "TransitionPlan", "plan_transition"]
 
 #: step kinds in lifecycle order
 KINDS = (
+    "spawn",
     "quiesce",
     "snapshot",
-    "spawn",
     "cutover",
-    "rebind",
     "stop",
+    "rebind",
     "start",
     "transfer",
     "resume",
@@ -63,12 +68,6 @@ class TransitionPlan:
 
     steps: tuple[PlanStep, ...]
 
-    def __getitem__(self, step_id: str) -> PlanStep:
-        for s in self.steps:
-            if s.step_id == step_id:
-                return s
-        raise KeyError(step_id)
-
     def by_kind(self, kind: str) -> list[PlanStep]:
         return [s for s in self.steps if s.kind == kind]
 
@@ -84,42 +83,20 @@ class TransitionPlan:
         self.ordered()  # raises on cycles
 
     def ordered(self) -> list[PlanStep]:
-        """A deterministic topological order (Kahn's algorithm with a
-        stable lexicographic tie-break on step id)."""
-        steps = {s.step_id: s for s in self.steps}
-        indeg = {sid: len(s.deps) for sid, s in steps.items()}
-        rdeps: dict[str, list[str]] = {sid: [] for sid in steps}
-        for s in self.steps:
-            for d in s.deps:
-                rdeps[d].append(s.step_id)
-        ready = sorted(sid for sid, n in indeg.items() if n == 0)
+        """The order the executor runs: of the steps whose dependencies
+        are done, always the one earliest in lifecycle order
+        (:data:`KINDS`), then earliest in ``steps``."""
+        todo = sorted(self.steps, key=lambda s: KINDS.index(s.kind))
         out: list[PlanStep] = []
-        while ready:
-            sid = ready.pop(0)
-            out.append(steps[sid])
-            changed = False
-            for nxt in rdeps[sid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(out) != len(self.steps):
-            raise ValueError("transition plan has a dependency cycle")
+        done: set[str] = set()
+        while todo:
+            step = next((s for s in todo if done.issuperset(s.deps)), None)
+            if step is None:
+                raise ValueError("transition plan has a dependency cycle")
+            todo.remove(step)
+            done.add(step.step_id)
+            out.append(step)
         return out
-
-    def closure(self, step_id: str) -> set[str]:
-        """All step ids ``step_id`` transitively depends on."""
-        steps = {s.step_id: s for s in self.steps}
-        seen: set[str] = set()
-        stack = list(steps[step_id].deps)
-        while stack:
-            d = stack.pop()
-            if d not in seen:
-                seen.add(d)
-                stack.extend(steps[d].deps)
-        return seen
 
     def render(self) -> str:
         lines = []
@@ -138,48 +115,33 @@ def plan_transition(
 ) -> TransitionPlan:
     """Compile a diff into a transition plan.
 
-    ``rebind`` names the kept instances whose junctions must rebind —
-    the executor derives this from the running system (changed
-    templates, changed start arguments, changed config); pure-diff
-    callers may leave it empty.  ``transfer`` inserts the application
-    state-transfer step between cutover and resume.
+    ``rebind`` names the kept instances whose junctions must rebind
+    (:func:`repro.reconfig.executor.rebind_set`; pure-diff callers may
+    leave it empty); ``rebind`` steps keep its order, every other kind
+    goes by instance name.  ``transfer`` inserts the application
+    state-transfer step between the last start and the first resume.
     """
-    added = [name for name, _ in diff.instances_added]
-    removed = [name for name, _ in diff.instances_removed]
+    added = sorted(name for name, _ in diff.instances_added)
+    removed = sorted(name for name, _ in diff.instances_removed)
     rebind = tuple(n for n in rebind if n not in added and n not in removed)
 
+    quiesced = sorted({*rebind, *removed})
+    targets = {
+        "spawn": added,
+        "quiesce": quiesced,
+        "snapshot": quiesced,
+        "cutover": [None],
+        "stop": removed,
+        "rebind": rebind,
+        "start": added,
+        "transfer": [None] if transfer else [],
+        "resume": sorted(rebind),
+    }
     steps: list[PlanStep] = []
-    pre_cutover: list[str] = []
+    last: tuple[str, ...] = ()
+    for kind in KINDS:  # each kind waits for the nearest earlier one with steps
+        ids = tuple(f"{kind}:{name}" if name else kind for name in targets[kind])
+        steps.extend(PlanStep(i, kind, name, last) for i, name in zip(ids, targets[kind]))
+        last = ids or last
 
-    for name in sorted(set(rebind) | set(removed)):
-        steps.append(PlanStep(f"quiesce:{name}", "quiesce", name))
-        steps.append(
-            PlanStep(f"snapshot:{name}", "snapshot", name, deps=(f"quiesce:{name}",))
-        )
-        pre_cutover.append(f"snapshot:{name}")
-    for name in sorted(added):
-        steps.append(PlanStep(f"spawn:{name}", "spawn", name))
-        pre_cutover.append(f"spawn:{name}")
-
-    steps.append(PlanStep("cutover", "cutover", None, deps=tuple(pre_cutover)))
-
-    post_cutover: list[str] = []
-    for name in sorted(rebind):
-        steps.append(PlanStep(f"rebind:{name}", "rebind", name, deps=("cutover",)))
-        post_cutover.append(f"rebind:{name}")
-    for name in sorted(removed):
-        steps.append(PlanStep(f"stop:{name}", "stop", name, deps=("cutover",)))
-    for name in sorted(added):
-        steps.append(PlanStep(f"start:{name}", "start", name, deps=("cutover",)))
-        post_cutover.append(f"start:{name}")
-
-    resume_dep: tuple[str, ...] = ("cutover", *post_cutover)
-    if transfer:
-        steps.append(PlanStep("transfer", "transfer", None, deps=resume_dep))
-        resume_dep = ("transfer",)
-    for name in sorted(set(rebind) | set(added)):
-        steps.append(PlanStep(f"resume:{name}", "resume", name, deps=resume_dep))
-
-    plan = TransitionPlan(steps=tuple(steps))
-    plan.validate()
-    return plan
+    return TransitionPlan(steps=tuple(steps))

@@ -423,10 +423,10 @@ class System:
     ):
         """Live-reconfigure this running system to ``new_program``.
 
-        Diffs the running architecture against the target, plans a
-        decentralized transition (quiesce inbound junctions → serde
-        state snapshot → cutover/rebind → transfer → resume) and applies
-        it without dropping client requests: updates addressed to a
+        Diffs the running architecture against the target, plans the
+        transition (spawn → quiesce inbound junctions → serde state
+        snapshot → cutover → stop/rebind/start → transfer → resume) and
+        runs that plan without dropping client requests: updates to a
         quiescing junction keep buffering (and acking) through the
         reliable-delivery layer and replay after cutover.
 

@@ -235,3 +235,16 @@ class TestFamilySize:
         with pytest.raises(ValueError, match="not parameterized by back-end count"):
             main(["reconfigure", "caching", "caching", "--old-backends", "2",
                   "--diff-only"])
+
+    def test_plan_only_lists_what_the_executor_runs(self, capsys):
+        """The rebind set is derived statically: ``Fnt`` names the
+        family's set, so a reshard quiesces and rebinds it — and the
+        added back-end, never paused, has no resume."""
+        argv = ["reconfigure", "sharding", "sharding", "--plan-only"]
+        assert main([*argv, "--old-backends", "4", "--new-backends", "5"]) == 0
+        steps = [line.split("  (after")[0] for line in capsys.readouterr().out.splitlines()]
+        for step in ("spawn Bck5", "quiesce Fnt", "snapshot Fnt", "rebind Fnt",
+                     "start Bck5", "resume Fnt"):
+            assert step in steps
+        assert "resume Bck5" not in steps
+        assert steps.index("spawn Bck5") < steps.index("quiesce Fnt")
