@@ -89,6 +89,14 @@ _BASE_STATS = (
 )
 
 
+class _InstanceNames(dict):
+    """``"instance::junction"`` → ``"instance"``, split once per node."""
+
+    def __missing__(self, node: str) -> str:
+        inst = self[node] = node.split("::", 1)[0]
+        return inst
+
+
 class Network:
     """Simulated message transport with latency, loss and partitions.
 
@@ -138,6 +146,8 @@ class Network:
         #: trace; a bare Network (unit tests) leaves it None
         self.telemetry: "Telemetry | None" = None
         self._counters: dict[tuple, object] = {}
+        #: the instance a node name belongs to (memoised)
+        self._instance_of = _InstanceNames().__getitem__
 
     @property
     def sim(self):
@@ -239,10 +249,6 @@ class Network:
 
     # -- sending ----------------------------------------------------------------
 
-    @staticmethod
-    def _instance_of(node: str) -> str:
-        return node.split("::", 1)[0]
-
     def send(self, msg: Message) -> None:
         """Send ``msg``; delivery is scheduled on the simulator."""
         src_inst = self._instance_of(msg.src)
@@ -299,15 +305,18 @@ class Network:
             latency += self._rng.uniform(0.0, self.reorder_jitter)
 
         # label + footprint make the delivery a replayable, reorderable
-        # choice for the exploration harness: an update touches the
-        # destination key; an ack wakes the destination's waiting strand
-        if msg.kind == "update":
-            key = getattr(msg.payload, "key", "?")
-            label = f"deliver:update:{msg.src}->{msg.dst}#{key}:{msg.msg_id}"
-            fp = Footprint.make(writes=[key_token(msg.dst, key)])
-        else:
-            label = f"deliver:{msg.kind}:{msg.src}->{msg.dst}:{msg.msg_id}"
-            fp = Footprint.make(writes=[key_token(msg.dst, "__strand__")])
+        # choice for a schedule controller (the only reader): an update
+        # touches the destination key; an ack wakes the destination's
+        # waiting strand
+        label = fp = None
+        if self.clock.controller is not None:
+            if msg.kind == "update":
+                key = getattr(msg.payload, "key", "?")
+                label = f"deliver:update:{msg.src}->{msg.dst}#{key}:{msg.msg_id}"
+                fp = Footprint.make(writes=[key_token(msg.dst, key)])
+            else:
+                label = f"deliver:{msg.kind}:{msg.src}->{msg.dst}:{msg.msg_id}"
+                fp = Footprint.make(writes=[key_token(msg.dst, "__strand__")])
         self.transport.deliver(msg, latency, self.dispatch, label=label, footprint=fp)
 
     def dispatch(self, msg: Message) -> None:

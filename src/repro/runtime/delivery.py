@@ -179,11 +179,13 @@ class ReliableDelivery:
     def _arm_timer(self, pending: _Pending) -> None:
         delay = pending.timeout * (1.0 + self.policy.jitter * (2.0 * self._rng.random() - 1.0))
         msg = pending.msg
-        pending.handle = self.system.clock.call_after(
-            delay,
-            lambda mid=msg.msg_id: self._retransmit(mid),
-            label=f"retransmit:{msg.src}->{msg.dst}:{msg.msg_id}",
-            footprint=Footprint.make(writes=[key_token(msg.src, "__delivery__")]),
+        clock = self.system.clock
+        label = fp = None
+        if clock.controller is not None:  # replay metadata, read by the controller only
+            label = f"retransmit:{msg.src}->{msg.dst}:{msg.msg_id}"
+            fp = Footprint.make(writes=[key_token(msg.src, "__delivery__")])
+        pending.handle = clock.call_after(
+            delay, lambda mid=msg.msg_id: self._retransmit(mid), label=label, footprint=fp
         )
 
     def _retransmit(self, msg_id: int) -> None:

@@ -81,9 +81,18 @@ class Clock:
     this interface natively (this class documents the contract; engines
     may duck-type).  ``label`` and ``footprint`` are schedule-replay
     metadata — backends without controlled scheduling ignore them.
+
+    ``controller`` is the attached
+    :class:`~repro.runtime.sim.ScheduleController`, the only reader of
+    that metadata.  It is always ``None`` on the realtime and cluster
+    clocks; a Simulator gets one at construction inside a
+    :func:`use_controller` scope.  Per-message scheduling sites
+    (deliveries, retransmission timers) build labels and footprints
+    only while it is set.
     """
 
     now: float = 0.0
+    controller: ScheduleController | None = None
 
     def call_at(self, time: float, callback: Callable[[], None], priority: int = 0,
                 *, label: str | None = None, footprint: object = None) -> EventHandle:

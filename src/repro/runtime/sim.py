@@ -38,7 +38,9 @@ applies, so normal runs stay byte-identical to previous releases.
 Scheduling sites may attach a ``label`` (a stable human-readable
 identity used by schedule recording/replay) and a ``footprint``
 (a :class:`repro.semantics.commute.Footprint` declaring the state the
-callback touches, used by partial-order reduction).
+callback touches, used by partial-order reduction).  Only a controller
+reads them, so the per-message sites (deliveries, retransmission
+timers) build them only while one is attached.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ _COMPACT_MIN = 64
 
 
 class _Event:
-    """A heap entry (``__slots__``: millions of these are allocated and
-    compared per run — heap sift comparisons only need ``__lt__`` on the
-    ``(time, priority, seq)`` order key)."""
+    """A scheduled callback (``__slots__``: millions are allocated per
+    run).  The heap holds it as ``(time, priority, seq, event)`` so a
+    sift compares tuples in C; ``seq`` is unique, so the comparison
+    never reaches the event.  The zero-delay lane holds events bare."""
 
     __slots__ = (
         "time", "priority", "seq", "callback",
@@ -86,13 +89,6 @@ class _Event:
         #: state touched by the callback (repro.semantics.commute.Footprint);
         #: None = unknown, treated as interfering with everything
         self.footprint = footprint
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
 
 class ScheduleController:
@@ -166,7 +162,7 @@ class Simulator:
     """
 
     def __init__(self):
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, int, _Event]] = []
         #: zero-delay FIFO lane: events scheduled at the *current* time
         #: with default priority skip the heap entirely.  Strand pumps,
         #: junction attempts and same-instant wake-ups dominate event
@@ -204,7 +200,8 @@ class Simulator:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        ev = _Event(time, priority, next(self._seq), callback, label, footprint)
+        seq = next(self._seq)
+        ev = _Event(time, priority, seq, callback, label, footprint)
         if time == self._now and priority == 0 and self.controller is None:
             # zero-delay fast lane: same total order (the lane is sorted
             # by construction — appends carry nondecreasing time and
@@ -213,7 +210,7 @@ class Simulator:
             ev.in_due = True
             self._due.append(ev)
         else:
-            heapq.heappush(self._queue, ev)
+            heapq.heappush(self._queue, (time, priority, seq, ev))
         return EventHandle(ev, self)
 
     def call_after(
@@ -252,10 +249,9 @@ class Simulator:
             ev.in_due = True
             self._due.append(ev)
         else:
-            heapq.heappush(
-                self._queue,
-                _Event(self._now, 0, next(self._seq), callback, label, footprint),
-            )
+            seq = next(self._seq)
+            ev = _Event(self._now, 0, seq, callback, label, footprint)
+            heapq.heappush(self._queue, (self._now, 0, seq, ev))
 
     # -- lazy-cancellation bookkeeping --------------------------------------
 
@@ -267,11 +263,11 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify — O(live events)."""
         live = []
-        for e in self._queue:
-            if e.cancelled:
-                e.in_heap = False
+        for entry in self._queue:
+            if entry[3].cancelled:
+                entry[3].in_heap = False
             else:
-                live.append(e)
+                live.append(entry)
         self._queue = live
         heapq.heapify(self._queue)
         self._cancelled = 0
@@ -287,7 +283,7 @@ class Simulator:
                 self._due_cancelled -= 1
                 continue
             ev.in_heap = True
-            heapq.heappush(self._queue, ev)
+            heapq.heappush(self._queue, (ev.time, ev.priority, ev.seq, ev))
 
     def _next_event(self) -> _Event | None:
         """Pop the globally-next live event from the lane/heap merge."""
@@ -295,19 +291,20 @@ class Simulator:
         while due and due[0].cancelled:
             due.popleft().in_due = False
             self._due_cancelled -= 1
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue).in_heap = False
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)[3].in_heap = False
             self._cancelled -= 1
         if due:
-            if queue and queue[0] < due[0]:
-                ev = heapq.heappop(queue)
+            ev = due[0]
+            if queue and queue[0] < (ev.time, 0, ev.seq):
+                ev = heapq.heappop(queue)[3]
                 ev.in_heap = False
             else:
-                ev = due.popleft()
+                due.popleft()
                 ev.in_due = False
             return ev
         if queue:
-            ev = heapq.heappop(queue)
+            ev = heapq.heappop(queue)[3]
             ev.in_heap = False
             return ev
         return None
@@ -318,14 +315,14 @@ class Simulator:
         while due and due[0].cancelled:
             due.popleft().in_due = False
             self._due_cancelled -= 1
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue).in_heap = False
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)[3].in_heap = False
             self._cancelled -= 1
         if due and queue:
-            return min(due[0].time, queue[0].time)
+            return min(due[0].time, queue[0][0])
         if due:
             return due[0].time
-        return queue[0].time if queue else None
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run the next event.  Returns False if the queue is empty."""
@@ -348,25 +345,23 @@ class Simulator:
         self._flush_due()  # controller attached mid-run: merge the lane
         if self.peek_time() is None:  # also drains cancelled heads
             return False
-        group: list[_Event] = []
-        t0 = p0 = None
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue).in_heap = False
+        queue = self._queue
+        t0, p0 = queue[0][:2]
+        group = []  # heap entries, in (priority, seq) order
+        while queue:
+            head = queue[0]
+            if head[3].cancelled:
+                heapq.heappop(queue)[3].in_heap = False
                 self._cancelled -= 1
                 continue
-            if t0 is None:
-                t0, p0 = head.time, head.priority
-            elif head.time != t0 or head.priority != p0:
+            if head[0] != t0 or head[1] != p0:
                 break
-            group.append(heapq.heappop(self._queue))
-            group[-1].in_heap = False
-        idx = self.controller.choose(t0, group) if len(group) > 1 else 0
-        ev = group.pop(idx)
-        for e in group:  # unchosen events keep their seq → stable order
-            e.in_heap = True
-            heapq.heappush(self._queue, e)
+            group.append(heapq.heappop(queue))
+        idx = self.controller.choose(t0, [e[3] for e in group]) if len(group) > 1 else 0
+        ev = group.pop(idx)[3]
+        ev.in_heap = False
+        for entry in group:  # unchosen events keep their seq → stable order
+            heapq.heappush(queue, entry)
         self._now = t0
         ev.callback()
         return True
@@ -401,24 +396,20 @@ class Simulator:
                 # a heap event may still order first at the same instant
                 # (e.g. a higher-priority pump)
                 if queue:
-                    head = queue[0]
+                    entry = queue[0]
+                    head = entry[3]
                     if head.cancelled:
-                        pop(queue).in_heap = False
+                        pop(queue)
+                        head.in_heap = False
                         self._cancelled -= 1
                         continue
-                    # inlined ``head < ev`` — this compare runs once
-                    # per drained event and the heap head is usually a
-                    # far-future timeout, so the first time test
-                    # settles it without a method call
-                    ht = head.time
+                    # the heap head orders first iff its key is below the
+                    # lane head's (lane events have priority 0); the head
+                    # is usually a far-future timeout, so the time test
+                    # settles it
+                    ht = entry[0]
                     et = ev.time
-                    if ht < et or (
-                        ht == et
-                        and (
-                            head.priority < ev.priority
-                            or (head.priority == ev.priority and head.seq < ev.seq)
-                        )
-                    ):
+                    if ht < et or (ht == et and entry[1:3] < (0, ev.seq)):
                         if ht > time:
                             break
                         pop(queue)
@@ -435,16 +426,18 @@ class Simulator:
                 continue
             if not queue:
                 break
-            ev = queue[0]
+            entry = queue[0]
+            ev = entry[3]
             if ev.cancelled:
-                pop(queue).in_heap = False
+                pop(queue)
+                ev.in_heap = False
                 self._cancelled -= 1
                 continue
-            if ev.time > time:
+            if entry[0] > time:
                 break
             pop(queue)
             ev.in_heap = False
-            self._now = ev.time
+            self._now = entry[0]
             ev.callback()
         self._now = max(self._now, time)
 

@@ -41,101 +41,110 @@ class SavedData:
 # Generic codec
 # ---------------------------------------------------------------------------
 
+#: tag byte + payload in one pack ("<" puts no padding between them)
+_tag_len = _struct.Struct("<cI").pack
+_tag_i64 = _struct.Struct("<cq").pack
+_tag_f64 = _struct.Struct("<cd").pack
+#: the ``isinstance`` chain subclasses go through, in the codec's
+#: historical order: a subclass is encoded as the first kind it extends
+_KINDS = (int, float, str, bytes, list, tuple, dict)
+
+
 def _enc_generic(value: object, out: bytearray) -> None:
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        out += b"i"
-        out += _I64.pack(value)
-    elif isinstance(value, float):
-        out += b"f"
-        out += _F64.pack(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s"
-        out += _LEN.pack(len(raw))
-        out += raw
-    elif isinstance(value, bytes):
-        out += b"b"
-        out += _LEN.pack(len(value))
-        out += value
-    elif isinstance(value, (list, tuple)):
-        out += b"l" if isinstance(value, list) else b"t"
-        out += _LEN.pack(len(value))
-        for v in value:
-            _enc_generic(v, out)
-    elif isinstance(value, dict):
-        out += b"d"
-        out += _LEN.pack(len(value))
-        for k, v in value.items():
-            _enc_generic(k, out)
-            _enc_generic(v, out)
-    else:
-        raise SerdeError(
-            f"generic codec cannot serialize {type(value).__name__}; register a schema"
-        )
+    # dispatch on the exact type, commonest first; a subclass (IntEnum,
+    # a str or dict subclass, a namedtuple) falls through to the last
+    # branch and is re-dispatched as its kind, by the same operations
+    t = type(value)
+    while True:
+        if t is str:
+            raw = value.encode("utf-8")
+            out += _tag_len(b"s", len(raw))
+            out += raw
+        elif t is int:
+            try:
+                out += _tag_i64(b"i", value)
+            except _struct.error:
+                raise SerdeError(
+                    f"generic codec cannot serialize {value!r}: outside the signed 64-bit range"
+                ) from None
+        elif t is dict:
+            out += _tag_len(b"d", len(value))
+            for k, v in value.items():
+                _enc_generic(k, out)
+                _enc_generic(v, out)
+        elif value is None:
+            out += b"N"
+        elif t is bool:
+            out += b"T" if value else b"F"
+        elif t is bytes:
+            out += _tag_len(b"b", len(value))
+            out += value
+        elif t is list or t is tuple:
+            out += _tag_len(b"l" if t is list else b"t", len(value))
+            for v in value:
+                _enc_generic(v, out)
+        elif t is float:
+            out += _tag_f64(b"f", value)
+        else:
+            t = next((k for k in _KINDS if isinstance(value, k)), None)
+            if t is not None:
+                continue
+            raise SerdeError(
+                f"generic codec cannot serialize {type(value).__name__}; register a schema"
+            )
+        return
+
+
+_N, _T, _F, _I, _FL, _S, _B, _L, _TU, _D = b"NTFifsbltd"  # tag byte values
 
 
 def _dec_generic(data: bytes, off: int):
-    if off >= len(data):
+    end = len(data)
+    if off >= end:
         raise SerdeError("truncated generic value")
-    tag = data[off : off + 1]
+    tag = data[off]
     off += 1
-    if tag == b"N":
-        return None, off
-    if tag == b"T":
-        return True, off
-    if tag == b"F":
-        return False, off
-    if tag == b"i":
-        if off + _I64.size > len(data):
-            raise SerdeError("truncated integer")
-        return _I64.unpack_from(data, off)[0], off + _I64.size
-    if tag == b"f":
-        if off + _F64.size > len(data):
-            raise SerdeError("truncated float")
-        return _F64.unpack_from(data, off)[0], off + _F64.size
-    if tag in (b"s", b"b"):
-        if off + _LEN.size > len(data):
+    if tag == _S or tag == _B:
+        if off + 4 > end:
             raise SerdeError("truncated length prefix")
-        (n,) = _LEN.unpack_from(data, off)
-        off += _LEN.size
-        raw = data[off : off + n]
-        if len(raw) != n:
+        stop = off + 4 + _LEN.unpack_from(data, off)[0]
+        if stop > end:
             raise SerdeError("truncated string/bytes")
-        off += n
-        if tag == b"b":
-            return raw, off
+        if tag == _B:
+            return data[off + 4 : stop], stop
         try:
-            return raw.decode("utf-8"), off
+            return data[off + 4 : stop].decode("utf-8"), stop
         except UnicodeDecodeError as exc:
             raise SerdeError(f"invalid utf-8 in string: {exc}") from exc
-    if tag in (b"l", b"t"):
-        if off + _LEN.size > len(data):
+    if tag == _I:
+        if off + 8 > end:
+            raise SerdeError("truncated integer")
+        return _I64.unpack_from(data, off)[0], off + 8
+    if tag == _N:
+        return None, off
+    if tag == _T or tag == _F:
+        return tag == _T, off
+    if tag == _D or tag == _L or tag == _TU:
+        if off + 4 > end:
             raise SerdeError("truncated length prefix")
-        (n,) = _LEN.unpack_from(data, off)
-        off += _LEN.size
+        n = _LEN.unpack_from(data, off)[0]
+        off += 4
+        if tag == _D:
+            d = {}
+            for _ in range(n):
+                k, off = _dec_generic(data, off)
+                d[k], off = _dec_generic(data, off)
+            return d, off
         items = []
         for _ in range(n):
             v, off = _dec_generic(data, off)
             items.append(v)
-        return (items if tag == b"l" else tuple(items)), off
-    if tag == b"d":
-        if off + _LEN.size > len(data):
-            raise SerdeError("truncated length prefix")
-        (n,) = _LEN.unpack_from(data, off)
-        off += _LEN.size
-        d = {}
-        for _ in range(n):
-            k, off = _dec_generic(data, off)
-            v, off = _dec_generic(data, off)
-            d[k] = v
-        return d, off
-    raise SerdeError(f"unknown generic tag {tag!r}")
+        return (items if tag == _L else tuple(items)), off
+    if tag == _FL:
+        if off + 8 > end:
+            raise SerdeError("truncated float")
+        return _F64.unpack_from(data, off)[0], off + 8
+    raise SerdeError(f"unknown generic tag {bytes([tag])!r}")
 
 
 def encode_generic(value: object) -> bytes:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.kvtable import KVTable, Update
-from repro.runtime.sim import Simulator
+from repro.runtime.sim import ScheduleController, Simulator
 
 KEYS = ["A", "B", "C"]
 
@@ -12,6 +12,85 @@ KEYS = ["A", "B", "C"]
 # ---------------------------------------------------------------------------
 # Simulator ordering
 # ---------------------------------------------------------------------------
+
+_DELAYS = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]), st.floats(0, 20))
+#: one scheduling action: a call (kind, delay, priority, cancelled at
+#: once), a cancel of the n-th most recent handle (it may have fired
+#: already), or a burst of far timers mostly cancelled
+SIM_ACTIONS = st.one_of(
+    st.tuples(st.sampled_from(["at", "after"]), _DELAYS,
+              st.one_of(st.just(0), st.integers(-2, 2)), st.booleans()),
+    st.tuples(st.just("post")),
+    st.tuples(st.just("cancel"), st.integers(0, 4)),
+    st.tuples(st.just("burst"), st.integers(65, 160), st.integers(2, 5)),
+)
+
+
+def replay_script(script, seeds, controlled, drain):
+    """Run a scheduling script on a fresh Simulator, asserting at every
+    firing that the event is the least live key."""
+    sim = Simulator()
+    if controlled:
+        sim.controller = ScheduleController()
+    live: set[tuple] = set()
+    handles: list[tuple] = []  # (handle, key), fired ones included
+    seq = iter(range(10**9))  # the simulator's own numbering
+    steps = iter(script)
+
+    def fire(key):
+        assert key == min(live)
+        assert sim.now == key[0]
+        live.remove(key)
+        assert sim.pending_events() == len(live)
+        act(next(steps, None))
+
+    def schedule(kind, delay=0.0, prio=0, cancel=False):
+        key = (sim.now + delay, prio, next(seq))
+        cb = lambda: fire(key)  # noqa: E731
+        if kind == "post":
+            sim.post(cb)
+        elif kind == "at":
+            handles.append((sim.call_at(key[0], cb, prio), key))
+        else:
+            handles.append((sim.call_after(delay, cb, prio), key))
+        live.add(key)
+        if cancel:
+            handles[-1][0].cancel()
+            live.remove(key)
+
+    def act(step):
+        if step is None:
+            return
+        if step[0] == "cancel":
+            if handles:
+                handle, key = handles[-1 - step[1] % len(handles)]
+                handle.cancel()
+                live.discard(key)
+        elif step[0] == "burst":  # enough dead entries to compact the heap
+            n, keep_every = step[1], step[2]
+            for i in range(n):
+                schedule("after", 50.0 + i, 0)
+            for handle, key in handles[-n:]:
+                if key[2] % keep_every:
+                    handle.cancel()
+                    live.discard(key)
+        else:
+            schedule(*step)
+        assert sim.pending_events() == len(live)
+
+    for _ in range(seeds):
+        act(next(steps, None))
+    if drain == "run":
+        sim.run()
+    elif drain == "step":
+        while sim.step():
+            pass
+    else:
+        for horizon in (0.0, 1.0, 30.0, 1e9):
+            sim.run_until(horizon)
+            assert all(key[0] > horizon for key in live)
+    assert not live and sim.pending_events() == 0
+
 
 class TestSimulatorProperties:
     @given(st.lists(st.tuples(st.floats(0, 100), st.integers(-2, 2)), max_size=30))
@@ -34,6 +113,21 @@ class TestSimulatorProperties:
         sim.run()
         assert seen == sorted(seen)
         assert sim.now == max(times)
+
+    @given(st.lists(SIM_ACTIONS, min_size=1, max_size=40), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_each_firing_is_the_least_live_key(self, script, seeds):
+        """Every event that fires is the least ``(time, priority, seq)``
+        key among the live ones, whatever mix of scheduling calls,
+        cancels (before and after firing), re-scheduling callbacks and
+        compaction bursts produced them; ``pending_events()`` stays
+        exact throughout.  With a base controller attached (every event
+        on the heap, co-enabled sets chosen at index 0) the order is the
+        same; each drain loop (``run``, ``run_until``, ``step``) is
+        checked."""
+        for controlled in (False, True):
+            for drain in ("run", "run_until", "step"):
+                replay_script(script, seeds, controlled, drain)
 
 
 # ---------------------------------------------------------------------------

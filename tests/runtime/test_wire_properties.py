@@ -124,6 +124,14 @@ def test_non_message_records_rejected(value):
     assert isinstance(out, Message)
 
 
+def test_unencodable_int_is_a_serde_error():
+    # an int outside int64 is the codec's error, not struct.error
+    msg = Message(src="a::j", dst="b::j", kind="update",
+                  payload=Update(key="K", value=2**63, src="a::j"), msg_id=1)
+    with pytest.raises(SerdeError, match=str(2**63)):
+        encode_message(msg)
+
+
 # -- length prefix ------------------------------------------------------------
 
 

@@ -245,6 +245,20 @@ class TestGenericCodec:
         with pytest.raises(SerdeError):
             decode_generic(data[:-2])
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**30])
+    def test_int_outside_int64_is_a_serde_error_naming_the_value(self, value):
+        # a raw struct.error used to escape here, from save and from the
+        # cluster's wire.encode_message alike
+        for encode in (encode_generic, lambda v: Serializer().encode(None, v)):
+            with pytest.raises(SerdeError, match=str(value)):
+                encode(value)
+            with pytest.raises(SerdeError, match=str(value)):
+                encode({"nested": [value]})
+
+    def test_int64_bounds_roundtrip(self):
+        for value in (2**63 - 1, -(2**63)):
+            assert decode_generic(encode_generic(value)) == value
+
 
 class TestSerializer:
     def test_generic_schema(self):
