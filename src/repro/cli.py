@@ -88,12 +88,17 @@ from .semantics.render import to_dot, to_text
 def _engine_spec(args, *, default: str = "sim",
                  default_time_scale: float | None = None):
     """Resolve the subcommand's ``--engine`` value to an
-    :class:`~repro.runtime.engine.EngineSpec`."""
+    :class:`~repro.runtime.engine.EngineSpec`; a spec no engine takes
+    is one line on stderr and exit status 2."""
     import dataclasses
 
     from .runtime.engine import EngineSpec
 
-    spec = EngineSpec.of(getattr(args, "engine", None) or default)
+    try:
+        spec = EngineSpec.of(getattr(args, "engine", None) or default).check()
+    except ValueError as e:
+        print(f"error: --engine: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
     if default_time_scale is not None and spec.name != "sim" and spec.time_scale is None:
         # the CLI compresses wall-clock engines by default (the engine
         # constructors themselves default to real time)
@@ -569,6 +574,7 @@ def _static_plan(old, new, diff):
 def cmd_reconfigure(args) -> int:
     from .reconfig import diff_programs
 
+    spec = _engine_spec(args, default_time_scale=0.05)
     config = _config(args)
     old, new = (
         compile_sized(open_target(target).text, n, config, what=target)
@@ -582,7 +588,6 @@ def cmd_reconfigure(args) -> int:
         print(_static_plan(old, new, diff).render())
         return 0
 
-    spec = _engine_spec(args, default_time_scale=0.05)
     wall0 = time.perf_counter()
     with _compile_ctx(spec), _graceful_signals(enabled=spec.name != "sim"):
         system = start_bare(old, spec, note=_note)

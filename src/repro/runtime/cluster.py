@@ -3,7 +3,7 @@ supervision, heartbeats and restart-with-backoff.
 
 The paper's deployment model (libcompart) runs one OS process per
 component instance and wires them over TCP.  :class:`ClusterEngine`
-realizes that behind the Clock/Transport/Executor seam: at ``attach``
+realizes that behind the Clock/Transport seam: at ``attach``
 time it spawns one **worker process** per instance (or per shard
 group when ``workers=N`` is given) from the stdlib-only
 :mod:`repro.runtime.cluster_worker` module, and every runtime message
@@ -37,10 +37,11 @@ Supervision model (Erlang/systemd shaped):
   force-killing stragglers (wired to SIGTERM by ``repro cluster``).
 
 Honest scoping: junction scheduling, guard evaluation and host blocks
-still execute in the coordinator (host functions are arbitrary Python
-closures and cannot cross a process boundary without pickling them);
-the worker processes embody each instance's *compartment* — its
-network identity and its crash unit.  What is real: OS processes,
+still execute in the coordinator, on its loop thread, as on the
+realtime engine (host functions are arbitrary Python closures and
+cannot cross a process boundary without pickling them); the worker
+processes embody each instance's *compartment* — its network identity
+and its crash unit.  What is real: OS processes,
 kernel sockets, serde wire framing, SIGKILL-able instances,
 heartbeat-based failure detection, supervised restart.
 """
@@ -58,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ..core.errors import SerdeError, StartStopFailure
 from .cluster_worker import OP_DELIVER, OP_HELLO, OP_MSG, OP_PING, OP_PONG, OP_SHUTDOWN
 from .engine import ExecutionEngine, Transport
-from .realtime import RealtimeClock, ThreadPoolHostExecutor
+from .realtime import RealtimeClock
 from .supervisor import (
     Backoff,
     BackoffPolicy,
@@ -777,9 +778,9 @@ class ClusterSupervisor:
 
     def drain(self, grace: float = 5.0) -> bool:
         """Graceful shutdown: stop supervision, ask workers to exit,
-        run the engine until in-flight messages and host calls settle
-        (or ``grace`` logical seconds elapse), then force-kill any
-        straggler.  Returns True when fully drained."""
+        run the engine until in-flight messages settle (or ``grace``
+        logical seconds elapse), then force-kill any straggler.
+        Returns True when fully drained."""
         self._stopping = True
         if self._hb_handle is not None:
             self._hb_handle.cancel()
@@ -787,14 +788,10 @@ class ClusterSupervisor:
         for name in list(self.statuses):
             self.transport.request_shutdown(name)
 
-        def pending() -> int:
-            extra = self.clock.extra_pending
-            return extra() if extra is not None else 0
-
         deadline = self.clock.now + max(grace, 0.0)
-        while pending() > 0 and self.clock.now < deadline:
+        while self.transport.in_flight > 0 and self.clock.now < deadline:
             self.clock.run_until(min(self.clock.now + 0.1, deadline))
-        drained = pending() == 0
+        drained = self.transport.in_flight == 0
         self.shutdown()
         return drained
 
@@ -838,7 +835,6 @@ class ClusterEngine(ExecutionEngine):
         *,
         workers: int | None = None,
         time_scale: float = 1.0,
-        max_workers: int | None = None,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 2.0,
         backoff: BackoffPolicy | None = None,
@@ -848,10 +844,9 @@ class ClusterEngine(ExecutionEngine):
     ):
         clock = RealtimeClock(time_scale=time_scale)
         transport = ClusterTransport()
-        executor = ThreadPoolHostExecutor(clock, max_workers)
-        super().__init__(clock, transport, executor)
+        super().__init__(clock, transport)
         self.name = "cluster"
-        clock.extra_pending = lambda: transport.in_flight + executor.in_flight
+        clock.extra_pending = lambda: transport.in_flight
         self.supervisor = ClusterSupervisor(
             transport,
             clock,
@@ -886,5 +881,4 @@ class ClusterEngine(ExecutionEngine):
         self._closed = True
         self.supervisor.shutdown()
         self.transport.close()
-        self.executor.close()
         self.clock.close()

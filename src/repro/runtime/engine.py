@@ -1,10 +1,10 @@
-"""The pluggable execution engine: Clock / Transport / Executor.
+"""The pluggable execution engine: Clock / Transport.
 
 The runtime used to be welded to the deterministic discrete-event
 :class:`~repro.runtime.sim.Simulator`: ``system.py`` built one,
 ``channels.py`` scheduled deliveries on it, ``delivery.py`` armed
 retransmission timers on it, and the interpreter pumped strands through
-it.  That coupling is factored into three backend interfaces here —
+it.  That coupling is factored into two backend interfaces here —
 mirroring how the paper's prototype separates libcompart's channel layer
 from the scheduling of component code:
 
@@ -19,10 +19,11 @@ from the scheduling of component code:
   :class:`~repro.runtime.channels.Network` (they are *policy*, shared by
   every backend — which is what keeps chaos schedules engine-portable);
   the transport is only the *mechanism* that moves the bytes.
-* :class:`Executor` — how host blocks (``⌊H⌉{V}``) run.  The inline
-  executor calls them synchronously on the runtime thread (the sim
-  behaviour); the realtime engine substitutes a thread pool and wakes
-  the strand when the call returns.
+
+Host blocks (``⌊H⌉{V}``) are not an engine concern: on every engine
+they run synchronously inside the strand, on the runtime thread, and
+model their service time with ``ctx.take`` (the paper's host code is C
+inlined in the junction's own compartment).
 
 An :class:`ExecutionEngine` bundles one of each.  :class:`SimEngine`
 wraps the existing simulator so the default behaviour — including
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 from typing import TYPE_CHECKING, Callable
 
 from .sim import EventHandle, ScheduleController, Simulator, use_controller
@@ -62,8 +64,6 @@ __all__ = [
     "ClockTransport",
     "EngineSpec",
     "ExecutionEngine",
-    "Executor",
-    "InlineExecutor",
     "ScheduleController",
     "SimEngine",
     "Transport",
@@ -173,40 +173,15 @@ class ClockTransport(Transport):
         self.clock.call_after(latency, fire, label=label, footprint=footprint)
 
 
-class Executor:
-    """How host blocks run.
-
-    ``inline`` executors run the host function synchronously inside the
-    strand (the interpreter never yields); others receive the function
-    via :meth:`invoke` and call ``done(exc)`` on the engine's runtime
-    context when it completes.  ``in_flight`` counts running host calls
-    for quiescence accounting.
-    """
-
-    inline = True
-    in_flight = 0
-
-    def invoke(self, fn: Callable, ctx, done: Callable[[BaseException | None], None]) -> None:
-        raise NotImplementedError("inline executors never receive invoke()")
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-class InlineExecutor(Executor):
-    """Synchronous host execution on the runtime thread (sim default)."""
-
-
 class ExecutionEngine:
-    """One clock + transport + executor, attached to one System."""
+    """One clock + transport, attached to one System."""
 
     name = "?"
     supports_controlled_scheduling = False
 
-    def __init__(self, clock: Clock, transport: Transport, executor: Executor):
+    def __init__(self, clock: Clock, transport: Transport):
         self.clock = clock
         self.transport = transport
-        self.executor = executor
         self.system: "System | None" = None
 
     def attach(self, system: "System") -> None:
@@ -224,28 +199,20 @@ class ExecutionEngine:
         self.clock.run(max_events)
 
     def pending_work(self) -> int:
-        """Timers + in-flight messages + running host calls; zero means
-        the system is quiescent (nothing will happen without external
-        input)."""
-        return (
-            self.clock.pending_events()
-            + self.transport.in_flight
-            + self.executor.in_flight
-        )
+        """Timers + in-flight messages; zero means the system is
+        quiescent (nothing will happen without external input)."""
+        return self.clock.pending_events() + self.transport.in_flight
 
     def drain(self, grace: float = 5.0) -> bool:
-        """Graceful shutdown: run until in-flight messages and host
-        calls settle, or ``grace`` logical seconds elapse.  Returns
-        True when fully drained.  Engines with external resources
-        (cluster workers) extend this; the default just runs the clock
-        against the in-flight counters."""
+        """Graceful shutdown: run until in-flight messages settle, or
+        ``grace`` logical seconds elapse.  Returns True when fully
+        drained.  Engines with external resources (cluster workers)
+        extend this; the default just runs the clock against the
+        transport's in-flight counter."""
         deadline = self.clock.now + max(grace, 0.0)
-        while (
-            self.transport.in_flight + self.executor.in_flight > 0
-            and self.clock.now < deadline
-        ):
+        while self.transport.in_flight > 0 and self.clock.now < deadline:
             self.clock.run_until(min(self.clock.now + 0.1, deadline))
-        return self.transport.in_flight + self.executor.in_flight == 0
+        return self.transport.in_flight == 0
 
     # -- live reconfiguration ----------------------------------------------
 
@@ -262,10 +229,9 @@ class ExecutionEngine:
         engines."""
 
     def close(self) -> None:
-        """Release backend resources (threads, sockets, event loops).
+        """Release backend resources (sockets, event loops).
         Idempotent; a no-op for the sim engine."""
         self.transport.close()
-        self.executor.close()
 
 
 class SimEngine(ExecutionEngine):
@@ -279,7 +245,7 @@ class SimEngine(ExecutionEngine):
     supports_controlled_scheduling = True
 
     def __init__(self, sim: Simulator | None = None):
-        super().__init__(sim if sim is not None else Simulator(), ClockTransport(), InlineExecutor())
+        super().__init__(sim if sim is not None else Simulator(), ClockTransport())
 
     @property
     def sim(self) -> Simulator:
@@ -392,6 +358,12 @@ class EngineSpec:
             kw["time_scale"] = self.time_scale
         return kw
 
+    def check(self) -> "EngineSpec":
+        """This spec, once an engine of its name is known to take its
+        options (``ValueError`` otherwise); nothing is built."""
+        _engine_class(self.name, self.engine_kwargs())
+        return self
+
     def create(self) -> "ExecutionEngine":
         """Build a fresh engine for this spec."""
         return create_engine(self.name, **self.engine_kwargs())
@@ -424,28 +396,46 @@ def _parse_option_value(raw: str) -> object:
     return raw
 
 
+def _engine_class(name: str, kw: dict) -> tuple[type, dict]:
+    """The constructor behind engine ``name`` and the keyword arguments
+    the name itself fixes.  Raises ``ValueError`` naming the engine,
+    the options it does not take and the ones it does, before anything
+    is built."""
+    fixed: dict = {}
+    if name == "sim":
+        cls: type = SimEngine
+    elif name in ("realtime", "realtime-inproc", "realtime-tcp"):
+        from .realtime import RealtimeEngine
+
+        cls = RealtimeEngine
+        if name == "realtime-tcp":
+            fixed = {"transport": "tcp"}
+    elif name == "cluster":
+        from .cluster import ClusterEngine
+
+        cls = ClusterEngine
+    else:
+        raise ValueError(f"unknown engine {name!r} (expected one of {', '.join(ENGINE_NAMES)})")
+    accepted = [p for p in inspect.signature(cls).parameters if p not in fixed]
+    unknown = sorted(set(kw) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"engine {name!r} has no option {', '.join(unknown)} "
+            f"(accepted: {', '.join(accepted) or 'none'})"
+        )
+    return cls, fixed
+
+
 def create_engine(spec: str, **kw) -> ExecutionEngine:
     """Build an engine from its name: ``sim``, ``realtime`` (asyncio +
     in-process channels), ``realtime-tcp`` (asyncio + TCP loopback
     channels) or ``cluster`` (one supervised OS process per instance or
     shard group).  Keyword arguments pass through to the engine
     constructor (e.g. ``time_scale`` for the realtime backends,
-    ``workers``/``heartbeat_timeout`` for the cluster backend)."""
-    if spec == "sim":
-        return SimEngine(**kw)
-    if spec in ("realtime", "realtime-inproc"):
-        from .realtime import RealtimeEngine
-
-        return RealtimeEngine(**kw)
-    if spec == "realtime-tcp":
-        from .realtime import RealtimeEngine
-
-        return RealtimeEngine(transport="tcp", **kw)
-    if spec == "cluster":
-        from .cluster import ClusterEngine
-
-        return ClusterEngine(**kw)
-    raise ValueError(f"unknown engine {spec!r} (expected one of {ENGINE_NAMES})")
+    ``workers``/``heartbeat_timeout`` for the cluster backend); one it
+    does not take is a ``ValueError`` that lists the ones it does."""
+    cls, fixed = _engine_class(spec, kw)
+    return cls(**fixed, **kw)
 
 
 #: factory consulted by ``System.__init__`` when no explicit engine (or

@@ -6,8 +6,10 @@ Host code may *read* arbitrary junction state but may only *write* the
 symbols the block declares — exactly the contract of the paper's
 ``⌊H⌉{V}`` notation.
 
-Host code models computation cost with :meth:`HostContext.take`, which
-advances simulated time after the block returns.
+On every engine a host block runs synchronously inside its strand, on
+the runtime thread, so host code must not block: it models computation
+cost with :meth:`HostContext.take`, which advances logical time after
+the block returns.
 """
 
 from __future__ import annotations
@@ -30,19 +32,11 @@ class HostContext:
         system: "System",
         junction: "JunctionRuntime",
         writes: tuple[str, ...],
-        defer_writes: bool = False,
     ):
         self._system = system
         self._junction = junction
         self._writes = frozenset(writes)
         self._elapsed = 0.0
-        #: engine-executor mode: the host function runs off the runtime
-        #: thread, so writes are buffered here (reads see them through
-        #: an overlay) and applied on the runtime thread when the call
-        #: completes — the KV table is never touched cross-thread
-        self._defer = defer_writes
-        self._deferred: list[tuple[str, object]] = []
-        self._overlay: dict[str, object] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -72,9 +66,6 @@ class HostContext:
     # -- junction state -----------------------------------------------------
 
     def get(self, key: str, default=None):
-        if self._defer and key in self._overlay:
-            v = self._overlay[key]
-            return default if v is UNDEF else v
         table = self._junction.table
         if table.has(key):
             v = table.values[key]
@@ -105,24 +96,6 @@ class HostContext:
                     f"{sorted(self._writes)}"
                 )
             self._warn_contract(key)
-        if self._defer:
-            self._deferred.append((key, value))
-            self._overlay[key] = value
-            return
-        self._apply(key, value)
-
-    def apply_deferred_writes(self) -> None:
-        """Apply buffered writes in program order — called on the
-        runtime thread by the engine executor's completion callback.
-        Validation errors (unknown state, non-bool propositions, idx
-        membership) surface here and fail the strand exactly as the
-        inline path would have."""
-        writes, self._deferred = self._deferred, []
-        self._overlay.clear()
-        for key, value in writes:
-            self._apply(key, value)
-
-    def _apply(self, key: str, value) -> None:
         jr = self._junction
         if key in jr.idx_names:
             self._set_idx(key, value)

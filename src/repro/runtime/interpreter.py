@@ -107,14 +107,9 @@ class Blocked:
       * ``'ack'``   — fields: msg_id
       * ``'sleep'`` — fields: duration
       * ``'join'``  — fields: children (list of Strand)
-      * ``'host'``  — fields: fn, ctx, name (engine-executor host call;
-        only emitted when the engine's executor is not inline)
     """
 
-    __slots__ = (
-        "kind", "formula", "admits", "msg_id", "duration",
-        "children", "fn", "ctx", "name", "pred",
-    )
+    __slots__ = ("kind", "formula", "admits", "msg_id", "duration", "children", "pred")
 
     def __init__(
         self,
@@ -124,9 +119,6 @@ class Blocked:
         msg_id: int = 0,
         duration: float = 0.0,
         children: list | None = None,
-        fn: object = None,
-        ctx: object = None,
-        name: str = "",
         pred: object = None,
     ):
         self.kind = kind
@@ -135,9 +127,6 @@ class Blocked:
         self.msg_id = msg_id
         self.duration = duration
         self.children = children if children is not None else []
-        self.fn = fn
-        self.ctx = ctx
-        self.name = name
         self.pred = pred
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -510,27 +499,6 @@ class JunctionExecution:
             strand.block = req
             # children were spawned by the join op; just wait
             return
-        if req.kind == "host":
-            strand.state = "blocked"
-            strand.block = req
-
-            def done(exc: BaseException | None, s=strand, r=req):
-                # runs on the runtime thread; the strand may have been
-                # cancelled (crash / stop / deadline) while the host
-                # call was off-thread — its completion is then dropped
-                if self.finished or s.state != "blocked" or s.block is not r:
-                    return
-                if exc is None:
-                    try:
-                        r.ctx.apply_deferred_writes()
-                    except BaseException as werr:
-                        exc = werr
-                if exc is not None and not isinstance(exc, DslFailure):
-                    exc = self._host_raised(r.name, exc)
-                self._wake(s, throw=exc)
-
-            self.system.engine.executor.invoke(req.fn, req.ctx, done)
-            return
         raise RuntimeError(f"unknown block request {req.kind!r}")
 
     def _wait_sat(self, req: Blocked) -> bool:
@@ -842,34 +810,23 @@ class JunctionExecution:
 
     def host(self, name: str, writes: tuple) -> Generator:
         """``host name {writes}``: run the bound host function against a
-        :class:`HostContext`, then sleep for the service time it took
-        (``ctx.take``)."""
+        :class:`HostContext`, synchronously inside the strand on every
+        engine, then sleep for the service time it took (``ctx.take``).
+        An extra yield before the call would reorder the pump and break
+        schedule replay."""
         jr = self.jr
         fn = jr.instance.type.host_fns.get(name)
         if fn is None:
             raise HostError(f"{jr.node}: no host binding for {name!r}")
-        inline = self.system.engine.executor.inline
-        # off the runtime thread (realtime pool) writes are deferred into
-        # the context and applied at completion (HostContext.defer_writes)
-        ctx = HostContext(self.system, jr, writes, defer_writes=not inline)
-        if inline:
-            # the sim path: run synchronously inside the strand — an
-            # extra yield would reorder the pump and break schedule replay
-            try:
-                fn(ctx)
-            except DslFailure:
-                raise
-            except Exception as exc:
-                raise self._host_raised(name, exc) from exc
-        else:
-            yield Blocked("host", fn=fn, ctx=ctx, name=name)
+        ctx = HostContext(self.system, jr, writes)
+        try:
+            fn(ctx)
+        except DslFailure:
+            raise
+        except Exception as exc:
+            raise HostError(f"{jr.node}: host block {name!r} raised {exc!r}") from exc
         if ctx.elapsed > 0:
             yield Blocked("sleep", duration=ctx.elapsed)
-
-    def _host_raised(self, name: str, exc: BaseException) -> HostError:
-        err = HostError(f"{self.jr.node}: host block {name!r} raised {exc!r}")
-        err.__cause__ = exc
-        return err
 
     def join(self, gens: Iterable[Generator]) -> Blocked:
         """Parallel composition: run each generator as a child strand of

@@ -1,5 +1,4 @@
-"""The realtime execution engine: asyncio timers, real transports,
-thread-pool host execution.
+"""The realtime execution engine: asyncio timers and real transports.
 
 Where :class:`~repro.runtime.engine.SimEngine` advances a logical clock
 event-by-event, :class:`RealtimeEngine` maps logical seconds onto the
@@ -20,11 +19,13 @@ wall clock of a private asyncio event loop:
   loopback TCP socket using libcompart-style length-prefixed frames
   (see :mod:`repro.runtime.wire`), exercising real serialization and
   kernel scheduling.
-* :class:`ThreadPoolHostExecutor` — host blocks (``⌊H⌉{V}``) run on a
-  worker thread while the strand stays blocked; KV writes are deferred
-  into the :class:`~repro.runtime.host.HostContext` overlay and applied
-  on the loop thread when the call completes, so table mutation remains
-  single-threaded.
+
+Host blocks (``⌊H⌉{V}``) run inside the strand on the loop thread, as
+on the sim engine, and model their service time with ``ctx.take``; they
+must not block.  Everything that touches a KV table or the telemetry —
+strands, deliveries, and a client's completion callback with the next
+request it submits — therefore runs on the thread that drives
+``run_until``.
 
 Determinism: the realtime engine makes **no** ordering guarantees
 between timers that race within the scheduling jitter of the host OS.
@@ -37,10 +38,8 @@ seeded fault runs are only reproducible under ``engine="sim"``.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import heapq
 import itertools
-import os
 import select as _select
 import selectors
 import threading
@@ -48,20 +47,19 @@ from collections import deque
 from typing import Callable
 
 from ..core.errors import SerdeError
-from .engine import Clock, ClockTransport, ExecutionEngine, Executor, Transport
+from .engine import Clock, ClockTransport, ExecutionEngine, Transport
 from .wire import decode_message, encode_message, frame, read_frame
 
 __all__ = [
     "RealtimeClock",
     "RealtimeEngine",
     "TcpTransport",
-    "ThreadPoolHostExecutor",
 ]
 
 
 #: timers one wake-up fires before it yields to the asyncio loop, so
-#: socket readiness and thread-pool completions are polled between the
-#: batches of a long zero-delay cascade
+#: socket readiness and other threads' completions are polled between
+#: the batches of a long zero-delay cascade
 _BATCH = 512
 #: events ``run_until`` lets a cascade fire past its deadline before it
 #: gives the cascade up as a livelock
@@ -141,9 +139,9 @@ class RealtimeClock(Clock):
     heap's keeps one ``(wall_due, seq)`` order.  The asyncio loop sees a
     *single* wake-up: :meth:`_on_wake` fires everything that is due in
     one pass and re-arms itself for the earliest live entry.  Entries
-    are plain tuples so that every queue operation is one C call: a
-    host block on a pool thread may schedule (a client's completion
-    callback submitting the next request) while the loop thread drains.
+    are plain tuples so that every queue operation is one C call: an
+    embedding application's thread may schedule while the loop thread
+    drains.
     Cancellation is lazy, as in :class:`~repro.runtime.sim.Simulator`:
     a cancelled entry stays queued until it surfaces or until dead
     entries outnumber live ones and the heap is compacted.  ``cancel``
@@ -176,8 +174,8 @@ class RealtimeClock(Clock):
         #: callbacks that run fired past its deadline without settling
         self._overrun = 0
         self._closed = False
-        #: engine hook: extra pending work (in-flight messages / host
-        #: calls) consulted by the quiescence-driven :meth:`run`
+        #: engine hook: extra pending work (in-flight messages)
+        #: consulted by the quiescence-driven :meth:`run`
         self.extra_pending: Callable[[], int] | None = None
 
     # -- time ---------------------------------------------------------------
@@ -225,7 +223,7 @@ class RealtimeClock(Clock):
                 if earlier:
                     self._arm(wall)
             else:
-                with self._compacting:  # may be a pool thread
+                with self._compacting:  # may be another thread
                     heapq.heappush(self._heap, entry)
                 if earlier:
                     self._wake_soon()  # the loop thread arms after its pass
@@ -262,7 +260,7 @@ class RealtimeClock(Clock):
         if asyncio._get_running_loop() is self.loop:
             self.loop.call_soon(self._on_wake)
         else:
-            # between runs, or from a pool thread while the loop sleeps
+            # between runs, or from another thread while the loop sleeps
             self.loop.call_soon_threadsafe(self._on_wake)
 
     def _arm(self, wall: float) -> None:
@@ -281,7 +279,7 @@ class RealtimeClock(Clock):
 
     def _on_wake(self) -> None:
         """Fire what is due — at most ``_BATCH`` callbacks, so a long
-        cascade yields to socket readiness and thread completions —
+        cascade yields to socket readiness and other threads' posts —
         then stop the loop for ``run_until`` or re-arm for the earliest
         live entry."""
         if self._closed:
@@ -353,10 +351,10 @@ class RealtimeClock(Clock):
         self._floor = max(self._floor, time)
 
     def run(self, max_events: int = 10_000_000) -> None:
-        """Run until quiescent: no live timers, no in-flight messages,
-        no running host calls.  Architectures with self-re-arming poll
-        loops (e.g. failover reactivation probes) never quiesce — drive
-        those with :meth:`run_until`."""
+        """Run until quiescent: no live timers, no in-flight messages.
+        Architectures with self-re-arming poll loops (e.g. failover
+        reactivation probes) never quiesce — drive those with
+        :meth:`run_until`."""
         idle = 0
         step = 0.0
         while True:
@@ -365,8 +363,8 @@ class RealtimeClock(Clock):
             if self.extra_pending is not None:
                 pending += self.extra_pending()
             if pending == 0:
-                # one extra settle round catches completions posted from
-                # worker threads between the check and the sleep
+                # one extra settle round catches work posted from other
+                # threads between the check and the sleep
                 idle += 1
                 if idle >= 2:
                     return
@@ -378,7 +376,7 @@ class RealtimeClock(Clock):
         if self.loop.is_closed():
             return
         # queued events are discarded, not fired: the engine has shut
-        # its executor and transport down before it closes the clock
+        # its transport down before it closes the clock
         self._closed = True
         self._heap.clear()
         self._due.clear()
@@ -398,39 +396,16 @@ class RealtimeClock(Clock):
         self.loop.close()
 
 
-class ThreadPoolHostExecutor(Executor):
-    """Host blocks on worker threads, completions on the loop thread."""
-
-    inline = False
-
-    def __init__(self, clock: RealtimeClock, max_workers: int | None = None):
-        self._clock = clock
-        self.in_flight = 0
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_workers or min(8, (os.cpu_count() or 1) + 2),
-            thread_name_prefix="csaw-host",
-        )
+class ThreadPoolHostExecutor:
+    """A name without a use.  Host blocks run inside the strand on every
+    engine, so nothing builds this class or calls :meth:`invoke`.  The
+    benchmark tracer (``bench/tracer.py``) still wraps
+    ``ThreadPoolHostExecutor.invoke`` by name at install time, and the
+    class stays until that boundary is dropped there (docs/RUNTIME.md,
+    "Frozen names")."""
 
     def invoke(self, fn, ctx, done) -> None:
-        self.in_flight += 1
-        loop = self._clock.loop
-
-        def work() -> None:
-            try:
-                fn(ctx)
-                exc: BaseException | None = None
-            except BaseException as e:  # noqa: BLE001 - relayed to the strand
-                exc = e
-            loop.call_soon_threadsafe(self._complete, done, exc)
-
-        self._pool.submit(work)
-
-    def _complete(self, done, exc) -> None:
-        self.in_flight -= 1
-        done(exc)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        raise NotImplementedError("host blocks run inside the strand")
 
 
 class TcpTransport(Transport):
@@ -514,26 +489,23 @@ class TcpTransport(Transport):
 
 
 class RealtimeEngine(ExecutionEngine):
-    """asyncio wall-clock backend: parallel host work, real transports.
+    """asyncio wall-clock backend with real transports.
 
     ``transport`` selects ``"inproc"`` (scaled timers, no wire format)
     or ``"tcp"`` (loopback sockets + serde frames).  ``time_scale``
-    compresses logical time onto the wall clock; ``max_workers`` sizes
-    the host-block thread pool.
+    compresses logical time onto the wall clock.
     """
 
     supports_controlled_scheduling = False
 
-    def __init__(self, *, time_scale: float = 1.0, transport: str = "inproc",
-                 max_workers: int | None = None):
+    def __init__(self, *, time_scale: float = 1.0, transport: str = "inproc"):
         if transport not in ("inproc", "tcp"):
             raise ValueError(f"transport must be 'inproc' or 'tcp', got {transport!r}")
         clock = RealtimeClock(time_scale=time_scale)
         tr: Transport = TcpTransport() if transport == "tcp" else ClockTransport()
-        ex = ThreadPoolHostExecutor(clock, max_workers)
-        super().__init__(clock, tr, ex)
+        super().__init__(clock, tr)
         self.name = "realtime-tcp" if transport == "tcp" else "realtime"
-        clock.extra_pending = lambda: tr.in_flight + ex.in_flight
+        clock.extra_pending = lambda: tr.in_flight
         self._closed = False
 
     def close(self) -> None:
@@ -541,5 +513,4 @@ class RealtimeEngine(ExecutionEngine):
             return
         self._closed = True
         self.transport.close()
-        self.executor.close()
         self.clock.close()

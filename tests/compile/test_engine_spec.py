@@ -89,3 +89,55 @@ class TestCliShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _engine_spec(args) == EngineSpec()
+
+
+class TestBadEngine:
+    """A spec no engine takes is a ``ValueError`` naming the engine, the
+    unknown option and the accepted ones — before anything is built —
+    and, on the command line, one line on stderr and exit status 2."""
+
+    @pytest.mark.parametrize("spec,unknown", [
+        ("realtime,bogus=1", "bogus"),
+        ("realtime,max_workers=4", "max_workers"),
+        ("cluster,bogus=1", "bogus"),
+        ("realtime-tcp,transport=inproc", "transport"),
+    ])
+    def test_unknown_option_names_engine_option_and_accepted(self, spec, unknown):
+        with pytest.raises(ValueError) as err:
+            _system(engine=spec)
+        msg = str(err.value)
+        name = spec.split(",")[0]
+        assert f"engine {name!r}" in msg and unknown in msg
+        assert "accepted: " in msg and "time_scale" in msg
+
+    def test_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'nosuch'"):
+            _system(engine="nosuch")
+
+    @pytest.mark.parametrize("spec", [
+        "realtime,bogus=1", "realtime,max_workers=4", "nosuch", "sim,workers=x",
+    ])
+    def test_cli_reports_one_line_and_exits_2(self, capsys, spec):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "sharding", "--engine", spec])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --engine: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "sharding"],
+        ["workload"],
+        ["cluster", "sharding"],
+        ["reconfigure", "sharding", "sharding"],
+        ["explore", "sharding"],
+    ])
+    def test_every_verb_taking_engine_exits_2(self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--engine", "realtime,bogus=1"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1

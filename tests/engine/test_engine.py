@@ -1,5 +1,5 @@
 """Engine seam unit tests: selection, capability guards, the realtime
-clock/executor, and the TCP wire codec."""
+clock, host blocks on the wall-clock engines, and the TCP wire codec."""
 
 import gc
 import logging
@@ -191,27 +191,31 @@ class TestTimerPrecision:
         clock.close()
 
     def test_pool_thread_completion_wakes_a_sleeping_run_until(self):
-        # the host hand-off: the completion arrives on the loop from a
-        # pool thread and what it schedules must not wait for the end
-        # of the 0.5 s sleep
+        # an embedding application's thread hands a completion to the
+        # loop with call_soon_threadsafe; what the completion schedules
+        # must not wait for the end of the 0.5 s sleep
         eng = RealtimeEngine(time_scale=1.0)
         returned, woke = [], []
 
-        def host_fn(ctx):
-            time.sleep(0.01)
-            returned.append(time.perf_counter())
-
-        def done(exc):
+        def done():
             eng.clock.post(lambda: woke.append(time.perf_counter()))
 
-        eng.executor.invoke(host_fn, None, done)
+        def application():
+            time.sleep(0.01)
+            returned.append(time.perf_counter())
+            eng.clock.loop.call_soon_threadsafe(done)
+
+        t = threading.Thread(target=application)
+        t.start()
         eng.clock.run_until(eng.clock.now + 0.5)
+        t.join(timeout=10.0)
+        assert not t.is_alive()
         assert woke and woke[0] - returned[0] < 0.1
         eng.close()
 
     def test_post_from_another_thread_wakes_a_sleeping_run_until(self):
-        # a client's completion callback runs on the pool thread of the
-        # host block that replied, and submits the next request there
+        # an embedding application's thread schedules while the loop
+        # thread sleeps in run_until
         clock = RealtimeClock(time_scale=1.0)
         posted, woke = [], []
 
@@ -326,7 +330,7 @@ class TestTimerQueue:
 
     def test_long_cascade_yields_to_thread_completions(self):
         # a zero-delay cascade is fired in bounded batches; between two
-        # batches the loop polls, so a completion from a pool thread
+        # batches the loop polls, so a completion from another thread
         # gets in although the cascade never pauses by itself
         clock = RealtimeClock(time_scale=1.0)
         spins, stop = [0], []
@@ -386,9 +390,8 @@ class TestShutdownOrder:
         assert h.cancelled and late == []
 
     def test_shutdown_with_a_queued_attempt_does_not_reach_the_pool(self, caplog):
-        # the queued attempt would invoke a host block; fired from
-        # close()'s final settle it hit the executor after its shutdown
-        # ("cannot schedule new futures after shutdown")
+        # the queued attempt would invoke a host block; close() discards
+        # it instead of firing it from the final settle
         ran = []
         sys_ = single_junction("host H", decls="| init prop !Go", guard="Go",
                                engine=RealtimeEngine(time_scale=1.0))
@@ -431,11 +434,14 @@ class TestDescriptorCeiling:
 
 
 class TestThreadPoolHost:
-    def test_host_runs_off_thread_and_writes_apply(self):
+    """The host contract on the wall-clock engines (the class keeps the
+    name of the thread pool these blocks used to run on)."""
+
+    def test_host_runs_on_the_runtime_thread_and_writes_apply(self):
         seen = {}
 
         def h(ctx):
-            seen["thread"] = threading.current_thread().name
+            seen["thread"] = threading.current_thread()
             ctx.set("P", True)
 
         sys_ = single_junction(
@@ -445,7 +451,7 @@ class TestThreadPoolHost:
         sys_.bind_host("T", "H", h)
         sys_.start()
         sys_.run_until(5.0)
-        assert seen["thread"].startswith("csaw-host")
+        assert seen["thread"] is threading.current_thread()
         assert sys_.read_state("x", "P") is True
         assert failures_of(sys_) == []
         sys_.shutdown()
@@ -491,6 +497,20 @@ class TestThreadPoolHost:
         sys_.start()
         sys_.run_until(5.0)
         assert times and times[0] >= 0.5
+        sys_.shutdown()
+
+    def test_host_raise_mid_run_leaves_no_pending_work(self):
+        # the block raises after its first, modelled-time sleep: nothing
+        # the failed strand scheduled outlives it, and run() quiesces
+        sys_ = single_junction(
+            "host Slow; host Boom", engine=RealtimeEngine(time_scale=SCALE)
+        )
+        sys_.bind_host("T", "Slow", lambda ctx: ctx.take(0.5))
+        sys_.bind_host("T", "Boom", lambda ctx: 1 / 0)
+        sys_.start()
+        sys_.run()
+        assert failures_of(sys_) == ["HostError"]
+        assert sys_.engine.pending_work() == 0
         sys_.shutdown()
 
 

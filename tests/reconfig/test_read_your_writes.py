@@ -82,17 +82,24 @@ ROWS = {
 }
 
 
-@pytest.mark.parametrize("engine", ("sim", "realtime"))
+#: (row, old size, new size, id prefix, engines)
+CASES = (
+    ("sharding", 4, 5, "4-5", ("sim", "realtime", "cluster")),
+    ("sharding", 5, 4, "5-4", ("sim", "realtime", "cluster")),
+    ("parallel_sharding", 3, 4, "parallel_sharding-3-4", ("sim", "realtime")),
+    ("parallel_sharding", 4, 3, "parallel_sharding-4-3", ("sim", "realtime")),
+    ("broker_sharded", 4, 5, "broker_sharded-4-5", ("sim", "realtime")),
+    ("broker_sharded", 5, 4, "broker_sharded-5-4", ("sim", "realtime")),
+)
+
+
 @pytest.mark.parametrize(
-    "row,old,new",
-    (
-        pytest.param("sharding", 4, 5, id="4-5"),
-        pytest.param("sharding", 5, 4, id="5-4"),
-        pytest.param("parallel_sharding", 3, 4, id="parallel_sharding-3-4"),
-        pytest.param("parallel_sharding", 4, 3, id="parallel_sharding-4-3"),
-        pytest.param("broker_sharded", 4, 5, id="broker_sharded-4-5"),
-        pytest.param("broker_sharded", 5, 4, id="broker_sharded-5-4"),
-    ),
+    "row,old,new,engine",
+    [
+        pytest.param(row, old, new, engine, id=f"{prefix}-{engine}")
+        for row, old, new, prefix, engines in CASES
+        for engine in engines
+    ],
 )
 def test_reshard_read_your_writes(engine, row, old, new):
     row = ROWS[row]
