@@ -80,8 +80,15 @@ def _enc_value(v: object) -> object:
 
 def _dec_value(v: object) -> object:
     if isinstance(v, dict) and len(v) == 1 and _SAVED_TAG in v:
-        schema, blob = v[_SAVED_TAG]
-        return SavedData(schema, blob)
+        pair = v[_SAVED_TAG]
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and (pair[0] is None or isinstance(pair[0], str))
+            and isinstance(pair[1], bytes)
+        ):
+            raise SerdeError("saved data is not a [schema, blob] pair")
+        return SavedData(*pair)
     return v
 
 

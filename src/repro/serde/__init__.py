@@ -14,15 +14,13 @@ from .ctypes_model import (
     TypeRegistry,
 )
 from .framing import SavedData, Serializer, decode_generic, encode_generic
-from .traverse import Decoder, Encoder, leaf_paths, visit
+from .traverse import leaf_paths, visit
 
 __all__ = [
     "Array",
     "CString",
     "CType",
     "CodeGenerator",
-    "Decoder",
-    "Encoder",
     "Field",
     "Pointer",
     "Primitive",

@@ -164,40 +164,35 @@ class TypeRegistry:
     def names(self) -> list[str]:
         return sorted(self._types)
 
+    def dependencies(self, root: str) -> list[str]:
+        """Every name ``root`` references, ``root`` included, each after
+        the names it uses; a dangling name or a non-type raises."""
+        order: list[str] = []
+        seen: set[str] = set()
+
+        def walk(t: object) -> None:
+            if isinstance(t, str):
+                if t not in seen:
+                    seen.add(t)
+                    walk(self.resolve(t))
+                    order.append(t)
+            elif isinstance(t, Pointer):
+                walk(t.target)
+            elif isinstance(t, Array):
+                walk(t.element)
+            elif isinstance(t, Struct):
+                for f in t.fields:
+                    walk(f.type)
+            elif isinstance(t, TaggedUnion):
+                for _tag, vt in t.variants:
+                    walk(vt)
+            elif not isinstance(t, (Primitive, SizedBuffer, CString)):
+                raise SerdeError(f"not a C type: {t!r}")
+
+        walk(root)
+        return order
+
     def validate(self) -> None:
         """Check that every referenced name resolves."""
         for name in self._types:
-            self._validate_type(self._types[name], seen=set())
-
-    def _validate_type(self, t: object, seen: set[str]) -> None:
-        if isinstance(t, str):
-            if t in seen:
-                return
-            seen.add(t)
-            self._validate_type(self.resolve(t), seen)
-            return
-        if isinstance(t, Primitive):
-            return
-        if isinstance(t, (SizedBuffer, CString)):
-            return
-        if isinstance(t, Pointer):
-            self._validate_type(t.target, seen)
-            return
-        if isinstance(t, Array):
-            self._validate_type(t.element, seen)
-            return
-        if isinstance(t, Struct):
-            if t.name in seen:
-                return
-            seen.add(t.name)
-            for f in t.fields:
-                self._validate_type(f.type, seen)
-            return
-        if isinstance(t, TaggedUnion):
-            if t.name in seen:
-                return
-            seen.add(t.name)
-            for _tag, vt in t.variants:
-                self._validate_type(vt, seen)
-            return
-        raise SerdeError(f"not a C type: {t!r}")
+            self.dependencies(name)

@@ -3,7 +3,8 @@
 ``save`` produces a :class:`SavedData` — a schema-tagged opaque blob —
 which is what lives in KV tables and crosses the network via ``write``.
 Schemas registered against a :class:`~repro.serde.ctypes_model.TypeRegistry`
-use the type-aware C encoding; unregistered data falls back to a small
+use the type-aware C encoding of their generated serializer
+(:mod:`repro.serde.codegen`); unregistered data falls back to a small
 generic codec covering the Python shapes substrates exchange (dict,
 list, tuple, str, bytes, int, float, bool, None).
 """
@@ -14,8 +15,8 @@ import struct as _struct
 from dataclasses import dataclass
 
 from ..core.errors import SerdeError
+from .codegen import generate_module, load_generated
 from .ctypes_model import TypeRegistry
-from .traverse import Decoder, Encoder
 
 _LEN = _struct.Struct("<I")
 _I64 = _struct.Struct("<q")
@@ -166,23 +167,32 @@ def decode_generic(data: bytes) -> object:
 
 class Serializer:
     """Schema-dispatching serializer used by the runtime's
-    ``save``/``restore``/``write`` primitives."""
+    ``save``/``restore``/``write`` primitives.
+
+    A registered schema is encoded and decoded by its generated
+    serializer (:func:`~repro.serde.codegen.generate_module`), generated
+    on first use and kept: a :class:`TypeRegistry` only appends, and
+    refuses to re-register a name, so a kept codec never goes stale."""
 
     def __init__(self, registry: TypeRegistry | None = None):
         self.registry = registry or TypeRegistry()
-        self._encoder = Encoder(self.registry)
-        self._decoder = Decoder(self.registry)
+        self._codecs: dict[str, tuple] = {}
+
+    def _codec(self, schema: str) -> tuple:
+        codec = self._codecs.get(schema)
+        if codec is None:
+            ns = load_generated(generate_module(self.registry, schema))
+            codec = self._codecs[schema] = (ns[f"encode_{schema}"], ns[f"decode_{schema}"])
+        return codec
 
     def encode(self, schema: str | None, value: object) -> SavedData:
         if schema is None:
             return SavedData(None, encode_generic(value))
-        if self.registry.get(schema) is None:
-            raise SerdeError(f"unknown schema {schema!r}")
-        return SavedData(schema, self._encoder.encode(schema, value))
+        return SavedData(schema, self._codec(schema)[0](value))
 
     def decode(self, saved: SavedData) -> object:
         if not isinstance(saved, SavedData):
             raise SerdeError(f"expected SavedData, got {type(saved).__name__}")
         if saved.schema is None:
             return decode_generic(saved.blob)
-        return self._decoder.decode(saved.schema, saved.blob)
+        return self._codec(saved.schema)[1](saved.blob)

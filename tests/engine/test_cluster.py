@@ -80,6 +80,58 @@ class TestWorkerProtocol:
             srv.close()
 
 
+class TestMalformedFrame:
+    def test_one_bad_body_is_rejected_alone(self, monkeypatch):
+        # a relayed body that decodes but is shape-invalid (here a saved
+        # data tag that is not [schema, blob]) is counted and dropped;
+        # it used to escape the read loop as ValueError, close the link
+        # and have the supervisor restart a healthy worker
+        from repro.arch.sharding import ShardedRedis
+        from repro.runtime import cluster
+        from repro.serde.framing import encode_generic
+
+        with default_engine(lambda: ClusterEngine(time_scale=SCALE, **HB)):
+            svc = ShardedRedis(n_shards=2, seed=0)
+        system = svc.system
+        sup = system.engine.supervisor
+
+        def call(cmd):
+            replies = []
+            svc.submit(cmd, replies.append)
+            give_up = time.monotonic() + 20.0
+            while not replies and time.monotonic() < give_up:
+                system.run_until(system.now + 0.5)
+            return replies
+
+        try:
+            assert [r.ok for r in call(Command("SET", "k", b"v0"))] == [True]
+            rejected = system.network.stats.get("wire_rejected", 0)
+            real, sent = cluster.encode_message, []
+
+            def malformed_once(msg):
+                if sent:
+                    return real(msg)
+                sent.append(msg)
+                return encode_generic({
+                    "s": msg.src, "d": msg.dst, "k": msg.kind, "i": msg.msg_id,
+                    "p": {"\x00saved": [1, 2, 3]},
+                })
+
+            monkeypatch.setattr(cluster, "encode_message", malformed_once)
+            assert [r.ok for r in call(Command("SET", "k", b"v1"))] == [True]
+            assert sent
+            assert system.network.stats["wire_rejected"] == rejected + 1
+            assert all(link.alive for link in system.engine.transport.links.values())
+            assert len(system.engine.transport.links) == len(sup.statuses)
+            assert [st.crashes for st in sup.statuses.values()] == [0] * len(sup.statuses)
+            assert [st.restarts for st in sup.statuses.values()] == [0] * len(sup.statuses)
+            reply = call(Command("GET", "k"))
+            assert [(r.ok, r.value) for r in reply] == [(True, b"v1")]
+            assert system.failures == []
+        finally:
+            system.shutdown()
+
+
 class TestBackoffPolicy:
     def test_exponential_with_cap(self):
         pol = BackoffPolicy(base=0.5, factor=2.0, cap=3.0, jitter=0.0)

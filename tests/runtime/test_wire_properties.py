@@ -124,6 +124,20 @@ def test_non_message_records_rejected(value):
     assert isinstance(out, Message)
 
 
+@pytest.mark.parametrize("shape", [[1, 2, 3], 5, ["s", 7], [None, "notbytes"]])
+@pytest.mark.parametrize("where", ["p", "u"])
+def test_malformed_saved_data_tag_rejected(shape, where):
+    # the tag must carry [schema, blob]: other shapes used to escape as
+    # ValueError/TypeError or decode to a SavedData whose blob is not bytes
+    from repro.serde.framing import encode_generic
+
+    tagged = {"\x00saved": shape}
+    rec = {"s": "a::j", "d": "b::j", "k": "update", "i": 1}
+    rec[where] = tagged if where == "p" else ["K", tagged, "a::j"]
+    with pytest.raises(SerdeError):
+        decode_message(encode_generic(rec))
+
+
 def test_unencodable_int_is_a_serde_error():
     # an int outside int64 is the codec's error, not struct.error
     msg = Message(src="a::j", dst="b::j", kind="update",

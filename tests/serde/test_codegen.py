@@ -1,5 +1,5 @@
 """Serializer code generation: generated code round-trips and agrees
-with the interpreter-based codec."""
+with the interpretive oracle (``schema_oracle.py``)."""
 
 import pytest
 
@@ -15,7 +15,8 @@ from repro.serde import (
     generate_module,
     load_generated,
 )
-from repro.serde.traverse import Decoder, Encoder
+
+from .schema_oracle import Decoder, Encoder
 
 
 def gen(reg, root):
@@ -52,8 +53,7 @@ class TestGeneratedRoundtrip:
             n += 1
             cur = cur["next"]
         assert n == 4
-        from repro.serde.traverse import Encoder as _E
-        assert ns["encode_node"](lst) == _E(reg).encode("node", lst)
+        assert ns["encode_node"](lst) == Encoder(reg).encode("node", lst)
 
     def test_array_buffer_string(self):
         reg = TypeRegistry()
@@ -74,6 +74,49 @@ class TestGeneratedRoundtrip:
         ns = gen(reg, "rec")
         for v in [{"payload": (0, -9)}, {"payload": (1, "s")}]:
             assert ns["decode_rec"](ns["encode_rec"](v)) == v
+
+    def test_union_of_inline_union_keeps_its_outer_tag(self):
+        # the inner union's tag used to overwrite the outer one's
+        reg = TypeRegistry()
+        inner = TaggedUnion("inner", ((7, Primitive("uint8")),))
+        reg.register("outer", TaggedUnion("outer", ((1, inner),)))
+        ns = gen(reg, "outer")
+        data = ns["encode_outer"]((1, (7, 5)))
+        assert data == Encoder(reg).encode("outer", (1, (7, 5))) == b"\x01\x07\x05"
+        assert ns["decode_outer"](data) == Decoder(reg).decode("outer", data) == (1, (7, 5))
+
+    def test_empty_struct_and_union(self):
+        reg = TypeRegistry()
+        reg.struct("nothing")
+        reg.register("never", TaggedUnion("never", ()))
+        ns = gen(reg, "nothing")
+        assert ns["encode_nothing"]({}) == b""
+        assert ns["decode_nothing"](b"") == {}
+        ns = gen(reg, "never")
+        with pytest.raises(SerdeError, match="unknown tag"):
+            ns["encode_never"]((0, 0))
+        with pytest.raises(SerdeError, match="unknown tag"):
+            ns["decode_never"](b"\x00")
+
+    @pytest.mark.parametrize(
+        "t, value",
+        [
+            (Primitive("int8"), 128),
+            (Primitive("uint32"), "1"),
+            (Primitive("char"), b"ab"),
+            (Primitive("char"), "\u20ac"),
+            (CString(), 5),
+            (CString(), "\ud800"),
+            (SizedBuffer(), "text"),
+            (Array(Primitive("uint8"), 2), 7),
+            (TaggedUnion("u", ((1, Primitive("uint8")),)), [1, 2]),
+        ],
+    )
+    def test_every_rejected_value_is_a_serde_error(self, t, value):
+        reg = TypeRegistry()
+        reg.struct("rec", v=t)
+        with pytest.raises(SerdeError):
+            gen(reg, "rec")["encode_rec"]({"v": value})
 
     def test_unknown_root(self):
         with pytest.raises(SerdeError):

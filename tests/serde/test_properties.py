@@ -1,5 +1,6 @@
 """Property-based serde tests: random schemas/values round-trip, and
-generated code always agrees with the interpreted codec."""
+generated code always agrees with the interpretive oracle
+(``schema_oracle.py``)."""
 
 import copy
 
@@ -11,11 +12,14 @@ from repro.core.errors import SerdeError
 from repro.serde import (
     Array,
     CString,
+    Field,
     Pointer,
     Primitive,
     SavedData,
     Serializer,
     SizedBuffer,
+    Struct,
+    TaggedUnion,
     TypeRegistry,
     decode_generic,
     encode_generic,
@@ -23,7 +27,8 @@ from repro.serde import (
     leaf_paths,
     load_generated,
 )
-from repro.serde.traverse import Decoder, Encoder
+
+from .schema_oracle import Decoder, Encoder
 
 # -- generic codec -----------------------------------------------------------
 
@@ -69,8 +74,9 @@ _RANGES = {
 
 @st.composite
 def schema_and_value(draw, depth=2):
-    """Draw a (ctype, value) pair."""
-    choice = draw(st.integers(0, 5 if depth > 0 else 2))
+    """Draw a (ctype, value) pair; inline structs and unions nest, so a
+    union's variant may itself be a union."""
+    choice = draw(st.integers(0, 7 if depth > 0 else 2))
     if choice <= 1:
         kind = draw(st.sampled_from(_PRIMS))
         if kind == "bool":
@@ -88,26 +94,40 @@ def schema_and_value(draw, depth=2):
     if choice == 4:
         elem_t, _ = draw(schema_and_value(depth=0))
         n = draw(st.integers(0, 3))
-        values = [draw(schema_and_value(depth=0)) for _ in range(n)]
         # regenerate values of the right element type
         elem_values = []
         for _ in range(n):
             t2, v2 = draw(schema_and_value(depth=0).filter(lambda tv: type(tv[0]) is type(elem_t) and tv[0] == elem_t))
             elem_values.append(v2)
         return Array(elem_t, n), elem_values
-    # pointer
-    inner_t, inner_v = draw(schema_and_value(depth=depth - 1))
-    is_null = draw(st.booleans())
-    return Pointer(inner_t), (None if is_null else inner_v)
+    if choice == 5:
+        inner_t, inner_v = draw(schema_and_value(depth=depth - 1))
+        is_null = draw(st.booleans())
+        return Pointer(inner_t), (None if is_null else inner_v)
+    if choice == 6:
+        members = draw(st.lists(schema_and_value(depth=depth - 1), max_size=3))
+        fields = tuple(Field(f"m{i}", t) for i, (t, _) in enumerate(members))
+        return Struct(f"s{depth}", fields), {f"m{i}": v for i, (_, v) in enumerate(members)}
+    tags = draw(st.lists(st.integers(0, 255), min_size=1, max_size=3, unique=True))
+    variants = [(tag, draw(schema_and_value(depth=depth - 1))) for tag in tags]
+    tag, (_, payload) = variants[draw(st.integers(0, len(variants) - 1))]
+    return TaggedUnion(f"u{depth}", tuple((g, t) for g, (t, _) in variants)), (tag, payload)
+
+
+def box(t):
+    """A registry whose one-field struct ``box`` holds the anonymous
+    type ``t``: the ``Serializer`` encodes registered schemas only."""
+    reg = TypeRegistry()
+    reg.struct("box", v=t)
+    return reg
 
 
 @given(schema_and_value())
 @settings(max_examples=150)
 def test_typed_roundtrip(tv):
     t, v = tv
-    reg = TypeRegistry()
-    enc = Encoder(reg).encode(t, v)
-    out = Decoder(reg).decode(t, enc)
+    ser = Serializer(box(t))
+    out = ser.decode(ser.encode("box", {"v": v}))["v"]
     assert out == v or (isinstance(v, list) and list(out) == list(v))
 
 
@@ -118,7 +138,7 @@ def struct_schema(draw):
     fields = {}
     value = {}
     for i in range(n_fields):
-        t, v = draw(schema_and_value(depth=1))
+        t, v = draw(schema_and_value(depth=2))
         fields[f"f{i}"] = t
         value[f"f{i}"] = v
     reg.struct("rec", **fields)
@@ -221,3 +241,54 @@ def test_generated_code_agrees_with_interpreter(rv):
     generated = ns["encode_rec"](value)
     assert generated == interpreted
     assert ns["decode_rec"](generated) == Decoder(reg).decode("rec", interpreted)
+
+
+# -- the Serializer's typed contract -----------------------------------------
+#
+# The generated codec is what runs: it must produce the oracle's bytes
+# for every value the oracle accepts, and reject everything else —
+# values and damaged or random blobs alike — with SerdeError alone.
+
+
+@given(schema_and_value(), schema_and_value())
+@settings(max_examples=300)
+def test_serializer_accepts_what_the_oracle_accepts(tv, other):
+    # encode each schema's own value and a value drawn for another
+    # schema: the second mostly lands on the encoder's rejection paths
+    t = tv[0]
+    reg = box(t)
+    for v in (tv[1], other[1]):
+        try:
+            expected = Encoder(reg).encode("box", {"v": v})
+        except Exception:  # the oracle also leaks TypeError & co.
+            expected = None
+        try:
+            got = Serializer(reg).encode("box", {"v": v}).blob
+        except SerdeError:
+            got = None
+        assert got == expected
+
+
+@given(struct_schema(), st.integers(min_value=0), st.binary(min_size=1, max_size=8))
+@settings(max_examples=150)
+def test_serializer_rejects_damaged_typed_blobs(rv, cut, garbage):
+    reg, value = rv
+    ser = Serializer(reg)
+    saved = ser.encode("rec", value)
+    assert saved.blob == Encoder(reg).encode("rec", value)
+    assert ser.decode(saved) == Decoder(reg).decode("rec", saved.blob)
+    if saved.blob:
+        with pytest.raises(SerdeError):
+            ser.decode(SavedData("rec", saved.blob[: cut % len(saved.blob)]))
+    with pytest.raises(SerdeError):
+        ser.decode(SavedData("rec", saved.blob + garbage))
+
+
+@given(struct_schema(), st.binary(max_size=64))
+@settings(max_examples=200)
+def test_serializer_random_typed_blob_is_a_value_or_serde_error(rv, data):
+    reg, _value = rv
+    try:
+        Serializer(reg).decode(SavedData("rec", data))
+    except SerdeError:
+        pass

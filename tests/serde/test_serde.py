@@ -19,7 +19,6 @@ from repro.serde import (
     leaf_paths,
     visit,
 )
-from repro.serde.traverse import Decoder, Encoder
 
 
 def point_registry():
@@ -62,12 +61,22 @@ class TestTypeModel:
         reg.validate()
 
 
+def box(reg, t):
+    """Register a one-field struct around the anonymous type ``t`` and
+    return its name: ``Serializer`` encodes registered schemas only."""
+    name = f"box{len(reg.names())}"
+    reg.struct(name, v=t)
+    return name
+
+
+def encode(reg, t, value):
+    return Serializer(reg).encode(box(reg, t), {"v": value})
+
+
 class TestEncodeDecode:
     def roundtrip(self, reg, t, value):
-        enc = Encoder(reg)
-        dec = Decoder(reg)
-        data = enc.encode(t, value)
-        return dec.decode(t, data)
+        ser = Serializer(reg)
+        return ser.decode(encode(reg, t, value))["v"]
 
     def test_struct_roundtrip(self):
         reg = point_registry()
@@ -107,8 +116,9 @@ class TestEncodeDecode:
 
     def test_array_wrong_length(self):
         reg = TypeRegistry()
-        with pytest.raises(SerdeError):
-            Encoder(reg).encode(Array(Primitive("uint8"), 4), [1])
+        for value in ([1], [1, 2, 3, 4, 5]):
+            with pytest.raises(SerdeError):
+                encode(reg, Array(Primitive("uint8"), 4), value)
 
     def test_sized_buffer(self):
         reg = TypeRegistry()
@@ -117,7 +127,7 @@ class TestEncodeDecode:
     def test_sized_buffer_over_max(self):
         reg = TypeRegistry()
         with pytest.raises(SerdeError):
-            Encoder(reg).encode(SizedBuffer(4), b"too long")
+            encode(reg, SizedBuffer(4), b"too long")
 
     def test_cstring(self):
         reg = TypeRegistry()
@@ -133,24 +143,24 @@ class TestEncodeDecode:
         reg = TypeRegistry()
         t = TaggedUnion("u", ((1, Primitive("int32")),))
         with pytest.raises(SerdeError):
-            Encoder(reg).encode(t, (9, 0))
+            encode(reg, t, (9, 0))
 
     def test_missing_struct_field(self):
         reg = point_registry()
         with pytest.raises(SerdeError):
-            Encoder(reg).encode("point", {"x": 1})
+            Serializer(reg).encode("point", {"x": 1})
 
     def test_trailing_bytes_rejected(self):
         reg = point_registry()
-        data = Encoder(reg).encode("point", {"x": 1, "y": 2})
+        data = Serializer(reg).encode("point", {"x": 1, "y": 2}).blob
         with pytest.raises(SerdeError):
-            Decoder(reg).decode("point", data + b"\x00")
+            Serializer(reg).decode(SavedData("point", data + b"\x00"))
 
     def test_truncated_rejected(self):
         reg = point_registry()
-        data = Encoder(reg).encode("point", {"x": 1, "y": 2})
+        data = Serializer(reg).encode("point", {"x": 1, "y": 2}).blob
         with pytest.raises(SerdeError):
-            Decoder(reg).decode("point", data[:-1])
+            Serializer(reg).decode(SavedData("point", data[:-1]))
 
 
 class TestRecursionDepth:
@@ -167,12 +177,14 @@ class TestRecursionDepth:
             node = node["next"]
         return n
 
+    def roundtrip(self, reg, value):
+        ser = Serializer(reg)
+        return ser.decode(encode(reg, Pointer("node"), value))["v"]
+
     def test_list_within_depth_roundtrips(self):
         reg = TypeRegistry(max_depth=16)
         reg.struct("node", value=Primitive("int64"), next=Pointer("node"))
-        v = self.linked_list(5)
-        enc = Encoder(reg).encode(Pointer("node"), v)
-        out = Decoder(reg).decode(Pointer("node"), enc)
+        out = self.roundtrip(reg, self.linked_list(5))
         assert self.list_len(out) == 5
 
     def test_list_truncated_at_max_depth(self):
@@ -180,9 +192,7 @@ class TestRecursionDepth:
         length' — protecting the serialization buffer."""
         reg = TypeRegistry(max_depth=4)
         reg.struct("node", value=Primitive("int64"), next=Pointer("node"))
-        v = self.linked_list(100)
-        enc = Encoder(reg).encode(Pointer("node"), v)
-        out = Decoder(reg).decode(Pointer("node"), enc)
+        out = self.roundtrip(reg, self.linked_list(100))
         assert self.list_len(out) == 4
 
     def test_cycle_terminates(self):
@@ -190,9 +200,20 @@ class TestRecursionDepth:
         reg.struct("node", value=Primitive("int64"), next=Pointer("node"))
         a = {"value": 1, "next": None}
         a["next"] = a  # cycle
-        enc = Encoder(reg).encode(Pointer("node"), a)
-        out = Decoder(reg).decode(Pointer("node"), enc)
+        out = self.roundtrip(reg, a)
         assert self.list_len(out) == 8
+
+    def test_chain_deeper_than_max_depth_is_not_decoded(self):
+        # the encoder writes NULL at the cap, so a present pointer there
+        # is damaged input: refused, not followed towards RecursionError
+        reg = TypeRegistry(max_depth=2)
+        reg.struct("node", value=Primitive("uint8"), next=Pointer("node"))
+        ser = Serializer(reg)
+        assert ser.decode(SavedData("node", b"\x07\x01\x08\x01\x09\x00")) == {
+            "value": 7, "next": {"value": 8, "next": {"value": 9, "next": None}},
+        }
+        with pytest.raises(SerdeError, match="deeper than MAX_DEPTH"):
+            ser.decode(SavedData("node", b"\x07\x01\x08\x01\x09\x01\x0a\x00"))
 
 
 class TestVisitor:
@@ -286,3 +307,45 @@ class TestSerializer:
     def test_len(self):
         saved = Serializer().encode(None, "abc")
         assert len(saved) == len(saved.blob)
+
+    def test_invalid_utf8_is_a_serde_error(self):
+        # the interpretive oracle leaks UnicodeDecodeError here
+        reg = TypeRegistry()
+        reg.register("r", CString())
+        with pytest.raises(SerdeError, match="utf-8"):
+            Serializer(reg).decode(SavedData("r", b"\x02\x00\x00\x00\xff\xfe"))
+
+    def test_decode_respects_max_length(self):
+        reg = TypeRegistry()
+        reg.register("short", CString(2))
+        reg.register("buf", SizedBuffer(2))
+        ser = Serializer(reg)
+        for schema in ("short", "buf"):
+            with pytest.raises(SerdeError, match="declared maximum 2"):
+                ser.decode(SavedData(schema, b"\x05\x00\x00\x00hello"))
+
+    def test_truncated_char_reports_truncation(self):
+        reg = TypeRegistry()
+        reg.struct("rec", a=Primitive("uint8"), c=Primitive("char"))
+        with pytest.raises(SerdeError, match="truncated"):
+            Serializer(reg).decode(SavedData("rec", b"\x01"))
+
+    def test_codec_is_generated_once_per_schema(self, monkeypatch):
+        from repro.serde import framing
+
+        generated = []
+        real = framing.generate_module
+        monkeypatch.setattr(
+            framing, "generate_module",
+            lambda reg, root: generated.append(root) or real(reg, root),
+        )
+        ser = Serializer(point_registry())
+        for x in range(3):
+            assert ser.decode(ser.encode("point", {"x": x, "y": 2})) == {"x": x, "y": 2}
+        assert generated == ["point"]
+
+    def test_non_identifier_schema_name_is_a_serde_error(self):
+        reg = TypeRegistry()
+        reg.struct("a-b", x=Primitive("int32"))
+        with pytest.raises(SerdeError, match="identifier"):
+            Serializer(reg).encode("a-b", {"x": 1})
