@@ -9,7 +9,10 @@ group when ``workers=N`` is given) from the stdlib-only
 :mod:`repro.runtime.cluster_worker` module, and every runtime message
 addressed to an instance physically transits that instance's worker
 over a framed TCP link (``coordinator → worker → coordinator →
-dispatch``).  A worker's death therefore *is* the instance's failure:
+dispatch``).  The frame leaves at send time and the message is
+dispatched at ``max(send + link latency, the frame's return)``: the
+modelled latency is a floor under the relay, not added to it.  A
+worker's death *is* the instance's failure:
 messages to it stop flowing immediately, and the
 :class:`ClusterSupervisor` turns the detected crash into a real
 ``crash_instance`` — the same fault surface the PR 1 delivery/failover
@@ -53,8 +56,9 @@ import os
 import signal
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.errors import SerdeError, StartStopFailure
 from .cluster_worker import OP_DELIVER, OP_HELLO, OP_MSG, OP_PING, OP_PONG, OP_SHUTDOWN
@@ -141,7 +145,9 @@ class _WorkerLink:
         self.name = name
         self.reader = reader
         self.writer = writer
-        self.outstanding = 0  # M frames sent, D frames not yet returned
+        #: ``(due, dispatch)`` per M frame sent whose D frame has not
+        #: returned yet — the stream is FIFO, so the head is the next D
+        self.outstanding: deque[tuple[float, Callable]] = deque()
         self.alive = True
         self.closed = False
         self.task: asyncio.Task | None = None
@@ -150,15 +156,18 @@ class _WorkerLink:
 class ClusterTransport(Transport):
     """Per-instance worker routing over framed TCP.
 
-    ``deliver`` models latency on the engine clock, then sends the
-    message through the *destination instance's* worker process (an
-    ``M`` frame the worker returns as ``D``); the coordinator-side read
-    loop re-enters :meth:`~repro.runtime.channels.Network.dispatch`, so
+    ``deliver`` encodes the message and writes it at once through the
+    *destination instance's* worker process (an ``M`` frame the worker
+    returns as ``D``).  The modelled link latency is a floor, not an
+    addend: the message is dispatched at ``max(send + latency, the D
+    frame's return)`` — from the read loop when the bytes come back
+    late, else from one timer armed at the due instant.  Dispatch
+    re-enters :meth:`~repro.runtime.channels.Network.dispatch`, so
     liveness and partition policy are re-checked at arrival exactly as
     on every other engine.  A message whose source or destination
-    worker is dead is dropped at the transport — sender-side
-    retransmission and ``otherwise`` deadlines see the loss, exactly as
-    with a crashed remote process.
+    worker is dead at the due instant is dropped at the transport
+    (``worker_down``) — sender-side retransmission and ``otherwise``
+    deadlines see the loss, exactly as with a crashed remote process.
     """
 
     inproc = False
@@ -232,14 +241,17 @@ class ClusterTransport(Transport):
             body = await read_frame(link.reader)
             op, payload = body[:1], body[1:]
             if op == OP_DELIVER:
-                link.outstanding -= 1
-                self.in_flight -= 1
+                due, dispatch = link.outstanding.popleft()
                 try:
                     msg = decode_message(payload)
                 except SerdeError:
+                    self.in_flight -= 1
                     self.network.count("wire_rejected")
                     continue
-                self.network.dispatch(msg)
+                if self.clock.now >= due:
+                    self._arrive(msg, dispatch)
+                else:
+                    self.clock.call_at(due, lambda m=msg, d=dispatch: self._arrive(m, d))
             elif op == OP_PONG:
                 if self.on_pong is not None:
                     self.on_pong(link.name)
@@ -252,8 +264,8 @@ class ClusterTransport(Transport):
         link.closed = True
         link.alive = False
         # frames swallowed by the dead worker will never come back
-        self.in_flight -= link.outstanding
-        link.outstanding = 0
+        self.in_flight -= len(link.outstanding)
+        link.outstanding.clear()
         try:
             link.writer.close()
         except RuntimeError:
@@ -275,55 +287,57 @@ class ClusterTransport(Transport):
 
     def deliver(self, msg, latency, dispatch, *, label=None, footprint=None):
         self.in_flight += 1
-        self.clock.call_after(latency, lambda m=msg: self._transmit(m, dispatch))
-
-    def _transmit(self, msg, dispatch) -> None:
-        src_inst = msg.src.split("::", 1)[0]
-        dst_inst = msg.dst.split("::", 1)[0]
-        src_owner = self.owner.get(src_inst)
-        if src_owner is not None:
-            src_link = self.links.get(src_owner)
-            if src_link is None or not src_link.alive:
-                # the sender's process is gone: its outbound halts the
-                # moment the link is seen down, not at heartbeat time
-                self._drop(msg, src_inst, dst_inst)
-                return
-        dst_owner = self.owner.get(dst_inst)
-        if dst_owner is None:
+        due = self.clock.now + latency
+        owner = self.owner.get(msg.dst.split("::", 1)[0])
+        if owner is None:
             # instances without a worker (the __init__ start-up
             # pseudo-instance) deliver locally
+            self.clock.call_at(due, lambda m=msg: self._arrive(m, dispatch))
+            return
+        link = self.links.get(owner)
+        if link is None or not link.alive:
+            self.clock.call_at(due, lambda m=msg: self._drop(m))
+            return
+        # frames on the stream stay in order; a dead link is seen, and
+        # its entries released, by the read loop
+        link.writer.write(frame(OP_MSG + encode_message(msg)))
+        link.outstanding.append((due, dispatch))
+
+    def _arrive(self, msg, dispatch) -> None:
+        """The due instant has passed and the bytes are back: dispatch,
+        unless either end's worker died meanwhile — the sender's
+        outbound halts the moment its link is seen down, not at
+        heartbeat time."""
+        if self._worker_down(msg.src) or self._worker_down(msg.dst):
+            self._drop(msg)
+        else:
             self.in_flight -= 1
             dispatch(msg)
-            return
-        link = self.links.get(dst_owner)
-        if link is None or not link.alive:
-            self._drop(msg, src_inst, dst_inst)
-            return
-        link.outstanding += 1
-        self.clock.loop.create_task(self._send(link, OP_MSG + encode_message(msg)))
 
-    def _drop(self, msg, src_inst: str, dst_inst: str) -> None:
+    def _worker_down(self, endpoint: str) -> bool:
+        owner = self.owner.get(endpoint.split("::", 1)[0])
+        if owner is None:
+            return False
+        link = self.links.get(owner)
+        return link is None or not link.alive
+
+    def _drop(self, msg) -> None:
         self.in_flight -= 1
-        self.network._drop(msg, src_inst, dst_inst, "worker_down")
-
-    async def _send(self, link: _WorkerLink, body: bytes) -> None:
-        try:
-            link.writer.write(frame(body))
-            await link.writer.drain()
-        except (ConnectionError, OSError):
-            pass  # link death is detected and accounted by the read loop
+        self.network._drop(
+            msg, msg.src.split("::", 1)[0], msg.dst.split("::", 1)[0], "worker_down"
+        )
 
     # -- supervision plumbing -----------------------------------------------
 
     def ping(self, name: str) -> None:
         link = self.links.get(name)
         if link is not None and link.alive:
-            self.clock.loop.create_task(self._send(link, OP_PING))
+            link.writer.write(frame(OP_PING))
 
     def request_shutdown(self, name: str) -> None:
         link = self.links.get(name)
         if link is not None and link.alive:
-            self.clock.loop.create_task(self._send(link, OP_SHUTDOWN))
+            link.writer.write(frame(OP_SHUTDOWN))
 
     def close(self) -> None:
         self._closing = True

@@ -18,7 +18,9 @@ wall clock of a private asyncio event loop:
   wall-clock timer); :class:`TcpTransport` pushes every message over a
   loopback TCP socket using libcompart-style length-prefixed frames
   (see :mod:`repro.runtime.wire`), exercising real serialization and
-  kernel scheduling.
+  kernel scheduling.  On the socket the modelled latency is a floor
+  under the time the bytes take to cross, not a delay added before
+  they are sent.
 
 Host blocks (``⌊H⌉{V}``) run inside the strand on the loop thread, as
 on the sim engine, and model their service time with ``ctx.take``; they
@@ -412,9 +414,13 @@ class TcpTransport(Transport):
     """Loopback TCP delivery with length-prefixed frames.
 
     ``bind`` opens a listening socket on an ephemeral port; the first
-    transmit lazily connects a single client stream to it.  Latency is
-    modelled by the clock (scaled), then the frame crosses the kernel:
-    ``deliver → timer → frame → socket → reader → network.dispatch``.
+    delivery connects a single client stream to it.  ``deliver`` encodes
+    the message and writes its frame at once.  The modelled (scaled)
+    latency is a floor, not an addend: the message is dispatched at
+    ``max(send + latency, the frame's arrival)`` — from the reader when
+    the frame arrives late, else from one timer armed at the due
+    instant.  The stream is FIFO, so it keeps one ``(due, dispatch)``
+    entry per frame written and the reader pops one per frame read.
     ``in_flight`` covers the whole span, so quiescence accounting still
     holds while bytes sit in socket buffers.
     """
@@ -426,7 +432,12 @@ class TcpTransport(Transport):
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._writer: asyncio.StreamWriter | None = None
-        self._conn_lock: asyncio.Lock | None = None
+        #: frames written while the client stream connects (None: idle)
+        self._backlog: list[bytes] | None = None
+        #: the loop holds tasks weakly; this keeps the connect alive
+        self._connecting: asyncio.Task | None = None
+        #: ``(due, dispatch)`` per frame on the stream not yet read
+        self._outstanding: deque[tuple[float, Callable]] = deque()
 
     def bind(self, network, clock) -> None:
         super().bind(network, clock)
@@ -435,45 +446,76 @@ class TcpTransport(Transport):
             asyncio.start_server(self._serve, "127.0.0.1", 0)
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._conn_lock = asyncio.Lock()
 
     def deliver(self, msg, latency, dispatch, *, label=None, footprint=None):
-        # dispatch is ignored on purpose: the receiving side of the
-        # socket re-enters through network.dispatch, which re-resolves
-        # liveness/partition state at arrival time exactly as the
+        # the reader re-enters through dispatch (network.dispatch), which
+        # re-resolves liveness/partition state at arrival exactly as the
         # in-process path does
         self.in_flight += 1
-        self.clock.call_after(latency, lambda m=msg: self._transmit(m))
+        data = frame(encode_message(msg))
+        self._outstanding.append((self.clock.now + latency, dispatch))
+        if self._writer is not None:
+            self._writer.write(data)
+        elif self._backlog is not None:
+            self._backlog.append(data)
+        else:
+            self._backlog = [data]
+            self._connecting = self.clock.loop.create_task(self._connect(self._backlog))
 
-    def _transmit(self, msg) -> None:
-        # timer context — the loop is running, so tasks may be spawned
-        self.clock.loop.create_task(self._send(encode_message(msg)))
-
-    async def _send(self, body: bytes) -> None:
+    async def _connect(self, backlog: list[bytes]) -> None:
         try:
-            async with self._conn_lock:
-                if self._writer is None:
-                    _, self._writer = await asyncio.open_connection("127.0.0.1", self.port)
-                self._writer.write(frame(body))
-                await self._writer.drain()
+            _, writer = await asyncio.open_connection("127.0.0.1", self.port)
         except (ConnectionError, OSError):
-            self.in_flight -= 1  # transport torn down mid-send
+            if self._backlog is backlog:
+                self._drop_stream()  # transport torn down mid-connect
+            return
+        if self._backlog is not backlog:  # the stream was given up meanwhile
+            writer.close()
+            return
+        writer.writelines(backlog)
+        self._backlog = None
+        self._writer = writer
+
+    def _drop_stream(self) -> None:
+        """Give the client stream up: nothing queued on it will be read.
+        The next delivery connects a fresh one."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+        self._backlog = None
+        self.in_flight -= len(self._outstanding)
+        self._outstanding.clear()
+
+    def _arrive(self, msg, dispatch) -> None:
+        self.in_flight -= 1
+        dispatch(msg)
 
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        outstanding = self._outstanding
         try:
             while True:
                 body = await read_frame(reader)
-                msg = decode_message(body)
-                self.in_flight -= 1
-                self.network.dispatch(msg)
+                due, dispatch = outstanding.popleft()
+                try:
+                    msg = decode_message(body)
+                except SerdeError:
+                    # the length prefix held, so the stream is still in
+                    # step: reject this body alone
+                    self.in_flight -= 1
+                    self.network.count("wire_rejected")
+                    continue
+                if self.clock.now >= due:
+                    self._arrive(msg, dispatch)
+                else:
+                    self.clock.call_at(due, lambda m=msg, d=dispatch: self._arrive(m, d))
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # peer went away: connection drained or reset
         except SerdeError:
-            # corrupt prefix or garbage body: reject the stream — a
-            # framing error poisons everything after it on the
-            # connection, so the only clean recovery is to drop it and
-            # let sender-side retransmission re-establish traffic
+            # a corrupt length prefix poisons everything after it on the
+            # connection: drop the stream, and let sender-side
+            # retransmission re-establish traffic over a new one
             self.network.count("wire_rejected")
+            self._drop_stream()
         except asyncio.CancelledError:
             pass  # engine close() cancels the reader mid-await
         finally:

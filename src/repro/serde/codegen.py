@@ -68,6 +68,8 @@ def _char(value):
 
 
 def _pack_sized(value, limit, text):
+    if isinstance(value, int) and value > limit:  # bytes(n) would allocate n
+        raise SerdeError(f"{{value}} bytes exceed the declared maximum {{limit}}")
     try:
         data = (value or "").encode("utf-8") if text else bytes(value or b"")
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

@@ -18,14 +18,14 @@ import pytest
 from repro.redislite import Command
 from repro.arch.failover import FailoverRedis
 from repro.core.errors import StartStopFailure
-from repro.runtime import ChaosConfig, ChaosEngine, FaultPlan, default_engine
+from repro.runtime import ChaosConfig, ChaosEngine, FaultPlan, RealtimeEngine, default_engine
 from repro.runtime.cluster import ClusterEngine, ClusterSupervisor, live_worker_pgids
 from repro.runtime.engine import ENGINE_NAMES, create_engine
 from repro.runtime.supervisor import Backoff, BackoffPolicy, WorkerState
 from repro.runtime import cluster_worker
 from repro.runtime.wire import LEN_PREFIX, MAX_FRAME_LEN
 
-from ..runtime.helpers import single_junction
+from ..runtime.helpers import pair, single_junction
 from .test_parity import SCALE, final_state, observable, sim_run
 
 #: logical-seconds supervision knobs shared by the tests: generous
@@ -268,6 +268,141 @@ class TestDescriptorCeiling:
             assert system.failures == []
         finally:
             system.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The link latency is a floor on the socket transports
+# ---------------------------------------------------------------------------
+
+
+def _socket_engine(name):
+    if name == "cluster":
+        return ClusterEngine(time_scale=1.0, **HB)
+    return RealtimeEngine(time_scale=1.0, transport="tcp")
+
+
+class TestLatencyFloor:
+    """A message leaves at once and is dispatched at ``max(send +
+    latency, arrival)``: never before its due instant, and always to the
+    message whose frame it was (the per-stream FIFO stays aligned)."""
+
+    LATENCY = 0.005
+
+    @pytest.mark.parametrize("engine", ("cluster", "realtime-tcp"))
+    def test_no_message_is_dispatched_before_send_plus_latency(self, engine):
+        from repro.arch.sharding import ShardedRedis
+
+        with default_engine(lambda: _socket_engine(engine)):
+            svc = ShardedRedis(n_shards=2, latency=self.LATENCY, seed=0)
+        system = svc.system
+        clock, transport = system.clock, system.engine.transport
+        real_deliver, early, matched = transport.deliver, [], []
+
+        def deliver(msg, latency, dispatch, **kw):
+            due = clock.now + latency
+
+            def checked(m):
+                matched.append((m.msg_id, m.kind, m.dst) == (msg.msg_id, msg.kind, msg.dst))
+                if clock.now < due:
+                    early.append((msg.kind, due - clock.now))
+                dispatch(m)
+
+            real_deliver(msg, latency, checked, **kw)
+
+        transport.deliver = deliver
+        try:
+            replies = []
+            for i in range(25):
+                svc.submit(Command("SET", f"k{i}", b"v%d" % i), replies.append)
+                svc.submit(Command("GET", f"k{i}"), replies.append)
+            give_up = time.monotonic() + 30.0
+            while len(replies) < 50 and time.monotonic() < give_up:
+                system.run_until(system.now + 0.1)
+            assert [r.ok for r in replies] == [True] * 50
+            assert len(matched) >= 4 * 50 and all(matched)
+            assert early == []
+            assert system.failures == []
+        finally:
+            system.shutdown()
+
+
+class TestCrashWindow:
+    """The bytes of a frame can be back long before its due instant; a
+    worker that dies in that window still loses the message."""
+
+    LATENCY = 0.2
+
+    def _system(self):
+        eng = ClusterEngine(
+            time_scale=1.0, backoff=BackoffPolicy(base=60.0, jitter=0.0), **HB
+        )
+        sys_ = pair("assert[g] Done", "skip", g_decls="| init prop !Done",
+                    engine=eng, latency=self.LATENCY)
+        seen = {"sent": [], "dispatched": [], "drops": []}
+        real_drop, real_deliver = sys_.network._drop, eng.transport.deliver
+
+        def drop(msg, src, dst, reason):
+            seen["drops"].append((msg.msg_id, msg.kind, reason))
+            real_drop(msg, src, dst, reason)
+
+        def deliver(msg, latency, dispatch, **kw):
+            if msg.kind == "update" and msg.dst.startswith("g::") and not seen["sent"]:
+                seen["sent"].append(msg)
+                inner = dispatch
+
+                def dispatch(m):
+                    seen["dispatched"].append(m.msg_id)
+                    inner(m)
+
+            real_deliver(msg, latency, dispatch, **kw)
+
+        sys_.network._drop = drop
+        eng.transport.deliver = deliver
+        return eng, sys_, seen
+
+    @staticmethod
+    def _run_until(eng, done):
+        give_up = time.monotonic() + 10.0
+        while not done() and time.monotonic() < give_up:
+            eng.run_until(eng.clock.now + 0.002)
+        assert done()
+
+    @pytest.mark.parametrize("victim", ("g", "f"))
+    def test_kill_after_the_bytes_are_back_drops_the_message(self, victim):
+        # victim g is the destination's worker, f the source's
+        eng, sys_, seen = self._system()
+        try:
+            sys_.start(t=1.0)
+            link = eng.transport.links["g"]
+            self._run_until(eng, lambda: seen["sent"] and not link.outstanding)
+            msg = seen["sent"][0]
+            assert seen["dispatched"] == [] and eng.transport.in_flight >= 1
+            eng.supervisor.kill(victim)
+            eng.run_until(eng.clock.now + 2 * self.LATENCY)
+            assert (msg.msg_id, "update", "worker_down") in seen["drops"]
+            assert seen["dispatched"] == []
+            assert sys_.instances[victim].crashed
+        finally:
+            eng.close()
+
+    def test_kill_with_frames_inside_the_worker_releases_them(self):
+        eng, sys_, seen = self._system()
+        try:
+            # a stopped worker holds every frame sent to it
+            os.killpg(eng.supervisor.worker_pid("g"), signal.SIGSTOP)
+            sys_.start(t=1.0)
+            link = eng.transport.links["g"]
+            self._run_until(eng, lambda: seen["sent"])
+            assert link.outstanding and eng.transport.in_flight >= len(link.outstanding)
+            eng.supervisor.kill("g")
+            eng.run_until(eng.clock.now + 2 * self.LATENCY)
+            assert sys_.instances["g"].crashed and seen["dispatched"] == []
+            # the transport's share of pending_work() is back to 0 (the
+            # heartbeat keeps the clock's share above it)
+            assert eng.transport.in_flight == 0
+            assert eng.pending_work() == eng.clock.pending_events()
+        finally:
+            eng.close()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ import weakref
 
 import pytest
 
+from repro.redislite import Command
 from repro.runtime import RealtimeEngine, SimEngine, create_engine, default_engine
 from repro.runtime.channels import Message
 from repro.runtime.engine import use_controller
 from repro.runtime.kvtable import Update
 from repro.runtime.realtime import _BATCH, RealtimeClock
-from repro.runtime.wire import decode_message, encode_message
+from repro.runtime.wire import LEN_PREFIX, MAX_FRAME_LEN, decode_message, encode_message
 from repro.serde.framing import SavedData
 
 from ..runtime.helpers import failures_of, pair, single_junction
@@ -540,6 +541,66 @@ class TestWireCodec:
         m = Message(src="b::j", dst="a::j", kind="ack", payload=17, msg_id=17)
         out = decode_message(encode_message(m))
         assert out.kind == "ack" and out.payload == 17
+
+
+class TestTcpMalformedFrame:
+    """realtime-tcp rejects a bad frame body alone; only a corrupt length
+    prefix gives the stream up, and the next send reconnects."""
+
+    @staticmethod
+    def _service():
+        from repro.arch.sharding import ShardedRedis
+
+        with default_engine(lambda: RealtimeEngine(time_scale=0.02, transport="tcp")):
+            return ShardedRedis(n_shards=2, seed=0)
+
+    @staticmethod
+    def _call(svc, cmd):
+        replies = []
+        svc.submit(cmd, replies.append)
+        give_up = time.monotonic() + 20.0
+        while not replies and time.monotonic() < give_up:
+            svc.system.run_until(svc.system.now + 0.5)
+        return replies
+
+    def _survives(self, monkeypatch, attr, corrupt):
+        # the first message sent after the patch goes out corrupted; the
+        # sender's retransmission carries the request through
+        from repro.runtime import realtime
+
+        svc = self._service()
+        system = svc.system
+        try:
+            assert [r.ok for r in self._call(svc, Command("SET", "k", b"v0"))] == [True]
+            rejected = system.network.stats.get("wire_rejected", 0)
+            real, sent = getattr(realtime, attr), []
+
+            def once(arg):
+                if sent:
+                    return real(arg)
+                sent.append(arg)
+                return corrupt(real, arg)
+
+            monkeypatch.setattr(realtime, attr, once)
+            assert [r.ok for r in self._call(svc, Command("SET", "k", b"v1"))] == [True]
+            assert sent
+            assert system.network.stats["wire_rejected"] == rejected + 1
+            reply = self._call(svc, Command("GET", "k"))
+            assert [(r.ok, r.value) for r in reply] == [(True, b"v1")]
+            system.run_until(system.now + 1.0)
+            assert system.engine.pending_work() == 0
+            assert system.failures == []
+        finally:
+            system.shutdown()
+
+    def test_undecodable_body_is_rejected_alone(self, monkeypatch):
+        self._survives(monkeypatch, "encode_message", lambda real, msg: b"\xff garbage")
+
+    def test_corrupt_prefix_drops_the_stream_and_the_next_send_reconnects(self, monkeypatch):
+        self._survives(
+            monkeypatch, "frame",
+            lambda real, body: LEN_PREFIX.pack(MAX_FRAME_LEN + 1) + body,
+        )
 
 
 class TestQuiescence:

@@ -1,8 +1,10 @@
 """The interpretive schema codec that ``repro.serde.framing.Serializer``
 ran before it switched to the generated serializers of
-``repro.serde.codegen``, kept verbatim as the reference the generated
-code is compared against (byte for byte on encode, value for value on
-decode).
+``repro.serde.codegen``, kept as the reference the generated code is
+compared against (byte for byte on encode, value for value on decode).
+One edit since: a sized buffer handed an int ``n`` past its maximum
+(``bytes(n)`` is ``n`` zero bytes) is refused before the allocation
+rather than after it, which rejects exactly what was rejected before.
 
 It walks the schema at run time instead of emitting specialized code.
 Its one documented divergence from the generated codec: decoding a
@@ -59,6 +61,11 @@ class Encoder:
                 self._enc(elem, v, out, depth)
             return
         if isinstance(t, SizedBuffer):
+            if isinstance(value, int) and value > t.max_length:
+                # refused as before, but before bytes(n) allocates n bytes
+                raise SerdeError(
+                    f"buffer of {value} bytes exceeds declared maximum {t.max_length}"
+                )
             data = bytes(value or b"")
             if len(data) > t.max_length:
                 raise SerdeError(

@@ -110,6 +110,7 @@ class TestGeneratedRoundtrip:
             (SizedBuffer(), "text"),
             (Array(Primitive("uint8"), 2), 7),
             (TaggedUnion("u", ((1, Primitive("uint8")),)), [1, 2]),
+            (SizedBuffer(max_length=64), 2**62),  # refused, not allocated
         ],
     )
     def test_every_rejected_value_is_a_serde_error(self, t, value):
