@@ -9,10 +9,11 @@ group when ``workers=N`` is given) from the stdlib-only
 :mod:`repro.runtime.cluster_worker` module, and every runtime message
 addressed to an instance physically transits that instance's worker
 over a framed TCP link (``coordinator → worker → coordinator →
-dispatch``).  The frame leaves at send time and the message is
-dispatched at ``max(send + link latency, the frame's return)``: the
-modelled latency is a floor under the relay, not added to it.  A
-worker's death *is* the instance's failure:
+dispatch``).  The link is a :class:`_Stream`, the one framed-stream
+relay realtime-tcp's connection uses too: the frame leaves at send time
+and the message is dispatched at ``max(send + link latency, the frame's
+return)``, so the modelled latency is a floor under the relay, not
+added to it.  A worker's death *is* the instance's failure:
 messages to it stop flowing immediately, and the
 :class:`ClusterSupervisor` turns the detected crash into a real
 ``crash_instance`` — the same fault surface the PR 1 delivery/failover
@@ -20,6 +21,10 @@ machinery and the chaos engine already react to.
 
 Supervision model (Erlang/systemd shaped):
 
+* **launch** — attach, a live reconfiguration's ``deploy`` and every
+  restart bring a process up one way: spawn, then wait for its hello
+  *or its exit*.  A worker that exits first fails its launch at once,
+  naming the exit code; at restart that is one failed attempt.
 * **heartbeats** — the supervisor pings every worker each
   ``heartbeat_interval`` logical seconds; a worker that has not ponged
   within ``heartbeat_timeout`` is declared crashed even if its process
@@ -53,17 +58,20 @@ from __future__ import annotations
 
 import asyncio
 import os
+import random
 import signal
 import subprocess
 import sys
+import time
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.errors import SerdeError, StartStopFailure
 from .cluster_worker import OP_DELIVER, OP_HELLO, OP_MSG, OP_PING, OP_PONG, OP_SHUTDOWN
-from .engine import ExecutionEngine, Transport
-from .realtime import RealtimeClock
+from .engine import ExecutionEngine
+from .realtime import RealtimeClock, _StreamServer
 from .supervisor import (
     Backoff,
     BackoffPolicy,
@@ -88,6 +96,9 @@ _WORKER_PATH = Path(__file__).with_name("cluster_worker.py")
 
 #: wall-clock budget for a spawned worker to dial back and say hello
 _SPAWN_TIMEOUT_WALL = 30.0
+#: how often (wall seconds) a launch waiting for a hello checks whether
+#: the process has exited instead
+_EXIT_POLL_WALL = 0.05
 
 # ---------------------------------------------------------------------------
 # Worker-process hygiene registry
@@ -131,51 +142,94 @@ def reap_orphan_workers() -> list[int]:
     return leaked
 
 
+def _killpg(proc: subprocess.Popen | None, sig: int) -> None:
+    """Signal a worker's process group unless it has already exited."""
+    if proc is not None and proc.poll() is None:
+        try:
+            os.killpg(proc.pid, sig)
+        except ProcessLookupError:
+            pass
+
+
 # ---------------------------------------------------------------------------
-# Transport
+# Framed streams and the transport
 # ---------------------------------------------------------------------------
 
 
-class _WorkerLink:
-    """One live worker connection."""
+class _Stream:
+    """A framed TCP stream whose frames come back in send order:
+    realtime-tcp's client connection, and each cluster worker's link.
+    One ``(due, dispatch)`` entry is queued per frame sent and popped
+    per frame back; a body that does not decode, or a frame with no
+    entry left (one the wire duplicated), is rejected alone.  It lives
+    here because the tracer wraps this module's codec names and charges
+    arrival callbacks by ``__module__``."""
 
-    __slots__ = ("name", "reader", "writer", "outstanding", "alive", "closed", "task")
+    __slots__ = ("transport", "writer", "outstanding")
 
-    def __init__(self, name: str, reader, writer):
-        self.name = name
-        self.reader = reader
+    def __init__(self, transport, writer):
+        self.transport = transport
         self.writer = writer
-        #: ``(due, dispatch)`` per M frame sent whose D frame has not
-        #: returned yet — the stream is FIFO, so the head is the next D
         self.outstanding: deque[tuple[float, Callable]] = deque()
+
+    def send(self, data: bytes, due: float, dispatch: Callable) -> None:
+        self.writer.write(data)
+        self.outstanding.append((due, dispatch))
+
+    def returned(self, body: bytes) -> None:
+        """Dispatch the next frame's message at ``max(due, now)``."""
+        tr = self.transport
+        if not self.outstanding:
+            tr.network.count("wire_rejected")
+            return
+        due, dispatch = self.outstanding.popleft()
+        try:
+            msg = decode_message(body)
+        except SerdeError:
+            tr.in_flight -= 1
+            tr.network.count("wire_rejected")
+            return
+        if tr.clock.now >= due:
+            tr._arrive(msg, dispatch)
+        else:
+            tr.clock.call_at(due, lambda: tr._arrive(msg, dispatch))
+
+    def release(self) -> None:
+        """The stream is torn down: give back its entries' ``in_flight``."""
+        self.transport.in_flight -= len(self.outstanding)
+        self.outstanding.clear()
+
+
+class _WorkerLink(_Stream):
+    """A worker's stream, with the worker's name and liveness."""
+
+    __slots__ = ("name", "alive", "closed")
+
+    def __init__(self, transport, name: str, writer):
+        super().__init__(transport, writer)
+        self.name = name
         self.alive = True
         self.closed = False
-        self.task: asyncio.Task | None = None
 
 
-class ClusterTransport(Transport):
+class ClusterTransport(_StreamServer):
     """Per-instance worker routing over framed TCP.
 
     ``deliver`` encodes the message and writes it at once through the
     *destination instance's* worker process (an ``M`` frame the worker
-    returns as ``D``).  The modelled link latency is a floor, not an
-    addend: the message is dispatched at ``max(send + latency, the D
-    frame's return)`` — from the read loop when the bytes come back
-    late, else from one timer armed at the due instant.  Dispatch
-    re-enters :meth:`~repro.runtime.channels.Network.dispatch`, so
-    liveness and partition policy are re-checked at arrival exactly as
-    on every other engine.  A message whose source or destination
-    worker is dead at the due instant is dropped at the transport
-    (``worker_down``) — sender-side retransmission and ``otherwise``
-    deadlines see the loss, exactly as with a crashed remote process.
+    returns as ``D``) on that worker's :class:`_Stream`.  The modelled
+    link latency is a floor, not an addend: the message is dispatched at
+    ``max(send + latency, the D frame's return)``.  Dispatch re-enters
+    :meth:`~repro.runtime.channels.Network.dispatch`, so liveness and
+    partition policy are re-checked at arrival exactly as on every other
+    engine.  A message whose source or destination worker is dead at the
+    due instant is dropped at the transport (``worker_down``) —
+    sender-side retransmission and ``otherwise`` deadlines see the loss,
+    exactly as with a crashed remote process.
     """
-
-    inproc = False
 
     def __init__(self):
         super().__init__()
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
         self.links: dict[str, _WorkerLink] = {}
         self._expected: dict[str, asyncio.Future] = {}
         #: instance name -> worker (group) name, set by the supervisor
@@ -183,17 +237,8 @@ class ClusterTransport(Transport):
         #: supervisor hooks
         self.on_pong = None
         self.on_link_down = None
-        self._closing = False
 
     # -- wiring -------------------------------------------------------------
-
-    def bind(self, network, clock) -> None:
-        super().bind(network, clock)
-        loop = clock.loop
-        self._server = loop.run_until_complete(
-            asyncio.start_server(self._on_connect, "127.0.0.1", 0)
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
 
     def expect(self, name: str) -> asyncio.Future:
         """Register interest in a worker's hello; returns a future
@@ -209,53 +254,31 @@ class ClusterTransport(Transport):
         link = None
         try:
             hello = await asyncio.wait_for(read_frame(reader), timeout=_SPAWN_TIMEOUT_WALL)
-            if hello[:1] != OP_HELLO:
-                writer.close()
-                return
             name = hello[1:].decode("utf-8", errors="replace")
-            fut = self._expected.pop(name, None)
+            fut = self._expected.pop(name, None) if hello[:1] == OP_HELLO else None
             if fut is None or fut.done():
-                writer.close()  # unsolicited / stale connection
-                return
-            link = _WorkerLink(name, reader, writer)
-            link.task = asyncio.current_task()
-            self.links[name] = link
+                return  # not a hello, or an unsolicited / stale connection
+            link = self.links[name] = _WorkerLink(self, name, writer)
             fut.set_result(link)
-            await self._read_loop(link)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError, OSError):
-            writer.close()
+            while True:
+                body = await read_frame(reader)
+                op = body[:1]
+                if op == OP_DELIVER:
+                    link.returned(body[1:])
+                elif op == OP_PONG and self.on_pong is not None:
+                    self.on_pong(name)
+                # unknown opcodes ignored (forward compatibility)
         except SerdeError:
             # a corrupt length prefix poisons the rest of the stream —
             # drop the link; supervision treats it as a worker crash
             self.network.count("wire_rejected")
-            writer.close()
-        except asyncio.CancelledError:
-            pass  # engine close() cancels the reader mid-await
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError, OSError, asyncio.CancelledError):
+            pass  # the worker went away, or engine close() cancelled the read
         finally:
-            if link is not None:
+            if link is None:
+                writer.close()
+            else:
                 self._link_closed(link)
-
-    async def _read_loop(self, link: _WorkerLink) -> None:
-        while True:
-            body = await read_frame(link.reader)
-            op, payload = body[:1], body[1:]
-            if op == OP_DELIVER:
-                due, dispatch = link.outstanding.popleft()
-                try:
-                    msg = decode_message(payload)
-                except SerdeError:
-                    self.in_flight -= 1
-                    self.network.count("wire_rejected")
-                    continue
-                if self.clock.now >= due:
-                    self._arrive(msg, dispatch)
-                else:
-                    self.clock.call_at(due, lambda m=msg, d=dispatch: self._arrive(m, d))
-            elif op == OP_PONG:
-                if self.on_pong is not None:
-                    self.on_pong(link.name)
-            # unknown opcodes ignored (forward compatibility)
 
     def _link_closed(self, link: _WorkerLink) -> None:
         """Idempotent teardown accounting for one dead connection."""
@@ -263,16 +286,14 @@ class ClusterTransport(Transport):
             return
         link.closed = True
         link.alive = False
-        # frames swallowed by the dead worker will never come back
-        self.in_flight -= len(link.outstanding)
-        link.outstanding.clear()
+        link.release()  # frames swallowed by the dead worker never return
         try:
             link.writer.close()
         except RuntimeError:
             pass  # event loop already closed (interpreter teardown)
         if self.links.get(link.name) is link:
             del self.links[link.name]
-        if not self._closing and self.on_link_down is not None:
+        if self.on_link_down is not None:
             self.on_link_down(link.name)
 
     def close_link(self, name: str) -> None:
@@ -298,10 +319,8 @@ class ClusterTransport(Transport):
         if link is None or not link.alive:
             self.clock.call_at(due, lambda m=msg: self._drop(m))
             return
-        # frames on the stream stay in order; a dead link is seen, and
-        # its entries released, by the read loop
-        link.writer.write(frame(OP_MSG + encode_message(msg)))
-        link.outstanding.append((due, dispatch))
+        # a dead link is seen, and its entries released, by the read loop
+        link.send(frame(OP_MSG + encode_message(msg)), due, dispatch)
 
     def _arrive(self, msg, dispatch) -> None:
         """The due instant has passed and the bytes are back: dispatch,
@@ -311,8 +330,7 @@ class ClusterTransport(Transport):
         if self._worker_down(msg.src) or self._worker_down(msg.dst):
             self._drop(msg)
         else:
-            self.in_flight -= 1
-            dispatch(msg)
+            super()._arrive(msg, dispatch)
 
     def _worker_down(self, endpoint: str) -> bool:
         owner = self.owner.get(endpoint.split("::", 1)[0])
@@ -329,23 +347,17 @@ class ClusterTransport(Transport):
 
     # -- supervision plumbing -----------------------------------------------
 
-    def ping(self, name: str) -> None:
+    def send_op(self, name: str, op: bytes) -> None:
+        """Send worker ``name`` a control frame, if its link is up."""
         link = self.links.get(name)
         if link is not None and link.alive:
-            link.writer.write(frame(OP_PING))
-
-    def request_shutdown(self, name: str) -> None:
-        link = self.links.get(name)
-        if link is not None and link.alive:
-            link.writer.write(frame(OP_SHUTDOWN))
+            link.writer.write(frame(op))
 
     def close(self) -> None:
-        self._closing = True
+        self.on_link_down = None  # a link closed now is no crash
         for link in list(self.links.values()):
             self._link_closed(link)
-        if self._server is not None:
-            self._server.close()
-            self._server = None
+        super().close()
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +365,19 @@ class ClusterTransport(Transport):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _Worker(WorkerStatus):
+    """A worker's status, current process and restart backoff."""
+
+    proc: subprocess.Popen | None = None
+    backoff: Backoff | None = None
+    relaunch: asyncio.Task | None = None  # the loop holds tasks weakly
+
+
 class ClusterSupervisor:
-    """Spawns, monitors and restarts the cluster's worker processes."""
+    """Spawns, monitors and restarts the cluster's worker processes.
+    Every process — at attach, deploy and restart — comes up through
+    :meth:`_launch`."""
 
     def __init__(
         self,
@@ -380,13 +403,9 @@ class ClusterSupervisor:
         self.heartbeat_timeout = heartbeat_timeout
         self.policy = backoff or BackoffPolicy()
         self.python = python or sys.executable
-        import random as _random
-
-        self._rng = _random.Random(seed)
+        self._rng = random.Random(seed)
         self.system: "System | None" = None
-        self.statuses: dict[str, WorkerStatus] = {}
-        self._procs: dict[str, subprocess.Popen] = {}
-        self._backoffs: dict[str, Backoff] = {}
+        self.statuses: dict[str, _Worker] = {}
         self._hb_handle = None
         self._stopping = False
         transport.on_pong = self._note_pong
@@ -414,37 +433,7 @@ class ClusterSupervisor:
 
     def attach(self, system: "System") -> None:
         self.system = system
-        loop = self.clock.loop
-        futures = []
-        for name, insts in self.assign_groups(list(system.instances), self.workers):
-            st = WorkerStatus(name=name, instances=insts)
-            self.statuses[name] = st
-            self._backoffs[name] = Backoff(self.policy, self._rng)
-            for inst in insts:
-                self.transport.owner[inst] = name
-            self._procs[name] = self._spawn(st)
-            futures.append(self.transport.expect(name))
-        try:
-            loop.run_until_complete(
-                asyncio.wait_for(asyncio.gather(*futures), timeout=_SPAWN_TIMEOUT_WALL)
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            self.shutdown()
-            raise RuntimeError(
-                "cluster: worker handshake timed out — see worker stderr"
-            ) from None
-        now = self.clock.now
-        for name, st in self.statuses.items():
-            st.pid = self._procs[name].pid
-            st.state = WorkerState.RUNNING
-            st.last_pong = now
-            st.started_at = now
-            system.telemetry.emit(
-                "worker_spawn", name, pid=st.pid, instances=list(st.instances)
-            )
-        # the spawn+handshake burst consumed wall time before the first
-        # logical event — rebase so it doesn't eat into the horizon
-        self.clock.rebase()
+        self._launch_all(self.assign_groups(list(system.instances), self.workers))
         self._arm_heartbeat()
 
     def deploy(self, instances: Sequence[str]) -> None:
@@ -453,56 +442,71 @@ class ClusterSupervisor:
         Blocking; must be called while the event loop is idle — the
         reconfiguration executor calls it in the prepare phase, before
         the transition starts pumping the engine."""
-        fresh = [n for n in sorted(instances) if n not in self.transport.owner]
-        if not fresh or self._stopping:
-            return
+        fresh = [(n, (n,)) for n in sorted(instances) if n not in self.transport.owner]
+        if fresh and not self._stopping:
+            self._launch_all(fresh)
+
+    def _launch_all(self, groups: list[tuple[str, tuple[str, ...]]]) -> None:
+        """Launch a worker per ``(name, instances)`` group, every process
+        spawned before the first wait, and block until all have ended;
+        if any failed, discard them all and raise the first failure."""
+        workers = []
+        for name, insts in groups:
+            # RESTARTING until its hello lands: once the heartbeat monitor
+            # ticks, a RUNNING record with no pong yet would be condemned
+            # mid-handshake (and its restart would steal the expect future)
+            workers.append(_Worker(
+                name=name, instances=insts, state=WorkerState.RESTARTING,
+                last_pong=self.clock.now, backoff=Backoff(self.policy, self._rng),
+            ))
+            self.statuses[name] = workers[-1]
+            for inst in insts:
+                self.transport.owner[inst] = name
         loop = self.clock.loop
-        futures = []
-        for inst in fresh:
-            # RESTARTING until the handshake lands: unlike attach, the
-            # heartbeat monitor is already ticking, and a RUNNING status
-            # with last_pong=0 would be condemned mid-handshake (and its
-            # auto-restart would steal this expect future)
-            st = WorkerStatus(
-                name=inst,
-                instances=(inst,),
-                state=WorkerState.RESTARTING,
-                last_pong=self.clock.now,
+        launches = [loop.create_task(self._launch(w)) for w in workers]
+        results = loop.run_until_complete(asyncio.gather(*launches, return_exceptions=True))
+        failed = [r for r in results if isinstance(r, BaseException)]
+        if failed:
+            for w in workers:
+                self._discard(w)
+            raise failed[0]
+        for w in workers:
+            self.system.telemetry.emit(
+                "worker_spawn", w.name, pid=w.pid, instances=list(w.instances)
             )
-            self.statuses[inst] = st
-            self._backoffs[inst] = Backoff(self.policy, self._rng)
-            self.transport.owner[inst] = inst
-            self._procs[inst] = self._spawn(st)
-            futures.append(self.transport.expect(inst))
-        try:
-            loop.run_until_complete(
-                asyncio.wait_for(asyncio.gather(*futures), timeout=_SPAWN_TIMEOUT_WALL)
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            for name in fresh:
-                self.transport.unexpect(name)
-                self._reap(name)
-                self.statuses.pop(name, None)
-                self._procs.pop(name, None)
-                self._backoffs.pop(name, None)
-                self.transport.owner.pop(name, None)
-            raise RuntimeError(
-                "cluster: worker handshake timed out during reconfiguration"
-            ) from None
-        now = self.clock.now
-        for name in fresh:
-            st = self.statuses[name]
-            st.pid = self._procs[name].pid
-            st.state = WorkerState.RUNNING
-            st.last_pong = now
-            st.started_at = now
-            if self.system is not None:
-                self.system.telemetry.emit(
-                    "worker_spawn", name, pid=st.pid, instances=list(st.instances)
-                )
-        # same rationale as attach: don't let the spawn burst's wall
-        # time advance the logical clock past in-flight deadlines
+        # the spawn+handshake burst consumed wall time before the next
+        # logical event — rebase so it doesn't eat into the horizon or
+        # into in-flight deadlines
         self.clock.rebase()
+
+    async def _launch(self, w: _Worker) -> bool:
+        """Spawn ``w``'s process and wait for its hello or its exit.
+        True: ``w`` is RUNNING.  Otherwise it is un-expected and reaped,
+        and a dead or silent process raises ``RuntimeError``; a worker
+        retired meanwhile returns False."""
+        w.proc = proc = self._spawn(w.name)
+        hello = self.transport.expect(w.name)
+        give_up = time.monotonic() + _SPAWN_TIMEOUT_WALL
+        try:
+            while not hello.done():
+                if proc.poll() is not None or time.monotonic() > give_up:
+                    why = ("handshake timed out" if proc.returncode is None else
+                           f"exited with code {proc.returncode} before its hello")
+                    raise RuntimeError(f"cluster: worker {w.name} {why} — see worker stderr")
+                # a hello ends the wait at once; the timeout only paces
+                # the exit check
+                await asyncio.wait((hello,), timeout=_EXIT_POLL_WALL)
+        except BaseException:
+            self.transport.unexpect(w.name)
+            self._reap(w)
+            raise
+        if self._stopping or self.statuses.get(w.name) is not w:
+            self.transport.close_link(w.name)  # no longer ours
+            self._reap(w)
+            return False
+        w.state, w.pid, w.suspect = WorkerState.RUNNING, proc.pid, False
+        w.last_pong = w.started_at = self.clock.now
+        return True
 
     def retire(self, instances: Sequence[str]) -> None:
         """Shut down workers whose hosted instances were all removed by
@@ -515,34 +519,38 @@ class ClusterSupervisor:
             if w is not None:
                 targets.setdefault(w, []).append(inst)
         for wname, insts in sorted(targets.items()):
-            st = self.statuses.get(wname)
-            if st is None:
+            w = self.statuses.get(wname)
+            if w is None:
                 continue
             for i in insts:
                 self.transport.owner.pop(i, None)
-            remaining = tuple(i for i in st.instances if i not in insts)
+            remaining = tuple(i for i in w.instances if i not in insts)
             if remaining:
-                st.instances = remaining
+                w.instances = remaining
                 continue
-            # mark STOPPED *before* closing the link so the link-down
+            # STOPPED *before* the link closes, so that the link-down
             # callback doesn't declare a crash and schedule a restart
-            st.state = WorkerState.STOPPED
-            if self.system is not None:
-                self.system.telemetry.emit(
-                    "worker_retire", wname, pid=st.pid, instances=list(st.instances)
-                )
-            self.transport.request_shutdown(wname)
+            w.state = WorkerState.STOPPED
+            self.system.telemetry.emit(
+                "worker_retire", wname, pid=w.pid, instances=list(w.instances)
+            )
+            self.transport.send_op(wname, OP_SHUTDOWN)
             try:
                 self.clock.loop.run_until_complete(asyncio.sleep(0.05))
             except RuntimeError:  # pragma: no cover - loop unexpectedly running
                 pass
-            self.transport.close_link(wname)
-            self._reap(wname)
-            self.statuses.pop(wname, None)
-            self._procs.pop(wname, None)
-            self._backoffs.pop(wname, None)
+            self._discard(w)
 
-    def _spawn(self, st: WorkerStatus) -> subprocess.Popen:
+    def _discard(self, w: _Worker) -> None:
+        # the record goes first, so the link going down is no crash
+        if self.statuses.get(w.name) is w:
+            del self.statuses[w.name]
+        for inst in w.instances:
+            self.transport.owner.pop(inst, None)
+        self.transport.close_link(w.name)
+        self._reap(w)
+
+    def _spawn(self, name: str) -> subprocess.Popen:
         proc = subprocess.Popen(
             [
                 self.python,
@@ -550,7 +558,7 @@ class ClusterSupervisor:
                 "--connect",
                 f"127.0.0.1:{self.transport.port}",
                 "--name",
-                st.name,
+                name,
             ],
             stdin=subprocess.DEVNULL,
             stdout=subprocess.DEVNULL,
@@ -559,15 +567,12 @@ class ClusterSupervisor:
         _LIVE_WORKER_PGIDS.add(proc.pid)
         return proc
 
-    def _reap(self, name: str) -> None:
-        proc = self._procs.get(name)
+    @staticmethod
+    def _reap(w: _Worker) -> None:
+        proc = w.proc
         if proc is None:
             return
-        if proc.poll() is None:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+        _killpg(proc, signal.SIGKILL)
         try:
             proc.wait(timeout=10.0)
         except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
@@ -587,157 +592,116 @@ class ClusterSupervisor:
         if self._stopping:
             return
         now = self.clock.now
-        for name, st in self.statuses.items():
-            if st.state is not WorkerState.RUNNING:
+        for name, w in self.statuses.items():
+            if w.state is not WorkerState.RUNNING:
                 continue
-            proc = self._procs.get(name)
-            if proc is not None and proc.poll() is not None:
-                self._declare_crash(name, f"process exit (code {proc.returncode})")
-            elif now - st.last_pong > self.heartbeat_timeout:
-                if st.suspect:
-                    st.heartbeat_timeouts += 1
-                    self._telemetry_counter("cluster_heartbeat_timeouts", name)
-                    self._declare_crash(name, "missed heartbeats")
-                else:
-                    # first stale observation: give buffered pongs one
-                    # more tick to be processed before condemning
-                    st.suspect = True
-                    self.transport.ping(name)
+            if w.proc.poll() is not None:
+                self._declare_crash(name, f"process exit (code {w.proc.returncode})")
+            elif w.suspect and now - w.last_pong > self.heartbeat_timeout:
+                w.heartbeat_timeouts += 1
+                self._telemetry_counter("cluster_heartbeat_timeouts", name)
+                self._declare_crash(name, "missed heartbeats")
             else:
-                st.suspect = False
-                self.transport.ping(name)
+                # a first stale observation gives buffered pongs one
+                # more tick to be processed before condemning
+                w.suspect = now - w.last_pong > self.heartbeat_timeout
+                self.transport.send_op(name, OP_PING)
         self._arm_heartbeat()
 
     def _note_pong(self, name: str) -> None:
-        st = self.statuses.get(name)
-        if st is not None:
-            st.last_pong = self.clock.now
-            st.suspect = False
+        w = self.statuses.get(name)
+        if w is not None:
+            w.last_pong = self.clock.now
+            w.suspect = False
 
     def _link_lost(self, name: str) -> None:
-        st = self.statuses.get(name)
-        if st is not None and st.state is WorkerState.RUNNING:
+        w = self.statuses.get(name)
+        if w is not None and w.state is WorkerState.RUNNING:
             self._declare_crash(name, "connection lost")
 
     # -- crash / restart ------------------------------------------------------
 
     def _telemetry_counter(self, counter: str, name: str) -> None:
-        if self.system is not None:
-            self.system.telemetry.counter(counter, worker=name).inc()
+        self.system.telemetry.counter(counter, worker=name).inc()
 
     def _declare_crash(self, name: str, reason: str) -> None:
-        st = self.statuses[name]
-        if st.state is not WorkerState.RUNNING or self._stopping:
+        w = self.statuses[name]
+        if w.state is not WorkerState.RUNNING or self._stopping:
             return
-        st.state = WorkerState.DOWN
-        st.crashes += 1
-        st.last_crash_reason = reason
+        w.state = WorkerState.DOWN
+        w.crashes += 1
+        w.last_crash_reason = reason
         self._telemetry_counter("cluster_worker_crashes", name)
         sys_ = self.system
         ev = sys_.telemetry.emit(
-            "worker_crash", name, reason=reason, instances=list(st.instances)
+            "worker_crash", name, reason=reason, instances=list(w.instances)
         )
         self.transport.close_link(name)
-        self._reap(name)
+        self._reap(w)
         # the real fault enters the runtime here: every hosted instance
         # crashes, and the PR 1 failover machinery takes over
-        for inst in st.instances:
+        for inst in w.instances:
             runtime = sys_.instances.get(inst)
             if runtime is not None and runtime.alive:
                 sys_.crash_instance(inst)
-        delay = self._backoffs[name].next_delay()
+        self._back_off(w, ev)
+
+    def _back_off(self, w: _Worker, cause: int | None = None) -> None:
+        """Schedule ``w``'s next restart attempt, or give up (FAILED)
+        once its restart budget is spent."""
+        delay = w.backoff.next_delay()
         if delay is None:
-            st.state = WorkerState.FAILED
-            sys_.telemetry.emit("worker_gave_up", name, parent=ev)
-            self._update_degraded()
-            return
-        sys_.telemetry.emit(
-            "worker_restart_scheduled", name, parent=ev, delay=round(delay, 6)
-        )
-        self.clock.call_after(delay, lambda: self._restart(name))
+            w.state = WorkerState.FAILED
+            self.system.telemetry.emit("worker_gave_up", w.name, parent=cause)
+        else:
+            self.system.telemetry.emit(
+                "worker_restart_scheduled", w.name, parent=cause, delay=round(delay, 6)
+            )
+            self.clock.call_after(delay, lambda: self._restart(w.name))
         self._update_degraded()
 
     def _restart(self, name: str) -> None:
-        if self._stopping:
-            return
-        st = self.statuses.get(name)
-        if st is None or st.state is not WorkerState.DOWN:
+        w = self.statuses.get(name)
+        if self._stopping or w is None or w.state is not WorkerState.DOWN:
             # gone: a live reconfiguration retired the worker while its
             # restart was pending
             return
-        st.state = WorkerState.RESTARTING
-        self._procs[name] = self._spawn(st)
-        fut = self.transport.expect(name)
-        self.clock.loop.create_task(self._complete_restart(name, fut))
+        w.state = WorkerState.RESTARTING
+        w.relaunch = self.clock.loop.create_task(self._relaunch(w))
 
-    async def _complete_restart(self, name: str, fut: asyncio.Future) -> None:
-        st = self.statuses.get(name)
-        if st is None:  # retired before the handshake wait even began
-            self.transport.unexpect(name)
-            self._reap(name)
-            return
+    async def _relaunch(self, w: _Worker) -> None:
         try:
-            await asyncio.wait_for(fut, timeout=_SPAWN_TIMEOUT_WALL)
-        except asyncio.CancelledError:
-            self.transport.unexpect(name)
-            self._reap(name)
-            return
-        except (asyncio.TimeoutError, TimeoutError):
-            self.transport.unexpect(name)
-            self._reap(name)
-            if self.statuses.get(name) is not st:
-                return  # retired while the spawn was in flight
-            st.state = WorkerState.DOWN
-            delay = self._backoffs[name].next_delay()
-            if delay is None:
-                st.state = WorkerState.FAILED
-                self.system.telemetry.emit("worker_gave_up", name)
-                self._update_degraded()
+            if not await self._launch(w):
                 return
-            self.clock.call_after(delay, lambda: self._restart(name))
+        except RuntimeError as exc:
+            # a process that dies before its hello is one failed attempt
+            if not self._stopping and self.statuses.get(w.name) is w:
+                w.state = WorkerState.DOWN
+                w.last_crash_reason = str(exc)
+                self._back_off(w)
             return
-        if self.statuses.get(name) is not st:
-            # a live reconfiguration retired the worker while its
-            # replacement process was handshaking: it is no longer ours
-            self.transport.close_link(name)
-            self._reap(name)
-            return
-        now = self.clock.now
-        st.state = WorkerState.RUNNING
-        st.pid = self._procs[name].pid
-        st.last_pong = now
-        st.suspect = False
-        st.started_at = now
-        st.restarts += 1
+        name, now = w.name, w.started_at
+        w.restarts += 1
         self._telemetry_counter("cluster_worker_restarts", name)
-        self.system.telemetry.emit("worker_restart", name, pid=st.pid)
-        for inst in st.instances:
+        self.system.telemetry.emit("worker_restart", name, pid=w.pid)
+        for inst in w.instances:
             runtime = self.system.instances.get(inst)
             if runtime is not None and runtime.crashed:
                 try:
                     self.system.restart_instance(inst)
                 except StartStopFailure:
                     pass  # the architecture revived it first — it wins
-        self.clock.call_after(
-            self.policy.stable_after,
-            lambda started=now: self._maybe_reset_backoff(name, started),
-        )
+
+        def stable():  # up for stable_after since this restart
+            if w.state is WorkerState.RUNNING and w.started_at == now:
+                w.backoff.reset()
+
+        self.clock.call_after(self.policy.stable_after, stable)
         self._update_degraded()
 
-    def _maybe_reset_backoff(self, name: str, started_at: float) -> None:
-        st = self.statuses.get(name)
-        if (
-            st is not None
-            and st.state is WorkerState.RUNNING
-            and st.started_at == started_at
-        ):
-            self._backoffs[name].reset()
-
     def _update_degraded(self) -> None:
-        if self.system is not None:
-            self.system.telemetry.gauge("cluster_workers_down").set(
-                sum(1 for s in self.statuses.values() if s.state is not WorkerState.RUNNING)
-            )
+        down = sum(s.state is not WorkerState.RUNNING for s in self.statuses.values())
+        self.system.telemetry.gauge("cluster_workers_down").set(down)
 
     # -- operator surface ----------------------------------------------------
 
@@ -764,14 +728,8 @@ class ClusterSupervisor:
         """Operator fault drill: signal the worker hosting ``target``
         (an instance or worker name).  Returns the worker name."""
         name = self.worker_of(target)
-        proc = self._procs.get(name)
-        if proc is not None and proc.poll() is None:
-            try:
-                os.killpg(proc.pid, sig)
-            except ProcessLookupError:
-                pass
-        if self.system is not None:
-            self.system.telemetry.emit("worker_kill", name, signal=int(sig))
+        _killpg(self.statuses[name].proc, sig)
+        self.system.telemetry.emit("worker_kill", name, signal=int(sig))
         return name
 
     def status(self) -> dict[str, dict]:
@@ -790,35 +748,20 @@ class ClusterSupervisor:
 
     # -- shutdown ------------------------------------------------------------
 
-    def drain(self, grace: float = 5.0) -> bool:
-        """Graceful shutdown: stop supervision, ask workers to exit,
-        run the engine until in-flight messages settle (or ``grace``
-        logical seconds elapse), then force-kill any straggler.
-        Returns True when fully drained."""
+    def stop(self) -> None:
+        """Stop supervising: no heartbeat, crash or restart from here on."""
         self._stopping = True
         if self._hb_handle is not None:
             self._hb_handle.cancel()
             self._hb_handle = None
-        for name in list(self.statuses):
-            self.transport.request_shutdown(name)
-
-        deadline = self.clock.now + max(grace, 0.0)
-        while self.transport.in_flight > 0 and self.clock.now < deadline:
-            self.clock.run_until(min(self.clock.now + 0.1, deadline))
-        drained = self.transport.in_flight == 0
-        self.shutdown()
-        return drained
 
     def shutdown(self) -> None:
         """Force-stop every worker process group and reap it."""
-        self._stopping = True
-        if self._hb_handle is not None:
-            self._hb_handle.cancel()
-            self._hb_handle = None
-        for name, st in self.statuses.items():
-            self._reap(name)
-            if st.state is not WorkerState.FAILED:
-                st.state = WorkerState.STOPPED
+        self.stop()
+        for w in self.statuses.values():
+            self._reap(w)
+            if w.state is not WorkerState.FAILED:
+                w.state = WorkerState.STOPPED
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +815,6 @@ class ClusterEngine(ExecutionEngine):
             python=python,
         )
         self._drills = tuple(drills)
-        self._closed = False
 
     def attach(self, system: "System") -> None:
         super().attach(system)
@@ -887,12 +829,17 @@ class ClusterEngine(ExecutionEngine):
         self.supervisor.retire(names)
 
     def drain(self, grace: float = 5.0) -> bool:
-        return self.supervisor.drain(grace)
+        """Stop supervision, ask every worker to exit, settle in-flight
+        work as every engine does, then force-kill any straggler."""
+        sup = self.supervisor
+        sup.stop()
+        for name in sup.statuses:
+            self.transport.send_op(name, OP_SHUTDOWN)
+        drained = super().drain(grace)
+        sup.shutdown()
+        return drained
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def close(self) -> None:  # every step is idempotent
         self.supervisor.shutdown()
         self.transport.close()
         self.clock.close()

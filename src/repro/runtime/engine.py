@@ -404,7 +404,7 @@ def _engine_class(name: str, kw: dict) -> tuple[type, dict]:
     fixed: dict = {}
     if name == "sim":
         cls: type = SimEngine
-    elif name in ("realtime", "realtime-inproc", "realtime-tcp"):
+    elif name in ("realtime", "realtime-tcp"):
         from .realtime import RealtimeEngine
 
         cls = RealtimeEngine

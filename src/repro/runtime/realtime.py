@@ -18,9 +18,10 @@ wall clock of a private asyncio event loop:
   wall-clock timer); :class:`TcpTransport` pushes every message over a
   loopback TCP socket using libcompart-style length-prefixed frames
   (see :mod:`repro.runtime.wire`), exercising real serialization and
-  kernel scheduling.  On the socket the modelled latency is a floor
-  under the time the bytes take to cross, not a delay added before
-  they are sent.
+  kernel scheduling.  Its connection is the cluster engine's framed
+  stream (``repro.runtime.cluster._Stream``): the modelled latency is a
+  floor under the time the bytes take to cross, and a bad frame is
+  rejected alone, by one implementation on both socket engines.
 
 Host blocks (``⌊H⌉{V}``) run inside the strand on the loop thread, as
 on the sim engine, and model their service time with ``ctx.take``; they
@@ -50,7 +51,7 @@ from typing import Callable
 
 from ..core.errors import SerdeError
 from .engine import Clock, ClockTransport, ExecutionEngine, Transport
-from .wire import decode_message, encode_message, frame, read_frame
+from .wire import encode_message, frame, read_frame
 
 __all__ = [
     "RealtimeClock",
@@ -410,20 +411,11 @@ class ThreadPoolHostExecutor:
         raise NotImplementedError("host blocks run inside the strand")
 
 
-class TcpTransport(Transport):
-    """Loopback TCP delivery with length-prefixed frames.
-
-    ``bind`` opens a listening socket on an ephemeral port; the first
-    delivery connects a single client stream to it.  ``deliver`` encodes
-    the message and writes its frame at once.  The modelled (scaled)
-    latency is a floor, not an addend: the message is dispatched at
-    ``max(send + latency, the frame's arrival)`` — from the reader when
-    the frame arrives late, else from one timer armed at the due
-    instant.  The stream is FIFO, so it keeps one ``(due, dispatch)``
-    entry per frame written and the reader pops one per frame read.
-    ``in_flight`` covers the whole span, so quiescence accounting still
-    holds while bytes sit in socket buffers.
-    """
+class _StreamServer(Transport):
+    """The listening side of both socket transports (this module's
+    :class:`TcpTransport` and ``ClusterTransport``): ``bind`` hands each
+    accepted connection to ``_on_connect``, and their streams
+    (``repro.runtime.cluster._Stream``) dispatch through ``_arrive``."""
 
     inproc = False
 
@@ -431,83 +423,92 @@ class TcpTransport(Transport):
         super().__init__()
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        #: frames written while the client stream connects (None: idle)
-        self._backlog: list[bytes] | None = None
-        #: the loop holds tasks weakly; this keeps the connect alive
-        self._connecting: asyncio.Task | None = None
-        #: ``(due, dispatch)`` per frame on the stream not yet read
-        self._outstanding: deque[tuple[float, Callable]] = deque()
 
     def bind(self, network, clock) -> None:
         super().bind(network, clock)
-        loop = clock.loop
-        self._server = loop.run_until_complete(
-            asyncio.start_server(self._serve, "127.0.0.1", 0)
+        self._server = clock.loop.run_until_complete(
+            asyncio.start_server(self._on_connect, "127.0.0.1", 0)
         )
         self.port = self._server.sockets[0].getsockname()[1]
+
+    def _arrive(self, msg, dispatch) -> None:
+        self.in_flight -= 1
+        dispatch(msg)
+
+    def close(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            self._server = None
+
+
+class _Backlog(list):
+    """Stands in for a client stream's writer while it connects."""
+
+    write = list.append
+    close = list.clear
+
+
+class TcpTransport(_StreamServer):
+    """Loopback TCP delivery with length-prefixed frames.
+
+    ``bind`` opens a listening socket on an ephemeral port; the first
+    delivery opens a single client stream to it, whose frames wait in a
+    backlog until the connection is up.  ``deliver`` encodes the
+    message and writes its frame at once.  The modelled (scaled)
+    latency is a floor, not an addend: the stream dispatches the
+    message at ``max(send + latency, the frame's arrival)`` — at once
+    when the frame arrives late, else from one timer armed at the due
+    instant.  ``in_flight`` covers the whole span, so quiescence
+    accounting still holds while bytes sit in socket buffers.
+    """
+
+    def __init__(self):
+        super().__init__()
+        #: the client stream (None: not opened yet, or given up)
+        self._stream = None
+        #: the loop holds tasks weakly; this keeps the connect alive
+        self._connecting: asyncio.Task | None = None
 
     def deliver(self, msg, latency, dispatch, *, label=None, footprint=None):
         # the reader re-enters through dispatch (network.dispatch), which
         # re-resolves liveness/partition state at arrival exactly as the
         # in-process path does
         self.in_flight += 1
-        data = frame(encode_message(msg))
-        self._outstanding.append((self.clock.now + latency, dispatch))
-        if self._writer is not None:
-            self._writer.write(data)
-        elif self._backlog is not None:
-            self._backlog.append(data)
-        else:
-            self._backlog = [data]
-            self._connecting = self.clock.loop.create_task(self._connect(self._backlog))
+        stream = self._stream or self._open()
+        stream.send(frame(encode_message(msg)), self.clock.now + latency, dispatch)
 
-    async def _connect(self, backlog: list[bytes]) -> None:
+    def _open(self):
+        from .cluster import _Stream  # cluster.py imports this module
+
+        stream = self._stream = _Stream(self, _Backlog())
+        self._connecting = self.clock.loop.create_task(self._connect(stream))
+        return stream
+
+    async def _connect(self, stream) -> None:
         try:
             _, writer = await asyncio.open_connection("127.0.0.1", self.port)
-        except (ConnectionError, OSError):
-            if self._backlog is backlog:
+        except OSError:
+            if self._stream is stream:
                 self._drop_stream()  # transport torn down mid-connect
             return
-        if self._backlog is not backlog:  # the stream was given up meanwhile
+        if self._stream is not stream:  # the stream was given up meanwhile
             writer.close()
             return
-        writer.writelines(backlog)
-        self._backlog = None
-        self._writer = writer
+        writer.writelines(stream.writer)
+        stream.writer = writer
 
     def _drop_stream(self) -> None:
         """Give the client stream up: nothing queued on it will be read.
         The next delivery connects a fresh one."""
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-        self._backlog = None
-        self.in_flight -= len(self._outstanding)
-        self._outstanding.clear()
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.writer.close()
+            stream.release()
 
-    def _arrive(self, msg, dispatch) -> None:
-        self.in_flight -= 1
-        dispatch(msg)
-
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        outstanding = self._outstanding
+    async def _on_connect(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         try:
             while True:
-                body = await read_frame(reader)
-                due, dispatch = outstanding.popleft()
-                try:
-                    msg = decode_message(body)
-                except SerdeError:
-                    # the length prefix held, so the stream is still in
-                    # step: reject this body alone
-                    self.in_flight -= 1
-                    self.network.count("wire_rejected")
-                    continue
-                if self.clock.now >= due:
-                    self._arrive(msg, dispatch)
-                else:
-                    self.clock.call_at(due, lambda m=msg, d=dispatch: self._arrive(m, d))
+                self._stream.returned(await read_frame(reader))
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # peer went away: connection drained or reset
         except SerdeError:
@@ -522,12 +523,8 @@ class TcpTransport(Transport):
             writer.close()
 
     def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-        if self._server is not None:
-            self._server.close()
-            self._server = None
+        self._drop_stream()
+        super().close()
 
 
 class RealtimeEngine(ExecutionEngine):
@@ -548,11 +545,7 @@ class RealtimeEngine(ExecutionEngine):
         super().__init__(clock, tr)
         self.name = "realtime-tcp" if transport == "tcp" else "realtime"
         clock.extra_pending = lambda: tr.in_flight
-        self._closed = False
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def close(self) -> None:  # both steps are idempotent
         self.transport.close()
         self.clock.close()

@@ -80,58 +80,6 @@ class TestWorkerProtocol:
             srv.close()
 
 
-class TestMalformedFrame:
-    def test_one_bad_body_is_rejected_alone(self, monkeypatch):
-        # a relayed body that decodes but is shape-invalid (here a saved
-        # data tag that is not [schema, blob]) is counted and dropped;
-        # it used to escape the read loop as ValueError, close the link
-        # and have the supervisor restart a healthy worker
-        from repro.arch.sharding import ShardedRedis
-        from repro.runtime import cluster
-        from repro.serde.framing import encode_generic
-
-        with default_engine(lambda: ClusterEngine(time_scale=SCALE, **HB)):
-            svc = ShardedRedis(n_shards=2, seed=0)
-        system = svc.system
-        sup = system.engine.supervisor
-
-        def call(cmd):
-            replies = []
-            svc.submit(cmd, replies.append)
-            give_up = time.monotonic() + 20.0
-            while not replies and time.monotonic() < give_up:
-                system.run_until(system.now + 0.5)
-            return replies
-
-        try:
-            assert [r.ok for r in call(Command("SET", "k", b"v0"))] == [True]
-            rejected = system.network.stats.get("wire_rejected", 0)
-            real, sent = cluster.encode_message, []
-
-            def malformed_once(msg):
-                if sent:
-                    return real(msg)
-                sent.append(msg)
-                return encode_generic({
-                    "s": msg.src, "d": msg.dst, "k": msg.kind, "i": msg.msg_id,
-                    "p": {"\x00saved": [1, 2, 3]},
-                })
-
-            monkeypatch.setattr(cluster, "encode_message", malformed_once)
-            assert [r.ok for r in call(Command("SET", "k", b"v1"))] == [True]
-            assert sent
-            assert system.network.stats["wire_rejected"] == rejected + 1
-            assert all(link.alive for link in system.engine.transport.links.values())
-            assert len(system.engine.transport.links) == len(sup.statuses)
-            assert [st.crashes for st in sup.statuses.values()] == [0] * len(sup.statuses)
-            assert [st.restarts for st in sup.statuses.values()] == [0] * len(sup.statuses)
-            reply = call(Command("GET", "k"))
-            assert [(r.ok, r.value) for r in reply] == [(True, b"v1")]
-            assert system.failures == []
-        finally:
-            system.shutdown()
-
-
 class TestBackoffPolicy:
     def test_exponential_with_cap(self):
         pol = BackoffPolicy(base=0.5, factor=2.0, cap=3.0, jitter=0.0)
@@ -221,6 +169,69 @@ class TestDeployment:
         eng.close()
 
 
+class TestDeadSpawn:
+    """A worker that exits before its hello fails its launch at once,
+    naming the exit code; it used to hold the launch for the 30 s
+    handshake budget.  Each wall-clock bound below fails at the
+    parent."""
+
+    def test_attach_fails_fast_and_leaks_no_worker(self):
+        before = live_worker_pgids()
+        eng = ClusterEngine(time_scale=SCALE, python="/bin/false", **HB)
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="exited with code 1"):
+                pair("skip", "skip", engine=eng)
+            assert time.monotonic() - t0 < 5.0
+            assert live_worker_pgids() <= before
+            assert eng.supervisor.statuses == {} and eng.transport.owner == {}
+        finally:
+            eng.close()
+
+    def test_deploy_fails_fast_and_leaves_nothing_behind(self):
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        sys_ = single_junction("skip", engine=eng)
+        try:
+            sys_.start()
+            eng.run_until(0.5)
+            before = live_worker_pgids()
+            eng.supervisor.python = "/bin/false"
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="exited with code 1"):
+                eng.prepare_instances(["y"])
+            assert time.monotonic() - t0 < 5.0
+            assert "y" not in eng.supervisor.statuses
+            assert "y" not in eng.transport.owner
+            assert live_worker_pgids() == before
+            assert eng.supervisor.statuses["x"].state is WorkerState.RUNNING
+        finally:
+            eng.close()
+
+    def test_a_restart_that_exits_before_its_hello_is_one_failed_attempt(self):
+        eng = ClusterEngine(
+            time_scale=SCALE,
+            backoff=BackoffPolicy(max_restarts=1, base=0.05, jitter=0.0),
+            **HB,
+        )
+        sys_ = single_junction("skip", engine=eng)
+        try:
+            sys_.start()
+            eng.run_until(1.0)
+            st = eng.supervisor.statuses["x"]
+            eng.supervisor.python = "/bin/false"
+            eng.supervisor.kill("x")
+            t0 = time.monotonic()
+            while st.state is not WorkerState.FAILED and time.monotonic() - t0 < 5.0:
+                eng.run_until(eng.clock.now + 0.5)
+            assert st.state is WorkerState.FAILED
+            assert time.monotonic() - t0 < 5.0
+            assert st.crashes == 1 and st.restarts == 0
+            assert "exited with code 1" in st.last_crash_reason
+            assert sys_.instances["x"].crashed
+        finally:
+            eng.close()
+
+
 # ---------------------------------------------------------------------------
 # Parity with the sim engine
 # ---------------------------------------------------------------------------
@@ -271,14 +282,173 @@ class TestDescriptorCeiling:
 
 
 # ---------------------------------------------------------------------------
-# The link latency is a floor on the socket transports
+# The framed stream both socket transports share
 # ---------------------------------------------------------------------------
 
+SOCKET_ENGINES = ("cluster", "realtime-tcp")
 
-def _socket_engine(name):
+
+def _socket_engine(name, time_scale=1.0):
     if name == "cluster":
-        return ClusterEngine(time_scale=1.0, **HB)
-    return RealtimeEngine(time_scale=1.0, transport="tcp")
+        return ClusterEngine(time_scale=time_scale, **HB)
+    return RealtimeEngine(time_scale=time_scale, transport="tcp")
+
+
+def _sharded(engine):
+    from repro.arch.sharding import ShardedRedis
+
+    with default_engine(lambda: _socket_engine(engine, SCALE)):
+        return ShardedRedis(n_shards=2, seed=0)
+
+
+def _call(svc, cmd):
+    replies = []
+    svc.submit(cmd, replies.append)
+    give_up = time.monotonic() + 20.0
+    while not replies and time.monotonic() < give_up:
+        svc.system.run_until(svc.system.now + 0.5)
+    return replies
+
+
+def _corrupt_once(monkeypatch, engine, attr, corrupt, admits=lambda arg: True):
+    """Make the next call the engine's transport makes to its module's
+    ``attr`` (``encode_message`` or ``frame``) with an argument that
+    ``admits`` accepts return ``corrupt(real, arg)``.  Returns the list
+    that argument is recorded in."""
+    from repro.runtime import cluster, realtime
+
+    module = cluster if engine == "cluster" else realtime
+    real, sent = getattr(module, attr), []
+
+    def once(arg):
+        if sent or not admits(arg):
+            return real(arg)
+        sent.append(arg)
+        return corrupt(real, arg)
+
+    monkeypatch.setattr(module, attr, once)
+    return sent
+
+
+def _relayed(body):
+    """A cluster frame body that carries a message (not a ping)."""
+    return body[:1] == cluster_worker.OP_MSG
+
+
+def _shape_invalid(real, msg):
+    # decodes, but its saved-data tag is not [schema, blob]
+    from repro.serde.framing import encode_generic
+
+    return encode_generic({
+        "s": msg.src, "d": msg.dst, "k": msg.kind, "i": msg.msg_id,
+        "p": {"\x00saved": [1, 2, 3]},
+    })
+
+
+def _assert_no_worker_restarted(system):
+    if system.engine.name != "cluster":
+        return
+    sup, transport = system.engine.supervisor, system.engine.transport
+    assert all(link.alive for link in transport.links.values())
+    assert len(transport.links) == len(sup.statuses)
+    assert [st.crashes for st in sup.statuses.values()] == [0] * len(sup.statuses)
+    assert [st.restarts for st in sup.statuses.values()] == [0] * len(sup.statuses)
+
+
+class TestMalformedFrame:
+    """A body that does not decode is rejected alone on both socket
+    engines.  A corrupt length prefix keeps per-engine expectations:
+    realtime-tcp reconnects (``test_engine.py::TestTcpMalformedFrame``),
+    and on the cluster the link drop is a worker crash that restarts."""
+
+    def _rejected_alone(self, monkeypatch, engine, corrupt):
+        svc = _sharded(engine)
+        system = svc.system
+        try:
+            assert [r.ok for r in _call(svc, Command("SET", "k", b"v0"))] == [True]
+            rejected = system.network.stats.get("wire_rejected", 0)
+            sent = _corrupt_once(monkeypatch, engine, "encode_message", corrupt)
+            assert [r.ok for r in _call(svc, Command("SET", "k", b"v1"))] == [True]
+            assert sent
+            assert system.network.stats["wire_rejected"] == rejected + 1
+            _assert_no_worker_restarted(system)
+            reply = _call(svc, Command("GET", "k"))
+            assert [(r.ok, r.value) for r in reply] == [(True, b"v1")]
+            assert system.failures == []
+        finally:
+            system.shutdown()
+
+    def test_one_bad_body_is_rejected_alone(self, monkeypatch):
+        # a relayed body that decodes but is shape-invalid is counted and
+        # dropped; it used to escape the read loop as ValueError, close
+        # the link and have the supervisor restart a healthy worker
+        self._rejected_alone(monkeypatch, "cluster", _shape_invalid)
+
+    def test_one_bad_body_is_rejected_alone_on_realtime_tcp(self, monkeypatch):
+        self._rejected_alone(monkeypatch, "realtime-tcp", _shape_invalid)
+
+    def test_undecodable_body_is_rejected_alone_on_cluster(self, monkeypatch):
+        self._rejected_alone(monkeypatch, "cluster", lambda real, msg: b"\xff garbage")
+
+    def test_corrupt_prefix_on_cluster_is_a_worker_crash_that_restarts(self, monkeypatch):
+        # the worker refuses the oversized length and exits; the
+        # supervisor sees the link drop and restarts it
+        svc = _sharded("cluster")
+        system = svc.system
+        sup = system.engine.supervisor
+        try:
+            assert [r.ok for r in _call(svc, Command("SET", "k", b"v0"))] == [True]
+            sent = _corrupt_once(
+                monkeypatch, "cluster", "frame",
+                lambda real, body: LEN_PREFIX.pack(MAX_FRAME_LEN + 1) + body, _relayed,
+            )
+            svc.submit(Command("SET", "k", b"v1"), lambda reply: None)
+            give_up = time.monotonic() + 20.0
+            while time.monotonic() < give_up and not (
+                sent and any(st.restarts for st in sup.statuses.values()) and not sup.degraded
+            ):
+                system.run_until(system.now + 0.5)
+            crashed = [st for st in sup.statuses.values() if st.crashes]
+            assert len(crashed) == 1 and crashed[0].restarts == 1
+            assert crashed[0].state is WorkerState.RUNNING
+            assert [r.ok for r in _call(svc, Command("SET", "k2", b"v2"))] == [True]
+        finally:
+            system.shutdown()
+
+
+class TestDuplicatedFrame:
+    """A frame the wire delivers twice comes back with no due entry
+    left: it is counted as ``wire_rejected`` and dropped, and the stream
+    stays up (receiver-side msg-id dedup already makes a repeated body
+    harmless).  It used to raise ``IndexError`` out of the read loop:
+    the cluster restarted the worker and lost the update, and
+    realtime-tcp lost its stream for good."""
+
+    @pytest.mark.parametrize("engine", SOCKET_ENGINES)
+    def test_a_duplicated_frame_is_rejected_and_the_stream_stays_up(self, monkeypatch, engine):
+        svc = _sharded(engine)
+        system = svc.system
+        try:
+            assert [r.ok for r in _call(svc, Command("SET", "k", b"v0"))] == [True]
+            rejected = system.network.stats.get("wire_rejected", 0)
+            sent = _corrupt_once(
+                monkeypatch, engine, "frame", lambda real, body: real(body) * 2,
+                _relayed if engine == "cluster" else (lambda body: True),
+            )
+            assert [r.ok for r in _call(svc, Command("SET", "k", b"v1"))] == [True]
+            assert sent
+            system.run_until(system.now + 1.0)  # the copy is back by now
+            assert system.network.stats["wire_rejected"] == rejected + 1
+            _assert_no_worker_restarted(system)
+            for i in range(4):
+                assert [r.ok for r in _call(svc, Command("SET", f"k{i}", b"v"))] == [True]
+            reply = _call(svc, Command("GET", "k"))
+            assert [(r.ok, r.value) for r in reply] == [(True, b"v1")]
+            system.run_until(system.now + 1.0)
+            assert system.engine.transport.in_flight == 0
+            assert system.failures == []
+        finally:
+            system.shutdown()
 
 
 class TestLatencyFloor:
