@@ -648,7 +648,10 @@ class ClusterSupervisor:
 
     def _back_off(self, w: _Worker, cause: int | None = None) -> None:
         """Schedule ``w``'s next restart attempt, or give up (FAILED)
-        once its restart budget is spent."""
+        once its restart budget is spent.  Nothing, once the loop is
+        closed: nothing could run the restart."""
+        if self.clock.loop.is_closed():
+            return
         delay = w.backoff.next_delay()
         if delay is None:
             w.state = WorkerState.FAILED

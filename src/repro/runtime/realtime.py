@@ -10,9 +10,13 @@ wall clock of a private asyncio event loop:
   suite keeps realtime runs cheap.  The clock keeps its own timer
   queue and shows the loop one wake-up, on a wait with microsecond
   resolution, so at ``time_scale=1.0`` a modelled 100 us link hop costs
-  about that on the wall and not epoll's millisecond; schedule
-  labels/footprints are accepted and ignored (there is no controlled
-  scheduling on a wall clock).
+  about that on the wall and not epoll's millisecond.  While the loop
+  runs, the driving thread's Linux timer slack is 1 ns instead of the
+  kernel's default 50 us, which would otherwise stretch every wait;
+  the previous slack is restored when ``run_until``/``run`` returns,
+  and elsewhere this is a no-op.  Schedule labels/footprints are
+  accepted and ignored (there is no controlled scheduling on a wall
+  clock).
 * transports — ``inproc`` reuses the shared
   :class:`~repro.runtime.engine.ClockTransport` (delivery is a scaled
   wall-clock timer); :class:`TcpTransport` pushes every message over a
@@ -41,10 +45,12 @@ seeded fault runs are only reproducible under ``engine="sim"``.
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import itertools
 import select as _select
 import selectors
+import sys
 import threading
 from collections import deque
 from typing import Callable
@@ -70,6 +76,25 @@ _SETTLE_LIMIT = 100_000
 #: below this queue size compaction is pointless (as in ``sim.py``)
 _COMPACT_MIN = 64
 _NEVER = float("inf")
+#: ``prctl`` options (linux/prctl.h)
+_PR_SET_TIMERSLACK = 29
+_PR_GET_TIMERSLACK = 30
+
+
+@functools.cache
+def _resolve_prctl():
+    """libc's ``prctl`` on Linux, else None.  Resolved on first use:
+    importing ``ctypes`` costs milliseconds ``import repro`` must not pay."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+    except (ImportError, OSError, AttributeError):
+        return None
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    return prctl
 
 
 if hasattr(selectors, "EpollSelector"):
@@ -157,6 +182,7 @@ class RealtimeClock(Clock):
         self.time_scale = time_scale
         self.loop = asyncio.SelectorEventLoop(_Selector())
         self._time = self.loop.time
+        self._prctl = _resolve_prctl()
         self._t0 = self._time()
         self._floor = 0.0  # run_until(T) guarantees now >= T afterwards
         self._heap: list[tuple[float, int, _Timer]] = []
@@ -206,7 +232,9 @@ class RealtimeClock(Clock):
         # priority / label / footprint are sim-engine schedule metadata;
         # on a wall clock co-enabled ordering is the OS scheduler's call
         h = _Timer(self, time, callback)
-        if self._closed:
+        if self._closed or self.loop.is_closed():
+            # closed by close(), or its loop closed directly (at
+            # interpreter exit, a pending task's finally schedules)
             h.callback = None
             h.cancelled = True
             return h
@@ -342,10 +370,19 @@ class RealtimeClock(Clock):
         self._overrun = 0
         if not self._soon:
             self._wake_soon()  # the first pass arms for the deadline
+        # the kernel stretches this thread's timed waits by its timer
+        # slack (50 us by default) to batch wake-ups; the loop's waits
+        # are the modelled delays, so it is 1 ns while the loop runs
+        prctl = self._prctl
+        slack = prctl(_PR_GET_TIMERSLACK, 0, 0, 0, 0) if prctl is not None else -1
+        if slack > 1:
+            prctl(_PR_SET_TIMERSLACK, 1, 0, 0, 0)
         try:
             self.loop.run_forever()
         finally:
             self._stop_at = None
+            if slack > 1:
+                prctl(_PR_SET_TIMERSLACK, slack, 0, 0, 0)
         if self._overrun > _SETTLE_LIMIT:
             raise RuntimeError("realtime clock: zero-delay event cascade did not settle")
 

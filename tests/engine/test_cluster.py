@@ -719,6 +719,26 @@ class TestCrashSupervision:
         assert not eng.supervisor.report().recovered()
         eng.close()
 
+    def test_a_link_lost_after_its_loop_closed_schedules_no_restart(self):
+        # at interpreter exit a reader task's finally can run after its
+        # loop was closed without the engine's close(): the crash is
+        # recorded, and no restart is scheduled on the closed loop
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        sys_ = single_junction("skip", engine=eng)
+        sys_.start()
+        eng.run_until(1.0)
+        link = eng.transport.links["x"]
+        eng.clock.loop.close()
+        eng.transport._link_closed(link)  # the reader's finally
+        st = eng.supervisor.statuses["x"]
+        assert st.state is WorkerState.DOWN and st.crashes == 1
+        assert st.last_crash_reason == "connection lost"
+        assert st.backoff.attempt == 0
+        kinds = [e.kind for e in sys_.telemetry.events]
+        assert "worker_crash" in kinds and "worker_restart_scheduled" not in kinds
+        eng.close()
+        assert st.proc.poll() is not None  # _declare_crash reaped it
+
     def test_architecture_revival_wins_restart_race(self):
         # if the architecture restarts the instance before the worker
         # handshake completes, restart_instance raises and the

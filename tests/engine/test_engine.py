@@ -3,6 +3,9 @@ clock, host blocks on the wall-clock engines, and the TCP wire codec."""
 
 import gc
 import logging
+import os
+import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +18,7 @@ from repro.runtime import RealtimeEngine, SimEngine, create_engine, default_engi
 from repro.runtime.channels import Message
 from repro.runtime.engine import use_controller
 from repro.runtime.kvtable import Update
+import repro.runtime.realtime as realtime
 from repro.runtime.realtime import _BATCH, RealtimeClock
 from repro.runtime.wire import LEN_PREFIX, MAX_FRAME_LEN, decode_message, encode_message
 from repro.serde.framing import SavedData
@@ -118,6 +122,31 @@ class TestRealtimeClock:
             RealtimeClock(time_scale=0.0)
 
 
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="timer slack is a Linux prctl"
+)
+
+
+def _prctl(option: int, arg: int = 0) -> int:
+    import ctypes
+
+    return ctypes.CDLL(None).prctl(option, arg, 0, 0, 0)
+
+
+def _timer_slack() -> int:
+    """This thread's timer slack in ns, read with ``prctl`` directly."""
+    return _prctl(realtime._PR_GET_TIMERSLACK)
+
+
+@pytest.fixture
+def slack_40us():
+    """Run the test with a known, non-default timer slack of 40 us."""
+    before = _timer_slack()
+    _prctl(realtime._PR_SET_TIMERSLACK, 40_000)
+    yield 40_000
+    _prctl(realtime._PR_SET_TIMERSLACK, before)
+
+
 class TestTimerPrecision:
     """``time_scale=1.0`` promises wall latency close to the modelled
     one: a timer may fire late by the host's wake-up latency, never by
@@ -145,6 +174,77 @@ class TestTimerPrecision:
             assert hops[0] == 50
             best = min(best, finished[0])
         assert 0.005 <= best < 0.025
+
+    @linux_only
+    def test_loop_runs_with_a_one_nanosecond_timer_slack(self, slack_40us):
+        clock = RealtimeClock(time_scale=1.0)
+        seen = []
+        clock.call_after(1e-4, lambda: seen.append(_timer_slack()))
+        clock.run_until(clock.now + 0.001)
+        assert seen == [1]
+        assert _timer_slack() == slack_40us
+        clock.close()
+
+    @linux_only
+    def test_slack_is_restored_when_a_callback_raises(self, slack_40us):
+        clock = RealtimeClock(time_scale=1.0)
+        clock.call_after(1e-4, lambda: 1 / 0)  # logged by the loop
+        clock.run_until(clock.now + 0.001)
+        assert _timer_slack() == slack_40us
+
+        def abort():
+            raise SystemExit(3)
+
+        clock.call_after(1e-4, abort)  # the loop lets it unwind run_until
+        with pytest.raises(SystemExit):
+            clock.run_until(clock.now + 0.001)
+        assert _timer_slack() == slack_40us
+        clock.close()
+
+    @linux_only
+    def test_slack_is_restored_when_a_cascade_does_not_settle(self, slack_40us):
+        clock = RealtimeClock(time_scale=1.0)
+
+        def forever():
+            clock.post(forever)
+
+        clock.post(forever)
+        with pytest.raises(RuntimeError, match="did not settle"):
+            clock.run_until(clock.now)
+        assert _timer_slack() == slack_40us
+        clock.close()
+
+    def test_clock_runs_without_prctl(self, monkeypatch):
+        monkeypatch.setattr(realtime, "_resolve_prctl", lambda: None)
+        clock = RealtimeClock(time_scale=1.0)
+        fired = []
+        clock.call_after(1e-4, lambda: fired.append(1))
+        clock.run_until(clock.now + 0.001)
+        assert fired == [1]
+        clock.close()
+
+    @linux_only
+    def test_chained_short_timers_fire_within_tens_of_microseconds(self):
+        # with the kernel's default 50 us slack the median lag of a
+        # 100 us wait is ~60 us; lowered, it is the wake-up alone
+        def median_lag():
+            clock = RealtimeClock(time_scale=1.0)
+            lags = []
+
+            def hop(due):
+                lags.append(clock.now - due)
+                if len(lags) < 200:
+                    nxt = clock.now + 1e-4
+                    clock.call_at(nxt, lambda: hop(nxt))
+
+            due = clock.now + 1e-4
+            clock.call_at(due, lambda: hop(due))
+            clock.run_until(clock.now + 0.1)
+            clock.close()
+            assert len(lags) == 200
+            return statistics.median(lags)
+
+        assert min(median_lag() for _ in range(3)) < 35e-6
 
     def test_no_timer_fires_before_its_deadline(self):
         clock = RealtimeClock(time_scale=1.0)
@@ -232,6 +332,19 @@ class TestTimerPrecision:
         t.join()
         assert len(woke) == 2 and woke[1] - posted[0] < 0.1
         clock.close()
+
+
+class TestImportCost:
+    def test_import_repro_does_not_import_ctypes(self):
+        # the clock resolves prctl through ctypes on first construction;
+        # importing the package must not pay for ctypes
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.runtime.realtime; print('ctypes' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTimerQueue:
@@ -389,6 +502,18 @@ class TestShutdownOrder:
         assert fired == [] and eng.clock.pending_events() == 0
         h = eng.clock.call_after(0.0, lambda: late.append("after close"))
         assert h.cancelled and late == []
+
+    def test_scheduling_on_a_directly_closed_loop_is_a_cancelled_handle(self):
+        # the loop closed without RealtimeClock.close(), as at
+        # interpreter exit: a due, a future and a posted callback
+        clock = RealtimeClock(time_scale=1.0)
+        clock.loop.close()
+        clock.post(lambda: None)
+        handles = [clock.call_after(0.0, lambda: None),
+                   clock.call_after(1.0, lambda: None)]
+        assert all(h.cancelled for h in handles)
+        assert clock.pending_events() == 0
+        clock.close()  # idempotent on a closed loop
 
     def test_shutdown_with_a_queued_attempt_does_not_reach_the_pool(self, caplog):
         # the queued attempt would invoke a host block; close() discards
