@@ -2,7 +2,8 @@
 
 At :class:`~repro.runtime.system.System` build time each bound
 junction's guard and body are lowered to a specialized Python module
-(:mod:`.codegen`), executed with ``exec(compile(...))``, and attached to
+(:mod:`.codegen`), loaded through :mod:`repro.codeload` (one
+``compile()`` per distinct text in the process), and attached to
 the junction runtime as :class:`JunctionCode`.  The junction-body
 machine (:class:`~repro.runtime.interpreter.JunctionExecution`) runs the
 compiled generator when one is present; the tree-walker

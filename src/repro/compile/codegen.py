@@ -23,7 +23,10 @@ per-statement generator frames, and the formula-tree walks.
 
 The technique is the one proven in :mod:`repro.serde.codegen`:
 deterministic source text (equal junctions generate byte-identical
-source — hypothesis-tested), loaded with ``exec(compile(...))``.
+source — hypothesis-tested), loaded through :func:`repro.codeload.load`,
+which compiles each distinct text once.  The text does not name its
+junction, so the members of a family share one code object (each still
+gets its own functions and namespace).
 Runtime objects that cannot appear in source (resolved target
 junctions, formulas, argument expressions) travel in the constant tuple
 ``C``; AST *statements* never do.
@@ -35,6 +38,7 @@ which stays the reference semantics.
 
 from __future__ import annotations
 
+from ..codeload import load
 from ..core import ast as A
 from ..core.errors import CSawError, ReturnSignal, RetrySignal
 from ..core.formula import TRUE, UNKNOWN, Formula
@@ -385,12 +389,11 @@ class BodyCompiler:
         header = (
             '"""Auto-generated by repro.compile.codegen -- do not edit.\n'
             "\n"
-            f"Specialized strand body for junction {self.node!r}.\n"
+            "Specialized strand body of one bound junction.\n"
             '"""\n'
         )
         source = header + "\n\n\n".join(self.module_fns) + "\n"
-        ns = dict(_NAMESPACE)
-        exec(compile(source, f"<generated-junction:{self.node}>", "exec"), ns)
+        ns = load(source, "<generated-junction>", _NAMESPACE)
         return JunctionCode(
             node=self.node,
             source=source,

@@ -290,7 +290,6 @@ def _cutover(tr: _Transition, _names) -> None:
     tr.cut_ev = tr.emit("reconfig_cutover")
     system.program = new
     system._main_env = dict(tr.env)
-    system._compile_cache.clear()
     for tname in set(new.source.instance_types):  # added ones: made before ``bind``
         system.types[tname].junctions = {j.name: j for j in new.junctions_of_type(tname)}
     # template bookkeeping for instances no step touches (not running,

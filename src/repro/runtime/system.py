@@ -115,7 +115,6 @@ class System:
 
             compiled = compile_default()
         self._compiled = bool(compiled)
-        self._compile_cache: dict = {}
         #: node -> JunctionRuntime resolution cache; cleared whenever
         #: the instance/junction topology changes (reconfiguration)
         self._junction_cache: dict[str, JunctionRuntime] = {}
@@ -569,24 +568,16 @@ class System:
         ``compilation(False)`` and nothing else: under a schedule
         controller too, since every choice-point label and footprint is
         made by the machine's ops, which both front-ends call.
-        Restarting an instance with the same arguments reuses the cached
-        code — the generated module closes over no per-execution state.
+        Every bind re-emits the source; compiling it is paid once per
+        distinct text in the process (:mod:`repro.codeload`), so a
+        restart, a rebuild and a family member with equal parameters
+        reuse the code object.
         """
         if not self._compiled:
             return None
-        key = (jr.node, tuple(sorted(jr.ast_params.items())))
-        try:
-            return self._compile_cache[key]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable argument value: compile uncached
-            from ..compile import compile_junction_code
-
-            return compile_junction_code(self, jr)
         from ..compile import compile_junction_code
 
-        code = self._compile_cache[key] = compile_junction_code(self, jr)
-        return code
+        return compile_junction_code(self, jr)
 
     def _guard_holds(self, jr: JunctionRuntime) -> bool:
         # dirty-driven scheduling: a pure guard's verdict depends only

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct as _struct
 
+from ..codeload import load
 from ..core.errors import SerdeError
 from .ctypes_model import (
     Array,
@@ -302,7 +303,6 @@ def generate_module(registry: TypeRegistry, root: str) -> str:
 
 
 def load_generated(source: str) -> dict:
-    """Execute generated source; returns its namespace."""
-    ns: dict = {}
-    exec(compile(source, "<generated-serializer>", "exec"), ns)
-    return ns
+    """Execute generated source into a fresh namespace; returns it
+    (compiled once per distinct text, :func:`repro.codeload.load`)."""
+    return load(source, "<generated-serializer>")

@@ -21,6 +21,7 @@ path benchmarks use for clean timing runs.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from typing import Callable
 
@@ -82,6 +83,8 @@ class Telemetry:
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._hooks: list[Callable[[dict], None]] = []
         self._msg_events: dict[int, int] = {}
+        #: the bound ids, oldest first (the eviction order)
+        self._msg_order: deque[int] = deque()
 
     # -- time ---------------------------------------------------------------
 
@@ -134,9 +137,11 @@ class Telemetry:
         if not self.enabled or event is None or msg_id == 0:
             return
         self._msg_events[msg_id] = event
-        if len(self._msg_events) > _MSG_LINK_WINDOW:
-            # FIFO eviction: dict preserves insertion order
-            self._msg_events.pop(next(iter(self._msg_events)))
+        self._msg_order.append(msg_id)
+        if len(self._msg_order) > _MSG_LINK_WINDOW:
+            # FIFO eviction in O(1); the dict's own oldest key is found
+            # by scanning the holes earlier pops left at its front
+            self._msg_events.pop(self._msg_order.popleft(), None)
 
     def message_event(self, msg_id: int) -> int | None:
         return self._msg_events.get(msg_id)

@@ -613,6 +613,7 @@ class TestThreadPoolHost:
         times = []
 
         def h(ctx):
+            times.append(ctx.now)
             ctx.take(0.5)
 
         sys_ = single_junction(
@@ -621,8 +622,10 @@ class TestThreadPoolHost:
         sys_.bind_host("T", "H", h)
         sys_.bind_host("T", "After", lambda ctx: times.append(ctx.now))
         sys_.start()
-        sys_.run_until(5.0)
-        assert times and times[0] >= 0.5
+        # the horizon counts from now: the clock runs from its creation,
+        # so the build has already spent part of an absolute one
+        sys_.run_until(sys_.now + 5.0)
+        assert len(times) == 2 and times[1] - times[0] >= 0.5
         sys_.shutdown()
 
     def test_host_raise_mid_run_leaves_no_pending_work(self):

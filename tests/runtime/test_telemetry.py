@@ -19,6 +19,7 @@ from repro.telemetry import (
     to_chrome,
     to_jsonl,
 )
+from repro.telemetry.facade import _MSG_LINK_WINDOW
 
 from .helpers import make_system, pair
 
@@ -160,6 +161,19 @@ class TestFacade:
         tel.bind_message(42, ev)
         assert tel.message_event(42) == ev
         assert tel.message_event(43) is None
+
+    def test_message_window_keeps_the_newest_links_in_order(self):
+        tel = Telemetry(_Clock())
+        extra = 1000
+        n = _MSG_LINK_WINDOW + extra
+        for msg_id in range(1, n + 1):
+            tel.bind_message(msg_id, 10 * msg_id)
+        kept = list(tel._msg_events.items())
+        assert kept == [(i, 10 * i) for i in range(extra + 1, n + 1)]
+        assert tel.message_event(extra) is None
+        assert tel.message_event(1) is None
+        assert tel.message_event(extra + 1) == 10 * (extra + 1)
+        assert tel.message_event(n) == 10 * n
 
     def test_ring_buffer_bounds_retention(self):
         tel = Telemetry(_Clock(), capacity=8)
