@@ -350,6 +350,11 @@ def cmd_trace(args) -> int:
         if len(telemetries) == 1
         else [f"system{i}" for i in range(len(telemetries))]
     )
+    for lbl, tel in zip(labels, telemetries):
+        ring = tel.events
+        if ring.dropped:
+            print(f"{lbl}: the ring kept the last {len(ring)} of {ring.total} event(s) "
+                  f"(capacity {ring.capacity}); {ring.dropped} dropped", file=sys.stderr)
     if args.format == "chrome":
         out = chrome_json(
             [(lbl, tel.events) for lbl, tel in zip(labels, telemetries)]

@@ -11,23 +11,22 @@ runs once per distinct text and the code object is shared.  ``exec``
 still runs per load, into a fresh namespace, so every caller gets its
 own function objects and globals.
 
-The cache is process-wide by design (a build reuses what any earlier
-build compiled), keyed by the text itself, and bounded: past
-:data:`MAX_CODES` distinct texts the least recently loaded one is
-evicted.  A key that is the content needs no invalidation.
+The cache is a :class:`~repro.memo.TextMemo`: process-wide by design (a
+build reuses what any earlier build compiled), keyed by the text itself,
+and bounded: past :data:`MAX_CODES` distinct texts the least recently
+loaded one is evicted.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from types import CodeType
+
+from .memo import TextMemo
 
 #: distinct texts whose code objects are kept (least recently used out)
 MAX_CODES = 256
 
-_codes: OrderedDict[tuple[str, str], CodeType] = OrderedDict()
-_lock = threading.Lock()
+_codes: TextMemo[CodeType] = TextMemo(MAX_CODES)
 
 
 def load(source: str, filename: str, namespace: dict | None = None) -> dict:
@@ -35,17 +34,7 @@ def load(source: str, filename: str, namespace: dict | None = None) -> dict:
 
     ``filename`` names the generator in tracebacks; it is part of the
     key, so it must not vary per caller of one text."""
-    key = (filename, source)
-    with _lock:
-        code = _codes.get(key)
-        if code is not None:
-            _codes.move_to_end(key)
-    if code is None:
-        code = compile(source, filename, "exec")
-        with _lock:
-            _codes[key] = code
-            while len(_codes) > MAX_CODES:
-                _codes.popitem(last=False)
+    code = _codes.get((filename, source), lambda: compile(source, filename, "exec"))
     ns = dict(namespace) if namespace else {}
     exec(code, ns)
     return ns

@@ -1,11 +1,15 @@
 """Tokenizer for the C-Saw concrete syntax.
 
 The concrete syntax is an ASCII rendering of the paper's mathematical
-notation (see DESIGN.md).  Comments run from ``#`` to end of line.
+notation (see DESIGN.md).  Comments run from ``#`` to end of line and
+may hold any character; everywhere else a non-ASCII character is a
+:class:`ParseError` (``str.isalpha``/``isdigit`` would admit ``é`` or
+``²``).
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -84,6 +88,10 @@ _PUNCT = [
 # ``...`` must outrank nothing else; sort by length descending for safety.
 _PUNCT.sort(key=len, reverse=True)
 
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+
 
 @dataclass(frozen=True)
 class Token:
@@ -132,9 +140,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             word = text[i:j]
             kind = "keyword" if word in KEYWORDS else "ident"
@@ -142,13 +150,13 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             word = text[i:j]
             tokens.append(Token("number", word, line, col, num=float(word)))

@@ -6,14 +6,13 @@ share one code object.  Execution stays per junction — each load runs
 into a fresh namespace — so nothing else is shared.
 """
 
-from collections import OrderedDict
-
 import pytest
 
 from repro import codeload
 from repro.arch.sharding import ParallelShardedRedis, ShardedRedis
 from repro.core import compile_program
 from repro.core.errors import HostError
+from repro.memo import TextMemo
 from repro.runtime import System
 from repro.serde import Primitive, TypeRegistry, generate_module, load_generated
 
@@ -91,7 +90,7 @@ class TestFamilySharing:
 
 class TestLoader:
     def test_the_bound_holds(self, monkeypatch, compiles):
-        monkeypatch.setattr(codeload, "_codes", OrderedDict())
+        monkeypatch.setattr(codeload, "_codes", TextMemo(codeload.MAX_CODES))
         n = codeload.MAX_CODES + 10
         for i in range(n):
             assert codeload.load(f"x = {i}\n", "<test>")["x"] == i
@@ -103,7 +102,7 @@ class TestLoader:
         assert compiles == ["<test>"] * (n + 1)
 
     def test_a_hit_refreshes_the_text(self, monkeypatch, compiles):
-        monkeypatch.setattr(codeload, "_codes", OrderedDict())
+        monkeypatch.setattr(codeload, "_codes", TextMemo(codeload.MAX_CODES))
         codeload.load("x = 0\n", "<test>")
         for i in range(1, codeload.MAX_CODES):
             codeload.load(f"x = {i}\n", "<test>")

@@ -71,6 +71,43 @@ class TestFmt:
         assert main(["fmt", good_file, "--write"]) == 0
         assert main(["check", good_file]) == 0
 
+    def test_a_non_ascii_digit_is_an_error_line_not_a_traceback(self, tmp_path, capsys):
+        f = tmp_path / "sup.csaw"
+        f.write_text(GOOD.replace("assert[] P", "assert[\u00b2] P"))
+        assert main(["fmt", str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unexpected character '\u00b2' (line 7, column 10)" in err
+
+
+class TestTrace:
+    SCRIPT = f"""
+from repro.core import compile_program
+from repro.runtime import System
+from repro.telemetry import Telemetry
+
+system = System(compile_program({GOOD!r}), latency=0.01,
+                telemetry=Telemetry(capacity=CAPACITY))
+system.start()
+system.run_until(2.0)
+"""
+
+    def _trace(self, tmp_path, capsys, capacity):
+        f = tmp_path / "tiny.py"
+        f.write_text(self.SCRIPT.replace("CAPACITY", str(capacity)))
+        assert main(["trace", str(f)]) == 0
+        return capsys.readouterr()
+
+    def test_ring_overflow_is_reported_per_system(self, tmp_path, capsys):
+        full = self._trace(tmp_path, capsys, 65536)
+        total = len(full.out.splitlines())
+        assert "dropped" not in full.err and total > 4
+        cut = self._trace(tmp_path, capsys, 4)
+        assert (f"system: the ring kept the last 4 of {total} event(s) (capacity 4); "
+                f"{total - 4} dropped") in cut.err
+        # stdout carries exactly the retained events, as before
+        assert cut.out.splitlines() == full.out.splitlines()[-4:]
+
 
 class TestTopo:
     def test_edges_listed(self, tmp_path, capsys):

@@ -81,6 +81,24 @@ class TestPositions:
         assert e.value.line == 2
         assert e.value.column == 3
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("x = \u00b2", 5),  # superscript two: str.isdigit, float() refuses it
+            ("x = \u0661", 5),  # Arabic-Indic one: str.isdigit and float() == 1
+            ("\u00e9 = 1", 1),  # e-acute: str.isalpha
+            ("ab\u00e9", 3),  # ...also inside an identifier
+            ("12\u00b2", 3),  # ...and inside a number
+        ],
+    )
+    def test_non_ascii_outside_a_comment_is_a_parse_error(self, text, column):
+        with pytest.raises(ParseError) as e:
+            tokenize("ok\n" + text)
+        assert (e.value.line, e.value.column) == (2, column)
+
+    def test_non_ascii_in_a_comment_is_accepted(self):
+        assert kinds("a # caf\u00e9 \u00b2 \u2192\nb") == [("ident", "a"), ("ident", "b")]
+
 
 class TestTokenHelpers:
     def test_is_punct(self):
