@@ -324,6 +324,13 @@ def _scenario(args, **kw):
     )
 
 
+def _report_ring_overflow(label: str, ring) -> None:
+    """Say on stderr that a telemetry ring dropped its oldest events."""
+    if ring.dropped:
+        print(f"{label}: the ring kept the last {len(ring)} of {ring.total} event(s) "
+              f"(capacity {ring.capacity}); {ring.dropped} dropped", file=sys.stderr)
+
+
 def cmd_trace(args) -> int:
     from .runtime.engine import default_engine
     from .telemetry.facade import capture_systems
@@ -351,10 +358,7 @@ def cmd_trace(args) -> int:
         else [f"system{i}" for i in range(len(telemetries))]
     )
     for lbl, tel in zip(labels, telemetries):
-        ring = tel.events
-        if ring.dropped:
-            print(f"{lbl}: the ring kept the last {len(ring)} of {ring.total} event(s) "
-                  f"(capacity {ring.capacity}); {ring.dropped} dropped", file=sys.stderr)
+        _report_ring_overflow(lbl, tel.events)
     if args.format == "chrome":
         out = chrome_json(
             [(lbl, tel.events) for lbl, tel in zip(labels, telemetries)]
@@ -625,9 +629,9 @@ def _explore_replay(args, scenario, invariants) -> int:
         return 1
     if args.trace_out:
         label = f"schedule:{sched.schedule_id}"
-        Path(args.trace_out).write_text(
-            to_jsonl(res.system.telemetry.events, system=label)
-        )
+        ring = res.system.telemetry.events
+        _report_ring_overflow(label, ring)
+        Path(args.trace_out).write_text(to_jsonl(ring, system=label))
         print(f"wrote telemetry to {args.trace_out} ({label})", file=sys.stderr)
     if res.violations:
         for inv, msg in res.violations:

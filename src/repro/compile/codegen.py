@@ -31,12 +31,20 @@ Runtime objects that cannot appear in source (resolved target
 junctions, formulas, argument expressions) travel in the constant tuple
 ``C``; AST *statements* never do.
 
+A junction's closure (:class:`~repro.runtime.instance.Closure`) is
+emitted once: its :class:`Emission` keeps the text, the guard's name and
+a recipe for ``C``, so a later bind of the closure — a rebuild, a
+restart, a reshard's rebind — re-resolves only the static targets
+against its own ``System`` and loads the remembered text.
+
 Anything the lowering does not cover — unexpanded templates, unknown
 terminators — makes the *whole junction* fall back to the tree-walker,
 which stays the reference semantics.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..codeload import load
 from ..core import ast as A
@@ -58,6 +66,29 @@ _NAMESPACE = {
     "ReturnSignal": ReturnSignal,
     "RetrySignal": RetrySignal,
 }
+
+
+#: the name generated modules carry in tracebacks (one for every text)
+_FILENAME = "<generated-junction>"
+
+
+class Emission(NamedTuple):
+    """What compiling one closure produced, short of its ``System``.
+
+    ``source`` is None when the junction falls back to the tree-walker.
+    ``recipe`` rebuilds ``C`` entry by entry as ``(obj, static)``:
+    ``static=None`` is ``obj`` itself; ``True`` is the junction the
+    target ``obj`` resolved to at bind time, resolved again per bind;
+    ``False`` is a target that did not resolve statically and is passed
+    as is to ``ex.resolve``."""
+
+    source: str | None
+    guard_name: str | None
+    recipe: tuple
+
+
+#: the tree-walker fallback verdict
+FALLBACK = Emission(None, None, ())
 
 
 class JunctionCode:
@@ -85,6 +116,7 @@ class BodyCompiler:
         self.jr = jr
         self.node = jr.node
         self.consts: list[object] = []
+        self.recipe: list[tuple[object, bool | None]] = []
         self.module_fns: list[str] = []
         self._tmp_n = 0
         self._fn_n = 0
@@ -96,8 +128,11 @@ class BodyCompiler:
         self._tmp_n += 1
         return f"_x{self._tmp_n}"
 
-    def _const(self, obj) -> str:
+    def _const(self, obj, recipe: tuple | None = None) -> str:
+        """``obj`` as an entry of ``C``; ``recipe`` is its
+        :class:`Emission` entry when that is not ``(obj, None)``."""
         self.consts.append(obj)
+        self.recipe.append((obj, None) if recipe is None else recipe)
         return f"C[{len(self.consts) - 1}]"
 
     def _pred(self, f: Formula) -> str | None:
@@ -156,9 +191,10 @@ class BodyCompiler:
         runtime-stable (``System.resolve_target(static=True)``), else
         ``ex.resolve`` per execution."""
         try:
-            return self._const(self.system.resolve_target(target, self.jr, static=True))
+            resolved = self.system.resolve_target(target, self.jr, static=True)
         except CSawError:
-            return f"ex.resolve({self._const(target)})"
+            return f"ex.resolve({self._const(target, (target, False))})"
+        return self._const(resolved, (target, True))
 
     # -- statement lowering -------------------------------------------------
 
@@ -377,7 +413,7 @@ class BodyCompiler:
         self.module_fns.append("\n".join(lines))
         self._yields = saved
 
-    def compile(self) -> JunctionCode:
+    def compile(self) -> tuple[JunctionCode, Emission]:
         guard = self.jr.guard if self.jr.guard is not None else TRUE
         guard_name = None
         if is_pure(guard, self.jr.idx_names):
@@ -393,22 +429,63 @@ class BodyCompiler:
             '"""\n'
         )
         source = header + "\n\n\n".join(self.module_fns) + "\n"
-        ns = load(source, "<generated-junction>", _NAMESPACE)
-        return JunctionCode(
-            node=self.node,
-            source=source,
-            body_fn=ns["_body"],
-            guard_fn=ns[guard_name] if guard_name is not None else None,
-            consts=tuple(self.consts),
-        )
+        emitted = Emission(source, guard_name, tuple(self.recipe))
+        return _load(self.node, emitted, tuple(self.consts)), emitted
+
+
+def _load(node: str, emitted: Emission, consts: tuple) -> JunctionCode:
+    ns = load(emitted.source, _FILENAME, _NAMESPACE)
+    guard_name = emitted.guard_name
+    return JunctionCode(
+        node=node,
+        source=emitted.source,
+        body_fn=ns["_body"],
+        guard_fn=ns[guard_name] if guard_name is not None else None,
+        consts=consts,
+    )
+
+
+def _consts(system, jr, recipe: tuple) -> tuple | None:
+    """``C`` for ``jr`` from an earlier emission's recipe, or None when a
+    target no longer resolves as it did (the text would differ)."""
+    consts = []
+    for obj, static in recipe:
+        if static is not None:
+            try:
+                resolved = system.resolve_target(obj, jr, static=True)
+            except CSawError:
+                if static:
+                    return None
+            else:
+                if not static:
+                    return None
+                obj = resolved
+        consts.append(obj)
+    return tuple(consts)
 
 
 def compile_junction_code(system, jr) -> JunctionCode | None:
     """Compile one bound junction; ``None`` when any construct is
-    outside the lowering (the tree-walker remains the reference path)."""
+    outside the lowering (the tree-walker remains the reference path).
+
+    The verdict is kept on the junction's closure (``jr.closure``): a
+    later bind of the closure rebuilds ``C`` from the recipe and loads
+    the remembered text, and emits afresh only if a target resolves
+    differently in its ``System``."""
     if jr.body is None:
         return None
+    closure = jr.closure
+    emitted = closure.emitted if closure is not None else None
+    if emitted is not None:
+        if emitted.source is None:
+            return None
+        consts = _consts(system, jr, emitted.recipe)
+        if consts is not None:
+            return _load(jr.node, emitted, consts)
     try:
-        return BodyCompiler(system, jr).compile()
+        code, emitted = BodyCompiler(system, jr).compile()
     except Unsupported:
-        return None
+        code, emitted = None, FALLBACK
+    if closure is not None:
+        closure.emitted = emitted
+    return code

@@ -5,6 +5,11 @@ junction keeps its (inlined, ``if``-desugared) body template plus its
 declarations; final specialization — substituting the parameter values
 supplied by ``start`` and unrolling ``for`` templates — happens when an
 instance starts (:func:`repro.core.expand.specialize`).
+
+A program compiled from text is compiled once per distinct (text,
+config) in the process and shared: it is frozen, and each junction's
+closures (:attr:`CompiledJunction.closures`) live exactly as long as it
+does.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from ..memo import TextMemo
 from . import ast as A
 from .errors import CompileError
 from .expand import inline_functions, subst_decl, subst_expr, to_ast_value
@@ -28,6 +34,9 @@ class CompiledJunction:
     params: tuple[str, ...]
     decls: tuple[A.Decl, ...]
     body: A.Expr
+    #: the template closed per (environment items, instance, junction),
+    #: filled by :meth:`repro.runtime.system.System._bind_junction`
+    closures: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def qualified(self) -> str:
@@ -70,6 +79,12 @@ class CompiledProgram:
         return {k: to_ast_value(v) for k, v in self.config.items()}
 
 
+#: distinct (text, config) pairs whose compiled programs are kept
+MAX_PROGRAMS = 64
+
+_programs: TextMemo[CompiledProgram] = TextMemo(MAX_PROGRAMS)
+
+
 def compile_program(
     source: str | A.Program,
     config: Mapping[str, object] | None = None,
@@ -82,7 +97,27 @@ def compile_program(
     contents for ``set`` declarations that lack literals, and values
     referenced by ``main``'s parameters when the runtime starts the
     program.
+
+    Text is compiled once per distinct (text, config) in the process
+    and every caller shares the frozen result; a config with an
+    unhashable value (a list) is compiled afresh on every call.
     """
+    if isinstance(source, str):
+        # the value's type is part of the key: 4 and 4.0 are equal but
+        # do not compile alike
+        key = (source, tuple((k, type(v), v) for k, v in (config or {}).items()))
+        try:
+            hash(key)
+        except TypeError:
+            pass
+        else:
+            return _programs.get(key, lambda: _compile(source, config))
+    return _compile(source, config)
+
+
+def _compile(
+    source: str | A.Program, config: Mapping[str, object] | None
+) -> CompiledProgram:
     program = parse_program(source) if isinstance(source, str) else source
     config = dict(config or {})
     program = replace(program, families=tuple(

@@ -66,6 +66,23 @@ class InstanceTypeRuntime:
         return deco
 
 
+class Closure:
+    """One junction template closed for one instance under one
+    environment: specialised and validated once, then shared by every
+    bind of that key while its program lives
+    (:meth:`~repro.runtime.system.System._bind_junction`)."""
+
+    __slots__ = ("body", "decls", "guard", "emitted")
+
+    def __init__(self, body: A.Expr, decls: tuple[A.Decl, ...], guard):
+        self.body = body
+        self.decls = decls
+        self.guard = guard
+        #: what the junction compiler emitted for this closure
+        #: (``repro.compile.codegen.Emission``); None until first compiled
+        self.emitted = None
+
+
 class JunctionRuntime:
     """A junction of a started instance."""
 
@@ -80,6 +97,9 @@ class JunctionRuntime:
         self.guard = None  # Formula | None, set at bind time
         self.body: A.Expr | None = None  # specialized body
         self.decls: tuple[A.Decl, ...] = ()
+        #: the closure body and decls were bound from (None when bound
+        #: by hand, as ``main`` is)
+        self.closure: Closure | None = None
         self.status = "idle"  # 'idle' | 'running'
         self.sched_count = 0
         #: reconfiguration quiesce flag: a paused junction buffers

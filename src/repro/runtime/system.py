@@ -57,9 +57,28 @@ from .engine import (
     _default_engine_spec,
     controller_pending,
 )
-from .instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
+from .instance import Closure, InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
 from .interpreter import JunctionExecution
 from .kvtable import UNDEF, Update
+
+
+def _close(cj, env: Mapping[str, object], instance: str, junction: str) -> Closure:
+    """Template ``cj`` closed under ``env`` for ``instance::junction``.
+
+    Specialised and validated on the first bind of the key, then kept
+    in ``cj.closures`` for as long as the program lives, so a rebuild,
+    a restart and a rebind reuse it.  The key is the environment's
+    items, not the template: hashing a frozen AST walks all of it.  A
+    closure that fails validation raises on every bind and is not
+    kept.  Every environment value is an AST value
+    (:func:`~repro.core.expand.to_ast_value`), so the key hashes."""
+    key = (tuple(env.items()), instance, junction)
+    closure = cj.closures.get(key)
+    if closure is None:
+        closed = specialize(cj.body, cj.decls, env, (instance, junction))
+        validate_closed_junction(cj.qualified, closed.decls, closed.body, cj.params)
+        closure = cj.closures[key] = Closure(closed.body, closed.decls, closed.guard)
+    return closure
 
 
 class System:
@@ -394,14 +413,13 @@ class System:
         it into the network.  Used both at instance start and when the
         reconfiguration executor rebinds a live junction to a new
         template (the table is re-initialized; the caller restores any
-        carried-over state afterwards)."""
+        carried-over state afterwards).  A template is closed once per
+        environment and instance while its program lives (:func:`_close`)."""
         cj = jr.compiled
         env = junction_env(config_env, cj, args, inst.name)
-        closed = specialize(cj.body, cj.decls, env, (inst.name, jr.name))
-        validate_closed_junction(cj.qualified, closed.decls, closed.body, cj.params)
-        jr.body, jr.decls = closed
-        guard = closed.guard
-        jr.guard = TRUE if guard is None else guard
+        closure = jr.closure = _close(cj, env, inst.name, jr.name)
+        jr.body, jr.decls = closure.body, closure.decls
+        jr.guard = TRUE if closure.guard is None else closure.guard
         jr.ast_params = dict(zip(cj.params, args))
         jr.params = {p: _to_runtime_value(v) for p, v in jr.ast_params.items()}
         jr.init_state()
@@ -568,10 +586,10 @@ class System:
         ``compilation(False)`` and nothing else: under a schedule
         controller too, since every choice-point label and footprint is
         made by the machine's ops, which both front-ends call.
-        Every bind re-emits the source; compiling it is paid once per
-        distinct text in the process (:mod:`repro.codeload`), so a
-        restart, a rebuild and a family member with equal parameters
-        reuse the code object.
+        A closure emits its source once (``compile_junction_code``);
+        compiling the text is paid once per distinct text in the process
+        (:mod:`repro.codeload`), so a restart, a rebuild and a family
+        member with equal parameters reuse the code object.
         """
         if not self._compiled:
             return None

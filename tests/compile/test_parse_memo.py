@@ -15,7 +15,7 @@ import pytest
 from repro import codeload
 from repro.arch.catalog import CATALOG
 from repro.arch.loader import load_program, load_source
-from repro.core import compile_program, parser
+from repro.core import compile_program, compiler, parser
 from repro.core.errors import ParseError
 from repro.core.parser import Parser, parse_program
 from repro.explore.scenarios import arch_scenario
@@ -82,6 +82,13 @@ class TestTextMemo:
                 bad()
             assert len(memo) == 1
 
+    def test_a_derived_none_is_remembered(self, user):
+        memo, _, _, _ = user
+        runs = []
+        for _ in range(2):
+            assert memo.get("none", lambda: runs.append(1)) is None
+        assert runs == [1]
+        assert len(memo) == 1
 
     def test_threads_sharing_one_memo_lose_nothing(self):
         memo = TextMemo(8)
@@ -162,6 +169,8 @@ class TestParseMemo:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_a_shared_parse_leaves_the_telemetry_unchanged(self, name, monkeypatch):
         monkeypatch.setattr(parser, "_programs", TextMemo(parser.MAX_PROGRAMS))
+        # a compiled program would spare the cold run its parse
+        monkeypatch.setattr(compiler, "_programs", TextMemo(compiler.MAX_PROGRAMS))
         runs = _parses(monkeypatch)
         cold = arch_scenario(name).run().telemetry.export("jsonl")  # parses its text
         n = len(runs)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.loader import dsl_path
 from repro.cli import main
+from repro.explore import Schedule
 
 GOOD = """
 instance_types { T }
@@ -107,6 +108,48 @@ system.run_until(2.0)
                 f"{total - 4} dropped") in cut.err
         # stdout carries exactly the retained events, as before
         assert cut.out.splitlines() == full.out.splitlines()[-4:]
+
+
+class TestExploreReplayTrace:
+    SCRIPT = f"""
+from repro.core import compile_program
+from repro.explore import Scenario
+from repro.runtime import System
+from repro.telemetry import Telemetry
+
+
+class Tiny(Scenario):
+    def run(self):
+        self.system = System(compile_program({GOOD!r}), latency=0.01,
+                             telemetry=Telemetry(capacity=CAPACITY))
+        self.system.start()
+        self.system.run_until(self.horizon)
+        return self.system
+
+
+def build_scenario():
+    return Tiny("tiny", horizon=2.0)
+"""
+
+    def _replay(self, tmp_path, capsys, capacity):
+        script = tmp_path / "tiny.py"
+        script.write_text(self.SCRIPT.replace("CAPACITY", str(capacity)))
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(Schedule(scenario="tiny").dumps())  # the default choices
+        out = tmp_path / f"trace{capacity}.jsonl"
+        assert main(["explore", str(script), "--replay", str(schedule),
+                     "--trace-out", str(out)]) == 0
+        return capsys.readouterr(), out.read_text().splitlines()
+
+    def test_ring_overflow_is_reported(self, tmp_path, capsys):
+        full, events = self._replay(tmp_path, capsys, 65536)
+        total = len(events)
+        assert "dropped" not in full.err and total > 4
+        cut, kept = self._replay(tmp_path, capsys, 4)
+        label = f"schedule:{Schedule().schedule_id}"
+        assert (f"{label}: the ring kept the last 4 of {total} event(s) (capacity 4); "
+                f"{total - 4} dropped") in cut.err
+        assert kept == events[-4:]
 
 
 class TestTopo:
