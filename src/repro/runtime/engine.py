@@ -53,7 +53,7 @@ import dataclasses
 import inspect
 from typing import TYPE_CHECKING, Callable
 
-from .sim import EventHandle, ScheduleController, Simulator, use_controller
+from .sim import Event, ScheduleController, Simulator, use_controller
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channels import Message, Network
@@ -95,11 +95,11 @@ class Clock:
     controller: ScheduleController | None = None
 
     def call_at(self, time: float, callback: Callable[[], None], priority: int = 0,
-                *, label: str | None = None, footprint: object = None) -> EventHandle:
+                *, label: str | None = None, footprint: object = None) -> Event:
         raise NotImplementedError
 
     def call_after(self, delay: float, callback: Callable[[], None], priority: int = 0,
-                   *, label: str | None = None, footprint: object = None) -> EventHandle:
+                   *, label: str | None = None, footprint: object = None) -> Event:
         raise NotImplementedError
 
     def post(self, callback: Callable[[], None],

@@ -7,8 +7,9 @@ wall clock of a private asyncio event loop:
 * :class:`RealtimeClock` — ``wall = t0 + logical * time_scale``.  A
   ``time_scale`` below 1.0 compresses time (``0.05`` runs a 20-logical-
   second workload in about one wall second), which is how the parity
-  suite keeps realtime runs cheap.  The clock keeps its own timer
-  queue and shows the loop one wake-up, on a wait with microsecond
+  suite keeps realtime runs cheap.  The clock drains the simulator's
+  event queue (:class:`~repro.runtime.sim.EventQueue`), priority and
+  all, and shows the loop one wake-up, on a wait with microsecond
   resolution, so at ``time_scale=1.0`` a modelled 100 us link hop costs
   about that on the wall and not epoll's millisecond.  While the loop
   runs, the driving thread's Linux timer slack is 1 ns instead of the
@@ -34,8 +35,10 @@ strands, deliveries, and a client's completion callback with the next
 request it submits — therefore runs on the thread that drives
 ``run_until``.
 
-Determinism: the realtime engine makes **no** ordering guarantees
-between timers that race within the scheduling jitter of the host OS.
+Determinism: events due at the same logical instant fire in the
+simulator's ``(priority, seq)`` order, but the realtime engine makes
+**no** ordering guarantees between timers that race within the
+scheduling jitter of the host OS.
 Fault policy (loss, partitions, duplication) still lives in
 :class:`~repro.runtime.channels.Network` and therefore still applies —
 but the *sequence* of RNG draws can differ from the sim engine, so
@@ -46,17 +49,16 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import heapq
-import itertools
 import select as _select
 import selectors
 import sys
-import threading
 from collections import deque
+from threading import get_ident
 from typing import Callable
 
 from ..core.errors import SerdeError
 from .engine import Clock, ClockTransport, ExecutionEngine, Transport
+from .sim import Event, EventQueue
 from .wire import encode_message, frame, read_frame
 
 __all__ = [
@@ -73,8 +75,6 @@ _BATCH = 512
 #: events ``run_until`` lets a cascade fire past its deadline before it
 #: gives the cascade up as a livelock
 _SETTLE_LIMIT = 100_000
-#: below this queue size compaction is pointless (as in ``sim.py``)
-_COMPACT_MIN = 64
 _NEVER = float("inf")
 #: ``prctl`` options (linux/prctl.h)
 _PR_SET_TIMERSLACK = 29
@@ -134,65 +134,36 @@ else:  # kqueue waits in nanoseconds; poll/select keep their own rounding
     _Selector = selectors.DefaultSelector
 
 
-class _Timer:
-    """Timer handle with the :class:`~repro.runtime.sim.EventHandle`
-    surface (``cancel`` / ``cancelled`` / ``time``).  ``callback`` is
-    dropped when the timer fires or is cancelled, so whatever the
-    closure pins is released then and not when the entry surfaces."""
-
-    __slots__ = ("_clock", "time", "callback", "cancelled")
-
-    def __init__(self, clock: "RealtimeClock", time: float, callback: Callable[[], None]):
-        self._clock = clock
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if self.callback is None:  # fired, or cancelled before
-            return
-        self.callback = None
-        self.cancelled = True
-        self._clock._note_cancelled()
-
-
-class RealtimeClock(Clock):
+class RealtimeClock(EventQueue, Clock):
     """Logical time riding on a private asyncio loop's wall clock.
 
-    The clock owns its timers.  A timer due in the future is a
-    ``(wall_due, seq, handle)`` entry in one heap; work that is already
-    due when it is scheduled (``post``, ``call_after(0)``, a past
-    deadline) goes to a FIFO lane stamped with the scheduling instant —
-    the lane is sorted by construction, so merging its head with the
-    heap's keeps one ``(wall_due, seq)`` order.  The asyncio loop sees a
-    *single* wake-up: :meth:`_on_wake` fires everything that is due in
-    one pass and re-arms itself for the earliest live entry.  Entries
-    are plain tuples so that every queue operation is one C call: an
-    embedding application's thread may schedule while the loop thread
-    drains.
-    Cancellation is lazy, as in :class:`~repro.runtime.sim.Simulator`:
-    a cancelled entry stays queued until it surfaces or until dead
-    entries outnumber live ones and the heap is compacted.  ``cancel``
-    and the run loop are for the runtime thread only.
+    The clock drains :class:`~repro.runtime.sim.EventQueue` against the
+    wall.  A deadline that has passed when it is scheduled is stamped
+    with the current logical instant, so it fires after everything that
+    was due before it.  The asyncio loop sees a *single* wake-up:
+    :meth:`_on_wake` fires what is due and re-arms at the wall instant
+    of the earliest live event.  The queue belongs to the thread that
+    runs the loop (until it first does, the thread that built the
+    clock), which alone may ``cancel``; other threads' schedules wait
+    in an inbox that the next pass merges.
     """
 
     def __init__(self, *, time_scale: float = 1.0):
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
+        super().__init__()
         self.time_scale = time_scale
         self.loop = asyncio.SelectorEventLoop(_Selector())
         self._time = self.loop.time
         self._prctl = _resolve_prctl()
         self._t0 = self._time()
         self._floor = 0.0  # run_until(T) guarantees now >= T afterwards
-        self._heap: list[tuple[float, int, _Timer]] = []
-        self._due: deque[tuple[float, int, _Timer]] = deque()
-        self._seq = itertools.count()
-        self._dead = 0  # cancelled entries still in the heap or the lane
-        #: a push, a pop and a lane append are single C calls and need
-        #: no lock; rebuilding the heap is not, so a push from another
-        #: thread waits for it
-        self._compacting = threading.Lock()
+        #: the thread that queues directly; others append to the inbox
+        self._owner = get_ident()
+        self._inbox: deque[Event] = deque()
+        #: the logical instant the running pass fires up to (None: no
+        #: pass runs)
+        self._instant: float | None = None
         #: an immediate wake-up is queued on the loop, or one is running
         self._soon = False
         #: the armed timed wake-up and its wall instant
@@ -229,60 +200,47 @@ class RealtimeClock(Clock):
     # -- timers -------------------------------------------------------------
 
     def call_at(self, time, callback, priority=0, *, label=None, footprint=None):
-        # priority / label / footprint are sim-engine schedule metadata;
-        # on a wall clock co-enabled ordering is the OS scheduler's call
-        h = _Timer(self, time, callback)
+        # label / footprint are sim-engine schedule metadata: there is
+        # no controlled scheduling on a wall clock
+        ev = Event(self, time, priority, 0, callback, None, None, True)
         if self._closed or self.loop.is_closed():
             # closed by close(), or its loop closed directly (at
             # interpreter exit, a pending task's finally schedules)
-            h.callback = None
-            h.cancelled = True
-            return h
-        wall = self._t0 + time * self.time_scale
-        now = self._time()
-        if wall <= now:
-            # already due: fires on the next pass, after everything
-            # that was due before this instant
-            self._due.append((now, next(self._seq), h))
+            ev.callback = None
+            ev.cancelled = True
+        elif get_ident() == self._owner:
+            self._enqueue(ev)
+        else:
+            self._inbox.append(ev)
             if not self._soon:
                 self._wake_soon()
-        else:
-            entry = (wall, next(self._seq), h)
-            earlier = wall < self._wake_at and not self._soon
-            if asyncio._get_running_loop() is self.loop:
-                heapq.heappush(self._heap, entry)
-                if earlier:
-                    self._arm(wall)
-            else:
-                with self._compacting:  # may be another thread
-                    heapq.heappush(self._heap, entry)
-                if earlier:
-                    self._wake_soon()  # the loop thread arms after its pass
-        return h
+        return ev
 
     def call_after(self, delay, callback, priority=0, *, label=None, footprint=None):
-        return self.call_at(self.now + max(delay, 0.0), callback, priority,
-                            label=label, footprint=footprint)
+        return self.call_at(self.now + max(delay, 0.0), callback, priority)
+
+    def _enqueue(self, ev: Event) -> None:
+        """Queue ``ev`` (owning thread only).  A deadline that has passed
+        is stamped with the current logical instant: the instant of the
+        pass in progress, which fires it as the simulator would, or else
+        the wall clock's."""
+        ev.seq = next(self._seq)
+        wall = self._t0 + ev.time * self.time_scale
+        if wall > self._time():
+            self._push(ev)
+            if wall < self._wake_at and not self._soon:
+                self._arm(wall)
+            return
+        ev.time = self.now if self._instant is None else self._instant
+        if ev.priority == 0:
+            self._lane.append(ev)
+        else:
+            self._push(ev)
+        if not self._soon:
+            self._wake_soon()
 
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled queued timers (O(1))."""
-        return len(self._heap) + len(self._due) - self._dead
-
-    def queue_size(self) -> int:
-        """Raw queue size including not-yet-reclaimed cancelled entries
-        (observability for the compaction behaviour)."""
-        return len(self._heap) + len(self._due)
-
-    def _note_cancelled(self) -> None:
-        self._dead += 1
-        heap = self._heap
-        if self._dead * 2 > len(heap) and len(heap) > _COMPACT_MIN:
-            # in place: the drain loop holds an alias
-            with self._compacting:
-                before = len(heap)
-                heap[:] = [e for e in heap if e[2].callback is not None]
-                heapq.heapify(heap)
-            self._dead -= before - len(heap)
+        return super().pending_events() + len(self._inbox)
 
     # -- the single wake-up -------------------------------------------------
 
@@ -295,7 +253,7 @@ class RealtimeClock(Clock):
             self.loop.call_soon_threadsafe(self._on_wake)
 
     def _arm(self, wall: float) -> None:
-        """Move the timed wake-up to ``wall`` (loop thread only)."""
+        """Move the timed wake-up to ``wall``."""
         if self._wake is not None:
             self._wake.cancel()
         self._wake_at = wall
@@ -309,41 +267,46 @@ class RealtimeClock(Clock):
             self._on_wake()
 
     def _on_wake(self) -> None:
-        """Fire what is due — at most ``_BATCH`` callbacks, so a long
-        cascade yields to socket readiness and other threads' posts —
-        then stop the loop for ``run_until`` or re-arm for the earliest
-        live entry."""
+        """Merge the inbox and fire what is due — at most ``_BATCH``
+        callbacks, so a long cascade yields to socket readiness and
+        other threads' schedules — then stop the loop for ``run_until``
+        or re-arm for the earliest live event."""
         if self._closed:
             return
-        heap, due, time = self._heap, self._due, self._time
-        pop = heapq.heappop
-        now = time()
+        inbox = self._inbox
+        while inbox:
+            ev = inbox.popleft()
+            if ev.callback is None:  # cancelled before it got in
+                self._lane_dead -= 1
+            else:
+                self._enqueue(ev)
         fired = 0
+        settled = False
         try:
             while fired < _BATCH:
-                if due and not (heap and heap[0] < due[0]):
-                    h = due.popleft()[2]
-                elif heap and heap[0][0] <= now:
-                    h = pop(heap)[2]
-                elif heap and heap[0][0] <= (now := time()):
-                    continue  # the callbacks took time: it is due by now
-                else:
-                    break
-                callback = h.callback
-                if callback is None:
-                    self._dead -= 1
-                    continue
-                h.callback = None
-                fired += 1
-                callback()
+                self._instant = self.now
+                for ev in self._drain(self._instant):
+                    callback = ev.callback
+                    ev.callback = None
+                    fired += 1
+                    callback()
+                    if fired == _BATCH:
+                        break
+                else:  # the callbacks took time: more may be due by now
+                    nxt = self._next_at
+                    settled = nxt is None or nxt > self.now
+                    if settled:
+                        break
         finally:
             # from here on a scheduler arms for itself; whatever was
             # queued before this line is seen below
+            self._instant = None
             self._soon = False
             stop_at = self._stop_at
-            stopping = stop_at is not None and now >= stop_at
-            if due or (heap and heap[0][0] <= now):
-                # batch limit: let the loop poll, then carry on
+            stopping = stop_at is not None and self._time() >= stop_at
+            if not settled or inbox:
+                # batch limit, a raise or another thread's schedule: let
+                # the loop poll, then carry on
                 if stopping:
                     self._overrun += fired
                 if self._overrun > _SETTLE_LIMIT:
@@ -352,12 +315,12 @@ class RealtimeClock(Clock):
                     self._wake_soon()
             elif stopping:
                 self.loop.stop()
-            else:
-                wall = heap[0][0] if heap else _NEVER
-                if stop_at is not None and stop_at < wall:
-                    wall = stop_at
-                if wall < self._wake_at:
-                    self._arm(wall)
+            else:  # settled: nxt is the next live event's time
+                wake = _NEVER if nxt is None else self._wall(nxt)
+                if stop_at is not None and stop_at < wake:
+                    wake = stop_at
+                if wake < self._wake_at:
+                    self._arm(wake)
 
     # -- run loop -----------------------------------------------------------
 
@@ -366,6 +329,7 @@ class RealtimeClock(Clock):
         passed *and* nothing is due any more."""
         if self.loop.is_running():
             raise RuntimeError("realtime clock: run_until called from inside a callback")
+        self._owner = get_ident()
         self._stop_at = deadline
         self._overrun = 0
         if not self._soon:
@@ -419,8 +383,9 @@ class RealtimeClock(Clock):
         # its transport down before it closes the clock
         self._closed = True
         self._heap.clear()
-        self._due.clear()
-        self._dead = 0
+        self._lane.clear()
+        self._inbox.clear()
+        self._heap_dead = self._lane_dead = 0
         if self._wake is not None:
             self._wake.cancel()
         # cancel in-flight transport tasks and let everything settle

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulation core.
+"""Deterministic discrete-event simulation core, and the one event queue.
 
 The C-Saw runtime in this reproduction executes on simulated time: all
 latencies (network hops, host service times, timeouts) are scheduled on
@@ -10,14 +10,18 @@ This replaces the paper's libcompart + real OS IPC: experiments become
 reproducible and laptop-scale while preserving the asynchronous
 message-passing semantics the DSL is defined against.
 
-Cancellation is *lazy*: :meth:`EventHandle.cancel` only marks the heap
-entry, which is discarded when it surfaces.  A workload that arms and
+:class:`EventQueue` is that queue, and both clocks drain it:
+:class:`Simulator` in simulated time, and
+:class:`~repro.runtime.realtime.RealtimeClock` against the wall clock,
+so the two order same-instant events alike, priority included.
+Cancellation is *lazy*: :meth:`Event.cancel` drops the callback and
+leaves the entry queued until it surfaces.  A workload that arms and
 cancels many timers (the reliable-delivery layer cancels a
 retransmission timer per acknowledged send) would otherwise grow the
 heap with dead entries faster than they drain — far-future timeouts sit
 near the bottom of the heap for their whole nominal duration.  The
-simulator therefore counts live cancelled entries and *compacts* the
-heap (filters + re-heapifies, O(n)) once they outnumber the real ones,
+queue therefore counts the dead entries of its heap and *compacts* it
+(filters + re-heapifies, O(n)) once they outnumber the live ones,
 bounding memory at ~2x the live event count while keeping ``cancel``
 O(1).
 
@@ -54,41 +58,49 @@ from typing import Callable
 #: below this queue size compaction is pointless (the dead entries are
 #: about to surface anyway); keeps tiny simulations on the fast path
 _COMPACT_MIN = 64
+_INF = float("inf")
 
 
-class _Event:
-    """A scheduled callback (``__slots__``: millions are allocated per
-    run).  The heap holds it as ``(time, priority, seq, event)`` so a
-    sift compares tuples in C; ``seq`` is unique, so the comparison
-    never reaches the event.  The zero-delay lane holds events bare."""
+class Event:
+    """A scheduled callback, and the handle that cancels it
+    (``__slots__``: millions are allocated per run).  ``callback`` is
+    dropped when the event fires or is cancelled, so whatever the
+    closure pins is released then and not when the entry surfaces; a
+    queued event without a callback is dead."""
 
     __slots__ = (
-        "time", "priority", "seq", "callback",
-        "cancelled", "in_heap", "in_due", "label", "footprint",
+        "time", "priority", "seq", "callback", "label", "footprint",
+        "cancelled", "lane", "_queue",
     )
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-        label: str | None = None,
-        footprint: object = None,
-    ):
+    def __init__(self, queue, time, priority, seq, callback, label, footprint, lane):
+        self._queue = queue
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
-        self.cancelled = False
-        self.in_heap = True
-        #: parked in the zero-delay FIFO lane instead of the heap
-        self.in_due = False
         #: stable identity for schedule recording/replay (None = anonymous)
         self.label = label
         #: state touched by the callback (repro.semantics.commute.Footprint);
         #: None = unknown, treated as interfering with everything
         self.footprint = footprint
+        self.cancelled = False
+        #: queued outside the heap (the zero-delay lane, or the realtime
+        #: clock's inbox), where a dead entry never triggers a compaction
+        self.lane = lane
+
+    def cancel(self) -> None:
+        if self.callback is None:  # fired, or cancelled before
+            return
+        self.callback = None
+        self.cancelled = True
+        q = self._queue
+        if self.lane:
+            q._lane_dead += 1
+        else:
+            q._heap_dead += 1
+            if q._heap_dead * 2 > len(q._heap) > _COMPACT_MIN:
+                q._compact()
 
 
 class ScheduleController:
@@ -101,7 +113,7 @@ class ScheduleController:
     uncontrolled order exactly.
     """
 
-    def choose(self, time: float, events: list[_Event]) -> int:
+    def choose(self, time: float, events: list[Event]) -> int:
         return 0
 
 
@@ -125,36 +137,109 @@ def use_controller(factory: Callable[[], ScheduleController]):
         _controller_factory = prev
 
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.call_at` for cancellation."""
+class EventQueue:
+    """Events in ``(time, priority, seq)`` order, in logical time.
 
-    __slots__ = ("_event", "_sim")
+    The heap holds ``(time, priority, seq, event)`` tuples, so a sift
+    compares tuples in C (``seq`` is unique: it never reaches the
+    event).  Beside it a FIFO **zero-delay lane** holds events of
+    priority 0 scheduled at or before the current instant — junction
+    attempts and same-instant wake-ups dominate event traffic, and an
+    append is far cheaper than a sift.  The lane is sorted by
+    construction (nondecreasing time, increasing seq), so
+    :meth:`_drain`, the one merge of its head with the heap's, keeps
+    the total order.  The clock that extends this class decides what
+    "the current instant" is and fires what :meth:`_drain` hands it.
+    """
 
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
-        self._sim = sim
+    def __init__(self):
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._lane: deque[Event] = deque()
+        self._seq = itertools.count()
+        #: cancelled events still sitting in the heap
+        self._heap_dead = 0
+        #: cancelled events still sitting outside it (see Event.lane)
+        self._lane_dead = 0
+        #: time of the first live event a finished drain left queued
+        self._next_at: float | None = None
 
-    def cancel(self) -> None:
-        ev = self._event
-        if not ev.cancelled:
-            ev.cancelled = True
-            # an already-executed event (cancel raced the firing) is no
-            # longer in the heap and must not skew the dead-entry count
-            if ev.in_heap:
-                self._sim._note_cancelled()
-            elif ev.in_due:
-                self._sim._due_cancelled += 1
+    def _drain(self, limit: float):
+        """Yield every live event due at or before ``limit``, dequeued,
+        in ``(time, priority, seq)`` order, dropping dead heads on the
+        way.  Events scheduled meanwhile are merged as they come due.
+        Run to its end, it leaves the time of the next live event (None:
+        the queue is empty) in ``_next_at``."""
+        pop = heapq.heappop
+        heap, lane = self._heap, self._lane
+        while True:
+            if heap and heap[0][3].callback is None:
+                pop(heap)
+                self._heap_dead -= 1
+            elif lane and lane[0].callback is None:
+                lane.popleft()
+                self._lane_dead -= 1
+            elif lane:
+                ev = lane[0]
+                # a heap event may still order first at the same instant
+                # (e.g. a higher-priority pump): it does iff its key is
+                # below the lane head's (lane events have priority 0); the
+                # heap head is usually a far-future timeout, so the time
+                # test settles it
+                if heap:
+                    entry = heap[0]
+                    ht, et = entry[0], ev.time
+                    if ht < et or (ht == et and entry[1:3] < (0, ev.seq)):
+                        if ht > limit:
+                            self._next_at = ht
+                            return
+                        yield pop(heap)[3]
+                        continue
+                if ev.time > limit:
+                    self._next_at = ev.time
+                    return
+                lane.popleft()
+                yield ev
+            elif heap:
+                ht = heap[0][0]
+                if ht > limit:
+                    self._next_at = ht
+                    return
+                yield pop(heap)[3]
+            else:
+                self._next_at = None
+                return
 
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+    def _push(self, ev: Event) -> None:
+        """Queue ``ev`` on the heap."""
+        ev.lane = False
+        heapq.heappush(self._heap, (ev.time, ev.priority, ev.seq, ev))
 
-    @property
-    def time(self) -> float:
-        return self._event.time
+    def _compact(self) -> None:
+        """Drop cancelled heap entries and re-heapify — O(live events).
+        In place: a drain in progress holds an alias of the list."""
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [entry for entry in heap if entry[3].callback is not None]
+        heapq.heapify(heap)
+        self._heap_dead -= before - len(heap)
+
+    def peek_time(self) -> float | None:
+        """Time of the next pending (non-cancelled) event, or None."""
+        next(self._drain(-_INF), None)  # fires nothing, drops dead heads
+        return self._next_at
+
+    def pending_events(self) -> int:
+        """Number of not-yet-cancelled queued events (O(1))."""
+        return len(self._heap) - self._heap_dead + len(self._lane) - self._lane_dead
+
+    def queue_size(self) -> int:
+        """Raw queue size (heap + zero-delay lane) including
+        not-yet-reclaimed cancelled entries (observability for the
+        compaction behaviour)."""
+        return len(self._heap) + len(self._lane)
 
 
-class Simulator:
+class Simulator(EventQueue):
     """A minimal, deterministic discrete-event simulator.
 
     Callbacks scheduled at the same instant run in (priority, insertion)
@@ -162,21 +247,8 @@ class Simulator:
     """
 
     def __init__(self):
-        self._queue: list[tuple[float, int, int, _Event]] = []
-        #: zero-delay FIFO lane: events scheduled at the *current* time
-        #: with default priority skip the heap entirely.  Strand pumps,
-        #: junction attempts and same-instant wake-ups dominate event
-        #: traffic, and a deque append/popleft is far cheaper than a
-        #: heap sift; total (time, priority, seq) order is preserved by
-        #: merging the lane head with the heap head when draining.
-        self._due: deque[_Event] = deque()
-        self._seq = itertools.count()
+        super().__init__()
         self._now = 0.0
-        self._running = False
-        #: cancelled events still sitting in the heap
-        self._cancelled = 0
-        #: cancelled events still sitting in the FIFO lane
-        self._due_cancelled = 0
         #: optional ScheduleController; when set, co-enabled events
         #: (same time and priority) become explicit choice points
         self.controller: ScheduleController | None = (
@@ -196,22 +268,16 @@ class Simulator:
         *,
         label: str | None = None,
         footprint: object = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        seq = next(self._seq)
-        ev = _Event(time, priority, seq, callback, label, footprint)
-        if time == self._now and priority == 0 and self.controller is None:
-            # zero-delay fast lane: same total order (the lane is sorted
-            # by construction — appends carry nondecreasing time and
-            # increasing seq at the default priority), no heap sift
-            ev.in_heap = False
-            ev.in_due = True
-            self._due.append(ev)
+        ev = Event(self, time, priority, next(self._seq), callback, label, footprint, True)
+        if time == self._now and priority == 0:
+            self._lane.append(ev)
         else:
-            heapq.heappush(self._queue, (time, priority, seq, ev))
-        return EventHandle(ev, self)
+            self._push(ev)
+        return ev
 
     def call_after(
         self,
@@ -221,18 +287,10 @@ class Simulator:
         *,
         label: str | None = None,
         footprint: object = None,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` after ``delay`` simulated time units."""
         if delay < 0:
             raise ValueError("negative delay")
-        if delay == 0.0 and priority == 0 and self.controller is None:
-            # inline the zero-delay lane (call_after(0, ...) is the
-            # hottest scheduling call: pumps, attempts, wake-ups)
-            ev = _Event(self._now, 0, next(self._seq), callback, label, footprint)
-            ev.in_heap = False
-            ev.in_due = True
-            self._due.append(ev)
-            return EventHandle(ev, self)
         return self.call_at(self._now + delay, callback, priority, label=label, footprint=footprint)
 
     def post(
@@ -242,241 +300,67 @@ class Simulator:
         label: str | None = None,
         footprint: object = None,
     ) -> None:
-        """Fire-and-forget ``call_after(0, ...)`` — no EventHandle."""
-        if self.controller is None:
-            ev = _Event(self._now, 0, next(self._seq), callback, label, footprint)
-            ev.in_heap = False
-            ev.in_due = True
-            self._due.append(ev)
-        else:
-            seq = next(self._seq)
-            ev = _Event(self._now, 0, seq, callback, label, footprint)
-            heapq.heappush(self._queue, (self._now, 0, seq, ev))
-
-    # -- lazy-cancellation bookkeeping --------------------------------------
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if self._cancelled * 2 > len(self._queue) and len(self._queue) > _COMPACT_MIN:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify — O(live events)."""
-        live = []
-        for entry in self._queue:
-            if entry[3].cancelled:
-                entry[3].in_heap = False
-            else:
-                live.append(entry)
-        self._queue = live
-        heapq.heapify(self._queue)
-        self._cancelled = 0
-
-    def _flush_due(self) -> None:
-        """Migrate the FIFO lane into the heap (seq order is preserved,
-        so the total order is unchanged).  Only needed when a controller
-        is attached after zero-delay events were parked in the lane."""
-        while self._due:
-            ev = self._due.popleft()
-            ev.in_due = False
-            if ev.cancelled:
-                self._due_cancelled -= 1
-                continue
-            ev.in_heap = True
-            heapq.heappush(self._queue, (ev.time, ev.priority, ev.seq, ev))
-
-    def _next_event(self) -> _Event | None:
-        """Pop the globally-next live event from the lane/heap merge."""
-        due, queue = self._due, self._queue
-        while due and due[0].cancelled:
-            due.popleft().in_due = False
-            self._due_cancelled -= 1
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)[3].in_heap = False
-            self._cancelled -= 1
-        if due:
-            ev = due[0]
-            if queue and queue[0] < (ev.time, 0, ev.seq):
-                ev = heapq.heappop(queue)[3]
-                ev.in_heap = False
-            else:
-                due.popleft()
-                ev.in_due = False
-            return ev
-        if queue:
-            ev = heapq.heappop(queue)[3]
-            ev.in_heap = False
-            return ev
-        return None
-
-    def peek_time(self) -> float | None:
-        """Time of the next pending (non-cancelled) event, or None."""
-        due, queue = self._due, self._queue
-        while due and due[0].cancelled:
-            due.popleft().in_due = False
-            self._due_cancelled -= 1
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)[3].in_heap = False
-            self._cancelled -= 1
-        if due and queue:
-            return min(due[0].time, queue[0][0])
-        if due:
-            return due[0].time
-        return queue[0][0] if queue else None
+        """Fire-and-forget ``call_after(0, ...)``."""
+        self._lane.append(Event(self, self._now, 0, next(self._seq), callback, label, footprint, True))
 
     def step(self) -> bool:
         """Run the next event.  Returns False if the queue is empty."""
-        if self.controller is not None:
-            return self._step_controlled()
-        ev = self._next_event()
-        if ev is None:
-            return False
-        self._now = ev.time
-        ev.callback()
-        return True
+        return self._step(_INF)
 
-    def _step_controlled(self) -> bool:
-        """One step in controlled mode: gather the co-enabled set (all
-        live events sharing the minimal ``(time, priority)``), let the
-        controller pick one, and re-queue the rest untouched.  Priority
-        bounds the set because priorities encode runtime-*internal*
-        ordering constraints (strand pumps run before deliveries), not
-        logical concurrency."""
-        self._flush_due()  # controller attached mid-run: merge the lane
-        if self.peek_time() is None:  # also drains cancelled heads
-            return False
-        queue = self._queue
-        t0, p0 = queue[0][:2]
-        group = []  # heap entries, in (priority, seq) order
-        while queue:
-            head = queue[0]
-            if head[3].cancelled:
-                heapq.heappop(queue)[3].in_heap = False
-                self._cancelled -= 1
-                continue
-            if head[0] != t0 or head[1] != p0:
+    def _step(self, limit: float) -> bool:
+        """Run the next event due at or before ``limit``; False if there
+        is none.  Under a controller it is chosen from the co-enabled set
+        (all live events sharing the minimal ``(time, priority)``), and
+        the rest are re-queued untouched.  Priority bounds the set
+        because priorities encode runtime-*internal* ordering constraints
+        (strand pumps run before deliveries), not logical concurrency.
+        The set is gathered through the lane/heap merge, so controlled
+        runs use the lane too."""
+        group: list[Event] = []  # in (priority, seq) order
+        for ev in self._drain(limit):
+            if group and (ev.time != group[0].time or ev.priority != group[0].priority):
+                self._push(ev)  # the next set: back where it was
                 break
-            group.append(heapq.heappop(queue))
-        idx = self.controller.choose(t0, [e[3] for e in group]) if len(group) > 1 else 0
-        ev = group.pop(idx)[3]
-        ev.in_heap = False
-        for entry in group:  # unchosen events keep their seq → stable order
-            heapq.heappush(queue, entry)
-        self._now = t0
-        ev.callback()
+            group.append(ev)
+            if self.controller is None:
+                break
+        if not group:
+            return False
+        idx = self.controller.choose(group[0].time, group) if len(group) > 1 else 0
+        ev = group.pop(idx)
+        for other in group:  # unchosen events keep their seq → stable order
+            self._push(other)
+        self._now = ev.time
+        callback = ev.callback
+        ev.callback = None
+        callback()
         return True
 
     def run_until(self, time: float) -> None:
         """Run events up to and including simulated ``time``.
 
-        The uncontrolled path batch-drains the heap inline rather than
+        The uncontrolled path drains the queue in one loop rather than
         going through :meth:`step` per event — at millions of events the
         per-event call and re-peek overhead dominates the loop.
         """
         if self.controller is not None:
-            while True:
-                nxt = self.peek_time()
-                if nxt is None or nxt > time:
-                    break
-                self._step_controlled()
-            self._now = max(self._now, time)
-            return
-        pop = heapq.heappop
-        due = self._due
-        while True:
-            # re-read the attribute: a callback (or cancellation burst)
-            # may have run _compact(), which replaces the list object
-            queue = self._queue
-            if due:
-                ev = due[0]
-                if ev.cancelled:
-                    due.popleft().in_due = False
-                    self._due_cancelled -= 1
-                    continue
-                # a heap event may still order first at the same instant
-                # (e.g. a higher-priority pump)
-                if queue:
-                    entry = queue[0]
-                    head = entry[3]
-                    if head.cancelled:
-                        pop(queue)
-                        head.in_heap = False
-                        self._cancelled -= 1
-                        continue
-                    # the heap head orders first iff its key is below the
-                    # lane head's (lane events have priority 0); the head
-                    # is usually a far-future timeout, so the time test
-                    # settles it
-                    ht = entry[0]
-                    et = ev.time
-                    if ht < et or (ht == et and entry[1:3] < (0, ev.seq)):
-                        if ht > time:
-                            break
-                        pop(queue)
-                        head.in_heap = False
-                        self._now = ht
-                        head.callback()
-                        continue
-                if ev.time > time:
-                    break
-                due.popleft()
-                ev.in_due = False
+            while self._step(time):
+                pass
+        else:
+            for ev in self._drain(time):
                 self._now = ev.time
-                ev.callback()
-                continue
-            if not queue:
-                break
-            entry = queue[0]
-            ev = entry[3]
-            if ev.cancelled:
-                pop(queue)
-                ev.in_heap = False
-                self._cancelled -= 1
-                continue
-            if entry[0] > time:
-                break
-            pop(queue)
-            ev.in_heap = False
-            self._now = entry[0]
-            ev.callback()
+                callback = ev.callback
+                ev.callback = None
+                callback()
         self._now = max(self._now, time)
 
     def run(self, max_events: int = 10_000_000) -> None:
-        """Run until the event queue drains (or ``max_events``).
-
-        Batch-drained like :meth:`run_until`; only executed (non-
-        cancelled) events count against ``max_events``.
-        """
+        """Run until the event queue drains (or ``max_events``); only
+        executed (non-cancelled) events count against ``max_events``."""
         count = 0
-        if self.controller is not None:
-            while self._step_controlled():
-                count += 1
-                if count >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events (livelock?)"
-                    )
-            return
-        while True:
-            ev = self._next_event()
-            if ev is None:
-                return
-            self._now = ev.time
-            ev.callback()
+        while self._step(_INF):
             count += 1
             if count >= max_events:
                 raise RuntimeError(
                     f"simulation exceeded {max_events} events (livelock?)"
                 )
-
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled queued events (O(1))."""
-        return (
-            len(self._queue) - self._cancelled
-            + len(self._due) - self._due_cancelled
-        )
-
-    def queue_size(self) -> int:
-        """Raw queue size (heap + zero-delay lane) including
-        not-yet-reclaimed cancelled entries (observability for the
-        compaction behaviour)."""
-        return len(self._queue) + len(self._due)
