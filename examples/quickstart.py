@@ -15,7 +15,8 @@ Run:  python examples/quickstart.py
 
 from repro.api import System, compile_program
 from repro.core import topology_edges
-from repro.semantics import denote_program, to_text
+from repro.semantics.program_sem import denote_program
+from repro.semantics.render import to_text
 
 SRC = """
 instance_types { TF, TG }

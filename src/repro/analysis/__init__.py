@@ -15,12 +15,14 @@ reports
 * advisory key-flow hygiene: keys read but never written, written but
   never read, and the program's external inputs.
 
-Entry points: :func:`analyze_program` / :func:`analyze_source`; the CLI
-surface is ``repro analyze`` (and a fast subset under ``repro check
---strict``).  See ``docs/ANALYSIS.md``.
+Entry points: :func:`~repro.analysis.analyzer.analyze_program` /
+:func:`~repro.analysis.analyzer.analyze_source`, imported from
+:mod:`.analyzer`: the runtime loads this package for :mod:`.capture`,
+and this ``__init__`` keeps it light.  The CLI surface is ``repro
+analyze`` (and a fast subset under ``repro check --strict``).  See
+``docs/ANALYSIS.md``.
 """
 
-from .analyzer import analyze_program, analyze_source, fast_checks
 from .directives import Directives, parse_directives
 from .model import AnalysisReport, Finding
 
@@ -28,8 +30,5 @@ __all__ = [
     "AnalysisReport",
     "Directives",
     "Finding",
-    "analyze_program",
-    "analyze_source",
-    "fast_checks",
     "parse_directives",
 ]

@@ -3,7 +3,10 @@
 Import from here (or from :mod:`repro` itself) rather than from the
 internal module layout — ``repro.runtime.*`` / ``repro.core.*`` paths
 are implementation detail and may move between releases; this module's
-``__all__`` is the compatibility surface::
+``__all__`` is the compatibility surface.  It is the one surface that
+imports everything: every engine, chaos, the architectures,
+reconfiguration and the denotation.  ``import repro`` loads only the
+DSL core and the sim runtime::
 
     from repro.api import System, Simulator, Telemetry, load_program
 
@@ -67,23 +70,21 @@ from .reconfig import (
 )
 from .runtime import (
     BackoffPolicy,
-    ChaosConfig,
-    ChaosEngine,
-    ClusterEngine,
     DeliveryPolicy,
     EngineSpec,
     ExecutionEngine,
     FaultPlan,
     HostContext,
-    RealtimeEngine,
     SimEngine,
     Simulator,
-    SoakHarness,
     System,
     create_engine,
     default_engine,
 )
-from .semantics import denote_junction
+from .runtime.chaos import ChaosConfig, ChaosEngine, SoakHarness
+from .runtime.cluster import ClusterEngine
+from .runtime.realtime import RealtimeEngine
+from .semantics.program_sem import denote_junction
 from .telemetry import (
     MetricsRegistry,
     RingBufferSink,

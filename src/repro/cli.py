@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
           f"{len(prog.source.functions)} function(s)")
     if not args.strict:
         return 0
-    from .analysis import fast_checks
+    from .analysis.analyzer import fast_checks
 
     report = fast_checks(prog, source_text=text, label=args.file)
     sys.stdout.write(report.render_text())
@@ -213,7 +213,7 @@ def _analysis_sources(args, config) -> list[tuple[str, object, str | None]]:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import analyze_program
+    from .analysis.analyzer import analyze_program
     from .analysis.model import CHECKS
 
     fail_on: tuple[str, ...] = ()
@@ -286,9 +286,9 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_topo(args) -> int:
-    g = topology(_compiled(args)[1])
-    print(f"# {g.number_of_nodes()} junction(s), {g.number_of_edges()} edge(s)")
-    for src, dst in sorted(g.edges()):
+    nodes, edges = topology(_compiled(args)[1])
+    print(f"# {len(nodes)} junction(s), {len(edges)} edge(s)")
+    for src, dst in sorted(edges):
         print(f"{src} -> {dst}")
     return 0
 
@@ -642,7 +642,7 @@ def _explore_replay(args, scenario, invariants) -> int:
 
 
 def _explore_witness_races(args, scenario, search: dict) -> int:
-    from .analysis import analyze_source
+    from .analysis.analyzer import analyze_source
     from .explore import witness_findings
 
     # the static analyzer works on DSL source: no .py scripts here

@@ -10,11 +10,14 @@ Public surface::
     system.bind_state("Back", save=..., restore=...)
     system.start(t=5.0)
     system.run_until(120.0)
+
+This package loads the sim runtime only.  The wall-clock engines and
+chaos stay in their modules (``repro.runtime.realtime``, ``.cluster``,
+``.chaos``), which :func:`create_engine` imports when a spec names
+them; :mod:`repro.api` re-exports them.
 """
 
 from .channels import LinkConfig, Message, Network
-from .chaos import ChaosConfig, ChaosEngine, SoakHarness
-from .cluster import ClusterEngine
 from .delivery import DeliveryPolicy, LinkHealth, ReliableDelivery
 from .engine import (
     EngineSpec,
@@ -28,26 +31,20 @@ from .host import HostContext
 from .instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime, StateProviders
 from .interpreter import JunctionExecution
 from .kvtable import KVTable, UNDEF, Update
-from .realtime import RealtimeEngine
 from .sim import Simulator
 from .supervisor import BackoffPolicy
 from .system import System
 
 __all__ = [
     "BackoffPolicy",
-    "ChaosConfig",
-    "ChaosEngine",
-    "ClusterEngine",
     "DeliveryPolicy",
     "EngineSpec",
     "ExecutionEngine",
     "FaultPlan",
     "HostContext",
     "LinkHealth",
-    "RealtimeEngine",
     "ReliableDelivery",
     "SimEngine",
-    "SoakHarness",
     "create_engine",
     "default_engine",
     "InstanceRuntime",

@@ -27,7 +27,9 @@ opcode    direction                  meaning
 This module is **stdlib-only on purpose** and is executed by *file
 path* (``python .../cluster_worker.py``), not as a package module: the
 worker must come up in tens of milliseconds, and importing ``repro``
-would cost an order of magnitude more.  The frame constants below are
+costs about twenty times its own imports (median cumulative ``-X
+importtime`` on a 2-vCPU host: ~210 ms against ~10 ms; docs/RUNTIME.md,
+"Import cost").  The frame constants below are
 therefore duplicated from :mod:`repro.runtime.wire` — keep them in
 sync (``tests/engine/test_cluster.py`` asserts they match).
 """

@@ -1,7 +1,11 @@
-"""Formal event-structure semantics of the C-Saw DSL (paper sec. 8)."""
+"""Formal event-structure semantics of the C-Saw DSL (paper sec. 8).
+
+The package re-exports what the runtime uses (:mod:`.commute`,
+:mod:`.events`); the denotation is imported from its modules
+(:mod:`.program_sem`, :mod:`.denote`, :mod:`.render`, :mod:`.structure`).
+"""
 
 from .commute import Footprint, commutes, conflicts, footprint_of, key_token, node_token
-from .denote import Denoter, expand_waits
 from .events import (
     AdHoc,
     Event,
@@ -20,24 +24,13 @@ from .events import (
     fresh_event,
     isolate_event,
 )
-from .program_sem import (
-    ProgramSemantics,
-    denote_junction,
-    denote_program,
-    denote_startup,
-)
-from .render import immediate_causality, minimal_conflicts, to_dot, to_text
-from .structure import EventStructure
 
 __all__ = [
     "AdHoc",
-    "Denoter",
     "Event",
-    "EventStructure",
     "FF",
     "Footprint",
     "Label",
-    "ProgramSemantics",
     "Rd",
     "STAR",
     "Sched",
@@ -50,17 +43,9 @@ __all__ = [
     "Wr",
     "commutes",
     "conflicts",
-    "denote_junction",
-    "denote_program",
-    "denote_startup",
-    "expand_waits",
     "footprint_of",
     "fresh_event",
-    "immediate_causality",
     "isolate_event",
     "key_token",
-    "minimal_conflicts",
     "node_token",
-    "to_dot",
-    "to_text",
 ]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_source
+from repro.analysis.analyzer import analyze_source
 
 CORPUS = Path(__file__).parent / "corpus"
 FIXTURES = sorted(CORPUS.glob("*.csaw"))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_program, analyze_source
+from repro.analysis.analyzer import analyze_program, analyze_source
 from repro.analysis.capture import capture_programs
 from repro.arch.loader import ARCHITECTURES, load_source
 

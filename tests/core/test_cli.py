@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.arch.loader import dsl_path
+from repro.arch.catalog import CATALOG
+from repro.arch.loader import dsl_path, load_program
 from repro.cli import main
+from repro.core.topology import topology
 from repro.explore import Schedule
 
 GOOD = """
@@ -169,6 +171,16 @@ class TestTopo:
         assert main(["topo", str(f)]) == 0
         out = capsys.readouterr().out
         assert "f::j -> g::j" in out
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_output_is_the_topology(self, name, capsys):
+        # the header counts every junction and every edge, and one line
+        # per edge follows in sorted order
+        nodes, edges = topology(load_program(name))
+        assert main(["topo", name]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == f"# {len(nodes)} junction(s), {len(edges)} edge(s)"
+        assert lines == [f"{src} -> {dst}" for src, dst in sorted(edges)]
 
 
 class TestSemantics:

@@ -4,7 +4,7 @@ same rule."""
 
 import pytest
 
-from repro.analysis import analyze_program
+from repro.analysis.analyzer import analyze_program
 from repro.core.compiler import compile_program
 from repro.core.elaborate import elaborate
 from repro.core.errors import StartStopFailure

@@ -67,18 +67,22 @@ def test_idx_targets_conservative():
     assert ("f::junction", "b2::junction") in edges
 
 
-def test_graph_node_attributes():
+def test_nodes_include_unconnected_junctions():
     prog = compile_program(
         """
-        instance_types { T }
-        instances { x: T }
-        def main() = start x()
-        def T::j() = skip
+        instance_types { F, G }
+        instances { f: F, g: G, h: G }
+        def main() = start f a() c() + start g() + start h()
+        def F::a() = | init prop !P
+          assert[g] P
+        def F::c() = skip
+        def G::junction() = | init prop !P
+          skip
         """
     )
-    g = topology(prog)
-    assert g.nodes["x::j"]["instance"] == "x"
-    assert g.nodes["x::j"]["type"] == "T"
+    nodes, edges = topology(prog)
+    assert nodes == {"f::a", "f::c", "g::junction", "h::junction"}
+    assert edges == {("f::a", "g::junction")}
 
 
 def test_self_edges_excluded():

@@ -13,7 +13,8 @@ import functools
 import pytest
 
 from repro.explore.scenarios import arch_scenario
-from repro.runtime import RealtimeEngine, default_engine
+from repro.runtime import default_engine
+from repro.runtime.realtime import RealtimeEngine
 from repro.runtime.cluster import ClusterEngine
 
 from .test_parity import SCALE, applied_updates, final_state, observable

@@ -18,7 +18,9 @@ import pytest
 from repro.redislite import Command
 from repro.arch.failover import FailoverRedis
 from repro.core.errors import StartStopFailure
-from repro.runtime import ChaosConfig, ChaosEngine, FaultPlan, RealtimeEngine, default_engine
+from repro.runtime import FaultPlan, default_engine
+from repro.runtime.chaos import ChaosConfig, ChaosEngine
+from repro.runtime.realtime import RealtimeEngine
 from repro.runtime.cluster import ClusterEngine, ClusterSupervisor, live_worker_pgids
 from repro.runtime.engine import ENGINE_NAMES, create_engine
 from repro.runtime.supervisor import Backoff, BackoffPolicy, WorkerState

@@ -13,13 +13,14 @@ import weakref
 
 import pytest
 
+import repro
 from repro.redislite import Command
-from repro.runtime import RealtimeEngine, SimEngine, create_engine, default_engine
+from repro.runtime import SimEngine, create_engine, default_engine
 from repro.runtime.channels import Message
 from repro.runtime.engine import use_controller
 from repro.runtime.kvtable import Update
 import repro.runtime.realtime as realtime
-from repro.runtime.realtime import _BATCH, RealtimeClock
+from repro.runtime.realtime import _BATCH, RealtimeClock, RealtimeEngine
 from repro.runtime.wire import LEN_PREFIX, MAX_FRAME_LEN, decode_message, encode_message
 from repro.serde.framing import SavedData
 
@@ -345,6 +346,36 @@ class TestImportCost:
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
+
+    def test_import_repro_loads_only_the_sim_runtime(self):
+        # a worker that runs one engine pays for no other, nor for the
+        # analyzer, the denotation or a graph library
+        unwanted = (
+            "networkx", "asyncio",
+            "repro.runtime.cluster", "repro.runtime.realtime",
+            "repro.runtime.chaos", "repro.runtime.wire",
+            "repro.analysis.analyzer",
+            "repro.semantics.denote", "repro.semantics.program_sem",
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, repro; print([m for m in {unwanted!r} if m in sys.modules])"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_imports_with_the_standard_library_alone(self):
+        # pyproject.toml declares no dependency: without site-packages
+        # (-S) the package, its facade and its CLI still import
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys; sys.path.insert(0, {src!r}); import repro, repro.api, repro.cli"],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
 
 
 class TestTimerQueue:

@@ -27,7 +27,8 @@ from collections import Counter
 import pytest
 
 from repro.explore.scenarios import arch_scenario
-from repro.runtime import RealtimeEngine, default_engine
+from repro.runtime import default_engine
+from repro.runtime.realtime import RealtimeEngine
 from repro.serde.framing import SavedData
 
 #: wall seconds per logical second — 50x compression keeps a 20-30s

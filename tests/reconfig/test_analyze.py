@@ -15,7 +15,7 @@ a non-empty diff, and ``apply_diff`` reconstructs the target up to
 
 import pytest
 
-from repro.analysis import analyze_program
+from repro.analysis.analyzer import analyze_program
 from repro.arch.loader import ARCHITECTURES, load_program, load_source
 from repro.core.compiler import compile_program
 from repro.reconfig import apply_diff, diff_programs, program_signature

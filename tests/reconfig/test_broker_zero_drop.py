@@ -12,7 +12,8 @@ import pytest
 
 from repro.arch.broker import ShardedBroker
 from repro.brokerlite import BrokerRequest, partition_for
-from repro.runtime import RealtimeEngine, default_engine
+from repro.runtime import default_engine
+from repro.runtime.realtime import RealtimeEngine
 from repro.runtime.cluster import ClusterEngine
 from repro.runtime.supervisor import WorkerState
 

@@ -30,7 +30,8 @@ engine and the realtime engine:
 import pytest
 
 from repro.redislite import Command
-from repro.runtime import RealtimeEngine, default_engine
+from repro.runtime import default_engine
+from repro.runtime.realtime import RealtimeEngine
 
 #: wall seconds per logical second on the realtime engine
 SCALE = 0.02

@@ -24,7 +24,8 @@ from repro.core.compiler import compile_program
 from repro.reconfig import executor
 from repro.reconfig.plan import KINDS
 from repro.redislite import Command
-from repro.runtime import RealtimeEngine, default_engine
+from repro.runtime import default_engine
+from repro.runtime.realtime import RealtimeEngine
 from repro.runtime.cluster import ClusterEngine
 
 SCALE = 0.02

@@ -17,7 +17,8 @@ seconds before its replayed delivery fires.
 import pytest
 
 from repro.redislite import Command
-from repro.runtime import RealtimeEngine, default_engine
+from repro.runtime import default_engine
+from repro.runtime.realtime import RealtimeEngine
 from repro.runtime.cluster import ClusterEngine
 from repro.runtime.supervisor import WorkerState
 

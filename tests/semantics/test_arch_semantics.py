@@ -4,7 +4,9 @@ every shipped architecture denotes into valid event structures."""
 import pytest
 
 from repro.arch.loader import ARCHITECTURES, load_program
-from repro.semantics import Sched, Unsched, denote_program, to_text
+from repro.semantics import Sched, Unsched
+from repro.semantics.program_sem import denote_program
+from repro.semantics.render import to_text
 
 
 CASES = [
@@ -54,7 +56,7 @@ def test_at_guard_becomes_opaque_read():
     """Guards observing other junctions (b::startup's
     ``me::instance::serve@!Active``) denote as opaque literal reads."""
     from repro.core.compiler import compile_program
-    from repro.semantics import denote_program as dp
+    from repro.semantics.program_sem import denote_program as dp
 
     prog = compile_program(
         """

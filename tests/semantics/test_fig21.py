@@ -12,7 +12,7 @@ from ``remote_snapshot.csaw`` and check that structure.
 
 from repro.arch.loader import load_program
 from repro.core.expand import resolve_me_expr, specialize
-from repro.semantics import Denoter
+from repro.semantics.denote import Denoter
 from repro.semantics.render import immediate_causality, minimal_conflicts
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro.arch.loader import load_program
 from repro.core.parser import parse_expression
-from repro.semantics import Denoter, denote_program
+from repro.semantics.denote import Denoter
+from repro.semantics.program_sem import denote_program
 from repro.semantics.render import immediate_causality, minimal_conflicts
 
 #: structures above this size are left to the fast definitions alone
