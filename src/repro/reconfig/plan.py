@@ -13,7 +13,8 @@ throughout:
 Across instances the kinds run in the order of :data:`KINDS`, each
 waiting for the nearest earlier kind that has steps — what the
 executor used to keep to itself.  ``spawn`` is first: a cluster spawn
-takes tens of milliseconds and nothing is paused while it runs.  A
+forks a worker and waits for its handshake, and nothing is paused while
+it runs.  A
 ``snapshot`` waits for *every* ``quiesce``, because the drain is joint
 (an instance is only still once the others it talks to are).  After
 the ``cutover``, ``stop`` → ``rebind`` → ``start``: a junction

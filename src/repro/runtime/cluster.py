@@ -4,9 +4,9 @@ supervision, heartbeats and restart-with-backoff.
 The paper's deployment model (libcompart) runs one OS process per
 component instance and wires them over TCP.  :class:`ClusterEngine`
 realizes that behind the Clock/Transport seam: at ``attach``
-time it spawns one **worker process** per instance (or per shard
-group when ``workers=N`` is given) from the stdlib-only
-:mod:`repro.runtime.cluster_worker` module, and every runtime message
+time it forks one **worker process** per instance (or per shard
+group when ``workers=N`` is given), which runs
+:func:`repro.runtime.cluster_worker.run`, and every runtime message
 addressed to an instance physically transits that instance's worker
 over a framed TCP link (``coordinator → worker → coordinator →
 dispatch``).  The link is a :class:`_Stream`, the one framed-stream
@@ -22,9 +22,12 @@ machinery and the chaos engine already react to.
 Supervision model (Erlang/systemd shaped):
 
 * **launch** — attach, a live reconfiguration's ``deploy`` and every
-  restart bring a process up one way: spawn, then wait for its hello
+  restart bring a process up one way: fork, then wait for its hello
   *or its exit*.  A worker that exits first fails its launch at once,
-  naming the exit code; at restart that is one failed attempt.
+  naming the exit code; at restart that is one failed attempt.  The
+  fork pays no interpreter start or import, and the worker stays a
+  child of the coordinator: ``waitpid`` gives its exit code, and its
+  CPU time is the coordinator's ``RUSAGE_CHILDREN``.
 * **heartbeats** — the supervisor pings every worker each
   ``heartbeat_interval`` logical seconds; a worker that has not ponged
   within ``heartbeat_timeout`` is declared crashed even if its process
@@ -57,18 +60,17 @@ heartbeat-based failure detection, supervised restart.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import random
 import signal
-import subprocess
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.errors import SerdeError, StartStopFailure
+from . import cluster_worker
 from .cluster_worker import OP_DELIVER, OP_HELLO, OP_MSG, OP_PING, OP_PONG, OP_SHUTDOWN
 from .engine import ExecutionEngine
 from .realtime import RealtimeClock, _StreamServer
@@ -92,9 +94,7 @@ __all__ = [
     "reap_orphan_workers",
 ]
 
-_WORKER_PATH = Path(__file__).with_name("cluster_worker.py")
-
-#: wall-clock budget for a spawned worker to dial back and say hello
+#: wall-clock budget for a forked worker to dial back and say hello
 _SPAWN_TIMEOUT_WALL = 30.0
 #: how often (wall seconds) a launch waiting for a hello checks whether
 #: the process has exited instead
@@ -103,8 +103,8 @@ _EXIT_POLL_WALL = 0.05
 # ---------------------------------------------------------------------------
 # Worker-process hygiene registry
 #
-# Every spawned worker is its own session leader (start_new_session), so
-# its pid doubles as a process-group id.  The registry lets test
+# Every forked worker leads its own process group (set on both sides of
+# the fork), so its pid doubles as a process-group id.  The registry lets test
 # fixtures (tests/engine/conftest.py) verify that no worker survives a
 # test and reap any that do — a failing test must never leave orphaned
 # processes on CI.
@@ -142,7 +142,54 @@ def reap_orphan_workers() -> list[int]:
     return leaked
 
 
-def _killpg(proc: subprocess.Popen | None, sig: int) -> None:
+class _Child:
+    """The coordinator's handle on a forked worker.  A child that
+    something else reaped (``reap_orphan_workers``) reads as exited, with
+    code 0: its status is lost."""
+
+    __slots__ = ("pid", "returncode")
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: int | None = None
+
+    def poll(self) -> int | None:
+        return self._wait(os.WNOHANG)
+
+    def wait(self) -> int:
+        return self._wait(0)
+
+    def _wait(self, flags: int) -> int | None:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:
+                self.returncode = 0
+            else:
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+
+def _detach() -> None:
+    """A forked worker's first steps, before it opens its link: its own
+    process group; stdin and stdout on /dev/null; no descriptor but 0-2
+    (one kept open would hold another worker's link up); default signal
+    dispositions and no wakeup fd (a signal must not write into a reused
+    descriptor); no gc, which would copy every page the fork shares."""
+    os.setpgid(0, 0)
+    signal.set_wakeup_fd(-1)
+    for sig in signal.valid_signals():
+        if callable(signal.getsignal(sig)):
+            signal.signal(sig, signal.SIG_DFL)
+    gc.disable()
+    null = os.open(os.devnull, os.O_RDWR)
+    os.dup2(null, 0)
+    os.dup2(null, 1)
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+
+
+def _killpg(proc: _Child | None, sig: int) -> None:
     """Signal a worker's process group unless it has already exited."""
     if proc is not None and proc.poll() is None:
         try:
@@ -369,13 +416,13 @@ class ClusterTransport(_StreamServer):
 class _Worker(WorkerStatus):
     """A worker's status, current process and restart backoff."""
 
-    proc: subprocess.Popen | None = None
+    proc: _Child | None = None
     backoff: Backoff | None = None
     relaunch: asyncio.Task | None = None  # the loop holds tasks weakly
 
 
 class ClusterSupervisor:
-    """Spawns, monitors and restarts the cluster's worker processes.
+    """Forks, monitors and restarts the cluster's worker processes.
     Every process — at attach, deploy and restart — comes up through
     :meth:`_launch`."""
 
@@ -389,7 +436,6 @@ class ClusterSupervisor:
         heartbeat_timeout: float = 2.0,
         backoff: BackoffPolicy | None = None,
         seed: int = 0,
-        python: str | None = None,
     ):
         if heartbeat_timeout <= heartbeat_interval:
             raise ValueError(
@@ -402,7 +448,6 @@ class ClusterSupervisor:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.policy = backoff or BackoffPolicy()
-        self.python = python or sys.executable
         self._rng = random.Random(seed)
         self.system: "System | None" = None
         self.statuses: dict[str, _Worker] = {}
@@ -437,7 +482,7 @@ class ClusterSupervisor:
         self._arm_heartbeat()
 
     def deploy(self, instances: Sequence[str]) -> None:
-        """Spawn and handshake workers for instances added by a live
+        """Fork and handshake workers for instances added by a live
         reconfiguration (one worker per new instance, named after it).
         Blocking; must be called while the event loop is idle — the
         reconfiguration executor calls it in the prepare phase, before
@@ -448,7 +493,7 @@ class ClusterSupervisor:
 
     def _launch_all(self, groups: list[tuple[str, tuple[str, ...]]]) -> None:
         """Launch a worker per ``(name, instances)`` group, every process
-        spawned before the first wait, and block until all have ended;
+        forked before the first wait, and block until all have ended;
         if any failed, discard them all and raise the first failure."""
         workers = []
         for name, insts in groups:
@@ -474,13 +519,13 @@ class ClusterSupervisor:
             self.system.telemetry.emit(
                 "worker_spawn", w.name, pid=w.pid, instances=list(w.instances)
             )
-        # the spawn+handshake burst consumed wall time before the next
+        # the fork+handshake burst consumed wall time before the next
         # logical event — rebase so it doesn't eat into the horizon or
         # into in-flight deadlines
         self.clock.rebase()
 
     async def _launch(self, w: _Worker) -> bool:
-        """Spawn ``w``'s process and wait for its hello or its exit.
+        """Fork ``w``'s process and wait for its hello or its exit.
         True: ``w`` is RUNNING.  Otherwise it is un-expected and reaped,
         and a dead or silent process raises ``RuntimeError``; a worker
         retired meanwhile returns False."""
@@ -492,7 +537,7 @@ class ClusterSupervisor:
                 if proc.poll() is not None or time.monotonic() > give_up:
                     why = ("handshake timed out" if proc.returncode is None else
                            f"exited with code {proc.returncode} before its hello")
-                    raise RuntimeError(f"cluster: worker {w.name} {why} — see worker stderr")
+                    raise RuntimeError(f"cluster: worker {w.name} {why}")
                 # a hello ends the wait at once; the timeout only paces
                 # the exit check
                 await asyncio.wait((hello,), timeout=_EXIT_POLL_WALL)
@@ -550,22 +595,22 @@ class ClusterSupervisor:
         self.transport.close_link(w.name)
         self._reap(w)
 
-    def _spawn(self, name: str) -> subprocess.Popen:
-        proc = subprocess.Popen(
-            [
-                self.python,
-                str(_WORKER_PATH),
-                "--connect",
-                f"127.0.0.1:{self.transport.port}",
-                "--name",
-                name,
-            ],
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL,
-            start_new_session=True,  # own process group: killable as a unit
-        )
-        _LIVE_WORKER_PGIDS.add(proc.pid)
-        return proc
+    def _spawn(self, name: str) -> _Child:
+        port = self.transport.port
+        pid = os.fork()
+        if pid == 0:  # the worker: it never returns into this stack
+            code = 1
+            try:
+                _detach()
+                code = cluster_worker.run("127.0.0.1", port, name)
+            finally:
+                os._exit(code)
+        try:  # as the child does: killable as a group from here on
+            os.setpgid(pid, pid)
+        except OSError:
+            pass  # it has exited already
+        _LIVE_WORKER_PGIDS.add(pid)
+        return _Child(pid)
 
     @staticmethod
     def _reap(w: _Worker) -> None:
@@ -573,10 +618,7 @@ class ClusterSupervisor:
         if proc is None:
             return
         _killpg(proc, signal.SIGKILL)
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
-            pass
+        proc.wait()
         _LIVE_WORKER_PGIDS.discard(proc.pid)
 
     # -- liveness -----------------------------------------------------------
@@ -799,7 +841,6 @@ class ClusterEngine(ExecutionEngine):
         heartbeat_timeout: float = 2.0,
         backoff: BackoffPolicy | None = None,
         seed: int = 0,
-        python: str | None = None,
         drills: Iterable[tuple[float, str]] = (),
     ):
         clock = RealtimeClock(time_scale=time_scale)
@@ -815,7 +856,6 @@ class ClusterEngine(ExecutionEngine):
             heartbeat_timeout=heartbeat_timeout,
             backoff=backoff,
             seed=seed,
-            python=python,
         )
         self._drills = tuple(drills)
 

@@ -1,4 +1,5 @@
-"""The cluster worker process (``repro.runtime.cluster`` spawns this).
+"""The cluster worker process (``repro.runtime.cluster`` forks it and
+the child runs :func:`run`).
 
 One worker embodies one instance (or shard group) of a deployed
 architecture, in the paper's libcompart sense: all traffic addressed
@@ -24,28 +25,18 @@ opcode    direction                  meaning
 ``S``     coordinator → worker       graceful shutdown request
 ========  =========================  =============================
 
-This module is **stdlib-only on purpose** and is executed by *file
-path* (``python .../cluster_worker.py``), not as a package module: the
-worker must come up in tens of milliseconds, and importing ``repro``
-costs about twenty times its own imports (median cumulative ``-X
-importtime`` on a 2-vCPU host: ~210 ms against ~10 ms; docs/RUNTIME.md,
-"Import cost").  The frame constants below are
-therefore duplicated from :mod:`repro.runtime.wire` — keep them in
-sync (``tests/engine/test_cluster.py`` asserts they match).
+The worker is a fork of the coordinator, so it starts with no
+interpreter start-up and no import: everything it runs is already
+loaded, the frame constants come from :mod:`repro.runtime.wire`, and
+:func:`run` dials a numeric address, so nothing resolves a name or takes
+a lock another coordinator thread could have held at the fork.
 """
 
 from __future__ import annotations
 
-import argparse
-import signal
 import socket
-import struct
-import sys
 
-# keep in sync with repro.runtime.wire (stdlib-only duplication; see
-# module docstring)
-LEN_PREFIX = struct.Struct("<I")
-MAX_FRAME_LEN = 8 * 1024 * 1024
+from .wire import LEN_PREFIX, MAX_FRAME_LEN
 
 OP_HELLO = b"H"
 OP_PING = b"P"
@@ -99,40 +90,20 @@ def serve(sock: socket.socket, name: str) -> int:
         # unknown opcodes are ignored (forward compatibility)
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description="C-Saw cluster worker")
-    ap.add_argument("--connect", required=True, metavar="HOST:PORT",
-                    help="coordinator endpoint to dial back to")
-    ap.add_argument("--name", required=True, help="worker (group) name")
-    args = ap.parse_args(argv)
-    host, _, port = args.connect.rpartition(":")
-
-    sock = socket.create_connection((host, int(port)), timeout=10.0)
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-    def _graceful(signum, frame):  # noqa: ARG001 - signal signature
-        # drain is trivial for a relay: close the link and exit cleanly
-        try:
-            sock.close()
-        finally:
-            sys.exit(0)
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
-
+def run(host: str, port: int, name: str) -> int:
+    """Dial the coordinator at the numeric address ``host:port`` and
+    serve the link as worker ``name``; returns the process's exit code:
+    0 once the coordinator closes the link or asks for shutdown, 2 on a
+    framing violation (a corrupt or hostile peer).  A numeric address
+    is connected to as is, with no name lookup."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        return serve(sock, args.name)
-    except (ConnectionError, OSError):
+        sock.connect((host, port))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return serve(sock, name)
+    except OSError:
         return 0  # link reset under us — coordinator teardown
     except ValueError:
-        return 2  # framing violation: corrupt/hostile peer
+        return 2
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        sock.close()

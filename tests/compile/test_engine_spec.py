@@ -100,6 +100,7 @@ class TestBadEngine:
         ("realtime,bogus=1", "bogus"),
         ("realtime,max_workers=4", "max_workers"),
         ("cluster,bogus=1", "bogus"),
+        ("cluster,python=/bin/false", "python"),  # workers are forked, not run by path
         ("realtime-tcp,transport=inproc", "transport"),
     ])
     def test_unknown_option_names_engine_option_and_accepted(self, spec, unknown):

@@ -1,7 +1,7 @@
 """Engine-suite fixtures: cluster worker-process hygiene, and a process
 that holds more descriptors than ``select()`` can name.
 
-Every cluster worker is spawned into its own process group and recorded
+Every cluster worker is forked into its own process group and recorded
 in a module-level registry; this autouse fixture reaps anything still
 registered after each test and fails the test that leaked it, so a
 crashing test can never strand worker processes on CI.

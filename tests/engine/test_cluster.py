@@ -11,7 +11,9 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +23,12 @@ from repro.core.errors import StartStopFailure
 from repro.runtime import FaultPlan, default_engine
 from repro.runtime.chaos import ChaosConfig, ChaosEngine
 from repro.runtime.realtime import RealtimeEngine
-from repro.runtime.cluster import ClusterEngine, ClusterSupervisor, live_worker_pgids
+from repro.runtime.cluster import (
+    ClusterEngine,
+    ClusterSupervisor,
+    live_worker_pgids,
+    reap_orphan_workers,
+)
 from repro.runtime.engine import ENGINE_NAMES, create_engine
 from repro.runtime.supervisor import Backoff, BackoffPolicy, WorkerState
 from repro.runtime import cluster_worker
@@ -41,6 +48,25 @@ def _alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+def _exit_code(pid: int, timeout: float) -> int | None:
+    """The exit code of child ``pid`` once it has exited within
+    ``timeout`` wall seconds (reaping it), else None."""
+    give_up = time.monotonic() + timeout
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() >= give_up:
+            return None
+        time.sleep(0.01)
+
+
+def _dies_before_its_hello(monkeypatch):
+    """Every worker forked from here on exits with code 1 before its
+    hello."""
+    monkeypatch.setattr(cluster_worker, "run", lambda host, port, name: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,22 +90,28 @@ class TestWorkerProtocol:
         srv = socket.socket()
         srv.bind(("127.0.0.1", 0))
         srv.listen(1)
+        srv.settimeout(10.0)
         port = srv.getsockname()[1]
-        proc = subprocess.Popen(
-            [sys.executable, cluster_worker.__file__,
-             "--connect", f"127.0.0.1:{port}", "--name", "w"],
-            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-        )
+        pid = os.fork()
+        if pid == 0:  # the worker: it must never return into pytest
+            code = 1
+            try:
+                code = cluster_worker.run("127.0.0.1", port, "w")
+            finally:
+                os._exit(code)
+        code = None
         try:
             conn, _ = srv.accept()
             hello = cluster_worker.recv_frame(conn)
             assert hello == cluster_worker.OP_HELLO + b"w"
             conn.sendall(LEN_PREFIX.pack(MAX_FRAME_LEN + 1))
-            assert proc.wait(timeout=10) == 2
+            code = _exit_code(pid, timeout=10.0)
+            assert code == 2
         finally:
-            proc.kill()
-            proc.wait()
             srv.close()
+            if code is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 class TestBackoffPolicy:
@@ -177,9 +209,10 @@ class TestDeadSpawn:
     handshake budget.  Each wall-clock bound below fails at the
     parent."""
 
-    def test_attach_fails_fast_and_leaks_no_worker(self):
+    def test_attach_fails_fast_and_leaks_no_worker(self, monkeypatch):
         before = live_worker_pgids()
-        eng = ClusterEngine(time_scale=SCALE, python="/bin/false", **HB)
+        _dies_before_its_hello(monkeypatch)
+        eng = ClusterEngine(time_scale=SCALE, **HB)
         t0 = time.monotonic()
         try:
             with pytest.raises(RuntimeError, match="exited with code 1"):
@@ -190,14 +223,14 @@ class TestDeadSpawn:
         finally:
             eng.close()
 
-    def test_deploy_fails_fast_and_leaves_nothing_behind(self):
+    def test_deploy_fails_fast_and_leaves_nothing_behind(self, monkeypatch):
         eng = ClusterEngine(time_scale=SCALE, **HB)
         sys_ = single_junction("skip", engine=eng)
         try:
             sys_.start()
             eng.run_until(0.5)
             before = live_worker_pgids()
-            eng.supervisor.python = "/bin/false"
+            _dies_before_its_hello(monkeypatch)
             t0 = time.monotonic()
             with pytest.raises(RuntimeError, match="exited with code 1"):
                 eng.prepare_instances(["y"])
@@ -209,7 +242,7 @@ class TestDeadSpawn:
         finally:
             eng.close()
 
-    def test_a_restart_that_exits_before_its_hello_is_one_failed_attempt(self):
+    def test_a_restart_that_exits_before_its_hello_is_one_failed_attempt(self, monkeypatch):
         eng = ClusterEngine(
             time_scale=SCALE,
             backoff=BackoffPolicy(max_restarts=1, base=0.05, jitter=0.0),
@@ -220,7 +253,7 @@ class TestDeadSpawn:
             sys_.start()
             eng.run_until(1.0)
             st = eng.supervisor.statuses["x"]
-            eng.supervisor.python = "/bin/false"
+            _dies_before_its_hello(monkeypatch)
             eng.supervisor.kill("x")
             t0 = time.monotonic()
             while st.state is not WorkerState.FAILED and time.monotonic() - t0 < 5.0:
@@ -232,6 +265,109 @@ class TestDeadSpawn:
             assert sys_.instances["x"].crashed
         finally:
             eng.close()
+
+
+class TestForkedWorker:
+    """A worker is a fork of the coordinator.  Each test fails when its
+    step of the child's set-up (``cluster._detach``) or of the parent's
+    handle is removed."""
+
+    @staticmethod
+    def _up(eng):
+        sys_ = single_junction("skip", engine=eng)
+        sys_.start()
+        eng.run_until(0.5)
+        return sys_
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_a_worker_holds_only_stdio_and_its_link(self):
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        caught = signal.signal(signal.SIGUSR1, lambda signum, frame: None)
+        try:
+            self._up(eng)
+            pid = eng.supervisor.worker_pid("x")
+            fds = {int(fd): os.readlink(f"/proc/{pid}/fd/{fd}") for fd in os.listdir(f"/proc/{pid}/fd")}
+            assert sorted(fds) == [0, 1, 2, 3]
+            assert fds[0] == fds[1] == os.devnull
+            assert fds[3].startswith("socket:")
+            # no handler of the coordinator's is left in the worker
+            with open(f"/proc/{pid}/status") as status:
+                cgt = next(int(line.split()[1], 16) for line in status if line.startswith("SigCgt:"))
+            for sig in (signal.SIGINT, signal.SIGUSR1):
+                assert not cgt & (1 << (sig - 1)), sig
+        finally:
+            signal.signal(signal.SIGUSR1, caught)
+            eng.close()
+
+    def test_closing_a_link_ends_its_worker_alone(self):
+        # B is forked while the coordinator holds A's link: had B kept a
+        # copy of that descriptor, closing A's link would not reach A
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        try:
+            self._up(eng)
+            eng.prepare_instances(["y"])
+            sup = eng.supervisor
+            a, b = sup.statuses["x"].proc, sup.statuses["y"].proc
+            sup.stop()  # the link going down is then no crash to reap
+            eng.transport.close_link("x")
+            give_up = time.monotonic() + 5.0
+            while a.poll() is None and time.monotonic() < give_up:
+                eng.run_until(eng.clock.now + 0.5)
+            assert a.returncode == 0
+            assert b.poll() is None
+        finally:
+            eng.close()
+
+    def test_a_worker_reaped_before_its_hello_leaves_no_process_group(self, monkeypatch):
+        # the group exists once _spawn returns, so the SIGKILL cannot
+        # miss a child that has not yet run its own setpgid
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        try:
+            self._up(eng)
+            monkeypatch.setattr(cluster_worker, "run", lambda host, port, name: time.sleep(2.0) or 0)
+            for _ in range(5):
+                proc = eng.supervisor._spawn("ghost")
+                t0 = time.monotonic()
+                ClusterSupervisor._reap(SimpleNamespace(proc=proc))
+                assert proc.returncode == -signal.SIGKILL
+                assert time.monotonic() - t0 < 1.0
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
+                assert proc.pid not in live_worker_pgids()
+        finally:
+            eng.close()
+
+    def test_a_worker_reaped_elsewhere_reads_as_exited(self):
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        try:
+            self._up(eng)
+            proc = eng.supervisor.statuses["x"].proc
+            assert proc.poll() is None
+            assert reap_orphan_workers() == [proc.pid]
+            assert proc.poll() is not None
+        finally:
+            eng.close()  # neither hangs nor signals a pid it no longer owns
+
+    def test_no_other_thread_is_alive_at_a_fork(self, monkeypatch):
+        # a fork copies one thread: a lock another thread held stays
+        # held in the worker
+        threads, fork = [], os.fork
+
+        def counted():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        eng = ClusterEngine(time_scale=SCALE, **HB)
+        try:
+            self._up(eng)
+            eng.prepare_instances(["y"])
+            eng.supervisor.kill("x")
+            eng.run_until(eng.clock.now + 5.0)
+            assert eng.supervisor.statuses["x"].restarts == 1
+        finally:
+            eng.close()
+        assert threads == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +721,8 @@ class TestCrashWindow:
 #: 12 logical seconds after detection, no jitter.  The delay is chosen
 #: so every client op completes *before* the restarted replica can
 #: re-register — a fresh b1 rejoining mid-workload would race its empty
-#: replies against b2's, and the two arms restart a couple of logical
-#: seconds apart (worker spawn consumes wall time the cluster clock
-#: also counts)
+#: replies against b2's, and the two arms restart apart (the worker's
+#: fork and handshake consume wall time the cluster clock also counts)
 DRILL_BACKOFF = BackoffPolicy(base=12.0, jitter=0.0)
 
 #: the client workload both failover arms run: two ops before the
@@ -671,16 +806,20 @@ class TestCrashSupervision:
         sys_.start()
         eng.run_until(1.0)
         old_pid = eng.supervisor.worker_pid("x")
+        killed_at = eng.clock.now
         eng.supervisor.kill("x")
         eng.run_until(eng.clock.now + 3.0)
-        # EOF detection: the instance is down well before any heartbeat
-        # timeout could have fired
-        assert sys_.instances["x"].crashed
-        assert eng.supervisor.statuses["x"].last_crash_reason in (
-            "connection lost", "process exit (code -9)",
-        )
-        assert eng.supervisor.degraded
-        eng.run_until(eng.clock.now + 12.0)  # backoff 2.0 + spawn + handshake
+        # EOF detection: the crash is recorded well before any heartbeat
+        # timeout could have fired (a forked restart may already have
+        # landed 2.0 s after it, so the record is what is asserted)
+        st = eng.supervisor.statuses["x"]
+        assert st.crashes == 1
+        assert st.last_crash_reason in ("connection lost", "process exit (code -9)")
+        crashes = [e for e in sys_.telemetry.events if e.kind == "worker_crash"]
+        assert [e.attrs["reason"] for e in crashes] == [st.last_crash_reason]
+        assert crashes[0].time - killed_at < HB["heartbeat_timeout"]
+        eng.run_until(eng.clock.now + 12.0)  # backoff 2.0 + fork + handshake
+        assert st.restarts == 1 and st.state is WorkerState.RUNNING
         assert sys_.instances["x"].alive
         assert eng.supervisor.worker_pid("x") != old_pid
         assert not eng.supervisor.degraded
