@@ -479,10 +479,17 @@ class TcpTransport(_StreamServer):
         stream = self._stream or self._open()
         stream.send(frame(encode_message(msg)), self.clock.now + latency, dispatch)
 
-    def _open(self):
-        from .cluster import _Stream  # cluster.py imports this module
+    def bind(self, network, clock) -> None:
+        super().bind(network, clock)
+        # imported here, before any run: cluster.py imports this module,
+        # and an import on the first delivery (a compile, with no
+        # bytecode cache) held that run's loop up for milliseconds
+        from .cluster import _Stream
 
-        stream = self._stream = _Stream(self, _Backlog())
+        self._stream_type = _Stream
+
+    def _open(self):
+        stream = self._stream = self._stream_type(self, _Backlog())
         self._connecting = self.clock.loop.create_task(self._connect(stream))
         return stream
 

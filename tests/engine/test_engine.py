@@ -347,6 +347,34 @@ class TestImportCost:
         )
         assert out.stdout.strip() == "False"
 
+    def test_a_tcp_run_imports_nothing(self):
+        # realtime-tcp imports its stream class when it binds: imported on
+        # the first delivery, cluster.py was compiled inside that run's
+        # loop, with no bytecode cache for longer than the 10 ms a 0.5 s
+        # timeout lasts at time_scale 0.02
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = "\n".join([
+            "import sys, time",
+            "from repro.arch.sharding import ShardedRedis",
+            "from repro.redislite import Command",
+            "from repro.runtime import default_engine",
+            "from repro.runtime.realtime import RealtimeEngine",
+            "with default_engine(lambda: RealtimeEngine(time_scale=0.02, transport='tcp')):",
+            "    svc = ShardedRedis(n_shards=2, seed=0)",
+            "before, replies = set(sys.modules), []",
+            "svc.submit(Command('SET', 'k', b'v'), replies.append)",
+            "give_up = time.monotonic() + 20.0",
+            "while not replies and time.monotonic() < give_up:",
+            "    svc.system.run_until(svc.system.now + 0.5)",
+            "svc.system.shutdown()",
+            "print(len(replies), sorted(set(sys.modules) - before))",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "1 []"
+
     def test_import_repro_loads_only_the_sim_runtime(self):
         # a worker that runs one engine pays for no other, nor for the
         # analyzer, the denotation or a graph library
