@@ -107,16 +107,6 @@ def open_target(target: str, *, scripts: bool = False) -> Target:
     return Target("csaw", Path(target).read_text())
 
 
-def declared_hosts(type_rt) -> set[str]:
-    """The ⌊H⌉ names the junctions of instance type ``type_rt`` run."""
-    return {
-        e.name
-        for cj in type_rt.junctions.values()
-        for e in A.walk(cj.body)
-        if isinstance(e, A.HostBlock)
-    }
-
-
 def bare_main_args(program: CompiledProgram) -> dict[str, float]:
     """1.0 for every ``main`` parameter the configuration leaves open."""
     return {p: 1.0 for p in main_env(program)[1]}
@@ -141,7 +131,7 @@ def start_bare(
     system = System(program, engine=engine)
     stubbed: list[str] = []
     for tname, trt in sorted(system.types.items()):
-        for name in sorted(declared_hosts(trt) - set(trt.host_fns)):
+        for name in sorted(program.hosts[tname] - set(trt.host_fns)):
             trt.bind_host(name, lambda ctx: None)
             stubbed.append(f"{tname}.{name}")
         if trt.state.save is None:

@@ -25,7 +25,7 @@ from ..redislite.server import Command, Reply
 from ..runtime.faults import FaultPlan
 from ..runtime.system import System
 from ..suricatalite.packet import Packet
-from .loader import BACKENDS, backend_names, declared_hosts, load_program
+from .loader import BACKENDS, backend_names, load_program
 
 #: runs a request dict on a back-end: (app, request, now) -> (reply, cost)
 ExecFn = Callable[["BackApp", dict, float], tuple[dict, float]]
@@ -151,8 +151,9 @@ class Service:
         ⌊H⌉ names the program declares, no fewer and no more: a
         misspelt block otherwise fails the first request to reach it,
         and a block bound under a name no junction runs never runs."""
+        hosts = self.system.program.hosts
         for tname, trt in self.system.types.items():
-            declared, bound = declared_hosts(trt), set(trt.host_fns)
+            declared, bound = hosts[tname], set(trt.host_fns)
             if declared != bound:
                 raise HostError(
                     f"{type(self).__name__}: instance type {tname!r} has host "
@@ -203,7 +204,7 @@ class RequestReply(Service):
             sys_.bind_app(back, back_app)
             sys_.bind_host(back, roles.execute, self._exec)
             # a back-end that gives up has nobody to tell
-            if "Complain" in declared_hosts(sys_.types[back]):
+            if "Complain" in program.hosts[back]:
                 sys_.bind_host(back, "Complain", _nothing)
         # both ends save what they hold; the back-ends install the
         # request shipped to them, the front the reply shipped back

@@ -22,8 +22,8 @@ Toggling::
 
     src = generated_source(sys_, "cache::serve")   # dump generated code
 
-Per-system override: ``System(arch, compiled=False)`` or an
-``EngineSpec`` with ``compiled=False``.
+Per-system override: an engine spec with ``compiled=off``
+(``System(arch, engine="sim,compiled=off")``).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ _default_enabled = True
 @contextmanager
 def compilation(enabled: bool):
     """Context manager setting the ambient compile default for Systems
-    built inside the block (explicit ``System(compiled=...)`` or an
-    ``EngineSpec(compiled=...)`` still wins)."""
+    built inside the block (an ``EngineSpec(compiled=...)`` passed to
+    the System still wins)."""
     global _default_enabled
     prev = _default_enabled
     _default_enabled = bool(enabled)

@@ -472,10 +472,8 @@ def compile_junction_code(system, jr) -> JunctionCode | None:
     later bind of the closure rebuilds ``C`` from the recipe and loads
     the remembered text, and emits afresh only if a target resolves
     differently in its ``System``."""
-    if jr.body is None:
-        return None
     closure = jr.closure
-    emitted = closure.emitted if closure is not None else None
+    emitted = closure.emitted
     if emitted is not None:
         if emitted.source is None:
             return None
@@ -486,6 +484,5 @@ def compile_junction_code(system, jr) -> JunctionCode | None:
         code, emitted = BodyCompiler(system, jr).compile()
     except Unsupported:
         code, emitted = None, FALLBACK
-    if closure is not None:
-        closure.emitted = emitted
+    closure.emitted = emitted
     return code

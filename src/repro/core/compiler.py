@@ -4,7 +4,8 @@ The output, :class:`CompiledProgram`, is what the runtime loads.  Each
 junction keeps its (inlined, ``if``-desugared) body template plus its
 declarations; final specialization — substituting the parameter values
 supplied by ``start`` and unrolling ``for`` templates — happens when an
-instance starts (:func:`repro.core.expand.specialize`).
+instance starts (:func:`repro.core.expand.specialize`).  ``main`` is
+packaged the same way and the runtime binds it like any junction.
 
 A program compiled from text is compiled once per distinct (text,
 config) in the process and shared: it is frozen, and each junction's
@@ -15,6 +16,7 @@ does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 from ..memo import TextMemo
@@ -49,7 +51,9 @@ class CompiledProgram:
 
     source: A.Program
     junctions: tuple[CompiledJunction, ...]
-    main: A.MainDef | None
+    #: ``main``, closed and bound like any junction, on the start-up
+    #: pseudo-instance ``__init__``
+    main: CompiledJunction | None
     config: Mapping[str, object] = field(default_factory=dict)
     #: the DSL text this program was compiled from, when compiled from
     #: text (the analyzer reads ``# analyze:`` comment directives)
@@ -63,6 +67,14 @@ class CompiledProgram:
         (empty when the program declares no such family)."""
         sizes = {f[0]: f[1] for f in self.source.families}
         return A.family_members(name, sizes[name]) if name in sizes else ()
+
+    @cached_property
+    def hosts(self) -> dict[str, frozenset[str]]:
+        """The ⌊H⌉ names the junctions of each instance type run."""
+        hosts = {t: set() for t in self.source.instance_types}
+        for cj in self.junctions:
+            hosts[cj.type_name].update(e.name for e in A.walk(cj.body) if isinstance(e, A.HostBlock))
+        return {t: frozenset(names) for t, names in hosts.items()}
 
     def junctions_of_type(self, type_name: str) -> list[CompiledJunction]:
         return [j for j in self.junctions if j.type_name == type_name]
@@ -159,7 +171,9 @@ def _compile(
             raise CompileError("functions inlined into main may not carry declarations")
         if sets:
             main_body = subst_expr(main_body, sets)
-        main = A.MainDef(params=main.params, body=main_body)
+        main = CompiledJunction(
+            type_name="__init__", name="main", params=main.params, decls=(), body=main_body
+        )
 
     return CompiledProgram(
         source=program,

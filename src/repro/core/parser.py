@@ -23,19 +23,12 @@ block and ``<| ... |>`` a transaction in expression context.
 
 from __future__ import annotations
 
-from ..memo import TextMemo
 from . import ast as A
 from .errors import ParseError
 from .formula import And, At, FalseF, Formula, Implies, Live, Not, Or, Prop, TRUE
 from .lexer import Token, tokenize
 
 _TERMINATORS = ("break", "next", "reconsider")
-
-#: distinct texts whose parsed programs are kept (least recently used
-#: out); a parsed shipped architecture retains about 32 KiB
-MAX_PROGRAMS = 64
-
-_programs: TextMemo[A.Program] = TextMemo(MAX_PROGRAMS)
 
 
 class Parser:
@@ -723,15 +716,8 @@ class Parser:
 
 
 def parse_program(text: str) -> A.Program:
-    """Parse a complete architecture description.
-
-    Parsed once per distinct text in the process: the tree is immutable
-    all the way down, so every caller of one text — each rebuild,
-    reshard and explore schedule, at any family size (a load-time
-    ``config`` entry, not part of the text) — shares one
-    :class:`~repro.core.ast.Program`.  A :class:`ParseError` propagates
-    and is not remembered."""
-    return _programs.get(text, lambda: Parser(text).parse_program())
+    """Parse a complete architecture description."""
+    return Parser(text).parse_program()
 
 
 def parse_expression(text: str) -> A.Expr:

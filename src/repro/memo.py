@@ -1,15 +1,14 @@
 """One bounded, process-wide memo keyed by source text.
 
-Three derivations in the toolchain are pure functions of a text whose
+Two derivations in the toolchain are pure functions of a text whose
 results are immutable: generated Python → code object
-(:mod:`repro.codeload`), an architecture's C-Saw text → parsed
-:class:`~repro.core.ast.Program` (:func:`repro.core.parser.parse_program`)
-and that text under a load-time config → compiled program
-(:func:`repro.core.compiler.compile_program`).
-Each runs once per distinct text in the process and every later caller
-shares the result.  A key that is the content needs no invalidation;
-the bound keeps a long-lived process (a fuzzer, the test suite) from
-growing without limit.
+(:mod:`repro.codeload`) and an architecture's C-Saw text under a
+load-time config → compiled program
+(:func:`repro.core.compiler.compile_program`, which parses the text on
+a miss).  Each runs once per distinct text in the process and every
+later caller shares the result.  A key that is the content needs no
+invalidation; the bound keeps a long-lived process (a fuzzer, the test
+suite) from growing without limit.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class ArchDiff:
     junctions_removed: tuple[tuple[str, str], ...] = ()
     #: the new ``main`` when it changed (``None`` + ``main_changed`` for
     #: a main that was removed outright)
-    new_main: A.MainDef | None = None
+    new_main: CompiledJunction | None = None
     main_changed: bool = False
     #: ``(key, new_value)`` for config keys added or changed
     config_set: tuple[tuple[str, object], ...] = ()
@@ -232,7 +232,7 @@ def apply_diff(old: CompiledProgram, diff: ArchDiff) -> CompiledProgram:
     source = A.Program(
         instance_types=tuple(types),
         instances=tuple(instances),
-        main=main,
+        main=None if main is None else A.MainDef(params=main.params, body=main.body),
         defs=tuple(
             A.JunctionDef(
                 type_name=j.type_name,

@@ -97,8 +97,7 @@ class JunctionRuntime:
         self.guard = None  # Formula | None, set at bind time
         self.body: A.Expr | None = None  # specialized body
         self.decls: tuple[A.Decl, ...] = ()
-        #: the closure body and decls were bound from (None when bound
-        #: by hand, as ``main`` is)
+        #: the closure body and decls were bound from (None until bound)
         self.closure: Closure | None = None
         self.status = "idle"  # 'idle' | 'running'
         self.sched_count = 0

@@ -97,7 +97,6 @@ class System:
         telemetry: Telemetry | bool | None = None,
         host_contract: str = "strict",
         engine: ExecutionEngine | EngineSpec | str | None = None,
-        compiled: bool | None = None,
     ):
         if host_contract not in ("strict", "warn"):
             raise ValueError(
@@ -111,12 +110,11 @@ class System:
         self.host_contract = host_contract
         # -- execution engine resolution: explicit engine/spec >
         #    ambient default_engine() scope > fresh SimEngine.  Spec
-        #    strings and EngineSpec values carry a compile mode too; the
-        #    explicit ``compiled`` kwarg wins.
-        spec_compiled: bool | None = None
+        #    strings and EngineSpec values carry a compile mode too.
+        compiled: bool | None = None
         if isinstance(engine, (EngineSpec, str)):
             spec = EngineSpec.of(engine)
-            spec_compiled = spec.compiled
+            compiled = spec.compiled
             engine = spec.create()
         if engine is None:
             factory = _default_engine_factory()
@@ -124,11 +122,9 @@ class System:
                 engine = factory()
                 ambient = _default_engine_spec()
                 if ambient is not None:
-                    spec_compiled = ambient.compiled
+                    compiled = ambient.compiled
             else:
                 engine = SimEngine()
-        if compiled is None:
-            compiled = spec_compiled
         if compiled is None:
             from ..compile import compile_default
 
@@ -270,37 +266,20 @@ class System:
         """
         if self._started_main:
             raise CompileError("main already started")
-        self._started_main = True
         main = self.program.main
-        if main is None:
-            return
         env, missing = main_env(self.program, main_args)
         if missing:
             raise CompileError(f"main parameters missing values: {missing}")
+        self._started_main = True
+        if main is None:
+            return
         self._main_env = dict(env)
-
-        body, _ = specialize(main.body, (), env)
-
-        # main runs on a distinguished start-up pseudo-junction.
-        from ..core.compiler import CompiledJunction
-
-        init_cj = CompiledJunction(
-            type_name="__init__", name="main", params=main.params, decls=(), body=body
-        )
-        init_type = InstanceTypeRuntime("__init__", [])
-        init_type.junctions["main"] = init_cj
-        init_inst = InstanceRuntime("__init__", init_type)
-        init_inst.running = True
-        jr = init_inst.junctions["main"] = JunctionRuntime(init_inst, init_cj)
-        jr.body = body
-        jr.decls = ()
-        jr.guard = TRUE
-        jr.params = {p: _to_runtime_value(env[p]) for p in main.params}
-        jr.init_state()
-        jr.table.attach_telemetry(self.telemetry)
-        self.network.register(jr.node, self._make_deliver(jr))
-        execution = JunctionExecution(self, jr)
-        self._executions[jr.node] = execution
+        # main runs on a distinguished start-up pseudo-instance
+        init = InstanceRuntime("__init__", InstanceTypeRuntime("__init__", [main]))
+        init.running = True
+        jr = init.junctions["main"]
+        self._bind_junction(init, jr, tuple(env[p] for p in main.params), env)
+        execution = self._executions[jr.node] = JunctionExecution(self, jr)
         execution.start()
         # drain immediate events so starts complete deterministically
         self.engine.run_until(self.clock.now)
@@ -582,10 +561,10 @@ class System:
 
     def _compile_junction(self, jr: JunctionRuntime):
         """Compile a freshly-bound junction (tentpole of the junction
-        compiler).  Disabled per system via ``compiled=False`` /
-        ``compilation(False)`` and nothing else: under a schedule
-        controller too, since every choice-point label and footprint is
-        made by the machine's ops, which both front-ends call.
+        compiler).  Disabled per system via ``compiled=off`` in its
+        engine spec or ``compilation(False)``, and nothing else: under a
+        schedule controller too, since every choice-point label and
+        footprint is made by the machine's ops, which both front-ends call.
         A closure emits its source once (``compile_junction_code``);
         compiling the text is paid once per distinct text in the process
         (:mod:`repro.codeload`), so a restart, a rebuild and a family

@@ -9,20 +9,23 @@ nothing; it re-resolves the static targets against its own ``System``
 and loads the remembered text into fresh functions.
 """
 
+import gc
 import sys
 import threading
+import types
 
 import pytest
 
 from repro.arch.catalog import CATALOG
 from repro.compile import codegen, compilation
 from repro.core import compile_program, compiler
-from repro.core.errors import ValidationError
+from repro.core.errors import CompileError, ValidationError
 from repro.explore.scenarios import arch_scenario
 from repro.memo import TextMemo
 from repro.runtime import System
 from repro.runtime import system as system_mod
-from repro.runtime.instance import JunctionRuntime
+from repro.runtime.instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
+from repro.runtime.kvtable import KVTable
 
 PROGRAM = """
 instance_types { T }
@@ -55,6 +58,15 @@ def T::j() =
   | set S
   | for s in S init prop !Up[s]
   assert[] Up[a]
+"""
+
+MAIN_WITH_PARAM = """
+instance_types { T }
+instances { x: T }
+def main(n) = start x(n)
+def T::j(n) =
+  | init prop !P
+  skip
 """
 
 ROWS = [
@@ -94,6 +106,29 @@ def _bound(system):
     }
 
 
+#: what one ``System`` owns; none of it may outlive the System through
+#: the program it was built from
+PER_SYSTEM = (System, InstanceRuntime, InstanceTypeRuntime, JunctionRuntime, KVTable)
+
+
+def _per_system_reachable(root):
+    """The per-System objects reachable from ``root`` by references
+    other than classes and modules (a module may keep the last System
+    for the telemetry facade; that is not the program's doing)."""
+    modules = {id(m.__dict__) for m in list(sys.modules.values()) if m is not None}
+    seen, found, todo = set(), [], [root]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)) or id(o) in modules:
+            continue
+        seen.add(id(o))
+        if isinstance(o, PER_SYSTEM):
+            found.append(o)
+            continue
+        todo.extend(gc.get_referents(o))
+    return found
+
+
 class TestBindMemo:
     @pytest.mark.parametrize("name,n", ROWS)
     def test_a_rebuild_closes_and_emits_nothing(self, name, n, monkeypatch):
@@ -102,8 +137,7 @@ class TestBindMemo:
         validations = _spy(monkeypatch, system_mod, "validate_closed_junction")
         emissions = _spy(monkeypatch, codegen.BodyCompiler, "compile")
         two = _build(name, n)
-        # ``main`` is closed per start; every junction close is a hit
-        closes = [args for args in closes if len(args) == 4]
+        # every close is a hit, ``main``'s included
         assert (closes, validations, emissions) == ([], [], [])
         assert two.program is one.program
 
@@ -134,8 +168,27 @@ class TestBindMemo:
             system.start()
             with pytest.raises(ValidationError, match="keep of undeclared key 'k'"):
                 system.start_instance("y")
-            assert len(validations) == i + 2  # x's first bind, then each of y's
+            # main's and x's first binds, then each of y's
+            assert len(validations) == i + 3
             assert program.junction("U", "j").closures == {}
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_the_program_keeps_nothing_of_a_system(self, name):
+        one, two = arch_scenario(name).run(), arch_scenario(name).run()
+        assert two.program is one.program
+        program = one.program
+        assert program.main is not None and program.main.closures
+        assert _per_system_reachable(program) == []
+
+    def test_a_start_with_missing_parameters_can_be_retried(self):
+        system = System(compile_program(MAIN_WITH_PARAM), latency=0.01)
+        with pytest.raises(CompileError, match=r"missing values: \['n'\]"):
+            system.start()
+        system.start(n=1)
+        system.run_until(1.0)
+        assert system.instance("x").running
+        with pytest.raises(CompileError, match="main already started"):
+            system.start(n=1)
 
     def test_two_systems_from_one_program_keep_separate_state(self):
         one = System(compile_program(PROGRAM), latency=0.01)

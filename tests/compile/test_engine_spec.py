@@ -76,10 +76,6 @@ class TestSystemAcceptance:
     def test_engine_spec_value(self):
         assert _system(engine=EngineSpec(compiled=False))._compiled is False
 
-    def test_explicit_kwarg_beats_spec(self):
-        sys_ = _system(engine="sim,compiled=off", compiled=True)
-        assert sys_._compiled is True
-
 
 class TestCliShims:
     def test_no_flags_no_warning(self):

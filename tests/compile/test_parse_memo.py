@@ -1,10 +1,11 @@
-"""Each architecture text is parsed once (``repro.core.parser.parse_program``).
+"""Each architecture text is parsed once per load-time config.
 
-The parse memo and the code loader (``test_codeload.py``) are two
-instances of one helper, :class:`repro.memo.TextMemo`: a bounded,
-process-wide LRU keyed by the text.  The tree a parse returns is
-immutable all the way down, so every caller of one text shares it —
-each rebuild, reshard and explore schedule, at any family size.
+The compile memo (``repro.core.compiler.compile_program``) and the code
+loader (``test_codeload.py``) are the two instances of one helper,
+:class:`repro.memo.TextMemo`: a bounded, process-wide LRU keyed by the
+text.  The parser keeps nothing: a text is parsed on a compile-memo
+miss, so every caller of one (text, config) — each rebuild, reshard and
+explore schedule — shares one compiled program and its parsed tree.
 """
 
 import sys
@@ -14,8 +15,8 @@ import pytest
 
 from repro import codeload
 from repro.arch.catalog import CATALOG
-from repro.arch.loader import load_program, load_source
-from repro.core import compile_program, compiler, parser
+from repro.arch.loader import load_program
+from repro.core import compile_program, compiler
 from repro.core.errors import ParseError
 from repro.core.parser import Parser, parse_program
 from repro.explore.scenarios import arch_scenario
@@ -38,10 +39,10 @@ def T::j() =
 # name, a function from a distinct int to a derived value (compared by
 # identity), a call that fails to derive, and the error it raises
 USERS = {
-    "parse": (
-        parser, "_programs", "MAX_PROGRAMS",
-        lambda i: parse_program(f"instance_types {{ T }}\ninstances {{ x{i}: T }}\n"),
-        lambda: parse_program("instance_types {"),
+    "compile": (
+        compiler, "_programs", "MAX_PROGRAMS",
+        lambda i: compile_program(f"instance_types {{ T }}\ninstances {{ x{i}: T }}\n"),
+        lambda: compile_program("instance_types {"),
         ParseError,
     ),
     "codeload": (
@@ -134,22 +135,21 @@ def _parses(monkeypatch):
 class TestParseMemo:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_every_shipped_architecture_is_parsed_once(self, name, monkeypatch):
-        parsed = parse_program(load_source(name))
+        # a fresh compile memo: the first load of each config parses
+        monkeypatch.setattr(compiler, "_programs", TextMemo(compiler.MAX_PROGRAMS))
         runs = _parses(monkeypatch)
-        if CATALOG[name].backends is None:
-            one, two = load_program(name), load_program(name)
-        else:  # the family size is load-time config, not part of the text
-            one, two = load_program(name, n_backends=2), load_program(name, n_backends=5)
-            assert len(one.family("Bck")) == 2 and len(two.family("Bck")) == 5
-        assert runs == []
-        assert parse_program(load_source(name)) is parsed
-        for compiled in (one, two):
-            assert compiled.source.defs is parsed.defs
-            assert compiled.source.main is parsed.main
+        # the family size is load-time config, not part of the text
+        sizes = (None,) if CATALOG[name].backends is None else (2, 5)
+        for n in sizes:
+            first = load_program(name, n_backends=n)
+            assert load_program(name, n_backends=n) is first
+            if n is not None:
+                assert len(first.family("Bck")) == n
+        assert len(runs) == len(sizes)
 
     def test_the_traced_name_is_the_memo(self):
-        from repro.core import compiler
-
+        # the tracer times ``compiler.parse_program``: the parse the
+        # compile memo runs on a miss
         assert compiler.parse_program is parse_program
 
     def test_two_systems_from_one_text_keep_separate_state(self):
@@ -168,13 +168,12 @@ class TestParseMemo:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_a_shared_parse_leaves_the_telemetry_unchanged(self, name, monkeypatch):
-        monkeypatch.setattr(parser, "_programs", TextMemo(parser.MAX_PROGRAMS))
-        # a compiled program would spare the cold run its parse
+        # a fresh compile memo: the cold run parses its text
         monkeypatch.setattr(compiler, "_programs", TextMemo(compiler.MAX_PROGRAMS))
         runs = _parses(monkeypatch)
         cold = arch_scenario(name).run().telemetry.export("jsonl")  # parses its text
         n = len(runs)
         assert n >= 1
         warm = [arch_scenario(name).run().telemetry.export("jsonl") for _ in range(2)]
-        assert len(runs) == n  # both built from the cold run's parse
+        assert len(runs) == n  # both built from the cold run's program
         assert warm == [cold, cold]
