@@ -63,10 +63,8 @@ from .reconfig import (
     ReconfigError,
     ReconfigReport,
     TransitionPlan,
-    apply_diff,
     diff_programs,
     plan_transition,
-    program_signature,
 )
 from .runtime import (
     BackoffPolicy,
@@ -132,10 +130,8 @@ __all__ = [
     "ReconfigError",
     "ReconfigReport",
     "TransitionPlan",
-    "apply_diff",
     "diff_programs",
     "plan_transition",
-    "program_signature",
     # observability
     "MetricsRegistry",
     "RingBufferSink",

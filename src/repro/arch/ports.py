@@ -25,7 +25,7 @@ from ..redislite.server import Command, Reply
 from ..runtime.faults import FaultPlan
 from ..runtime.system import System
 from ..suricatalite.packet import Packet
-from .loader import BACKENDS, backend_names, load_program
+from .loader import BACKENDS, backend_names, compile_sized, load_program
 
 #: runs a request dict on a back-end: (app, request, now) -> (reply, cost)
 ExecFn = Callable[["BackApp", dict, float], tuple[dict, float]]
@@ -256,7 +256,6 @@ class FamilyService(RequestReply):
     shard, replica or partition ``i``."""
 
     def __init__(self, name: str, *args, n_backends: int, **kw):
-        self._name = name
         self.backends = backend_names(n_backends)
         super().__init__(name, *args, n_backends=n_backends, **kw)
 
@@ -297,8 +296,10 @@ class FamilyService(RequestReply):
             self.backends = new
             switch()
 
+        # the text that runs, not the file it came from, which may
+        # have been edited since
         return self.system.reconfigure(
-            load_program(self._name, n_backends=n),
+            compile_sized(self.system.program.source_text, n, what="the running program"),
             on_transfer=transfer, quiesce_grace=quiesce_grace,
         )
 

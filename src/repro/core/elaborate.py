@@ -61,18 +61,14 @@ def junction_env(
     return {**config_env, **dict(zip(cj.params, args))}
 
 
-def main_starts(
-    program: CompiledProgram, env: Mapping[str, object]
-) -> tuple[A.Expr, dict[str, tuple]]:
-    """``main`` closed under ``env`` and, for each declared instance it
-    starts by name, that ``start``'s argument groups as written (a
-    target that goes through an ``idx`` cursor is the runtime's to
-    resolve; :func:`start_groups` reads the groups)."""
-    if program.main is None:
-        return A.Skip(), {}
-    body = specialize(program.main.body, (), env).body
+def main_starts(program: CompiledProgram, body: A.Expr) -> dict[str, tuple]:
+    """For each declared instance ``main``'s closed ``body`` starts by
+    name, that ``start``'s argument groups as written (a target that
+    goes through an ``idx`` cursor is the runtime's to resolve;
+    :func:`start_groups` reads the groups).  The runtime closes ``main``
+    once per environment; :func:`elaborate` closes it for itself."""
     declared = program.instance_map()
-    return body, {
+    return {
         str(e.instance): e.junction_args
         for e in A.walk(body)
         if isinstance(e, A.Start) and str(e.instance) in declared
@@ -157,10 +153,13 @@ def elaborate(program: CompiledProgram, env: Mapping[str, object] | None = None)
     static.update((p, A.Num(1.0)) for p in missing)
     config = program.config_env()
     instances = program.instance_map()
-    try:
-        main, starts = main_starts(program, static)
-    except CSawError:  # e.g. a ``for`` over a set only ``start()`` supplies
-        main, starts = program.main.body, {}
+    main, starts = A.Skip(), {}
+    if program.main is not None:
+        try:
+            main = specialize(program.main.body, (), static).body
+            starts = main_starts(program, main)
+        except CSawError:  # e.g. a ``for`` over a set only ``start()`` supplies
+            main = program.main.body
 
     junctions: list[BoundJunction] = []
     unbound: list[tuple[str, str]] = []

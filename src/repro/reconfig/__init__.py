@@ -2,7 +2,7 @@
 running system.
 
 * :mod:`repro.reconfig.diff` — the architecture differ
-  (:class:`ArchDiff`, :func:`diff_programs`, :func:`apply_diff`).
+  (:class:`ArchDiff`, :func:`diff_programs`).
 * :mod:`repro.reconfig.plan` — the transition planner
   (:class:`TransitionPlan`, :func:`plan_transition`).
 * :mod:`repro.reconfig.executor` — the engine-portable executor behind
@@ -13,15 +13,13 @@ See ``docs/RECONFIG.md`` for the model, the zero-drop quiesce protocol
 and the verification matrix.
 """
 
-from .diff import ArchDiff, apply_diff, diff_programs, program_signature
+from .diff import ArchDiff, diff_programs
 from .executor import ReconfigError, ReconfigReport, execute_reconfiguration
 from .plan import PlanStep, TransitionPlan, plan_transition
 
 __all__ = [
     "ArchDiff",
-    "apply_diff",
     "diff_programs",
-    "program_signature",
     "PlanStep",
     "TransitionPlan",
     "plan_transition",

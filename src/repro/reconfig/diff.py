@@ -4,10 +4,9 @@ The diff is computed over :class:`~repro.core.compiler.CompiledProgram`
 (i.e. *after* function inlining), so two sources that inline to the same
 junction templates are considered equal — exactly the equivalence the
 runtime observes.  The diff carries the *new* definitions for everything
-that changed, which makes it an applicable patch: ``apply_diff(a,
-diff_programs(a, b))`` reconstructs a program equivalent to ``b``
-(:func:`program_signature` defines the equivalence; instance/junction
-order is normalized away).
+that changed, which makes it a complete patch: the test suite's oracle
+(``tests/reconfig/oracle.py``) rebuilds ``b`` from ``a`` and
+``diff_programs(a, b)`` alone.
 
 Categories mirror what the reconfiguration planner needs:
 
@@ -29,10 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import ast as A
 from ..core.compiler import CompiledJunction, CompiledProgram
 
-__all__ = ["ArchDiff", "apply_diff", "diff_programs", "program_signature"]
+__all__ = ["ArchDiff", "diff_programs"]
 
 
 @dataclass(frozen=True)
@@ -182,97 +180,4 @@ def diff_programs(old: CompiledProgram, new: CompiledProgram) -> ArchDiff:
         main_changed=main_changed,
         config_set=tuple(config_set),
         config_removed=tuple(config_removed),
-    )
-
-
-def apply_diff(old: CompiledProgram, diff: ArchDiff) -> CompiledProgram:
-    """Patch ``old`` with ``diff``, reconstructing the target program.
-
-    The result is equivalent to the program the diff was computed
-    against: ``program_signature(apply_diff(a, diff_programs(a, b))) ==
-    program_signature(b)``.  The reconstructed :class:`~repro.core.ast.
-    Program` lists one :class:`~repro.core.ast.JunctionDef` per compiled
-    junction (functions are already inlined), so it revalidates and
-    recompiles cleanly.
-    """
-    old = _as_compiled(old)
-    removed_names = {name for name, _ in diff.instances_removed}
-    instances = [
-        (name, tname)
-        for name, tname in old.source.instances
-        if name not in removed_names
-    ]
-    instances += [pair for pair in diff.instances_added]
-    # a family's members are declared by ``families``, not one by one
-    families = old.source.families if diff.families is None else diff.families
-    members = {m for name, size, _ in families for m in A.family_members(name, size)}
-    instances = sorted(pair for pair in instances if pair[0] not in members)
-
-    types = [t for t in old.source.instance_types if t not in diff.types_removed]
-    types += [t for t in diff.types_added if t not in types]
-
-    overridden = {(j.type_name, j.name) for j in diff.junctions_changed}
-    dropped = set(diff.junctions_removed)
-    junctions = [
-        j
-        for j in old.junctions
-        if j.type_name not in diff.types_removed
-        and (j.type_name, j.name) not in overridden
-        and (j.type_name, j.name) not in dropped
-    ]
-    junctions += list(diff.junctions_changed)
-    junctions.sort(key=lambda j: (j.type_name, j.name))
-
-    main = diff.new_main if diff.main_changed else old.main
-
-    config = {k: v for k, v in old.config.items() if k not in diff.config_removed}
-    for key, value in diff.config_set:
-        config[key] = value
-
-    source = A.Program(
-        instance_types=tuple(types),
-        instances=tuple(instances),
-        main=None if main is None else A.MainDef(params=main.params, body=main.body),
-        defs=tuple(
-            A.JunctionDef(
-                type_name=j.type_name,
-                junction=j.name,
-                params=j.params,
-                decls=j.decls,
-                body=j.body,
-            )
-            for j in junctions
-        ),
-        functions=(),
-        families=families,
-    )
-    return CompiledProgram(
-        source=source,
-        junctions=tuple(junctions),
-        main=main,
-        config=config,
-        source_text=None,
-    )
-
-
-def program_signature(p: CompiledProgram):
-    """A normalized, order-insensitive identity of an architecture.
-
-    Two programs with equal signatures bind the same instances to the
-    same junction templates under the same ``main`` and config — the
-    equivalence :func:`apply_diff` round-trips under.
-    """
-    p = _as_compiled(p)
-    return (
-        frozenset(p.source.instance_types),
-        tuple(sorted(p.instance_map().items())),
-        tuple(sorted(p.source.families)),
-        tuple(
-            sorted(
-                (j.type_name, j.name, j.params, j.decls, j.body)
-                for j in p.junctions
-            )
-        ),
-        p.main,
-        tuple(sorted(p.config.items())),
     )

@@ -37,17 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from ..core.compiler import CompiledProgram
 from ..core.elaborate import main_env, main_starts, start_groups
 from ..core.errors import SerdeError
 from ..runtime.instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
+from ..runtime.system import System, _close
 from .diff import ArchDiff, diff_programs
 from .plan import KINDS, TransitionPlan, plan_transition
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.system import System
 
 __all__ = ["ReconfigError", "ReconfigReport", "execute_reconfiguration"]
 
@@ -129,12 +127,16 @@ def _rebind_args(bound: Mapping[str, object], cj, from_main: tuple | None) -> tu
 
 def start_args(program: CompiledProgram, env: Mapping[str, object]) -> dict[str, dict[str, tuple]]:
     """Instance → junction → the arguments ``main`` closed under ``env``
-    starts it with — the elaboration ``System.start`` runs through, so
+    starts it with, read from the closure ``System.start`` binds under
+    the same key (a ``main`` a fresh start refuses raises here), so
     reconfigured and freshly-started bindings agree exactly."""
+    if program.main is None:
+        return {}
     imap = program.instance_map()
+    body = _close(program.main, env, "__init__", "main").body
     return {
         name: start_groups(name, program.junctions_of_type(imap[name]), groups)
-        for name, groups in main_starts(program, env)[1].items()
+        for name, groups in main_starts(program, body).items()
     }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.catalog import CATALOG
-from repro.arch.loader import dsl_path, load_program
+from repro.arch.loader import dsl_path, load_program, load_source
 from repro.cli import main
 from repro.core.topology import topology
 from repro.explore import Schedule
@@ -340,3 +340,16 @@ class TestFamilySize:
             assert step in steps
         assert "resume Bck5" not in steps
         assert steps.index("spawn Bck5") < steps.index("quiesce Fnt")
+
+    def test_plan_only_refuses_a_main_a_fresh_start_refuses(self, tmp_path, capsys):
+        """The plan elaborates the new ``main`` as a start binds it, so
+        a write of undeclared data is the start's error, not a plan."""
+        bad = tmp_path / "bad.csaw"
+        bad.write_text(
+            load_source("sharding").replace("start b(t)\n", "start b(t) + write(zz, Fnt)\n", 1)
+        )
+        argv = ["reconfigure", "sharding", str(bad), "--plan-only"]
+        assert main([*argv, "--old-backends", "4", "--new-backends", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "error: __init__::main: write of undeclared data 'zz'" in captured.err
+        assert "quiesce" not in captured.out

@@ -18,7 +18,9 @@ import pytest
 from repro.analysis.analyzer import analyze_program
 from repro.arch.loader import ARCHITECTURES, load_program, load_source
 from repro.core.compiler import compile_program
-from repro.reconfig import apply_diff, diff_programs, program_signature
+from repro.reconfig import diff_programs
+
+from .oracle import apply_diff, program_signature
 
 
 def _errors(report):

@@ -5,7 +5,7 @@ templates (every template is valid C-Saw that the repo compiler
 accepts), then:
 
 * ``diff_programs(a, a)`` is empty for every generated ``a``;
-* ``apply_diff(a, diff_programs(a, b))`` reconstructs ``b`` up to
+* the oracle's ``apply_diff(a, diff_programs(a, b))`` reconstructs ``b`` up to
   :func:`program_signature` (the diff is a complete, applicable patch);
 * every transition plan is a valid DAG whose order puts each spawn
   before each quiesce, each quiesce before the cutover and the cutover
@@ -17,12 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler import compile_program
-from repro.reconfig import (
-    apply_diff,
-    diff_programs,
-    plan_transition,
-    program_signature,
-)
+from repro.reconfig import diff_programs, plan_transition
+
+from .oracle import apply_diff, program_signature
 
 #: junction template pool — each entry is the full indented decl+body
 #: of ``def <T>::junction(t)``
