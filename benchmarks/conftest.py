@@ -8,7 +8,7 @@ experiment through the pytest-benchmark fixture (one round — the
 experiments are deterministic, so repetition only measures the
 harness).
 
-Run:  pytest benchmarks/ --benchmark-only -s
+Run:  PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -s
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Redis and Suricata.
 
 from conftest import print_table, run_once
 
-from repro.arch.loc import serde_generated_loc, table2, table2_shared, uncounted_bases
+from benchmarks.control.loc import serde_generated_loc, table2, table2_shared, uncounted_bases
 
 
 def test_table2(benchmark):

@@ -5,7 +5,6 @@ Runs the same redis-benchmark-style workload against:
 
 * the unmodified single server (baseline),
 * the DSL sharding architecture, by key hash and by object size,
-* the direct (non-DSL) control implementation,
 
 and prints per-shard request distributions and latency statistics.
 
@@ -14,7 +13,6 @@ Run:  python examples/redis_sharding.py
 
 from repro.api import Simulator
 from repro.arch.sharding import ShardedRedis
-from repro.direct.sharding import DirectShardedRedis
 from repro.redislite import (
     BenchDriver,
     DirectPort,
@@ -48,15 +46,6 @@ def run_dsl(mode: str, wl: WorkloadGenerator) -> None:
           f"p50={res.percentile(0.5)*1e6:7.0f}us")
 
 
-def run_direct(wl: WorkloadGenerator) -> None:
-    sim = Simulator()
-    svc = DirectShardedRedis(sim, N_SHARDS)
-    svc.preload(wl.preload_commands())
-    res = BenchDriver(sim, svc, wl, clients=8).run(DURATION)
-    dist = [f"{c:6d}" for c in svc.shard_counts]
-    print(f"direct (key)  : {res.count:7d} req  shards=[{' '.join(dist)}]")
-
-
 def main() -> None:
     print(f"== redislite sharding, {DURATION}s simulated, {N_SHARDS} shards ==")
     run_baseline(11)
@@ -81,7 +70,6 @@ def main() -> None:
     )
     run_dsl("size", wl_sized)
 
-    run_direct(WorkloadGenerator(n_keys=1000, seed=11))
     print("done.")
 
 

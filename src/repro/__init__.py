@@ -17,8 +17,9 @@ Package map:
   :mod:`repro.suricatalite` — substrates standing in for the paper's
   third-party systems.
 * :mod:`repro.arch` — the paper's architectures as DSL programs.
-* :mod:`repro.direct` — direct (non-DSL) control implementations for
-  the effort study.
+
+The direct (non-DSL) control implementations for the effort study are
+evaluation code, not part of the package: ``benchmarks/control``.
 
 Quick start::
 

@@ -1,10 +1,8 @@
 """Table 2 LoC accounting tests."""
 
-from repro.arch import loc, ports, sharding
-from repro.arch.loader import load_program
-from repro.arch.loc import (
+from benchmarks.control import loc
+from benchmarks.control.loc import (
     count_loc_object,
-    count_loc_text,
     dsl_loc,
     serde_generated_loc,
     table2,
@@ -12,6 +10,9 @@ from repro.arch.loc import (
     table2_shared,
     uncounted_bases,
 )
+from repro.arch import ports, sharding
+from repro.arch.loader import load_program
+from repro.arch.loc import count_loc_text
 from repro.core.emit import emit_program
 
 

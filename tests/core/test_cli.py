@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.control.loc import table2
 from repro.arch.catalog import CATALOG
 from repro.arch.loader import dsl_path, load_program, load_source
 from repro.cli import main
@@ -217,6 +218,15 @@ class TestLoc:
     def test_counts(self, good_file, capsys):
         assert main(["loc", good_file]) == 0
         assert int(capsys.readouterr().out.strip()) == 6
+
+    @pytest.mark.parametrize(
+        "feature, count", (("Checkpointing", 48), ("Sharding", 37), ("Caching", 53))
+    )
+    def test_a_shipped_name_counts_table2s_dsl_column(self, feature, count, capsys):
+        # the shipped counter and the Table 2 harness's live in two trees
+        assert main(["loc", feature.lower()]) == 0
+        dsl_column = next(r.dsl_loc for r in table2() if r.feature == feature)
+        assert int(capsys.readouterr().out) == count == dsl_column
 
 
 class TestOneTargetRule:

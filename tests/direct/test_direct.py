@@ -3,7 +3,7 @@ checkpointing."""
 
 import pytest
 
-from repro.direct import (
+from benchmarks.control import (
     DirectCachedRedis,
     DirectCheckpointManager,
     DirectShardedRedis,

@@ -7,9 +7,9 @@ sequentially; client outputs and final partition logs must agree.
 
 from random import Random
 
+from benchmarks.control import DirectShardedBroker
 from repro.arch.broker import ReplicatedBroker, ShardedBroker
 from repro.brokerlite import BrokerRequest
-from repro.direct import DirectShardedBroker
 from repro.runtime.sim import Simulator
 
 SEED = 7

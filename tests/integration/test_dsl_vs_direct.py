@@ -12,6 +12,15 @@ next submit) so the comparison is schedule-independent.
 
 import random
 
+from benchmarks.control import (
+    DirectCachedRedis,
+    DirectCheckpointManager,
+    DirectElasticWorkers,
+    DirectFailoverRedis,
+    DirectMigratableRedis,
+    DirectRemoteAuditor,
+    DirectShardedRedis,
+)
 from repro.arch.caching import CachedRedis
 from repro.arch.checkpointing import CheckpointedService
 from repro.arch.elastic import ElasticWorkers
@@ -21,15 +30,6 @@ from repro.arch.sharding import ShardedRedis
 from repro.arch.snapshot import RemoteAuditor
 from repro.curlite.client import TransferClient
 from repro.curlite.fileserver import FileServer, LinkModel
-from repro.direct import (
-    DirectCachedRedis,
-    DirectCheckpointManager,
-    DirectElasticWorkers,
-    DirectFailoverRedis,
-    DirectMigratableRedis,
-    DirectRemoteAuditor,
-    DirectShardedRedis,
-)
 from repro.redislite import Command, RedisServer, WorkloadGenerator
 from repro.redislite.bench import DirectPort
 from repro.runtime.sim import Simulator

@@ -150,7 +150,7 @@ class TestAgreementWithInterpreter:
 
 class TestSubstrateSchemas:
     def test_redis_entry_generated(self):
-        from repro.direct.schemas import redis_entry_schema
+        from benchmarks.control.schemas import redis_entry_schema
 
         reg = TypeRegistry()
         root = redis_entry_schema(reg)
@@ -166,7 +166,7 @@ class TestSubstrateSchemas:
         assert ns[f"decode_{root}"](ns[f"encode_{root}"](v)) == v
 
     def test_suricata_packet_generated(self):
-        from repro.direct.schemas import suricata_packet_schema
+        from benchmarks.control.schemas import suricata_packet_schema
 
         reg = TypeRegistry()
         root = suricata_packet_schema(reg)
@@ -201,7 +201,7 @@ class TestSubstrateSchemas:
         assert ns[f"decode_{root}"](ns[f"encode_{root}"](v)) == v
 
     def test_generated_loc_measured(self):
-        from repro.arch.loc import serde_generated_loc
+        from benchmarks.control.loc import serde_generated_loc
 
         loc = serde_generated_loc()
         # the Suricata packet serializer is much bigger than Redis's,
