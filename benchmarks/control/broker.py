@@ -4,8 +4,8 @@ broker differential.
 A router endpoint hashes publish keys (djb2) to the owning partition
 and forwards every command to the partition's endpoint over the
 hand-rolled message bus — correlation, timeouts and per-partition
-health tracked by hand, exactly the logic ``broker_sharded.csaw``
-expresses in the DSL.
+health tracked by hand, exactly the logic ``sharding.csaw`` expresses
+in the DSL (the program the ``broker_sharded`` deployment runs).
 """
 
 from __future__ import annotations

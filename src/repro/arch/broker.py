@@ -2,23 +2,26 @@
 
 Two deployments of the :mod:`~repro.brokerlite` substrate:
 
-* :class:`ShardedBroker` — ``dsl/broker_sharded.csaw``: the partitioned
-  log spread across ``N`` back-end instances, one partition per
-  instance.  ``Route`` picks the owner (djb2 of the key for ``PUB``,
-  the explicit partition number for the offset-addressed commands),
-  ``Apply`` executes the command on the owner's log, ``Deliver``
-  completes the client request.  ``reconfigure_partitions`` changes the
+* :class:`ShardedBroker` — ``dsl/sharding.csaw``, the program
+  :class:`~repro.arch.sharding.ShardedRedis` runs: the partitioned log
+  spread across ``N`` back-end instances, one partition per instance.
+  ``Choose`` picks the owner (djb2 of the key for ``PUB``, the explicit
+  partition number for the offset-addressed commands), ``Exec``
+  executes the command on the owner's log, ``Respond`` completes the
+  client request.  ``reconfigure_partitions`` changes the
   partition count through a live reconfiguration with zero dropped
   requests.
 
-* :class:`ReplicatedBroker` — ``dsl/broker_failover.csaw``: warm log
-  replicas behind the sec. 7.3 fail-over front-end.  Every command
+* :class:`ReplicatedBroker` — ``dsl/failover.csaw``, the program
+  :class:`~repro.arch.failover.FailoverRedis` runs: warm log replicas
+  behind the sec. 7.3 fail-over front-end.  Every command
   (including every publish) fans out to all registered replicas, so
   each holds a full copy of the log; the PR 8 leader-swap
   reconfiguration (``swap_backend``) retires a replica live.
 
-Both speak dict-shaped requests/replies on the wire (serde-safe across
-the tcp and cluster transports); :func:`request_to_dict` /
+Only the host bindings differ from the Redis deployments.  Both speak
+dict-shaped requests/replies on the wire (serde-safe across the tcp
+and cluster transports); :func:`request_to_dict` /
 :func:`reply_from_dict` convert to the substrate's dataclasses.
 """
 
@@ -27,8 +30,9 @@ from __future__ import annotations
 from typing import Callable
 
 from ..brokerlite import BrokerReply, BrokerRequest, BrokerServer, partition_for
+from . import sharding
 from .failover import FailoverService
-from .ports import BackApp, FamilyService, FrontApp, Roles
+from .ports import BackApp, FamilyService, FrontApp
 
 
 def request_to_dict(req: BrokerRequest) -> dict:
@@ -100,12 +104,6 @@ class BrokerPort:
         self.front.submit(request_to_dict(req), lambda d: on_done(reply_from_dict(d)))
 
 
-_SHARDED_ROLES = Roles(
-    front="Front", node="Fnt::junction", backs=("Back",),
-    first="Route", respond="Deliver", execute="Apply", request="rec", reply="ack",
-)
-
-
 class ShardedBroker(FamilyService, BrokerPort):
     """brokerlite partitioned over N back-end instances.
 
@@ -126,7 +124,7 @@ class ShardedBroker(FamilyService, BrokerPort):
         self.n_partitions = n_partitions
         self.timeout = timeout
         super().__init__(
-            "broker_sharded", _SHARDED_ROLES, FrontApp,
+            "sharding", sharding._ROLES, FrontApp,
             lambda inst: BackApp(
                 BrokerServer(name=f"partition{self._index(inst)}", cost=cost_model)
             ),
@@ -201,7 +199,6 @@ class ReplicatedBroker(FailoverService, BrokerPort):
 
     def __init__(self, *, cost_model=None, n_partitions: int = 4, **kw):
         self.n_partitions = n_partitions
-        kw.setdefault("program_name", "broker_failover")
         super().__init__(
             lambda i: BrokerServer(name=f"replica{i}", cost=cost_model), broker_exec, **kw
         )

@@ -77,7 +77,6 @@ class FailoverService(RequestReply):
         timeout: float = 0.5,
         seed: int = 0,
         reactivate_poll: float | None = 1.0,
-        run_for: float = 1.0,
         program_name: str = "failover",
         program: CompiledProgram | None = None,
     ):
@@ -104,7 +103,7 @@ class FailoverService(RequestReply):
         )
         self._start(t=timeout)
         # let the registration/initialization phase complete
-        sys_.run_until(sys_.now + run_for)
+        sys_.run_until(sys_.now + 1.0)
 
         # the paper schedules reactivate from the application; poll it
         if reactivate_poll is not None:

@@ -1,11 +1,18 @@
 """Loading the architecture library's DSL sources.
 
 Architectures live as ``.csaw`` files under ``repro/arch/dsl``, each
-of them C-Saw as written.  The sharded ones are parameterized by the
-number of back-ends (a compile-time configuration parameter in the
-paper, sec. 5.2): they declare the indexed instance family
-``Bck[4]: Back``, whose size the load-time ``config`` entry ``Bck``
-overrides — ``n_backends=N`` here is that entry and nothing else.
+of them C-Saw as written.  A shipped name runs the file of the same
+name, except where :data:`SOURCES` says it runs another name's
+description: the broker deployments are the Redis programs over
+brokerlite ("the same logic is applied to both Redis and Suricata",
+sec. 7.3), so every tool resolves ``broker_sharded`` to
+``sharding.csaw`` and ``broker_failover`` to ``failover.csaw``.
+
+The sharded ones are parameterized by the number of back-ends (a
+compile-time configuration parameter in the paper, sec. 5.2): they
+declare the indexed instance family ``Bck[4]: Back``, whose size the
+load-time ``config`` entry ``Bck`` overrides — ``n_backends=N`` here
+is that entry and nothing else.
 
 Two functions serve every tool that takes a *target* (each CLI verb,
 the exploration scenarios): :func:`open_target` resolves what the user
@@ -42,8 +49,12 @@ ARCHITECTURES = (
 )
 
 
+#: shipped names whose description is another name's ``.csaw`` file
+SOURCES = {"broker_sharded": "sharding", "broker_failover": "failover"}
+
+
 def dsl_path(name: str) -> Path:
-    p = _DSL_DIR / f"{name}.csaw"
+    p = _DSL_DIR / f"{SOURCES.get(name, name)}.csaw"
     if not p.exists():
         raise FileNotFoundError(f"no architecture {name!r}; have {ARCHITECTURES}")
     return p

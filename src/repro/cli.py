@@ -42,10 +42,13 @@ Commands:
                   shipped architecture that speaks a request protocol.
 * ``cluster``   — deploy across supervised worker processes (one OS
                   process per instance, or ``--engine cluster,workers=N``
-                  shard groups) with heartbeat liveness probes and
-                  restart-with-backoff; ``--kill b1 --kill-at 4`` runs
-                  a SIGKILL fault drill and exits non-zero unless the
-                  supervisor recovers the worker.
+                  shard groups) with heartbeat liveness probes (set
+                  through the spec: ``heartbeat_interval=``,
+                  ``heartbeat_timeout=``) and restart-with-backoff
+                  (``--backoff-base``, ``--backoff-cap``);
+                  ``--kill b1 --kill-at 4`` runs a SIGKILL fault drill
+                  and exits non-zero unless the supervisor recovers the
+                  worker.
 * ``reconfigure`` — apply the diff between two targets to a running
                   system (quiesce, snapshot, cutover, resume).
 * ``explore``   — controlled-scheduler interleaving search: run a
@@ -523,8 +526,6 @@ def cmd_cluster(args) -> int:
         e = ClusterEngine(
             workers=spec.workers,
             time_scale=spec.time_scale,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
             backoff=backoff,
             drills=drills,
             **dict(spec.options),
@@ -806,11 +807,6 @@ _VERBS = (
      "deploy across supervised worker processes (one per instance "
      "or shard group), with optional SIGKILL fault drills", (
         "target", "config", "engine", "until",
-        _arg("--heartbeat-interval", type=float, default=0.5,
-             help="logical seconds between liveness pings (default: 0.5)"),
-        _arg("--heartbeat-timeout", type=float, default=2.0,
-             help="logical seconds without a pong before a worker is declared "
-                  "crashed (default: 2.0)"),
         _arg("--backoff-base", type=float, default=0.5,
              help="first restart delay in logical seconds (default: 0.5)"),
         _arg("--backoff-cap", type=float, default=8.0,

@@ -4,8 +4,12 @@ scenarios and the workload adapters are derived from it."""
 import re
 from pathlib import Path
 
+from repro.arch.broker import ReplicatedBroker, ShardedBroker
 from repro.arch.catalog import CATALOG
-from repro.arch.loader import ARCHITECTURES
+from repro.arch.failover import FailoverRedis
+from repro.arch.loader import ARCHITECTURES, dsl_path
+from repro.arch.sharding import ShardedRedis
+from repro.core.lexer import tokenize
 from repro.explore.scenarios import _ARCH_SCENARIOS, arch_scenario
 from repro.workload import ADAPTERS
 
@@ -49,3 +53,29 @@ def test_scenario_exposes_its_system_once_built():
     system = sc.run()
     assert sc.system is system
     system.shutdown()
+
+
+def _shape(text: str) -> tuple:
+    """``text``'s tokens without comments, each identifier replaced by
+    the index of its first occurrence: two files with the same shape
+    are one description under other names."""
+    first: dict[str, int] = {}
+    return tuple(
+        (t.kind, first.setdefault(t.value, len(first)) if t.kind == "ident" else t.value)
+        for t in tokenize(text)
+    )
+
+
+def test_one_description_per_architecture():
+    files = sorted({dsl_path(name) for name in ARCHITECTURES})
+    assert files == sorted(files[0].parent.glob("*.csaw"))
+    seen: dict[tuple, str] = {}
+    copies = [
+        f"{path.name} is a renamed copy of {other}"
+        for path in files
+        if (other := seen.setdefault(_shape(path.read_text()), path.name)) != path.name
+    ]
+    assert copies == []
+    # a deployment over another substrate runs the same compiled program
+    assert ShardedBroker(n_partitions=4).system.program is ShardedRedis(n_shards=4).system.program
+    assert ReplicatedBroker().system.program is FailoverRedis().system.program

@@ -1053,3 +1053,18 @@ class TestDrain:
         assert rc == 0, out
         assert "recovered=True" in out
         assert "crashes=1" in out
+
+    def test_repro_cluster_takes_heartbeat_options_from_the_spec(self):
+        # the heartbeat is set through the engine spec, the one way
+        from repro.cli import main
+
+        import io
+        from contextlib import redirect_stdout
+
+        with redirect_stdout(io.StringIO()) as buf:
+            rc = main([
+                "cluster", "sharding",
+                "--engine", "cluster,heartbeat_interval=0.4", "--until", "2",
+            ])
+        assert rc == 0, buf.getvalue()
+        assert reap_orphan_workers() == []
