@@ -20,9 +20,10 @@ Write kinds mirror the interpreter:
 * ``local``  — self-targeted assert/retract and ``save``;
 * ``remote`` — the target-table copy of assert/retract/``write``;
 * ``echo``   — the sender-table copy of a remote assert/retract.  The
-  machine applies it only after the ack and only if no newer update for
-  the key arrived in between (``JunctionExecution.set_remote``), so
-  echoes are excluded from cross-junction race candidates;
+  machine applies it only after the ack and never lets it outlive a
+  newer update for the key that arrived in between
+  (``JunctionExecution.set_remote``), so echoes are excluded from
+  cross-junction race candidates;
 * ``host``   — a ``host NAME {writes}`` declared write.
 """
 

@@ -13,7 +13,8 @@ Two complementary passes:
     owner's run loop serializes them (the consume/reset handshake
     ``guard Req`` … ``retract[] Req`` relies on exactly this);
   - ``echo`` sites are excluded — the interpreter's ack/recv-seq guard
-    (``JunctionExecution.set_remote``) drops stale sender-side copies;
+    (``JunctionExecution.set_remote``) never lets a sender-side copy
+    outlive a newer update;
   - equal constant values (tt/tt, ff/ff) commute and are excluded.
 
   What remains is two *remote* writers racing on network arrival

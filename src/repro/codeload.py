@@ -8,8 +8,12 @@ bound with equal parameters, and every rebuild of an architecture the
 process has built before.  ``compile()`` is the expensive half of
 loading such a module and its result, a code object, is immutable: it
 runs once per distinct text and the code object is shared.  ``exec``
-still runs per load, into a fresh namespace, so every caller gets its
-own function objects and globals.
+runs per load, into a fresh namespace, so every load gets its own
+function objects and globals.  How often a module is loaded is the
+caller's choice: a junction module is loaded once per closure (a
+rebuild, a restart and a rebind run the functions its first bind
+loaded, with their own constants), and a serializer module once per
+``load_generated`` call.
 
 The cache is a :class:`~repro.memo.TextMemo`: process-wide by design (a
 build reuses what any earlier build compiled), keyed by the text itself,

@@ -25,17 +25,19 @@ The technique is the one proven in :mod:`repro.serde.codegen`:
 deterministic source text (equal junctions generate byte-identical
 source — hypothesis-tested), loaded through :func:`repro.codeload.load`,
 which compiles each distinct text once.  The text does not name its
-junction, so the members of a family share one code object (each still
-gets its own functions and namespace).
+junction, so the members of a family share one code object (each
+closure still gets its own functions and namespace).
 Runtime objects that cannot appear in source (resolved target
 junctions, formulas, argument expressions) travel in the constant tuple
 ``C``; AST *statements* never do.
 
 A junction's closure (:class:`~repro.runtime.instance.Closure`) is
-emitted once: its :class:`Emission` keeps the text, the guard's name and
-a recipe for ``C``, so a later bind of the closure — a rebuild, a
-restart, a reshard's rebind — re-resolves only the static targets
-against its own ``System`` and loads the remembered text.
+emitted and loaded once: its :class:`Emission` keeps the text, the
+guard and body functions its one load made, and a recipe for ``C``, so
+a later bind of the closure — a rebuild, a restart, a reshard's rebind
+— re-resolves only the static targets against its own ``System`` and
+runs the same functions.  Generated functions keep no per-junction
+state (everything per ``System`` is in ``C``), so sharing them is safe.
 
 Anything the lowering does not cover — unexpanded templates, unknown
 terminators — makes the *whole junction* fall back to the tree-walker,
@@ -49,7 +51,7 @@ from typing import NamedTuple
 from ..codeload import load
 from ..core import ast as A
 from ..core.errors import CSawError, ReturnSignal, RetrySignal
-from ..core.formula import TRUE, UNKNOWN, Formula
+from ..core.formula import UNKNOWN, Formula
 from ..runtime.interpreter import fold_number
 from .formulas import _FormulaEmitter, formula_function, is_pure
 
@@ -80,15 +82,18 @@ class Emission(NamedTuple):
     ``static=None`` is ``obj`` itself; ``True`` is the junction the
     target ``obj`` resolved to at bind time, resolved again per bind;
     ``False`` is a target that did not resolve statically and is passed
-    as is to ``ex.resolve``."""
+    as is to ``ex.resolve``.  ``body_fn`` and ``guard_fn`` are the
+    functions the one load of ``source`` made; every bind of the
+    closure runs them with its own ``C``."""
 
     source: str | None
-    guard_name: str | None
     recipe: tuple
+    body_fn: object = None
+    guard_fn: object = None
 
 
 #: the tree-walker fallback verdict
-FALLBACK = Emission(None, None, ())
+FALLBACK = Emission(None, ())
 
 
 class JunctionCode:
@@ -414,7 +419,7 @@ class BodyCompiler:
         self._yields = saved
 
     def compile(self) -> tuple[JunctionCode, Emission]:
-        guard = self.jr.guard if self.jr.guard is not None else TRUE
+        guard = self.jr.guard
         guard_name = None
         if is_pure(guard, self.jr.idx_names):
             guard_name = "_guard"
@@ -429,18 +434,23 @@ class BodyCompiler:
             '"""\n'
         )
         source = header + "\n\n\n".join(self.module_fns) + "\n"
-        emitted = Emission(source, guard_name, tuple(self.recipe))
+        ns = load(source, _FILENAME, _NAMESPACE)
+        emitted = Emission(
+            source,
+            tuple(self.recipe),
+            ns["_body"],
+            ns[guard_name] if guard_name is not None else None,
+        )
         return _load(self.node, emitted, tuple(self.consts)), emitted
 
 
 def _load(node: str, emitted: Emission, consts: tuple) -> JunctionCode:
-    ns = load(emitted.source, _FILENAME, _NAMESPACE)
-    guard_name = emitted.guard_name
+    """``node``'s code: the closure's loaded functions and its own ``C``."""
     return JunctionCode(
         node=node,
         source=emitted.source,
-        body_fn=ns["_body"],
-        guard_fn=ns[guard_name] if guard_name is not None else None,
+        body_fn=emitted.body_fn,
+        guard_fn=emitted.guard_fn,
         consts=consts,
     )
 
@@ -469,8 +479,8 @@ def compile_junction_code(system, jr) -> JunctionCode | None:
     outside the lowering (the tree-walker remains the reference path).
 
     The verdict is kept on the junction's closure (``jr.closure``): a
-    later bind of the closure rebuilds ``C`` from the recipe and loads
-    the remembered text, and emits afresh only if a target resolves
+    later bind of the closure rebuilds ``C`` from the recipe and reuses
+    the loaded functions, and emits afresh only if a target resolves
     differently in its ``System``."""
     closure = jr.closure
     emitted = closure.emitted

@@ -13,11 +13,14 @@ only participate once started — by ``main``, by another junction's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 from ..core import ast as A
 from ..core.compiler import CompiledJunction
 from ..core.errors import CompileError
+from ..core.expand import subset_membership_prop
+from ..core.formula import TRUE
 from ..semantics.commute import Footprint, key_token, node_token
 from .kvtable import KVTable, UNDEF
 
@@ -70,17 +73,115 @@ class Closure:
     """One junction template closed for one instance under one
     environment: specialised and validated once, then shared by every
     bind of that key while its program lives
-    (:meth:`~repro.runtime.system.System._bind_junction`)."""
+    (:meth:`~repro.runtime.system.System._bind_junction`).
 
-    __slots__ = ("body", "decls", "guard", "emitted")
+    Everything the closure determines is built with it and copied, not
+    rebuilt, per bind: the table image of its declarations and, once
+    compiled, the loaded guard and body functions (``emitted``)."""
+
+    __slots__ = ("body", "decls", "guard", "image", "emitted")
 
     def __init__(self, body: A.Expr, decls: tuple[A.Decl, ...], guard):
         self.body = body
         self.decls = decls
-        self.guard = guard
-        #: what the junction compiler emitted for this closure
-        #: (``repro.compile.codegen.Emission``); None until first compiled
+        #: the guard formula (``TRUE`` when the junction declares none)
+        self.guard = TRUE if guard is None else guard
+        #: what the declarations put in a fresh table (:class:`TableImage`)
+        self.image = table_image(decls, self.guard)
+        #: what the junction compiler emitted and loaded for this
+        #: closure (``repro.compile.codegen.Emission``); None until
+        #: first compiled
         self.emitted = None
+
+
+class TableImage:
+    """A bound junction's table as its declarations leave it, built
+    once per closure and never changed: the slot keys and index, the
+    initial slot values, the idx/subset/data/prop name sets, the set
+    values and the keys its guard reads (``None``: an impure guard,
+    untracked)."""
+
+    __slots__ = (
+        "keys", "index", "values", "idx_names", "subset_names",
+        "data_names", "prop_names", "set_values", "guard_keys",
+    )
+
+    def __init__(self, slots: dict[str, object], idx_names: set[str],
+                 subset_names: set[str], data_names: set[str], prop_names: set[str],
+                 set_values: dict[str, tuple], guard_keys: frozenset[str] | None):
+        self.keys = tuple(slots)
+        self.index = MappingProxyType({k: i for i, k in enumerate(self.keys)})
+        self.values = tuple(slots.values())
+        self.idx_names = frozenset(idx_names)
+        self.subset_names = frozenset(subset_names)
+        self.data_names = frozenset(data_names)
+        self.prop_names = frozenset(prop_names)
+        self.set_values = MappingProxyType(set_values)
+        self.guard_keys = guard_keys
+
+    def fill(self, table: KVTable) -> None:
+        """Copy the image into ``table``, fresh from its constructor."""
+        layout = table.layout
+        layout.index = self.index.copy()
+        layout.keys.extend(self.keys)
+        table.slots.extend(self.values)
+        table.set_guard_tracking(self.guard_keys)
+
+
+def table_image(decls: tuple[A.Decl, ...], guard) -> TableImage:
+    """Walk a closure's declarations into its :class:`TableImage`."""
+    slots: dict[str, object] = {}  # a re-declared key keeps its slot
+    idx_names: set[str] = set()
+    subset_names: set[str] = set()
+    data_names: set[str] = set()
+    prop_names: set[str] = set()
+    set_values: dict[str, tuple] = {}
+    for d in decls:
+        if isinstance(d, A.InitProp):
+            slots[d.key()] = d.value
+            prop_names.add(d.key())
+        elif isinstance(d, A.InitData):
+            slots[d.name] = UNDEF
+            data_names.add(d.name)
+        elif isinstance(d, A.IdxDecl):
+            slots[d.name] = UNDEF
+            idx_names.add(d.name)
+            set_values[d.name + "!of"] = _set_elements(d.of_set)
+        elif isinstance(d, A.SubsetDecl):
+            slots[d.name] = UNDEF
+            subset_names.add(d.name)
+            parents = _set_elements(d.of_set)
+            set_values[d.name + "!of"] = parents
+            # auto-maintained membership propositions, so the DSL
+            # can iterate subsets (unrolled over the parent set)
+            fam = subset_membership_prop(d.name)
+            for elem in parents:
+                key = f"{fam}[{elem}]"
+                slots[key] = False
+                prop_names.add(key)
+        elif isinstance(d, A.SetDecl):
+            if d.literal is not None:
+                set_values[d.name] = _set_elements(d.literal)
+        # Guard handled at bind; ForInit expanded by specialize.
+
+    # Guard-footprint tracking: a *pure* guard's verdict depends only
+    # on the keys it reads, so the table records them — writes to any
+    # of them set ``guard_dirty`` and the scheduler skips re-evaluating
+    # a clean guard (dirty-driven scheduling).  Impure guards (@ / S()
+    # / idx-indexed props) read state the table cannot observe and stay
+    # untracked.  Function-level import: ``repro.compile`` pulls in
+    # codegen, which this module must not import at load time.
+    from ..compile.formulas import guard_keys, is_pure
+
+    tracked = guard_keys(guard) if is_pure(guard, idx_names) else None
+    return TableImage(
+        slots, idx_names, subset_names, data_names, prop_names, set_values, tracked
+    )
+
+
+#: the table of a junction restarted before it was ever bound: empty,
+#: tracking its (absent) guard
+_UNBOUND = TableImage({}, set(), set(), set(), set(), {}, frozenset())
 
 
 class JunctionRuntime:
@@ -94,7 +195,7 @@ class JunctionRuntime:
         self.table = KVTable(owner=self.node)
         self.params: dict[str, object] = {}
         self.ast_params: dict[str, object] = {}
-        self.guard = None  # Formula | None, set at bind time
+        self.guard = TRUE  # the bound closure's, set at bind time
         self.body: A.Expr | None = None  # specialized body
         self.decls: tuple[A.Decl, ...] = ()
         #: the closure body and decls were bound from (None until bound)
@@ -110,12 +211,11 @@ class JunctionRuntime:
         #: reconfiguration executor pauses these *inbound* junctions
         #: first so the rest of the pipeline can drain naturally.
         self.external_inbound = False
-        #: names of declared idx / subset state (host-writable)
-        self.idx_names: set[str] = set()
-        self.subset_names: set[str] = set()
-        self.set_values: dict[str, tuple] = {}
-        self.data_names: set[str] = set()
-        self.prop_names: set[str] = set()
+        #: names of declared idx / subset state (host-writable); the
+        #: bound closure's, immutable (:class:`TableImage`)
+        self.idx_names = self.subset_names = _UNBOUND.idx_names
+        self.data_names = self.prop_names = _UNBOUND.data_names
+        self.set_values = _UNBOUND.set_values
         #: compiled guard/body (``repro.compile.JunctionCode``), set at
         #: instance bind time when compilation is enabled; None runs the
         #: tree-walker (``repro.runtime.treewalk``)
@@ -140,7 +240,7 @@ class JunctionRuntime:
         self._free_exec = None
 
     def init_state(self) -> None:
-        """(Re)initialize the KV table from the specialized decls.
+        """(Re)initialize the KV table from the bound closure's image.
 
         The values reset; the msg-id dedup window carries over — it is
         transport state, and a restarted junction must keep suppressing
@@ -151,58 +251,13 @@ class JunctionRuntime:
         self.table.adopt_dedup(prev)
         # the parked execution binds the old table; drop it
         self._free_exec = None
-        self.idx_names.clear()
-        self.subset_names.clear()
-        self.set_values.clear()
-        self.data_names.clear()
-        self.prop_names.clear()
-        for d in self.decls:
-            if isinstance(d, A.InitProp):
-                self.table.declare(d.key(), d.value)
-                self.prop_names.add(d.key())
-            elif isinstance(d, A.InitData):
-                self.table.declare(d.name, UNDEF)
-                self.data_names.add(d.name)
-            elif isinstance(d, A.IdxDecl):
-                self.table.declare(d.name, UNDEF)
-                self.idx_names.add(d.name)
-                self.set_values[d.name + "!of"] = _set_elements(d.of_set)
-            elif isinstance(d, A.SubsetDecl):
-                self.table.declare(d.name, UNDEF)
-                self.subset_names.add(d.name)
-                parents = _set_elements(d.of_set)
-                self.set_values[d.name + "!of"] = parents
-                # auto-maintained membership propositions, so the DSL
-                # can iterate subsets (unrolled over the parent set)
-                from ..core.expand import subset_membership_prop
-
-                fam = subset_membership_prop(d.name)
-                for elem in parents:
-                    key = f"{fam}[{elem}]"
-                    self.table.declare(key, False)
-                    self.prop_names.add(key)
-            elif isinstance(d, A.SetDecl):
-                if d.literal is not None:
-                    self.set_values[d.name] = _set_elements(d.literal)
-            # Guard handled at bind; ForInit expanded by specialize.
-
-        # Guard-footprint tracking: a *pure* guard's verdict depends
-        # only on the keys it reads, so record them on the table —
-        # writes to any of them set ``guard_dirty`` and the scheduler
-        # skips re-evaluating a clean guard (dirty-driven scheduling).
-        # Impure guards (@ / S() / idx-indexed props) read state the
-        # table cannot observe and stay untracked.  Function-level
-        # import: ``repro.compile`` pulls in codegen, which this
-        # module must not import at load time.
-        from ..compile.formulas import guard_keys, is_pure
-
-        guard = self.guard
-        if guard is None or is_pure(guard, self.idx_names):
-            self.table.set_guard_tracking(
-                guard_keys(guard) if guard is not None else ()
-            )
-        else:
-            self.table.set_guard_tracking(None)
+        image = _UNBOUND if self.closure is None else self.closure.image
+        image.fill(self.table)
+        self.idx_names = image.idx_names
+        self.subset_names = image.subset_names
+        self.data_names = image.data_names
+        self.prop_names = image.prop_names
+        self.set_values = image.set_values
 
     def checkpoint(self) -> dict[str, object]:
         return self.table.snapshot()

@@ -798,15 +798,14 @@ class JunctionExecution:
 
     def set_remote(self, target: "JunctionRuntime", key: str, value: bool) -> Generator:
         """``assert[target] key`` / ``retract[target] key``: the local
-        copy follows only after the remote update is acknowledged — and
-        only if no remote update to the key arrived in between (an ack,
-        possibly of a retransmission, confirms old state and must not
-        clobber newer information)."""
+        copy follows only after the remote update is acknowledged, and
+        a remote update to the key that arrived in between stays newer
+        (an ack, possibly of a retransmission, confirms old state and
+        must not clobber newer information; :meth:`KVTable.confirm_local`)."""
         table = self.table
-        seq_before = table.recv_seq_of(key)
+        mark = table.late_ack_mark(key)
         yield self.send_update(target, key, value)
-        if table.has(key) and table.recv_seq_of(key) == seq_before:
-            table.set_local(key, value)
+        table.confirm_local(key, value, mark)
 
     def host(self, name: str, writes: tuple) -> Generator:
         """``host name {writes}``: run the bound host function against a

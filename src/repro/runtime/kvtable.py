@@ -391,10 +391,11 @@ class KVTable:
 
     # -- local writes -------------------------------------------------------
 
-    def set_local(self, key: str, value: object) -> None:
+    def set_local(self, key: str, value: object, discard: bool = True) -> None:
         """A local update (save / assert / retract / host write).  Local
         updates overwrite — and therefore discard — pending remote
-        updates to the same key."""
+        updates to the same key; ``discard=False`` writes under them
+        instead (:meth:`confirm_local`)."""
         i = self.layout.index.get(key)
         if i is None:
             raise KeyError(f"{self.owner}: no junction state {key!r}")
@@ -405,7 +406,7 @@ class KVTable:
         self.slots[i] = value
         if key in self._guard_keys:
             self.guard_dirty = True
-        if self.executing and self._pending:
+        if discard and self.executing and self._pending:
             self._discard_pending(key)
 
     def set_slot(self, i: int, key: str, value: object) -> None:
@@ -463,6 +464,31 @@ class KVTable:
         one) confirms *old* information, and must not overwrite — and,
         via local priority, discard — a newer remote update."""
         return self._recv_seq.get(key, 0)
+
+    def late_ack_mark(self, key: str) -> tuple[int, int]:
+        """``key``'s receive count and the queue's arrival stamp, sampled
+        before a remote update is sent; :meth:`confirm_local` compares
+        against them when its ack arrives."""
+        return self.recv_seq_of(key), self._pending_seq
+
+    def confirm_local(self, key: str, value: object, mark: tuple[int, int]) -> None:
+        """The sender's copy of an acknowledged ``assert[γ]`` /
+        ``retract[γ]`` (``mark`` from :meth:`late_ack_mark`).
+
+        With no remote update to ``key`` received since the send it is
+        a local update.  An ack confirms old state, so a newer remote
+        update wins: if one was applied, the copy is dropped; if every
+        newer one is still queued, the copy is written under them — the
+        junction sees its own confirmed write now, and the queued update
+        still applies after it when the junction is next scheduled."""
+        if key not in self.layout.index:
+            return
+        recv_before, queued_before = mark
+        newer = self.recv_seq_of(key) - recv_before
+        if not newer:
+            self.set_local(key, value)
+        elif newer == sum(1 for seq, _ in self._pending.get(key, ()) if seq > queued_before):
+            self.set_local(key, value, discard=False)
 
     def _note_pending(self) -> None:
         if self._gauge_pending is not None:

@@ -41,7 +41,7 @@ from ..core.errors import (
 )
 from ..core.elaborate import junction_env, main_env, start_groups
 from ..core.expand import specialize, to_ast_value
-from ..core.formula import TRUE, UNKNOWN, evaluate
+from ..core.formula import UNKNOWN, evaluate
 from ..core.validate import validate_closed_junction
 from ..serde.framing import Serializer
 from ..analysis.capture import note_program
@@ -398,14 +398,19 @@ class System:
         env = junction_env(config_env, cj, args, inst.name)
         closure = jr.closure = _close(cj, env, inst.name, jr.name)
         jr.body, jr.decls = closure.body, closure.decls
-        jr.guard = TRUE if closure.guard is None else closure.guard
+        jr.guard = closure.guard
         jr.ast_params = dict(zip(cj.params, args))
         jr.params = {p: _to_runtime_value(v) for p, v in jr.ast_params.items()}
+        self._init_table(jr)
+        jr.code = self._compile_junction(jr)
+        self.network.register(jr.node, self._make_deliver(jr))
+
+    def _init_table(self, jr: JunctionRuntime) -> None:
+        """Give ``jr`` its closure's initial table (a bind, or a
+        restart that re-initialises) and wire the table to this system."""
         jr.init_state()
         jr.table.attach_telemetry(self.telemetry)
         jr.table.on_idle_update = lambda j=jr: self._attempt_soon(j)
-        jr.code = self._compile_junction(jr)
-        self.network.register(jr.node, self._make_deliver(jr))
 
     def reconfigure(
         self,
@@ -492,9 +497,7 @@ class System:
         self.network.set_down(inst.name, False)
         if reinit:
             for jr in inst.junctions.values():
-                jr.init_state()
-                jr.table.attach_telemetry(self.telemetry)
-                jr.table.on_idle_update = lambda j=jr: self._attempt_soon(j)
+                self._init_table(jr)
         self.telemetry.counter("instance_restarts", instance=name).inc()
         ev = self.telemetry.emit("restart_instance", name)
         for jr in inst.junctions.values():
@@ -565,10 +568,11 @@ class System:
         engine spec or ``compilation(False)``, and nothing else: under a
         schedule controller too, since every choice-point label and
         footprint is made by the machine's ops, which both front-ends call.
-        A closure emits its source once (``compile_junction_code``);
-        compiling the text is paid once per distinct text in the process
-        (:mod:`repro.codeload`), so a restart, a rebuild and a family
-        member with equal parameters reuse the code object.
+        A closure emits and loads its source once
+        (``compile_junction_code``), so a restart and a rebuild run the
+        functions its first bind loaded; compiling the text is paid
+        once per distinct text in the process (:mod:`repro.codeload`),
+        so a family member with equal parameters reuses the code object.
         """
         if not self._compiled:
             return None
@@ -590,10 +594,9 @@ class System:
         if code is not None and code.guard_fn is not None:
             held = code.guard_fn(t.slots) is True
         else:
-            guard = jr.guard if jr.guard is not None else TRUE
             held = (
                 evaluate(
-                    guard,
+                    jr.guard,
                     lambda k: pv if isinstance(pv := t.prop_value(k), bool) else UNKNOWN,
                     at=self.make_at_resolver(jr),
                     live=self.make_live_resolver(),

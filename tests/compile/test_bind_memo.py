@@ -3,10 +3,13 @@
 ``compile_program`` returns one program per distinct (text, config),
 and each of its junction templates keeps what binding it produced
 (``CompiledJunction.closures``): the specialised, validated body per
-(environment, instance, junction), and the text the junction compiler
-emitted for it.  A rebuild therefore specialises, validates and emits
-nothing; it re-resolves the static targets against its own ``System``
-and loads the remembered text into fresh functions.
+(environment, instance, junction), the table image of its
+declarations, and the text the junction compiler emitted for it with
+the functions its one load made.  A rebuild therefore specialises,
+validates, emits and loads nothing and walks no declarations; it
+re-resolves the static targets against its own ``System``, runs the
+closure's functions with them, and copies the image into a table of
+its own.
 """
 
 import gc
@@ -17,15 +20,18 @@ import types
 import pytest
 
 from repro.arch.catalog import CATALOG
+from repro.arch.sharding import ShardedRedis
 from repro.compile import codegen, compilation
 from repro.core import compile_program, compiler
 from repro.core.errors import CompileError, ValidationError
 from repro.explore.scenarios import arch_scenario
 from repro.memo import TextMemo
+from repro.serde import codegen as serde_codegen
 from repro.runtime import System
+from repro.runtime import instance as instance_mod
 from repro.runtime import system as system_mod
 from repro.runtime.instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
-from repro.runtime.kvtable import KVTable
+from repro.runtime.kvtable import UNDEF, KVTable
 
 PROGRAM = """
 instance_types { T }
@@ -114,7 +120,8 @@ PER_SYSTEM = (System, InstanceRuntime, InstanceTypeRuntime, JunctionRuntime, KVT
 def _per_system_reachable(root):
     """The per-System objects reachable from ``root`` by references
     other than classes and modules (a module may keep the last System
-    for the telemetry facade; that is not the program's doing)."""
+    for the telemetry facade; that is not the program's doing), and the
+    ids of every object the walk visited."""
     modules = {id(m.__dict__) for m in list(sys.modules.values()) if m is not None}
     seen, found, todo = set(), [], [root]
     while todo:
@@ -126,7 +133,7 @@ def _per_system_reachable(root):
             found.append(o)
             continue
         todo.extend(gc.get_referents(o))
-    return found
+    return found, seen
 
 
 class TestBindMemo:
@@ -136,9 +143,15 @@ class TestBindMemo:
         closes = _spy(monkeypatch, system_mod, "specialize")
         validations = _spy(monkeypatch, system_mod, "validate_closed_junction")
         emissions = _spy(monkeypatch, codegen.BodyCompiler, "compile")
+        # every caller of ``repro.codeload.load``
+        loads = [_spy(monkeypatch, mod, "load") for mod in (codegen, serde_codegen)]
+        images = _spy(monkeypatch, instance_mod, "table_image")
         two = _build(name, n)
         # every close is a hit, ``main``'s included
         assert (closes, validations, emissions) == ([], [], [])
+        # and so is everything a closure determines: no module runs and
+        # no declarations are walked
+        assert (loads, images) == ([[], []], [])
         assert two.program is one.program
 
         first, second = _bound(one), _bound(two)
@@ -152,7 +165,7 @@ class TestBindMemo:
             if jr.code is None:
                 continue
             assert jr.code.source is old.code.source
-            assert jr.code.body_fn is not old.code.body_fn  # a fresh namespace
+            assert jr.code.body_fn is old.code.body_fn  # loaded once per closure
             for (_, static), const in zip(jr.closure.emitted.recipe, jr.code.consts):
                 if static:
                     assert isinstance(const, JunctionRuntime) and id(const) in mine
@@ -178,7 +191,15 @@ class TestBindMemo:
         assert two.program is one.program
         program = one.program
         assert program.main is not None and program.main.closures
-        assert _per_system_reachable(program) == []
+        found, seen = _per_system_reachable(program)
+        assert found == []
+        # the walk reached what the closures hold: table images and the
+        # functions each closure's one load made
+        closures = [c for cj in (program.main, *program.junctions) for c in cj.closures.values()]
+        assert closures and all(id(c.image) in seen for c in closures)
+        loaded = [c.emitted for c in closures if c.emitted is not None and c.emitted.source]
+        assert loaded
+        assert all(id(e.body_fn) in seen and id(e.body_fn.__globals__) in seen for e in loaded)
 
     def test_a_start_with_missing_parameters_can_be_retried(self):
         system = System(compile_program(MAIN_WITH_PARAM), latency=0.01)
@@ -263,3 +284,106 @@ class TestBindMemo:
             assert system.read_state("x::j", "Up[a]") is True
             assert system.read_state("x::j", "Up[b]") is False
             assert not system.failures
+
+
+# ``j``'s wait admits ``Up[z]``, a key its family declaration does not
+# declare, so an update to it grows the table; ``Go`` ends the wait and
+# ``j`` writes ``P``
+GROWS = """
+instance_types { T }
+instances { x: T }
+def main() = start x()
+def T::j() =
+  | init prop !P
+  | init prop !Go
+  | for s in {a, b} init prop !Up[s]
+  | idx i of {a, b}
+  | guard !P
+  wait[] Go || Up[z]; assert[] P
+"""
+
+
+def _grow(system, node):
+    """Grow ``Up[z]`` in ``node``'s table, then write ``P``."""
+    system.external_update(node, "Up[z]", True)
+    system.external_update(node, "Go", True)
+    system.run_until(system.now + 1.0)
+    table = system.junction(node).table
+    assert table.get("P") is True and table.has("Up[z]")
+    return table
+
+
+class TestTableImage:
+    """A closure's table image is copied into each table, never shared."""
+
+    def _fresh(self, jr, image):
+        table = jr.table
+        assert tuple(table.layout.keys) == image.keys and dict(table.layout.index) == image.index
+        assert tuple(table.slots) == image.values
+        assert table.layout.keys is not image.keys and table.slots is not image.values
+
+    def test_a_rebuild_and_a_restart_start_from_the_image(self):
+        one = System(compile_program(GROWS), latency=0.01)
+        one.start()
+        one.run_until(1.0)
+        jr = one.instance("x").junction("j")
+        image = jr.closure.image
+        assert image.keys == ("P", "Go", "Up[a]", "Up[b]", "i")
+        assert image.values == (False, False, False, False, UNDEF)
+        first = _grow(one, "x::j")
+
+        two = System(compile_program(GROWS), latency=0.01)
+        two.start()
+        two.run_until(1.0)
+        assert two.instance("x").junction("j").closure is jr.closure
+        self._fresh(two.instance("x").junction("j"), image)
+
+        one.crash_instance("x")
+        one.restart_instance("x", reinit=True)
+        assert jr.table is not first
+        self._fresh(jr, image)
+        assert first.has("Up[z]") and "Up[z]" not in image.index
+
+    def test_a_reshard_rebind_starts_from_the_image(self, monkeypatch):
+        svc = ShardedRedis(n_shards=4)
+        system = svc.system
+        jr = system.instance("Fnt").junction("junction")
+        closure, image = jr.closure, jr.closure.image
+        system.external_update("Fnt::junction", "Work", True)
+        system.external_update("Fnt::junction", "Extra", True)
+        system.run_until(system.now + 1.0)
+        grown = jr.table
+        assert grown.get("Work") is True and grown.has("Extra")
+
+        rebinds = []
+        real = JunctionRuntime.init_state
+
+        def init_state(self):
+            real(self)
+            if self is jr:  # the table as the rebind leaves it, before the transfer
+                rebinds.append((self.closure, tuple(self.table.layout.keys), tuple(self.table.slots)))
+
+        monkeypatch.setattr(JunctionRuntime, "init_state", init_state)
+        for n in (5, 4):
+            assert svc.reconfigure_shards(n).ok
+        # back on the 4-back-end closure, in a table of its own
+        assert len(rebinds) == 2 and rebinds[1] == (closure, image.keys, image.values)
+        assert jr.closure is closure and jr.table is not grown
+        # the transfer carries declared state by name, and only that
+        assert jr.table.get("Work") is True and not jr.table.has("Extra")
+        assert "Extra" not in image.index and image.values[image.index["Work"]] is False
+
+    def test_a_bind_cannot_change_its_name_sets_or_set_values(self):
+        system = System(compile_program(GROWS), latency=0.01)
+        system.start()
+        system.run_until(1.0)
+        jr = system.instance("x").junction("j")
+        assert jr.idx_names == {"i"} and jr.prop_names == {"P", "Go", "Up[a]", "Up[b]"}
+        assert jr.set_values == {"i!of": ("a", "b")}
+        for names in (jr.idx_names, jr.subset_names, jr.data_names, jr.prop_names):
+            with pytest.raises(AttributeError):
+                names.add("k")
+        with pytest.raises(TypeError):
+            jr.set_values["k"] = ()
+        with pytest.raises(TypeError):
+            jr.closure.image.index["k"] = 9

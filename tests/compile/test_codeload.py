@@ -2,8 +2,11 @@
 
 Family members bound with equal parameters generate byte-identical
 junction modules, and so does every rebuild of an architecture: they
-share one code object.  Execution stays per junction — each load runs
-into a fresh namespace — so nothing else is shared.
+share one code object.  Each load runs into a fresh namespace.  A
+junction module is loaded once per closure, so each family member (a
+closure of its own) has its own functions and namespace, and a rebuild
+runs the functions of the first build; a serializer module gets a fresh
+namespace per load.
 """
 
 import pytest

@@ -6,6 +6,7 @@ every test here spawns *real* OS processes and kills some of them —
 the supervision machinery under test is the real thing, not a mock.
 """
 
+import asyncio
 import os
 import random
 import signal
@@ -872,7 +873,18 @@ class TestCrashSupervision:
         sys_.start()
         eng.run_until(1.0)
         link = eng.transport.links["x"]
-        eng.clock.loop.close()
+        loop = eng.clock.loop
+        # end the reader task while its loop runs, holding its finally's
+        # accounting back (a task left pending on a closed loop is
+        # destroyed pending); the accounting runs after the close
+        readers = [t for t in asyncio.all_tasks(loop)
+                   if t.get_coro().__qualname__ == "ClusterTransport._on_connect"]
+        assert len(readers) == 1
+        eng.transport._link_closed = lambda link: None
+        readers[0].cancel()
+        loop.run_until_complete(asyncio.gather(*readers, return_exceptions=True))
+        del eng.transport._link_closed
+        loop.close()
         eng.transport._link_closed(link)  # the reader's finally
         st = eng.supervisor.statuses["x"]
         assert st.state is WorkerState.DOWN and st.crashes == 1

@@ -8,6 +8,7 @@ from repro.core.errors import (
     VerifyFailure,
     VerifyUnknown,
 )
+from repro.runtime import FaultPlan
 from repro.runtime.kvtable import UNDEF
 
 from .helpers import failures_of, pair, single_junction
@@ -530,6 +531,37 @@ class TestCase:
         assert failures_of(sys_) == []
         assert sys_.read_state("f::j", "Work") is False
         assert sys_.read_state("g::j", "Retried") is True  # retry happened
+
+    def test_reconsider_after_a_late_ack_sees_its_own_retract(self):
+        """g's ``retract[f] Work`` is delivered but its ack is dropped;
+        f finishes and asserts ``Work`` for the next request, which
+        queues at g before the retransmission's ack arrives.  The ack
+        writes g's copy of ``Work`` under the queued update, so
+        ``reconsider`` takes ``otherwise`` and the queued request runs
+        at g's next scheduling, instead of re-matching the stale copy
+        and failing."""
+        sys_ = pair(
+            "retract[] Req; assert[g] Work; wait[] !Work; host Done",
+            "case { Work => retract[f] Work; reconsider otherwise => skip }",
+            f_decls="| init prop !Req\n| init prop !Work",
+            g_decls="| init prop !Work",
+            f_guard="Req",
+            g_guard="Work",
+            latency=0.05,
+        )
+        done = []
+        sys_.bind_host("F", "Done", lambda ctx: done.append(sys_.now))
+        sys_.start(t=5)
+        # drops f's ack of g's first retract (sent at 0.10)
+        FaultPlan(sys_).set_loss_between(0.08, 0.12, "f", "g", 1.0)
+        for t in (0.0, 0.2):
+            sys_.sim.call_at(t, lambda: sys_.external_update("f::j", "Req", True))
+        sys_.run_until(3.0)
+        assert sys_.network.stats["ack_dropped"] == 1
+        assert sys_.network.stats["update_dedup_suppressed"] == 1
+        assert len(done) == 2 and failures_of(sys_) == []
+        assert sys_.read_state("f::j", "Work") is False
+        assert sys_.read_state("g::j", "Work") is False
 
 
 class TestRetryReturn:

@@ -301,8 +301,8 @@ class TestRecvSeqProperties:
         guard: the interpreter samples it before a remote
         assert/retract, and a changed value when the (possibly
         retransmitted) ack arrives proves a newer remote update landed
-        in between, so the ack's deferred local effect must be
-        dropped."""
+        in between, so the ack's deferred local effect must not
+        outlive it (``KVTable.confirm_local``)."""
         t = KVTable("p::j")
         for k in KEYS:
             t.declare(k, False)
@@ -346,3 +346,36 @@ class TestRecvSeqProperties:
             else:
                 t.keep([op[1]])
         assert (t.recv_seq_of(key) != sampled) == (arrivals > 0)
+
+    @given(ops, st.sampled_from(KEYS), st.booleans())
+    @settings(max_examples=150)
+    def test_a_confirmed_copy_never_outlives_a_newer_update(self, sequence, key, value):
+        """``confirm_local``, the sender's copy of an acknowledged remote
+        assert/retract: once the queue is applied, ``key`` holds the
+        confirmed value if no remote update to it arrived since the
+        mark, and otherwise what it would hold without the copy."""
+        with_copy, without = KVTable("p::j"), KVTable("p::j")
+        for t in (with_copy, without):
+            for k in KEYS:
+                t.declare(k, False)
+            t.executing = True
+        mark = with_copy.late_ack_mark(key)
+        arrivals = 0
+        for op in sequence:
+            for t in (with_copy, without):
+                if op[0] == "remote":
+                    t.receive(Update(key=op[1], value=op[2], src="q::j"))
+                elif op[0] == "local":
+                    t.set_local(op[1], op[2])
+                elif op[0] == "apply":
+                    t.apply_pending()
+                else:
+                    t.keep([op[1]])
+            arrivals += op[0] == "remote" and op[1] == key
+        with_copy.confirm_local(key, value, mark)
+        for t in (with_copy, without):
+            t.apply_pending()
+        assert with_copy.values[key] == (without.values[key] if arrivals else value)
+        for k in KEYS:
+            if k != key:
+                assert with_copy.values[k] == without.values[k]
