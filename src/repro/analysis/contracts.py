@@ -8,16 +8,19 @@ warn mode); this pass checks it before any run, for *every* junction of
 
 * a host block declaring a write to state its junction never declared
   (the static face of the runtime ``HostError``);
-* a remote write (assert/retract/``write``) of a key the *target*
-  junction never declared — the update would land in the target's
-  table but no guard, wait or statement there could ever see it.
+* a remote write (assert/retract/``write``) of a key outside the
+  *target's* :func:`~repro.core.validate.declared_keys` (a family
+  member outside the family's set included) — the static half of the
+  table boundary, which refuses the update.  Key flow expands an
+  idx-indexed key over the cursor's set, so it passes only if that
+  set lies inside the family.
 """
 
 from __future__ import annotations
 
 from ..core.elaborate import Binding
-from ..core.validate import collect_declared
-from .directives import Directives, family
+from ..core.validate import declared_keys, family_note
+from .directives import Directives
 from .keyflow import UNRESOLVED, KeyFlow
 from .model import Finding
 
@@ -26,13 +29,11 @@ def contract_findings(
     kf: KeyFlow, binding: Binding, directives: Directives
 ) -> list[Finding]:
     findings: list[Finding] = []
-    declared = {bj.node: collect_declared(bj.decls) for bj in binding.junctions}
+    declared = {bj.node: declared_keys(bj.decls) for bj in binding.junctions}
 
     for bj in binding.junctions:
-        decl = declared[bj.node]
-        writable = (
-            decl["data"] | decl["prop"] | decl["subset"] | decl["idx"]
-        )
+        keys = declared[bj.node]
+        writable = keys.initial.keys() | keys.families.keys()
         for node, name, writes in kf.host_blocks:
             if node != bj.node:
                 continue
@@ -62,15 +63,10 @@ def contract_findings(
     for w in kf.writes:
         if w.kind != "remote" or w.target == UNRESOLVED:
             continue
-        decl = declared.get(w.target)
-        if decl is None:
+        keys = declared.get(w.target)
+        if keys is None:
             continue  # unbound target junction: not statically checkable
-        ok = (
-            w.key in decl["data"]
-            or w.key in decl["prop"]
-            or family(w.key) in decl["prop"]
-        )
-        if ok:
+        if w.key in keys.initial:
             continue
         sig = (w.origin, w.target, w.key)
         if sig in seen:
@@ -86,8 +82,8 @@ def contract_findings(
                 key=w.key,
                 message=(
                     f"{w.origin} writes {w.key!r} into {w.target}'s table, "
-                    f"but {w.target} never declares it — the update can "
-                    "never be observed there"
+                    f"but {w.target} never declares it"
+                    f"{family_note(w.key, keys)} — the table refuses the update"
                 ),
                 sites=(w.describe(),),
                 suppressed=suppressed_by is not None,

@@ -143,21 +143,15 @@ class BodyCompiler:
     def _pred(self, f: Formula) -> str | None:
         """Module-level Kleene function for a pure formula, else None.
 
-        Compiled against the junction's slot layout: ``_V`` in the
+        Compiled against the junction's slot index: ``_V`` in the
         generated module is the table's flat ``slots`` list and the
         predicate loads slot-direct (the write-path specialization)."""
-        if not is_pure(f, self.jr.idx_names):
+        if not is_pure(f, self.jr.declared.idx):
             return None
         name = f"_f{self._fn_n}"
         self._fn_n += 1
-        self.module_fns.append(formula_function(name, f, self.jr.table.layout))
+        self.module_fns.append(formula_function(name, f, self.jr.table.index))
         return name
-
-    def _slot_of(self, key: str) -> int | None:
-        """Bind-time slot of ``key`` (declarations fixed the layout
-        before codegen runs), or None if the junction does not declare
-        it."""
-        return self.jr.table.layout.slot_of(key)
 
     def _formula_cond_inline(self, f: Formula, tag: str):
         """Inline a pure formula at its use site: ``(lines, expr)``
@@ -171,9 +165,9 @@ class BodyCompiler:
         Returns None for impure formulas, which must stay lazy
         ``ex.truth`` calls — they walk runtime context and would be
         wasted work when an earlier arm matches."""
-        if not is_pure(f, self.jr.idx_names):
+        if not is_pure(f, self.jr.declared.idx):
             return None
-        em = _FormulaEmitter(self.jr.table.layout, tmp_prefix=f"_c{tag}_")
+        em = _FormulaEmitter(self.jr.table.index, tmp_prefix=f"_c{tag}_")
         kind, val = em.emit(f)
         if kind == "const":
             return ([], "True" if val else "False")
@@ -296,22 +290,23 @@ class BodyCompiler:
 
     def _emit_set_prop(self, e, value: bool, out, ind) -> None:
         p = "    " * ind
-        slot = None
-        if A.cursor_name(e.index, self.jr.idx_names) is not None:
+        cursor = A.cursor_name(e.index, self.jr.declared.idx) is not None
+        if cursor:
             key_expr = self._tmp()
             out.append(f"{p}{key_expr} = ex.prop_key({e.prop!r}, {self._const(e.index)})")
         else:
             key_expr = repr(e.key())
-            slot = self._slot_of(e.key())
         if not isinstance(e.target, A.SelfTarget):
             out.append(
                 f"{p}yield from ex.set_remote({self._target_expr(e.target)}, {key_expr}, {value!r})"
             )
             self._yields = True
-        elif slot is not None:
-            out.append(f"{p}_t.set_slot({slot}, {key_expr}, {value!r})")
-        else:
+        elif cursor:
             out.append(f"{p}_t.set_local({key_expr}, {value!r})")
+        else:
+            # the junction declares every local key, so it has a slot
+            slot = self.jr.table.index[e.key()]
+            out.append(f"{p}_t.set_slot({slot}, {key_expr}, {value!r})")
 
     def _emit_parallel(self, items, out, ind) -> None:
         p = "    " * ind
@@ -421,10 +416,10 @@ class BodyCompiler:
     def compile(self) -> tuple[JunctionCode, Emission]:
         guard = self.jr.guard
         guard_name = None
-        if is_pure(guard, self.jr.idx_names):
+        if is_pure(guard, self.jr.declared.idx):
             guard_name = "_guard"
             self.module_fns.append(
-                formula_function(guard_name, guard, self.jr.table.layout)
+                formula_function(guard_name, guard, self.jr.table.index)
             )
         self._emit_gen_function("_body", self.jr.body, root=True)
         header = (

@@ -67,17 +67,18 @@ def guard_keys(f: Formula) -> frozenset[str]:
 class _FormulaEmitter:
     """Emits SSA-style three-valued evaluation statements.
 
-    Two addressing modes: without a layout, propositions load by name
-    from a mapping (``_V.get('Req')`` — the public, layout-free form);
-    with a :class:`~repro.runtime.kvtable.SlotLayout`, propositions
-    the layout covers load slot-direct from the flat value list
-    (``_V[3]``), which is the write-path specialization the junction
-    compiler uses — ``_V`` is then the table's ``slots`` list."""
+    Two addressing modes: without an index, propositions load by name
+    from a mapping (``_V.get('Req')`` — the public, index-free form);
+    with a junction table's key → slot ``index``, they load slot-direct
+    from the flat value list (``_V[3]``), which is the write-path
+    specialization the junction compiler uses — ``_V`` is then the
+    table's ``slots`` list.  A validated junction declares every
+    proposition it reads, so every one has a slot."""
 
-    def __init__(self, layout=None, tmp_prefix: str = "_v") -> None:
+    def __init__(self, index=None, tmp_prefix: str = "_v") -> None:
         self.lines: list[str] = []
         self._n = 0
-        self._layout = layout
+        self._index = index
         #: temp-name prefix — the default suits a standalone function;
         #: inline emission into a larger scope (the junction compiler
         #: inlines case-arm conditions into the body) passes a
@@ -96,16 +97,10 @@ class _FormulaEmitter:
         if isinstance(f, Prop):
             v = self._tmp()
             key = f.key()
-            if self._layout is None:
+            if self._index is None:
                 self.lines.append(f"    {v} = _V.get({key!r})")
             else:
-                i = self._layout.slot_of(key)
-                if i is None:
-                    # undeclared at bind time: a validated junction
-                    # never declares it later, so it reads UNKNOWN
-                    self.lines.append(f"    {v} = _U  # {key!r}: undeclared")
-                    return ("var", v)
-                self.lines.append(f"    {v} = _V[{i}]  # {key!r}")
+                self.lines.append(f"    {v} = _V[{self._index[key]}]  # {key!r}")
             self.lines.append(f"    if {v} is not True and {v} is not False:")
             self.lines.append(f"        {v} = _U")
             return ("var", v)
@@ -160,13 +155,13 @@ class _FormulaEmitter:
         raise ValueError(f"cannot compile formula node {type(f).__name__}")
 
 
-def formula_function(name: str, f: Formula, layout=None) -> str:
+def formula_function(name: str, f: Formula, index=None) -> str:
     """Source of ``def name(_V, _U=UNKNOWN)`` computing ``f``'s
-    three-valued truth.  Without ``layout``, ``_V`` is a by-name value
-    mapping; with a junction's :class:`SlotLayout`, ``_V`` is the
-    table's flat ``slots`` list and propositions compile to
+    three-valued truth.  Without ``index``, ``_V`` is a by-name value
+    mapping; with a junction table's key → slot ``index``, ``_V`` is
+    the table's flat ``slots`` list and propositions compile to
     slot-direct loads."""
-    em = _FormulaEmitter(layout)
+    em = _FormulaEmitter(index)
     kind, val = em.emit(f)
     body = em.lines or []
     ret = repr(val) if kind == "const" else val

@@ -16,6 +16,7 @@ from .errors import (
     ExpansionError,
     ParseError,
     TimeoutFailure,
+    UndeclaredKeyError,
     ValidationError,
     VerifyFailure,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "ExpansionError",
     "ParseError",
     "TimeoutFailure",
+    "UndeclaredKeyError",
     "ValidationError",
     "VerifyFailure",
     "UNKNOWN",

@@ -62,6 +62,13 @@ class CompileError(CSawError):
     """The validated, expanded program could not be assembled."""
 
 
+class UndeclaredKeyError(CSawError):
+    """An update from outside the architecture named a key its target
+    junction does not declare: a junction's table holds exactly its
+    declarations (sec. 6, "Junction state"), so the update is refused
+    and the table left unchanged."""
+
+
 class DslFailure(CSawError):
     """Base of all *runtime* failures of DSL expressions.
 

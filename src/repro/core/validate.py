@@ -17,6 +17,9 @@ The paper states several validity constraints (secs. 4 and 6):
 * Instances must name declared instance types; junction definitions
   must belong to declared types.  An indexed family ``F[n]`` has a
   size ≥ 1, and neither ``F`` nor any of ``F1 … Fn`` is declared twice.
+* A junction's state is declared up front (sec. 6, "Junction state"):
+  every local proposition a closed junction names is one of its
+  :func:`declared_keys`, the set its runtime table is laid out from.
 
 Two entry points:
 
@@ -27,8 +30,12 @@ Two entry points:
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
+
 from . import ast as A
-from .errors import ValidationError
+from .errors import CompileError, ValidationError
+from .expand import subset_membership_prop
 from .formula import At, Formula, Live, Prop
 
 
@@ -171,23 +178,93 @@ def _validate_expr(e: A.Expr, where: str, in_transaction: bool, own: A.JunctionD
 # Closed-junction validation (post-specialization)
 # ---------------------------------------------------------------------------
 
-def collect_declared(decls: tuple[A.Decl, ...]) -> dict[str, set[str]]:
-    """Partition declared names by kind: props (flat keys and family
-    names), data, sets, subsets, idx."""
-    out = {"prop": set(), "data": set(), "set": set(), "subset": set(), "idx": set()}
+class DeclaredKeys(NamedTuple):
+    """The keys a closed junction's table holds: exactly what its
+    declarations give a slot (sec. 6, "Junction state").  The
+    validator checks every local key against it and the runtime lays
+    tables out from it, so the two cannot disagree."""
+
+    #: key → initial proposition value, ``None`` for data, idx and
+    #: subset keys (``undef`` in a table); in slot order
+    initial: Mapping[str, bool | None]
+    #: proposition keys: flat, family members and the subset-membership
+    #: propositions (``__in_<subset>[elem]``)
+    props: frozenset[str]
+    data: frozenset[str]
+    idx: frozenset[str]
+    subset: frozenset[str]
+    sets: frozenset[str]  # not keys: sets are not junction state
+    #: family name → the indices of its declared members, in order
+    families: Mapping[str, tuple[str, ...]]
+    #: ``x!of`` → the elements idx/subset ``x`` ranges over; a set
+    #: name → its literal's elements
+    set_values: Mapping[str, tuple]
+
+
+def set_elements(s: object) -> tuple:
+    """Normalize a closed set expression to runtime elements
+    (strings/floats)."""
+    if isinstance(s, A.SetLit):
+        out = []
+        for item in s.items:
+            if isinstance(item, A.Ref):
+                out.append(str(item))
+            elif isinstance(item, A.Num):
+                out.append(item.value)
+            else:
+                out.append(item)
+        return tuple(out)
+    if isinstance(s, tuple):
+        return s
+    raise CompileError(f"set expression {s!r} was not resolved before runtime")
+
+
+def declared_keys(decls: tuple[A.Decl, ...]) -> DeclaredKeys:
+    """The closed key set of a junction's (specialized) declarations."""
+    initial: dict[str, bool | None] = {}  # a re-declared key keeps its slot
+    props: set[str] = set()
+    data: set[str] = set()
+    idx: set[str] = set()
+    subset: set[str] = set()
+    sets: set[str] = set()
+    families: dict[str, list[str]] = {}
+    set_values: dict[str, tuple] = {}
+
+    def prop(name: str, index: object, value: bool) -> None:
+        key = name if index is None else f"{name}[{index}]"
+        initial[key] = value
+        if index is not None and key not in props:
+            families.setdefault(name, []).append(str(index))
+        props.add(key)
+
     for d in decls:
         if isinstance(d, A.InitProp):
-            out["prop"].add(d.key())
-            out["prop"].add(d.name)
+            prop(d.name, d.index, d.value)
         elif isinstance(d, A.InitData):
-            out["data"].add(d.name)
-        elif isinstance(d, A.SetDecl):
-            out["set"].add(d.name)
-        elif isinstance(d, A.SubsetDecl):
-            out["subset"].add(d.name)
+            initial[d.name] = None
+            data.add(d.name)
         elif isinstance(d, A.IdxDecl):
-            out["idx"].add(d.name)
-    return out
+            initial[d.name] = None
+            idx.add(d.name)
+            set_values[d.name + "!of"] = set_elements(d.of_set)
+        elif isinstance(d, A.SubsetDecl):
+            initial[d.name] = None
+            subset.add(d.name)
+            parents = set_values[d.name + "!of"] = set_elements(d.of_set)
+            # auto-maintained membership propositions, so the DSL can
+            # iterate subsets (unrolled over the parent set)
+            for elem in parents:
+                prop(subset_membership_prop(d.name), elem, False)
+        elif isinstance(d, A.SetDecl):
+            sets.add(d.name)
+            if d.literal is not None:
+                set_values[d.name] = set_elements(d.literal)
+    return DeclaredKeys(
+        MappingProxyType(initial), frozenset(props), frozenset(data), frozenset(idx),
+        frozenset(subset), frozenset(sets),
+        MappingProxyType({f: tuple(m) for f, m in families.items()}),
+        MappingProxyType(set_values),
+    )
 
 
 def validate_closed_junction(
@@ -196,16 +273,23 @@ def validate_closed_junction(
     body: A.Expr,
     params: tuple[str, ...] = (),
 ) -> None:
-    """Validate a specialized junction: names used by statements must be
-    declared, sets/indices must not be transmitted, and host writes must
-    target declared writable state."""
-    declared = collect_declared(decls)
-    data = declared["data"]
-    props = declared["prop"]
-    unserializable = declared["set"] | declared["subset"] | declared["idx"]
-    writable_by_host = data | props | declared["subset"] | declared["idx"]
+    """Validate a specialized junction: every local key its guard and
+    statements name is one of its :func:`declared_keys`, sets/indices
+    are not transmitted, and host writes target declared writable
+    state."""
+    keys = declared_keys(decls)
+    data = keys.data
+    unserializable = keys.sets | keys.subset | keys.idx
+    writable_by_host = keys.initial.keys() | keys.families.keys()
     params_set = set(params)
 
+    def formula(site: str, f: Formula) -> None:
+        for p in _local_props(f):
+            _check_prop(qualified, site, p.name, p.index, keys)
+
+    for d in decls:
+        if isinstance(d, A.Guard):
+            formula("guard references", d.formula)
     for e in A.walk(body):
         if isinstance(e, A.Write):
             if e.name in unserializable:
@@ -228,12 +312,19 @@ def validate_closed_junction(
             for k in e.keys:
                 if k not in data:
                     raise ValidationError(f"{qualified}: wait admits undeclared data {k!r}")
-            _check_local_props(qualified, e.formula, props)
+            formula("wait formula references", e.formula)
+        elif isinstance(e, A.Case):
+            for arm in e.arms:
+                if isinstance(arm, A.CaseArm):
+                    formula("case arm references", arm.formula)
+        elif isinstance(e, A.If):
+            formula("if condition references", e.cond)
+        elif isinstance(e, A.Verify):
+            formula("verify references", e.formula)
         elif isinstance(e, (A.Assert, A.Retract)):
-            if isinstance(e.target, A.SelfTarget) and e.prop not in props:
-                raise ValidationError(
-                    f"{qualified}: {'assert' if isinstance(e, A.Assert) else 'retract'} of undeclared proposition {e.prop!r}"
-                )
+            if isinstance(e.target, A.SelfTarget):
+                site = "assert of" if isinstance(e, A.Assert) else "retract of"
+                _check_prop(qualified, site, e.prop, e.index, keys)
         elif isinstance(e, A.HostBlock):
             for w in e.writes:
                 if w not in writable_by_host:
@@ -242,16 +333,45 @@ def validate_closed_junction(
                     )
         elif isinstance(e, A.Keep):
             for k in e.keys:
-                if k not in data and k not in props:
-                    raise ValidationError(f"{qualified}: keep of undeclared key {k!r}")
+                if k not in data and k not in keys.props:
+                    raise ValidationError(
+                        f"{qualified}: keep of undeclared key {k!r}{family_note(k, keys)}"
+                    )
 
 
-def _check_local_props(qualified: str, f: Formula, props: set[str]) -> None:
-    for p in _local_props(f):
-        if p.key() not in props and p.name not in props:
+def _show(elems) -> str:
+    return "{" + ", ".join(map(str, elems)) + "}"
+
+
+def family_note(key: str, keys: DeclaredKeys) -> str:
+    """For a ``key`` that ``keys`` does not hold, the family and set it
+    falls outside of (``": z is not in family Up's set {a, b}"``), or
+    ``""`` when it names no declared family."""
+    name, _, index = key.partition("[")
+    members = keys.families.get(name)
+    if not index or members is None:
+        return ""
+    return f": {index[:-1]} is not in family {name}'s set {_show(members)}"
+
+
+def _check_prop(where: str, site: str, name: str, index: object, keys: DeclaredKeys) -> None:
+    """A local proposition must have a slot; ``name[cursor]`` needs one
+    for every element the cursor can hold."""
+    cursor = A.cursor_name(index, keys.idx)
+    if cursor is None:
+        key = name if index is None else f"{name}[{index}]"
+        if key not in keys.props:
             raise ValidationError(
-                f"{qualified}: wait formula references undeclared proposition {p.key()!r}"
+                f"{where}: {site} undeclared proposition {key!r}{family_note(key, keys)}"
             )
+        return
+    elems = keys.set_values[cursor + "!of"]
+    if any(f"{name}[{e}]" not in keys.props for e in elems):
+        raise ValidationError(
+            f"{where}: {site} {name}[{cursor}], but idx {cursor}'s set "
+            f"{_show(elems)} is not inside family {name}'s set "
+            f"{_show(keys.families.get(name, ()))}"
+        )
 
 
 def _local_props(f: Formula):

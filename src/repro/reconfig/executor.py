@@ -351,7 +351,7 @@ def _rebind(tr: _Transition, names) -> None:
                 for key, value in values.items():
                     if key in jr.table.values:
                         jr.table.values[key] = value
-                jr.table.enqueue_pending(u for u in pending if u.key in jr.table.values)
+                jr.table.enqueue_pending(pending)
         tr.emit("reconfig_rebind", name, parent=tr.cut_ev)
 
 

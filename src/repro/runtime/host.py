@@ -97,18 +97,18 @@ class HostContext:
                 )
             self._warn_contract(key)
         jr = self._junction
-        if key in jr.idx_names:
+        if key in jr.declared.idx:
             self._set_idx(key, value)
             return
-        if key in jr.subset_names:
+        if key in jr.declared.subset:
             self._set_subset(key, value)
             return
-        if key in jr.prop_names:
+        if key in jr.declared.props:
             if not isinstance(value, bool):
                 raise HostError(f"proposition {key!r} requires a bool, got {type(value).__name__}")
             jr.table.set_local(key, value)
             return
-        if key in jr.data_names:
+        if key in jr.declared.data:
             jr.table.set_local(key, value)
             return
         raise HostError(f"host block writes unknown junction state {key!r}")
@@ -128,7 +128,7 @@ class HostContext:
     def _set_idx(self, key: str, value) -> None:
         """Indices must take values from their underlying set — the
         paper's contract with the host language."""
-        elems = self._junction.set_values.get(key + "!of", ())
+        elems = self._junction.declared.set_values.get(key + "!of", ())
         if isinstance(value, int) and not isinstance(value, bool) and value not in elems:
             # allow positional choice
             if 0 <= value < len(elems):
@@ -140,7 +140,7 @@ class HostContext:
         raise HostError(f"idx {key!r} must be a member (or position) of {elems}, got {value!r}")
 
     def _set_subset(self, key: str, value) -> None:
-        elems = self._junction.set_values.get(key + "!of", ())
+        elems = self._junction.declared.set_values.get(key + "!of", ())
         try:
             chosen = tuple(value)
         except TypeError:

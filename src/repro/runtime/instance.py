@@ -19,8 +19,8 @@ from typing import Callable
 from ..core import ast as A
 from ..core.compiler import CompiledJunction
 from ..core.errors import CompileError
-from ..core.expand import subset_membership_prop
 from ..core.formula import TRUE
+from ..core.validate import DeclaredKeys, declared_keys
 from ..semantics.commute import Footprint, key_token, node_token
 from .kvtable import KVTable, UNDEF
 
@@ -96,74 +96,33 @@ class Closure:
 
 class TableImage:
     """A bound junction's table as its declarations leave it, built
-    once per closure and never changed: the slot keys and index, the
-    initial slot values, the idx/subset/data/prop name sets, the set
-    values and the keys its guard reads (``None``: an impure guard,
-    untracked)."""
+    once per closure and never changed: its declared keys
+    (:class:`~repro.core.validate.DeclaredKeys`), their slot keys and
+    index, the initial slot values and the keys its guard reads
+    (``None``: an impure guard, untracked)."""
 
-    __slots__ = (
-        "keys", "index", "values", "idx_names", "subset_names",
-        "data_names", "prop_names", "set_values", "guard_keys",
-    )
+    __slots__ = ("declared", "keys", "index", "values", "guard_keys")
 
-    def __init__(self, slots: dict[str, object], idx_names: set[str],
-                 subset_names: set[str], data_names: set[str], prop_names: set[str],
-                 set_values: dict[str, tuple], guard_keys: frozenset[str] | None):
-        self.keys = tuple(slots)
+    def __init__(self, declared: DeclaredKeys, guard_keys: frozenset[str] | None):
+        self.declared = declared
+        self.keys = tuple(declared.initial)
         self.index = MappingProxyType({k: i for i, k in enumerate(self.keys)})
-        self.values = tuple(slots.values())
-        self.idx_names = frozenset(idx_names)
-        self.subset_names = frozenset(subset_names)
-        self.data_names = frozenset(data_names)
-        self.prop_names = frozenset(prop_names)
-        self.set_values = MappingProxyType(set_values)
+        self.values = tuple(UNDEF if v is None else v for v in declared.initial.values())
         self.guard_keys = guard_keys
 
     def fill(self, table: KVTable) -> None:
-        """Copy the image into ``table``, fresh from its constructor."""
-        layout = table.layout
-        layout.index = self.index.copy()
-        layout.keys.extend(self.keys)
+        """Lay ``table``, fresh from its constructor, out as the image:
+        it shares the immutable keys and index and copies the values."""
+        table.keys = self.keys
+        table.index = self.index
         table.slots.extend(self.values)
         table.set_guard_tracking(self.guard_keys)
 
 
 def table_image(decls: tuple[A.Decl, ...], guard) -> TableImage:
-    """Walk a closure's declarations into its :class:`TableImage`."""
-    slots: dict[str, object] = {}  # a re-declared key keeps its slot
-    idx_names: set[str] = set()
-    subset_names: set[str] = set()
-    data_names: set[str] = set()
-    prop_names: set[str] = set()
-    set_values: dict[str, tuple] = {}
-    for d in decls:
-        if isinstance(d, A.InitProp):
-            slots[d.key()] = d.value
-            prop_names.add(d.key())
-        elif isinstance(d, A.InitData):
-            slots[d.name] = UNDEF
-            data_names.add(d.name)
-        elif isinstance(d, A.IdxDecl):
-            slots[d.name] = UNDEF
-            idx_names.add(d.name)
-            set_values[d.name + "!of"] = _set_elements(d.of_set)
-        elif isinstance(d, A.SubsetDecl):
-            slots[d.name] = UNDEF
-            subset_names.add(d.name)
-            parents = _set_elements(d.of_set)
-            set_values[d.name + "!of"] = parents
-            # auto-maintained membership propositions, so the DSL
-            # can iterate subsets (unrolled over the parent set)
-            fam = subset_membership_prop(d.name)
-            for elem in parents:
-                key = f"{fam}[{elem}]"
-                slots[key] = False
-                prop_names.add(key)
-        elif isinstance(d, A.SetDecl):
-            if d.literal is not None:
-                set_values[d.name] = _set_elements(d.literal)
-        # Guard handled at bind; ForInit expanded by specialize.
-
+    """Lay a closure's :func:`~repro.core.validate.declared_keys` out
+    as its :class:`TableImage`."""
+    declared = declared_keys(decls)
     # Guard-footprint tracking: a *pure* guard's verdict depends only
     # on the keys it reads, so the table records them — writes to any
     # of them set ``guard_dirty`` and the scheduler skips re-evaluating
@@ -173,15 +132,12 @@ def table_image(decls: tuple[A.Decl, ...], guard) -> TableImage:
     # codegen, which this module must not import at load time.
     from ..compile.formulas import guard_keys, is_pure
 
-    tracked = guard_keys(guard) if is_pure(guard, idx_names) else None
-    return TableImage(
-        slots, idx_names, subset_names, data_names, prop_names, set_values, tracked
-    )
+    return TableImage(declared, guard_keys(guard) if is_pure(guard, declared.idx) else None)
 
 
 #: the table of a junction restarted before it was ever bound: empty,
 #: tracking its (absent) guard
-_UNBOUND = TableImage({}, set(), set(), set(), set(), {}, frozenset())
+_UNBOUND = TableImage(declared_keys(()), frozenset())
 
 
 class JunctionRuntime:
@@ -211,11 +167,8 @@ class JunctionRuntime:
         #: reconfiguration executor pauses these *inbound* junctions
         #: first so the rest of the pipeline can drain naturally.
         self.external_inbound = False
-        #: names of declared idx / subset state (host-writable); the
-        #: bound closure's, immutable (:class:`TableImage`)
-        self.idx_names = self.subset_names = _UNBOUND.idx_names
-        self.data_names = self.prop_names = _UNBOUND.data_names
-        self.set_values = _UNBOUND.set_values
+        #: the bound closure's declared keys, immutable (:class:`TableImage`)
+        self.declared = _UNBOUND.declared
         #: compiled guard/body (``repro.compile.JunctionCode``), set at
         #: instance bind time when compilation is enabled; None runs the
         #: tree-walker (``repro.runtime.treewalk``)
@@ -253,31 +206,10 @@ class JunctionRuntime:
         self._free_exec = None
         image = _UNBOUND if self.closure is None else self.closure.image
         image.fill(self.table)
-        self.idx_names = image.idx_names
-        self.subset_names = image.subset_names
-        self.data_names = image.data_names
-        self.prop_names = image.prop_names
-        self.set_values = image.set_values
+        self.declared = image.declared
 
     def checkpoint(self) -> dict[str, object]:
         return self.table.snapshot()
-
-
-def _set_elements(s: object) -> tuple:
-    """Normalize a set literal to runtime elements (strings/floats)."""
-    if isinstance(s, A.SetLit):
-        out = []
-        for item in s.items:
-            if isinstance(item, A.Ref):
-                out.append(str(item))
-            elif isinstance(item, A.Num):
-                out.append(item.value)
-            else:
-                out.append(item)
-        return tuple(out)
-    if isinstance(s, tuple):
-        return s
-    raise CompileError(f"set expression {s!r} was not resolved before runtime")
 
 
 class InstanceRuntime:

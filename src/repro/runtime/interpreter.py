@@ -673,7 +673,7 @@ class JunctionExecution:
         cursor is taken at the cursor's current value."""
         if index is None:
             return prop
-        idx = A.cursor_name(index, self.jr.idx_names)
+        idx = A.cursor_name(index, self.jr.declared.idx)
         return f"{prop}[{index if idx is None else self._cursor(idx)}]"
 
     def data(self, name: str) -> object:
@@ -686,17 +686,11 @@ class JunctionExecution:
 
     # -- formulas ---------------------------------------------------------
 
-    def _prop_env(self, key: str):
-        v = self.table.prop_value(key)
-        if isinstance(v, bool):
-            return v
-        return UNKNOWN
-
     def _resolve_indices(self, f: Formula) -> Formula:
         """``f`` with every cursor-indexed proposition (``!Work[tgt]``)
         fixed at the cursor's current value."""
         if isinstance(f, Prop):
-            idx = A.cursor_name(f.index, self.jr.idx_names)
+            idx = A.cursor_name(f.index, self.jr.declared.idx)
             return f if idx is None else Prop(f.name, str(self._cursor(idx)))
         if isinstance(f, Not):
             return Not(self._resolve_indices(f.operand))
@@ -714,7 +708,7 @@ class JunctionExecution:
         :func:`repro.compile.formulas.is_pure`."""
         return evaluate(
             self._resolve_indices(f),
-            self._prop_env,
+            self.table.truth,
             at=self.system.make_at_resolver(self.jr),
             live=self.system.make_live_resolver(),
         )

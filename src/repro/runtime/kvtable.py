@@ -20,9 +20,12 @@ Semantics implemented here (paper sec. 6 "Junction state" and sec. 8
 
 Representation (the slot-addressed state layer):
 
-* A :class:`SlotLayout` maps each declared key to a stable integer
-  slot; the layout is fixed when the ``System`` binds the junction's
-  declarations and only grows (slots are never reused).
+* The key set is fixed at bind: ``keys`` and ``index`` (key → slot)
+  are the bound closure's immutable table image, shared by every
+  table of that closure, and hold exactly the junction's declared
+  keys (:func:`repro.core.validate.declared_keys`).  An update to any
+  other key is refused at the boundary (:meth:`KVTable.receive`),
+  never stored or queued.
 * Values live in a flat ``slots`` list indexed by slot.  The list is
   mutated in place and **never rebound**, so compiled guards and
   bodies may close over it.  ``table.values`` is a dict-like
@@ -44,13 +47,15 @@ different junctions (or in the same junction across a live
 reconfiguration that changes its declarations), so everything that
 crosses junctions — update messages, commute footprints, reconfig
 snapshots — stays keyed by *name* and is translated through the
-layout at the boundary.
+index at the boundary.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
+
+from ..core.formula import UNKNOWN
 
 
 class _Undef:
@@ -70,9 +75,6 @@ class _Undef:
 
 UNDEF = _Undef()
 
-#: undo-log marker: the slot did not exist when the frame was opened
-_TX_UNDECLARED = object()
-
 
 class Update(NamedTuple):
     """A queued remote update.
@@ -84,38 +86,6 @@ class Update(NamedTuple):
     key: str
     value: object
     src: str  # sending junction node name (for diagnostics)
-
-
-class SlotLayout:
-    """The key→slot index of one junction's table.
-
-    Fixed when the junction's declarations are bound; grows (but never
-    shrinks or reorders) if a write introduces a key that was not
-    declared — e.g. a remote update applied through a wait window."""
-
-    __slots__ = ("index", "keys")
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-        self.keys: list[str] = []
-
-    def add(self, key: str) -> int:
-        """Slot of ``key``, allocating the next slot if new."""
-        i = self.index.get(key)
-        if i is None:
-            i = len(self.keys)
-            self.index[key] = i
-            self.keys.append(key)
-        return i
-
-    def slot_of(self, key: str) -> int | None:
-        return self.index.get(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.index
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 class SlotValues:
@@ -134,45 +104,30 @@ class SlotValues:
 
     def get(self, key: str, default: object = None) -> object:
         t = self._table
-        i = t.layout.index.get(key)
-        return default if i is None else t.slots[i]
+        return t.slots[t.index[key]] if key in t.index else default
 
     def __getitem__(self, key: str) -> object:
         t = self._table
-        i = t.layout.index.get(key)
-        if i is None:
-            raise KeyError(key)
-        return t.slots[i]
+        return t.slots[t.index[key]]
 
     def __setitem__(self, key: str, value: object) -> None:
         self._table._store_named(key, value)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._table.layout.index
+        return key in self._table.index
 
     def __iter__(self):
-        return iter(self._table.layout.keys)
+        return iter(self._table.keys)
 
     def __len__(self) -> int:
-        return len(self._table.layout.keys)
+        return len(self._table.keys)
 
     def keys(self) -> list[str]:
-        return list(self._table.layout.keys)
+        return list(self._table.keys)
 
     def items(self) -> list[tuple[str, object]]:
         t = self._table
-        slots = t.slots
-        return [(k, slots[i]) for k, i in t.layout.index.items()]
-
-    def values(self) -> list[object]:
-        return list(self._table.slots)
-
-    def update(self, other=(), **kw) -> None:
-        items = other.items() if hasattr(other, "items") else other
-        for k, v in items:
-            self._table._store_named(k, v)
-        for k, v in kw.items():
-            self._table._store_named(k, v)
+        return list(zip(t.keys, t.slots))
 
     def copy(self) -> dict[str, object]:
         return dict(self.items())
@@ -213,8 +168,11 @@ class KVTable:
 
     def __init__(self, owner: str = "?"):
         self.owner = owner
-        #: key → slot index, fixed per bound junction
-        self.layout = SlotLayout()
+        #: the declared keys in slot order and key → slot; fixed at
+        #: bind (:meth:`repro.runtime.instance.TableImage.fill`) or
+        #: laid out by :meth:`declare`
+        self.keys: tuple[str, ...] = ()
+        self.index: Mapping[str, int] = {}
         #: flat value storage, indexed by slot; mutated in place, never
         #: rebound — compiled code may alias it
         self.slots: list[object] = []
@@ -251,6 +209,7 @@ class KVTable:
         self.guard_cached: bool | None = None
         # cached metric handles; None until attach_telemetry so a bare
         # KVTable (unit tests) pays nothing
+        self._telemetry = None
         self._ctr_received = None
         self._ctr_applied = None
         self._gauge_pending = None
@@ -260,7 +219,10 @@ class KVTable:
         registry: ``kv_updates_received`` / ``kv_updates_applied``
         counters and a ``kv_pending_updates`` gauge, all labeled by the
         owning junction node.  Handles are cached so the instrumented
-        paths cost one integer increment each."""
+        paths cost one integer increment each.  ``kv_updates_refused``
+        is made at the first refusal, so a table that refuses nothing
+        exports no such counter."""
+        self._telemetry = telemetry
         self._ctr_received = telemetry.counter("kv_updates_received", node=self.owner)
         self._ctr_applied = telemetry.counter("kv_updates_applied", node=self.owner)
         self._gauge_pending = telemetry.gauge("kv_pending_updates", node=self.owner)
@@ -268,10 +230,17 @@ class KVTable:
     # -- declaration-time ---------------------------------------------------
 
     def declare(self, key: str, value: object) -> None:
+        """Lay ``key`` out, holding ``value``, in a table no image
+        fills (unit tests, micro-probes); a filled table's index is
+        read-only, so this cannot grow a bound table."""
+        if key not in self.index:
+            self.index[key] = len(self.keys)
+            self.keys += (key,)
+            self.slots.append(UNDEF)
         self._store_named(key, value)
 
     def has(self, key: str) -> bool:
-        return key in self.layout.index
+        return key in self.index
 
     # -- guard footprint tracking -------------------------------------------
 
@@ -292,10 +261,9 @@ class KVTable:
     # -- reads ------------------------------------------------------------
 
     def get(self, key: str) -> object:
-        i = self.layout.index.get(key)
-        if i is None:
+        if key not in self.index:
             raise KeyError(f"{self.owner}: no junction state {key!r}")
-        return self.slots[i]
+        return self.slots[self.index[key]]
 
     def get_prop(self, key: str) -> bool:
         v = self.get(key)
@@ -303,11 +271,13 @@ class KVTable:
             raise TypeError(f"{self.owner}: {key!r} is not a proposition")
         return v
 
-    def prop_value(self, key: str) -> object:
-        """Value of ``key`` or ``None`` if undeclared (formula-eval
-        read: absent keys evaluate to UNKNOWN upstream)."""
-        i = self.layout.index.get(key)
-        return None if i is None else self.slots[i]
+    def truth(self, key: str) -> object:
+        """``key``'s truth for formula evaluation: a proposition's
+        value, else UNKNOWN (a data key, or a key the table lacks, as
+        a ``γ@F`` read of another junction's table may name)."""
+        index = self.index
+        v = self.slots[index[key]] if key in index else None
+        return v if v is True or v is False else UNKNOWN
 
     def effective(self, key: str) -> object:
         """Value of ``key`` with the pending overlay applied (used by
@@ -315,13 +285,12 @@ class KVTable:
         b = self._pending.get(key)
         if b is not None:
             return b[-1][1].value
-        i = self.layout.index.get(key)
-        return UNDEF if i is None else self.slots[i]
+        index = self.index
+        return self.slots[index[key]] if key in index else UNDEF
 
     def snapshot(self) -> dict[str, object]:
         """A shallow copy of current values (for checkpointing)."""
-        slots = self.slots
-        return {k: slots[i] for k, i in self.layout.index.items()}
+        return dict(zip(self.keys, self.slots))
 
     # -- pending queue (read side) -----------------------------------------
 
@@ -356,27 +325,21 @@ class KVTable:
         """Queue updates directly (reconfiguration restore: carry a
         predecessor table's unapplied backlog into this table).  Does
         not count as *receiving* — dedup/recv-seq already happened in
-        the previous incarnation."""
+        the previous incarnation.  An update to a key this table does
+        not declare (its new binding dropped the key) is not queued."""
         for u in updates:
-            self._enqueue(u)
+            if u.key in self.index:
+                self._enqueue(u)
 
     # -- internal write helpers --------------------------------------------
 
-    def _declare_slot(self, key: str) -> int:
-        i = self.layout.add(key)
-        if i == len(self.slots):
-            self.slots.append(UNDEF)
-            if self._tx_stack:
-                self._tx_stack[-1].append((i, _TX_UNDECLARED))
-        return i
-
     def _store_named(self, key: str, value: object) -> None:
-        """Plain by-name store: declare-if-missing, tx-logged, marks
-        the guard dirty; no local-priority discard (that is
+        """Plain by-name store of a declared key: tx-logged, marks the
+        guard dirty; no local-priority discard (that is
         :meth:`set_local`'s job)."""
-        i = self.layout.index.get(key)
-        if i is None:
-            i = self._declare_slot(key)
+        if key not in self.index:
+            raise KeyError(f"{self.owner}: no junction state {key!r}")
+        i = self.index[key]
         if self._tx_stack:
             self._tx_stack[-1].append((i, self.slots[i]))
         self.slots[i] = value
@@ -396,9 +359,9 @@ class KVTable:
         updates overwrite — and therefore discard — pending remote
         updates to the same key; ``discard=False`` writes under them
         instead (:meth:`confirm_local`)."""
-        i = self.layout.index.get(key)
-        if i is None:
+        if key not in self.index:
             raise KeyError(f"{self.owner}: no junction state {key!r}")
+        i = self.index[key]
         if self.on_local_write is not None:
             self.on_local_write(key, self.slots[i])
         if self._tx_stack:
@@ -481,7 +444,7 @@ class KVTable:
         newer one is still queued, the copy is written under them — the
         junction sees its own confirmed write now, and the queued update
         still applies after it when the junction is next scheduled."""
-        if key not in self.layout.index:
+        if key not in self.index:
             return
         recv_before, queued_before = mark
         newer = self.recv_seq_of(key) - recv_before
@@ -505,13 +468,19 @@ class KVTable:
         self._note_pending()
 
     def receive(self, update: Update) -> None:
-        """Handle an arriving remote update."""
+        """Handle an arriving remote update.  One to a key the table
+        does not declare is refused: counted in ``kv_updates_refused``,
+        never stored or queued (the sender is still acked)."""
         key = update.key
-        rs = self._recv_seq
-        rs[key] = rs.get(key, 0) + 1
         c = self._ctr_received
         if c is not None:
             c.value += 1  # Counter.inc, sans the method call
+        if key not in self.index:
+            if self._telemetry is not None:
+                self._telemetry.counter("kv_updates_refused", node=self.owner).inc()
+            return
+        rs = self._recv_seq
+        rs[key] = rs.get(key, 0) + 1
         if self.executing:
             if self.windows and any(
                 w.active and key in w.admits for w in self.windows
@@ -550,16 +519,13 @@ class KVTable:
         the number applied."""
         n = self._pending_n
         if n:
-            index = self.layout.index
+            index = self.index
             slots = self.slots
             tx = self._tx_stack[-1] if self._tx_stack else None
             gk = self._guard_keys
             dirty = False
             for key, b in self._pending.items():
-                i = index.get(key)
-                if i is None:
-                    i = self._declare_slot(key)
-                    slots = self.slots
+                i = index[key]
                 if tx is not None:
                     tx.append((i, slots[i]))
                 slots[i] = b[-1][1].value
@@ -631,21 +597,10 @@ class KVTable:
         frame = self._tx_stack.pop()
         gk = self._guard_keys
         dirty = False
+        keys = self.keys
         for i, old in reversed(frame):
-            key = self.layout.keys[i]
-            if old is _TX_UNDECLARED:
-                if i == len(self.slots) - 1:
-                    # slots allocate append-only, so a slot declared
-                    # inside the frame is undone last and sits at the
-                    # end — safe to truly un-declare it
-                    self.slots.pop()
-                    self.layout.keys.pop()
-                    del self.layout.index[key]
-                else:
-                    self.slots[i] = UNDEF
-            else:
-                self.slots[i] = old
-            if key in gk:
+            self.slots[i] = old
+            if keys[i] in gk:
                 dirty = True
         if dirty:
             self.guard_dirty = True

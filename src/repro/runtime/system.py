@@ -37,6 +37,7 @@ from ..core.errors import (
     CompileError,
     DslFailure,
     StartStopFailure,
+    UndeclaredKeyError,
     UndefError,
 )
 from ..core.elaborate import junction_env, main_env, start_groups
@@ -313,7 +314,7 @@ class System:
         name = str(ref)
         if name in self.instances or caller is None:
             return name
-        if ref.is_simple and ref.name in caller.idx_names:
+        if ref.is_simple and ref.name in caller.declared.idx:
             v = caller.table.get(ref.name)
             if v is UNDEF:
                 raise UndefError(f"{caller.node}: index {ref.name!r} is undef")
@@ -596,10 +597,7 @@ class System:
         else:
             held = (
                 evaluate(
-                    jr.guard,
-                    lambda k: pv if isinstance(pv := t.prop_value(k), bool) else UNKNOWN,
-                    at=self.make_at_resolver(jr),
-                    live=self.make_live_resolver(),
+                    jr.guard, t.truth, at=self.make_at_resolver(jr), live=self.make_live_resolver()
                 )
                 is True
             )
@@ -687,7 +685,7 @@ class System:
         if target.is_simple:
             name = parts[0]
             # an index variable? dereference through the table
-            if name in caller.idx_names:
+            if name in caller.declared.idx:
                 if static:
                     raise DslFailure(f"{caller.node}: target {name!r} is a runtime cursor")
                 v = caller.table.get(name)
@@ -719,10 +717,7 @@ class System:
             if not jr.instance.alive:
                 return UNKNOWN
             return evaluate(
-                body,
-                lambda k: pv if isinstance(pv := jr.table.prop_value(k), bool) else UNKNOWN,
-                at=self.make_at_resolver(jr),
-                live=self.make_live_resolver(),
+                body, jr.table.truth, at=self.make_at_resolver(jr), live=self.make_live_resolver()
             )
 
         return at
@@ -744,8 +739,9 @@ class System:
     def external_update(self, node: str, key: str, value: object, *, poke: bool = True) -> None:
         """Apply an externally-originated KV update (e.g. the embedding
         application asserting ``Req`` on a client request) and attempt a
-        scheduling."""
-        jr = self.junction(node)
+        scheduling.  A key the junction does not declare raises
+        :class:`~repro.core.errors.UndeclaredKeyError`."""
+        jr = self._declaring(node, key)
         jr.external_inbound = True
         tel = self.telemetry
         if tel.enabled:
@@ -762,8 +758,9 @@ class System:
             self._attempt_soon(jr, cause=ev)
 
     def external_data(self, node: str, key: str, obj: object, schema: str | None = None) -> None:
-        """Install externally-supplied named data (serialized)."""
-        jr = self.junction(node)
+        """Install externally-supplied named data (serialized); an
+        undeclared key raises as in :meth:`external_update`."""
+        jr = self._declaring(node, key)
         jr.external_inbound = True
         payload = self.serializer.encode(schema, obj)
         ev = self.telemetry.emit("external_data", jr.node, key=key)
@@ -772,6 +769,12 @@ class System:
             jr.table.receive(Update(key=key, value=payload, src="__external__"))
         finally:
             self._attempt_cause = None
+
+    def _declaring(self, node: str, key: str) -> JunctionRuntime:
+        jr = self.junction(node)
+        if key not in jr.table.index:
+            raise UndeclaredKeyError(f"{jr.node} declares no key {key!r}; its table is unchanged")
+        return jr
 
     def poke(self, node: str) -> None:
         """Attempt to schedule a junction."""

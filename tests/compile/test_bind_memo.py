@@ -23,7 +23,7 @@ from repro.arch.catalog import CATALOG
 from repro.arch.sharding import ShardedRedis
 from repro.compile import codegen, compilation
 from repro.core import compile_program, compiler
-from repro.core.errors import CompileError, ValidationError
+from repro.core.errors import CompileError, UndeclaredKeyError, ValidationError
 from repro.explore.scenarios import arch_scenario
 from repro.memo import TextMemo
 from repro.serde import codegen as serde_codegen
@@ -286,10 +286,10 @@ class TestBindMemo:
             assert not system.failures
 
 
-# ``j``'s wait admits ``Up[z]``, a key its family declaration does not
-# declare, so an update to it grows the table; ``Go`` ends the wait and
+# ``j``'s wait admits ``Up[b]``, a family member it declares, so an
+# update to it changes a slot of the table; ``Go`` ends the wait and
 # ``j`` writes ``P``
-GROWS = """
+WRITES = """
 instance_types { T }
 instances { x: T }
 def main() = start x()
@@ -299,40 +299,40 @@ def T::j() =
   | for s in {a, b} init prop !Up[s]
   | idx i of {a, b}
   | guard !P
-  wait[] Go || Up[z]; assert[] P
+  wait[] Go || Up[b]; assert[] P
 """
 
 
-def _grow(system, node):
-    """Grow ``Up[z]`` in ``node``'s table, then write ``P``."""
-    system.external_update(node, "Up[z]", True)
+def _write(system, node):
+    """Set ``Up[b]`` in ``node``'s table, then ``P``."""
+    system.external_update(node, "Up[b]", True)
     system.external_update(node, "Go", True)
     system.run_until(system.now + 1.0)
     table = system.junction(node).table
-    assert table.get("P") is True and table.has("Up[z]")
+    assert table.get("P") is True and table.get("Up[b]") is True
     return table
 
 
 class TestTableImage:
-    """A closure's table image is copied into each table, never shared."""
+    """A closure's table image lays out each table: the keys and index
+    are the image's own immutable ones, the values a copy."""
 
     def _fresh(self, jr, image):
         table = jr.table
-        assert tuple(table.layout.keys) == image.keys and dict(table.layout.index) == image.index
-        assert tuple(table.slots) == image.values
-        assert table.layout.keys is not image.keys and table.slots is not image.values
+        assert table.keys is image.keys and table.index is image.index
+        assert tuple(table.slots) == image.values and table.slots is not image.values
 
     def test_a_rebuild_and_a_restart_start_from_the_image(self):
-        one = System(compile_program(GROWS), latency=0.01)
+        one = System(compile_program(WRITES), latency=0.01)
         one.start()
         one.run_until(1.0)
         jr = one.instance("x").junction("j")
         image = jr.closure.image
         assert image.keys == ("P", "Go", "Up[a]", "Up[b]", "i")
         assert image.values == (False, False, False, False, UNDEF)
-        first = _grow(one, "x::j")
+        first = _write(one, "x::j")
 
-        two = System(compile_program(GROWS), latency=0.01)
+        two = System(compile_program(WRITES), latency=0.01)
         two.start()
         two.run_until(1.0)
         assert two.instance("x").junction("j").closure is jr.closure
@@ -342,7 +342,7 @@ class TestTableImage:
         one.restart_instance("x", reinit=True)
         assert jr.table is not first
         self._fresh(jr, image)
-        assert first.has("Up[z]") and "Up[z]" not in image.index
+        assert first.get("Up[b]") is True and image.values[image.index["Up[b]"]] is False
 
     def test_a_reshard_rebind_starts_from_the_image(self, monkeypatch):
         svc = ShardedRedis(n_shards=4)
@@ -350,10 +350,11 @@ class TestTableImage:
         jr = system.instance("Fnt").junction("junction")
         closure, image = jr.closure, jr.closure.image
         system.external_update("Fnt::junction", "Work", True)
-        system.external_update("Fnt::junction", "Extra", True)
+        with pytest.raises(UndeclaredKeyError, match="'Extra'"):
+            system.external_update("Fnt::junction", "Extra", True)
         system.run_until(system.now + 1.0)
-        grown = jr.table
-        assert grown.get("Work") is True and grown.has("Extra")
+        written = jr.table
+        assert written.get("Work") is True and not written.has("Extra")
 
         rebinds = []
         real = JunctionRuntime.init_state
@@ -361,29 +362,30 @@ class TestTableImage:
         def init_state(self):
             real(self)
             if self is jr:  # the table as the rebind leaves it, before the transfer
-                rebinds.append((self.closure, tuple(self.table.layout.keys), tuple(self.table.slots)))
+                rebinds.append((self.closure, self.table.keys, tuple(self.table.slots)))
 
         monkeypatch.setattr(JunctionRuntime, "init_state", init_state)
         for n in (5, 4):
             assert svc.reconfigure_shards(n).ok
         # back on the 4-back-end closure, in a table of its own
         assert len(rebinds) == 2 and rebinds[1] == (closure, image.keys, image.values)
-        assert jr.closure is closure and jr.table is not grown
-        # the transfer carries declared state by name, and only that
-        assert jr.table.get("Work") is True and not jr.table.has("Extra")
-        assert "Extra" not in image.index and image.values[image.index["Work"]] is False
+        assert jr.closure is closure and jr.table is not written
+        # the transfer carries declared state by name
+        assert jr.table.get("Work") is True and jr.table.keys is image.keys
+        assert image.values[image.index["Work"]] is False
 
     def test_a_bind_cannot_change_its_name_sets_or_set_values(self):
-        system = System(compile_program(GROWS), latency=0.01)
+        system = System(compile_program(WRITES), latency=0.01)
         system.start()
         system.run_until(1.0)
         jr = system.instance("x").junction("j")
-        assert jr.idx_names == {"i"} and jr.prop_names == {"P", "Go", "Up[a]", "Up[b]"}
-        assert jr.set_values == {"i!of": ("a", "b")}
-        for names in (jr.idx_names, jr.subset_names, jr.data_names, jr.prop_names):
+        declared = jr.declared
+        assert declared.idx == {"i"} and declared.props == {"P", "Go", "Up[a]", "Up[b]"}
+        assert declared.set_values == {"i!of": ("a", "b")}
+        for names in (declared.idx, declared.subset, declared.data, declared.props):
             with pytest.raises(AttributeError):
                 names.add("k")
         with pytest.raises(TypeError):
-            jr.set_values["k"] = ()
+            declared.set_values["k"] = ()
         with pytest.raises(TypeError):
             jr.closure.image.index["k"] = 9

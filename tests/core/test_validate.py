@@ -4,9 +4,10 @@ import pytest
 
 from repro.core import ast as A
 from repro.core.errors import ValidationError
-from repro.core.parser import parse_expression, parse_program
+from repro.core.formula import prop_nodes
+from repro.core.parser import parse_expression, parse_formula, parse_program
 from repro.core.validate import (
-    collect_declared,
+    declared_keys,
     validate_closed_junction,
     validate_program,
 )
@@ -282,20 +283,116 @@ class TestClosedJunction:
         )
 
 
-class TestCollectDeclared:
+class TestDeclaredKeys:
     def test_partitions(self):
         decls = (
             A.InitProp("W", False),
             A.InitProp("R", True, A.ref("b1")),
             A.InitData("n"),
-            A.SetDecl("S", None),
-            A.SubsetDecl("sub", A.ref("S")),
-            A.IdxDecl("i", A.ref("S")),
+            A.SetDecl("S", A.SetLit((A.ref("b1"), A.ref("b2")))),
+            A.SubsetDecl("sub", ("b1", "b2")),
+            A.IdxDecl("i", ("b1",)),
         )
-        out = collect_declared(decls)
-        assert "W" in out["prop"]
-        assert "R[b1]" in out["prop"]
-        assert out["data"] == {"n"}
-        assert out["set"] == {"S"}
-        assert out["subset"] == {"sub"}
-        assert out["idx"] == {"i"}
+        out = declared_keys(decls)
+        assert out.props == {"W", "R[b1]", "__in_sub[b1]", "__in_sub[b2]"}
+        assert out.data == {"n"}
+        assert out.sets == {"S"}
+        assert out.subset == {"sub"}
+        assert out.idx == {"i"}
+        assert out.families == {"R": ("b1",), "__in_sub": ("b1", "b2")}
+        # slot order is declaration order; a set is not a key
+        assert list(out.initial) == ["W", "R[b1]", "n", "sub", "__in_sub[b1]", "__in_sub[b2]", "i"]
+        assert out.initial["R[b1]"] is True and out.initial["n"] is None
+
+
+# -- the closed key set, at every site that names a local key ---------------
+
+#: ``Up`` is a family over {a, b}; ``tgt`` ranges inside it, ``wide`` not
+KEYED = (
+    A.InitProp("Work", False),
+    A.InitProp("Up", False, A.ref("a")),
+    A.InitProp("Up", False, A.ref("b")),
+    A.InitData("n"),
+    A.IdxDecl("tgt", A.SetLit((A.ref("a"),))),
+    A.IdxDecl("wide", A.SetLit((A.ref("a"), A.ref("z")))),
+)
+
+#: a proposition, placed at one site: (extra decls, body)
+SITES = {
+    "guard": lambda p: ((A.Guard(parse_formula(p)),), A.Skip()),
+    "wait": lambda p: ((), parse_expression(f"wait[] {p}")),
+    "case arm": lambda p: ((), parse_expression(f"case {{ {p} => skip; break otherwise => skip }}")),
+    "if": lambda p: ((), parse_expression(f"if {p} then skip")),
+    "verify": lambda p: ((), parse_expression(f"verify {p}")),
+    "assert": lambda p: ((), parse_expression(f"assert[] {p}")),
+    "retract": lambda p: ((), parse_expression(f"retract[] {p}")),
+    "keep": lambda p: ((), A.Keep((p,))),
+}
+
+#: the three ways a local key falls outside the set, and what the
+#: refusal must name
+OUTSIDE = {
+    "undeclared name": ("Nope", ["'Nope'"]),
+    "out-of-family literal": ("Up[z]", ["'Up[z]'", "family Up", "{a, b}", "z is not in"]),
+    "idx set not inside the family": ("Up[wide]", ["Up", "wide", "{a, b}"]),
+}
+
+
+def _close(site, prop):
+    extra, body = SITES[site](prop)
+    validate_closed_junction("T::j", KEYED + extra, body)
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE))
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_a_local_key_outside_the_declarations_is_refused(site, case):
+    prop, named = OUTSIDE[case]
+    with pytest.raises(ValidationError) as err:
+        _close(site, prop)
+    for text in named:
+        assert text in str(err.value), (text, str(err.value))
+    if case.startswith("idx") and site != "keep":  # keep names keys, not cursors
+        assert "idx wide's set {a, z} is not inside family Up's set {a, b}" in str(err.value)
+
+
+@pytest.mark.parametrize("site", sorted(set(SITES) - {"keep"}))
+@pytest.mark.parametrize("prop", ["Work", "Up[a]", "Up[b]", "!Up[tgt]"])
+def test_a_declared_key_or_an_idx_inside_its_family_is_accepted(site, prop):
+    if site in ("assert", "retract"):
+        prop = prop.lstrip("!")
+    _close(site, prop)
+
+
+class TestShippedKeySets:
+    """The two shapes the closed key set must keep accepting, closed
+    from the shipped sources as the runtime closes them."""
+
+    def _bound(self, name):
+        from repro.arch.loader import load_program
+        from repro.core.elaborate import elaborate
+
+        binding = elaborate(load_program(name))
+        assert not binding.unbound
+        for bj in binding.junctions:
+            validate_closed_junction(bj.node, bj.decls, bj.body, bj.params)
+        return {bj.node: bj for bj in binding.junctions}
+
+    def test_subset_membership_props(self):
+        front = self._bound("parallel_sharding")["Fnt::junction"]
+        keys = declared_keys(front.decls)
+        members = {k for k in keys.props if k.startswith("__in_tgt[")}
+        assert members and keys.families["__in_tgt"] == keys.set_values["tgt!of"]
+        # ``for b in tgt`` unrolls into case arms over the membership props
+        read = {
+            p.key()
+            for e in A.walk(front.body) if isinstance(e, A.Case)
+            for arm in e.arms for p in prop_nodes(arm.formula)
+        }
+        assert members <= read
+
+    def test_an_idx_indexed_family_member(self):
+        route = self._bound("elastic")["Fnt::route"]
+        keys = declared_keys(route.decls)
+        waits = [e for e in A.walk(route.body) if isinstance(e, A.Wait)]
+        assert [str(w.formula) for w in waits] == ["!Work[tgt]"]
+        assert {f"Work[{w}]" for w in keys.set_values["tgt!of"]} <= keys.props

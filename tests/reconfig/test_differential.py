@@ -313,13 +313,13 @@ def test_reshard_crosses_differing_slot_layouts():
     svc = ParallelShardedRedis(n_backends=2, seed=0, timeout=2.0)
     jr = svc.system.junction("Fnt::junction")
     old_table = jr.table
-    old_index = dict(old_table.layout.index)
+    old_index = dict(old_table.index)
     drive(svc, PART1, hist)
     rep = svc.reconfigure_backends(3)
     assert rep.ok, rep.reason
     settle(svc)
     new_table = svc.system.junction("Fnt::junction").table
-    new_index = dict(new_table.layout.index)
+    new_index = dict(new_table.index)
     assert new_table is not old_table
     # the pool grew: new per-backend keys exist only in the new layout
     assert set(new_index) - set(old_index)

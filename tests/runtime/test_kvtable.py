@@ -285,27 +285,32 @@ class TestRollbackStorageIdentity:
         t = table()
         slots = t.slots
         values = t.values
+        keys = t.keys
         t.tx_begin()
         t.set_local("Work", True)
-        t.values["Extra"] = 7  # declares a new slot inside the frame
-        assert t.has("Extra")
+        t.values["n"] = 7  # a by-name store inside the frame
+        assert t.get("n") == 7
         t.tx_rollback()
         assert t.slots is slots
         assert t.values is values
-        assert t.get("Work") is False
-        # the slot declared inside the frame is truly un-declared
-        assert not t.has("Extra")
+        assert t.keys is keys
+        assert t.get("Work") is False and t.get("n") is UNDEF
         # the alias still reads live storage after rollback
         t.set_local("Work", True)
-        assert slots[t.layout.slot_of("Work")] is True
+        assert slots[t.index["Work"]] is True
 
     def test_rollback_of_mid_frame_declaration(self):
+        """Inside a frame a table stores only declared keys: an
+        undeclared by-name store raises and lays nothing out, and the
+        frame's declared writes undo in reverse order."""
         t = table()
         t.tx_begin()
-        t.values["A9"] = 1
-        t.values["B9"] = 2  # two new slots; undone in reverse order
+        with pytest.raises(KeyError):
+            t.values["A9"] = 1
+        t.values["n"] = 1
+        t.values["n"] = 2
         t.set_local("Work", True)
         t.tx_rollback()
-        assert not t.has("A9") and not t.has("B9")
+        assert not t.has("A9") and t.get("n") is UNDEF
         assert t.get("Work") is False
-        assert len(t.slots) == len(t.layout.keys) == len(t.layout.index)
+        assert len(t.slots) == len(t.keys) == len(t.index) == 3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ast as A
-from repro.core.errors import CompileError, StartStopFailure
+from repro.core.errors import CompileError, StartStopFailure, UndeclaredKeyError
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kvtable import UNDEF
 
@@ -275,6 +275,68 @@ class TestExternalInterface:
     def test_junction_lookup_sole(self):
         sys_ = fig3_system()
         assert sys_.junction("f").node == "f::junction"
+
+
+#: ``f`` asserts ``Ghost`` at ``g``, whose table does not declare it
+GHOST = """
+instance_types { TF, TG }
+instances { f: TF, g: TG }
+def main() = start f() + start g()
+def TF::junction() =
+  | init prop !Done
+  assert[g] Ghost; assert[] Done
+def TG::junction() =
+  | init prop !Work
+  | init data n
+  skip
+"""
+
+
+class TestClosedKeySet:
+    """A junction's table holds exactly its declarations: an update to
+    any other key is refused at the table boundary."""
+
+    def test_a_peer_update_to_an_undeclared_key_is_acked_counted_and_dropped(self):
+        sys_ = make_system(GHOST)
+        sys_.start()
+        sys_.run_until(1.0)
+        # acked: the sender went on past its assert, with no failure
+        assert failures_of(sys_) == []
+        assert sys_.read_state("f::junction", "Done") is True
+        table = sys_.junction("g::junction").table
+        assert table.keys == ("Work", "n") and table.pending == ()
+        assert table.snapshot() == {"Work": False, "n": UNDEF}
+        metrics = sys_.telemetry.metrics
+        assert metrics.sum("kv_updates_refused", node="g::junction") == 1
+        assert metrics.sum("kv_updates_received", node="g::junction") == 1
+        assert metrics.sum("kv_updates_applied", node="g::junction") == 0
+
+    def test_the_refusal_counter_exists_only_after_a_refusal(self):
+        sys_ = fig3_system()
+        sys_.start(t=5)
+        sys_.run_until(2.0)
+        assert "kv_updates_refused" not in {name for name, _, _ in sys_.telemetry.metrics.collect()}
+
+    @pytest.mark.parametrize("call", ["external_update", "external_data"])
+    def test_an_external_update_to_an_undeclared_key_raises(self, call):
+        sys_ = fig3_system()
+        sys_.start(t=5)
+        jr = sys_.junction("g::junction")
+        before = (jr.table.snapshot(), jr.table.pending, len(sys_.telemetry.events))
+        with pytest.raises(UndeclaredKeyError, match="g::junction declares no key 'Ghost'"):
+            getattr(sys_, call)("g::junction", "Ghost", True)
+        assert (jr.table.snapshot(), jr.table.pending, len(sys_.telemetry.events)) == before
+        assert not jr.table.has("Ghost") and not jr.external_inbound
+
+    def test_a_by_name_store_to_an_undeclared_key_raises(self):
+        sys_ = fig3_system()
+        sys_.start(t=5)
+        table = sys_.junction("g::junction").table
+        with pytest.raises(KeyError):
+            table.values["Ghost"] = 1
+        with pytest.raises(TypeError):  # the image's index is read-only
+            table.declare("Ghost", 1)
+        assert not table.has("Ghost") and table.keys == ("Work", "n")
 
 
 class TestTracing:
