@@ -25,7 +25,7 @@ machine's ``truth`` op, which walks them with ``evaluate``.
 from __future__ import annotations
 
 from ..core import ast as A
-from ..core.formula import And, At, FalseF, Formula, Implies, Live, Not, Or, Prop
+from ..core.formula import And, FalseF, Formula, Implies, Not, Or, Prop
 
 
 def is_pure(f: Formula, idx_names: frozenset[str] | set[str]) -> bool:

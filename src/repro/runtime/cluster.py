@@ -19,7 +19,9 @@ messages to it stop flowing immediately, and the
 ``crash_instance`` — the same fault surface the PR 1 delivery/failover
 machinery and the chaos engine already react to.
 
-Supervision model (Erlang/systemd shaped):
+Supervision model (Erlang/systemd shaped).  Every lifecycle decision
+below is :func:`repro.runtime.supervisor.step`'s; this module feeds it
+events and carries out the actions it returns:
 
 * **launch** — attach, a live reconfiguration's ``deploy`` and every
   restart bring a process up one way: fork, then wait for its hello
@@ -66,7 +68,7 @@ import random
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.errors import SerdeError, StartStopFailure
@@ -74,13 +76,7 @@ from . import cluster_worker
 from .cluster_worker import OP_DELIVER, OP_HELLO, OP_MSG, OP_PING, OP_PONG, OP_SHUTDOWN
 from .engine import ExecutionEngine
 from .realtime import RealtimeClock, _StreamServer
-from .supervisor import (
-    Backoff,
-    BackoffPolicy,
-    SupervisorReport,
-    WorkerState,
-    WorkerStatus,
-)
+from .supervisor import FORK, BackoffPolicy, SupervisorReport, WorkerState, step
 from .wire import decode_message, encode_message, frame, read_frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -412,19 +408,27 @@ class ClusterTransport(_StreamServer):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Worker(WorkerStatus):
-    """A worker's status, current process and restart backoff."""
+class _Worker:
+    """One supervised worker: its lifecycle status, which only
+    :func:`~repro.runtime.supervisor.step` replaces, and what serves it:
+    its current process, the future its hello resolves and the task
+    awaiting a restart's hello (the loop holds tasks weakly).  The
+    status's fields read through it."""
 
-    proc: _Child | None = None
-    backoff: Backoff | None = None
-    relaunch: asyncio.Task | None = None  # the loop holds tasks weakly
+    __slots__ = ("status", "proc", "hello", "relaunch")
+
+    def __init__(self):
+        self.status = self.proc = self.hello = self.relaunch = None
+
+    def __getattr__(self, attr):
+        return getattr(self.status, attr)
 
 
 class ClusterSupervisor:
     """Forks, monitors and restarts the cluster's worker processes.
-    Every process — at attach, deploy and restart — comes up through
-    :meth:`_launch`."""
+    Every lifecycle decision is :func:`~repro.runtime.supervisor.step`'s:
+    the supervisor feeds it events (a hello, an exit, a pong, a
+    heartbeat tick, a timer) and carries out the actions it returns."""
 
     def __init__(
         self,
@@ -452,9 +456,9 @@ class ClusterSupervisor:
         self.system: "System | None" = None
         self.statuses: dict[str, _Worker] = {}
         self._hb_handle = None
-        self._stopping = False
-        transport.on_pong = self._note_pong
-        transport.on_link_down = self._link_lost
+        self._stopped = False
+        transport.on_pong = lambda name: self._event(name, "pong")
+        transport.on_link_down = lambda name: self._event(name, "eof")
 
     # -- deployment ---------------------------------------------------------
 
@@ -488,49 +492,44 @@ class ClusterSupervisor:
         reconfiguration executor calls it in the prepare phase, before
         the transition starts pumping the engine."""
         fresh = [(n, (n,)) for n in sorted(instances) if n not in self.transport.owner]
-        if fresh and not self._stopping:
+        if fresh:
             self._launch_all(fresh)
 
     def _launch_all(self, groups: list[tuple[str, tuple[str, ...]]]) -> None:
-        """Launch a worker per ``(name, instances)`` group, every process
+        """Deploy a worker per ``(name, instances)`` group, every process
         forked before the first wait, and block until all have ended;
-        if any failed, discard them all and raise the first failure."""
-        workers = []
-        for name, insts in groups:
-            # RESTARTING until its hello lands: once the heartbeat monitor
-            # ticks, a RUNNING record with no pong yet would be condemned
-            # mid-handshake (and its restart would steal the expect future)
-            workers.append(_Worker(
-                name=name, instances=insts, state=WorkerState.RESTARTING,
-                last_pong=self.clock.now, backoff=Backoff(self.policy, self._rng),
-            ))
-            self.statuses[name] = workers[-1]
-            for inst in insts:
-                self.transport.owner[inst] = name
-        loop = self.clock.loop
-        launches = [loop.create_task(self._launch(w)) for w in workers]
-        results = loop.run_until_complete(asyncio.gather(*launches, return_exceptions=True))
-        failed = [r for r in results if isinstance(r, BaseException)]
-        if failed:
+        if any fork or launch failed, discard them all and raise the
+        first failure."""
+        workers: list[_Worker] = []
+        try:
+            for name, insts in groups:
+                w = self.statuses[name] = _Worker()
+                workers.append(w)
+                for inst in insts:
+                    self.transport.owner[inst] = name
+                self._apply(w, "deploy", name=name, instances=insts, stopped=self._stopped)
+            loop, forked = self.clock.loop, [w for w in workers if w.proc is not None]
+            launches = [loop.create_task(self._launch(w)) for w in forked]
+            results = loop.run_until_complete(asyncio.gather(*launches, return_exceptions=True))
+            failed = [r for r in results if r is not None]
+            if failed:
+                raise failed[0]
+        except BaseException:
             for w in workers:
                 self._discard(w)
-            raise failed[0]
-        for w in workers:
-            self.system.telemetry.emit(
-                "worker_spawn", w.name, pid=w.pid, instances=list(w.instances)
-            )
+            raise
+        for w in forked:
+            self._apply(w, "hello", pid=w.proc.pid)
         # the fork+handshake burst consumed wall time before the next
         # logical event — rebase so it doesn't eat into the horizon or
         # into in-flight deadlines
         self.clock.rebase()
 
-    async def _launch(self, w: _Worker) -> bool:
-        """Fork ``w``'s process and wait for its hello or its exit.
-        True: ``w`` is RUNNING.  Otherwise it is un-expected and reaped,
-        and a dead or silent process raises ``RuntimeError``; a worker
-        retired meanwhile returns False."""
-        w.proc = proc = self._spawn(w.name)
-        hello = self.transport.expect(w.name)
+    async def _launch(self, w: _Worker) -> None:
+        """Wait for ``w``'s forked process to say hello or to exit.  A
+        dead or silent process is un-expected and reaped, and raises
+        ``RuntimeError``."""
+        proc, hello = w.proc, w.hello
         give_up = time.monotonic() + _SPAWN_TIMEOUT_WALL
         try:
             while not hello.done():
@@ -545,13 +544,14 @@ class ClusterSupervisor:
             self.transport.unexpect(w.name)
             self._reap(w)
             raise
-        if self._stopping or self.statuses.get(w.name) is not w:
-            self.transport.close_link(w.name)  # no longer ours
-            self._reap(w)
-            return False
-        w.state, w.pid, w.suspect = WorkerState.RUNNING, proc.pid, False
-        w.last_pong = w.started_at = self.clock.now
-        return True
+
+    async def _relaunch(self, w: _Worker) -> None:
+        try:
+            await self._launch(w)
+        except RuntimeError as exc:
+            self._apply(w, "spawn_failed", reason=str(exc))
+        else:
+            self._apply(w, "hello", pid=w.proc.pid)
 
     def retire(self, instances: Sequence[str]) -> None:
         """Shut down workers whose hosted instances were all removed by
@@ -571,14 +571,11 @@ class ClusterSupervisor:
                 self.transport.owner.pop(i, None)
             remaining = tuple(i for i in w.instances if i not in insts)
             if remaining:
-                w.instances = remaining
+                w.status = replace(w.status, instances=remaining)
                 continue
-            # STOPPED *before* the link closes, so that the link-down
-            # callback doesn't declare a crash and schedule a restart
-            w.state = WorkerState.STOPPED
-            self.system.telemetry.emit(
-                "worker_retire", wname, pid=w.pid, instances=list(w.instances)
-            )
+            # STOPPED before the link closes, so that neither the link
+            # going down nor a restart's hello landing meanwhile revives it
+            self._apply(w, "retire")
             self.transport.send_op(wname, OP_SHUTDOWN)
             try:
                 self.clock.loop.run_until_complete(asyncio.sleep(0.05))
@@ -592,6 +589,7 @@ class ClusterSupervisor:
             del self.statuses[w.name]
         for inst in w.instances:
             self.transport.owner.pop(inst, None)
+        self.transport.unexpect(w.name)
         self.transport.close_link(w.name)
         self._reap(w)
 
@@ -621,141 +619,81 @@ class ClusterSupervisor:
         proc.wait()
         _LIVE_WORKER_PGIDS.discard(proc.pid)
 
-    # -- liveness -----------------------------------------------------------
+    # -- the lifecycle: step's events in, its actions out ---------------------
 
-    def _arm_heartbeat(self) -> None:
-        if self._stopping:
-            return
-        self._hb_handle = self.clock.call_after(
-            self.heartbeat_interval, self._heartbeat_tick
+    def _apply(self, w: _Worker, event: str, **data) -> tuple:
+        """Feed ``event`` to :func:`step` and carry out the actions it
+        returns, in order; returns them."""
+        w.status, actions = step(
+            w.status, event, self.policy, rng=self._rng, now=self.clock.now,
+            timeout=self.heartbeat_timeout, live=not self.clock.loop.is_closed(), **data,
         )
+        sys_, parent = self.system, None
+        for op, *args in actions:
+            if op == "fork":
+                w.proc = self._spawn(w.name)
+                w.hello = self.transport.expect(w.name)
+            elif op == "kill":
+                self._reap(w)
+            elif op == "close_link":
+                self.transport.close_link(w.name)
+            elif op == "emit":
+                parent = sys_.telemetry.emit(args[0], w.name, parent=parent, **args[1])
+            elif op == "count":
+                sys_.telemetry.counter(args[0], worker=w.name).inc()
+            elif op == "gauge":
+                down = sum(s.state is not WorkerState.RUNNING for s in self.statuses.values())
+                sys_.telemetry.gauge("cluster_workers_down").set(down)
+            elif op == "arm":  # the timer's event names this incarnation
+                self.clock.call_after(args[1], lambda t=args[0], n=w.restarts: self._due(w, t, n))
+            else:  # crash_instances / restart_instances
+                for inst in w.instances:
+                    runtime = sys_.instances.get(inst)
+                    if op == "crash_instances" and runtime is not None and runtime.alive:
+                        sys_.crash_instance(inst)
+                    elif op == "restart_instances" and runtime is not None and runtime.crashed:
+                        try:
+                            sys_.restart_instance(inst)
+                        except StartStopFailure:
+                            pass  # the architecture revived it first — it wins
+        return actions
 
-    def _heartbeat_tick(self) -> None:
-        if self._stopping:
-            return
-        now = self.clock.now
-        for name, w in self.statuses.items():
-            if w.state is not WorkerState.RUNNING:
-                continue
-            if w.proc.poll() is not None:
-                self._declare_crash(name, f"process exit (code {w.proc.returncode})")
-            elif w.suspect and now - w.last_pong > self.heartbeat_timeout:
-                w.heartbeat_timeouts += 1
-                self._telemetry_counter("cluster_heartbeat_timeouts", name)
-                self._declare_crash(name, "missed heartbeats")
-            else:
-                # a first stale observation gives buffered pongs one
-                # more tick to be processed before condemning
-                w.suspect = now - w.last_pong > self.heartbeat_timeout
-                self.transport.send_op(name, OP_PING)
-        self._arm_heartbeat()
-
-    def _note_pong(self, name: str) -> None:
+    def _event(self, name: str, event: str) -> None:
         w = self.statuses.get(name)
         if w is not None:
-            w.last_pong = self.clock.now
-            w.suspect = False
+            self._apply(w, event)
 
-    def _link_lost(self, name: str) -> None:
-        w = self.statuses.get(name)
-        if w is not None and w.state is WorkerState.RUNNING:
-            self._declare_crash(name, "connection lost")
-
-    # -- crash / restart ------------------------------------------------------
-
-    def _telemetry_counter(self, counter: str, name: str) -> None:
-        self.system.telemetry.counter(counter, worker=name).inc()
-
-    def _declare_crash(self, name: str, reason: str) -> None:
-        w = self.statuses[name]
-        if w.state is not WorkerState.RUNNING or self._stopping:
-            return
-        w.state = WorkerState.DOWN
-        w.crashes += 1
-        w.last_crash_reason = reason
-        self._telemetry_counter("cluster_worker_crashes", name)
-        sys_ = self.system
-        ev = sys_.telemetry.emit(
-            "worker_crash", name, reason=reason, instances=list(w.instances)
-        )
-        self.transport.close_link(name)
-        self._reap(w)
-        # the real fault enters the runtime here: every hosted instance
-        # crashes, and the PR 1 failover machinery takes over
-        for inst in w.instances:
-            runtime = sys_.instances.get(inst)
-            if runtime is not None and runtime.alive:
-                sys_.crash_instance(inst)
-        self._back_off(w, ev)
-
-    def _back_off(self, w: _Worker, cause: int | None = None) -> None:
-        """Schedule ``w``'s next restart attempt, or give up (FAILED)
-        once its restart budget is spent.  Nothing, once the loop is
-        closed: nothing could run the restart."""
-        if self.clock.loop.is_closed():
-            return
-        delay = w.backoff.next_delay()
-        if delay is None:
-            w.state = WorkerState.FAILED
-            self.system.telemetry.emit("worker_gave_up", w.name, parent=cause)
-        else:
-            self.system.telemetry.emit(
-                "worker_restart_scheduled", w.name, parent=cause, delay=round(delay, 6)
-            )
-            self.clock.call_after(delay, lambda: self._restart(w.name))
-        self._update_degraded()
-
-    def _restart(self, name: str) -> None:
-        w = self.statuses.get(name)
-        if self._stopping or w is None or w.state is not WorkerState.DOWN:
-            # gone: a live reconfiguration retired the worker while its
-            # restart was pending
-            return
-        w.state = WorkerState.RESTARTING
-        w.relaunch = self.clock.loop.create_task(self._relaunch(w))
-
-    async def _relaunch(self, w: _Worker) -> None:
+    def _due(self, w: _Worker, timer: str, stamp: int) -> None:
+        """An armed timer fires.  A restart it forks is awaited by a
+        task; a fork that raises made no process, and is one failed
+        attempt like a process that dies before its hello."""
         try:
-            if not await self._launch(w):
-                return
-        except RuntimeError as exc:
-            # a process that dies before its hello is one failed attempt
-            if not self._stopping and self.statuses.get(w.name) is w:
-                w.state = WorkerState.DOWN
-                w.last_crash_reason = str(exc)
-                self._back_off(w)
+            forked = FORK in self._apply(w, timer, stamp=stamp)
+        except OSError as exc:
+            self._apply(w, "spawn_failed", reason=f"fork failed: {exc}")
             return
-        name, now = w.name, w.started_at
-        w.restarts += 1
-        self._telemetry_counter("cluster_worker_restarts", name)
-        self.system.telemetry.emit("worker_restart", name, pid=w.pid)
-        for inst in w.instances:
-            runtime = self.system.instances.get(inst)
-            if runtime is not None and runtime.crashed:
-                try:
-                    self.system.restart_instance(inst)
-                except StartStopFailure:
-                    pass  # the architecture revived it first — it wins
+        if forked:
+            w.relaunch = self.clock.loop.create_task(self._relaunch(w))
 
-        def stable():  # up for stable_after since this restart
-            if w.state is WorkerState.RUNNING and w.started_at == now:
-                w.backoff.reset()
+    def _arm_heartbeat(self) -> None:
+        if not self._stopped:
+            self._hb_handle = self.clock.call_after(
+                self.heartbeat_interval, self._heartbeat_tick
+            )
 
-        self.clock.call_after(self.policy.stable_after, stable)
-        self._update_degraded()
-
-    def _update_degraded(self) -> None:
-        down = sum(s.state is not WorkerState.RUNNING for s in self.statuses.values())
-        self.system.telemetry.gauge("cluster_workers_down").set(down)
+    def _heartbeat_tick(self) -> None:
+        for w in self.statuses.values():
+            code = w.proc.poll()
+            self._apply(w, "tick" if code is None else "exited", code=code)
+            self.transport.send_op(w.name, OP_PING)  # if its link is up
+        self._arm_heartbeat()
 
     # -- operator surface ----------------------------------------------------
 
     @property
     def degraded(self) -> bool:
         """True while any worker is down, restarting or failed."""
-        return any(
-            s.state is not WorkerState.RUNNING for s in self.statuses.values()
-        )
+        return any(s.state is not WorkerState.RUNNING for s in self.statuses.values())
 
     def worker_of(self, target: str) -> str:
         """Resolve an instance or worker name to the worker name."""
@@ -778,10 +716,10 @@ class ClusterSupervisor:
         return name
 
     def status(self) -> dict[str, dict]:
-        return {name: st.as_dict() for name, st in self.statuses.items()}
+        return {name: w.as_dict() for name, w in self.statuses.items()}
 
     def report(self) -> SupervisorReport:
-        sts = list(self.statuses.values())
+        sts = [w.status for w in self.statuses.values()]
         return SupervisorReport(
             workers=len(sts),
             crashes=sum(s.crashes for s in sts),
@@ -794,19 +732,20 @@ class ClusterSupervisor:
     # -- shutdown ------------------------------------------------------------
 
     def stop(self) -> None:
-        """Stop supervising: no heartbeat, crash or restart from here on."""
-        self._stopping = True
+        """Stop supervising: every worker that has not failed is
+        STOPPED, so no heartbeat, crash or restart follows."""
+        self._stopped = True
         if self._hb_handle is not None:
             self._hb_handle.cancel()
             self._hb_handle = None
+        for w in self.statuses.values():
+            self._apply(w, "stop")
 
     def shutdown(self) -> None:
         """Force-stop every worker process group and reap it."""
         self.stop()
         for w in self.statuses.values():
             self._reap(w)
-            if w.state is not WorkerState.FAILED:
-                w.state = WorkerState.STOPPED
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
-"""Crash supervision policy for the cluster engine.
+"""The worker lifecycle of the cluster engine, as one transition function.
 
-The mechanics of running worker processes (spawning, socket plumbing,
-frame routing) live in :mod:`repro.runtime.cluster`; this module holds
-the *policy* pieces the supervisor composes, mirroring how classic
-process supervisors (Erlang/OTP, systemd, s6) separate restart policy
-from process plumbing:
+The mechanics of running worker processes (forking, reaping, socket
+plumbing, frame routing, timers) live in :mod:`repro.runtime.cluster`;
+this module decides.  Classic process supervisors (Erlang/OTP, systemd,
+s6) separate restart policy from process plumbing; here the whole
+policy is one function:
 
+* :func:`step` — ``(status, event) -> (status, actions)``: every change
+  of a worker's :class:`WorkerState`, and every fork, kill, crash,
+  restart, timer and telemetry record that follows from one.  It starts
+  no process and reads no socket or clock, so a test can explore every
+  state it reaches.  ``deploy`` makes a worker ``restarting`` (forked,
+  hello pending); it then moves ``running → down → restarting →
+  running``, to ``failed`` once its restart budget is spent, or to
+  ``stopped`` when it is retired or drained.  ``failed`` and
+  ``stopped`` are absorbing.
 * :class:`BackoffPolicy` — capped exponential restart backoff with
   seeded jitter.  Delays are in **logical seconds** (the engine clock's
   unit), so a compressed ``time_scale`` compresses supervision the same
   way it compresses the workload.
-* :class:`WorkerState` / :class:`WorkerStatus` — the lifecycle of one
-  supervised worker process: ``running → down → restarting → running``
-  (or ``failed`` once the restart budget is exhausted).
+* :class:`WorkerStatus` — one worker's lifecycle record.
 * :class:`SupervisorReport` — the operator-facing digest printed by
   ``repro cluster`` and asserted by the recovery tests.
 """
@@ -20,10 +27,10 @@ from process plumbing:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-__all__ = ["Backoff", "BackoffPolicy", "SupervisorReport", "WorkerState", "WorkerStatus"]
+__all__ = ["EVENTS", "BackoffPolicy", "SupervisorReport", "WorkerState", "WorkerStatus", "step"]
 
 
 @dataclass(frozen=True)
@@ -47,34 +54,13 @@ class BackoffPolicy:
     stable_after: float = 10.0
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        d = min(self.base * (self.factor ** attempt), self.cap)
+        try:
+            d = min(self.base * (self.factor ** attempt), self.cap)
+        except OverflowError:  # a retry-forever ladder far past its cap
+            d = self.cap
         if self.jitter > 0.0:
             d += rng.uniform(0.0, self.jitter * d)
         return d
-
-
-class Backoff:
-    """Per-worker backoff state over a :class:`BackoffPolicy`."""
-
-    def __init__(self, policy: BackoffPolicy, rng: random.Random):
-        self.policy = policy
-        self._rng = rng
-        self.attempt = 0
-
-    def next_delay(self) -> float | None:
-        """The delay before the next restart attempt, or ``None`` when
-        the consecutive-restart budget is exhausted."""
-        if (
-            self.policy.max_restarts is not None
-            and self.attempt >= self.policy.max_restarts
-        ):
-            return None
-        d = self.policy.delay(self.attempt, self._rng)
-        self.attempt += 1
-        return d
-
-    def reset(self) -> None:
-        self.attempt = 0
 
 
 class WorkerState(str, Enum):
@@ -82,18 +68,18 @@ class WorkerState(str, Enum):
 
     RUNNING = "running"
     DOWN = "down"            # crash detected, restart scheduled
-    RESTARTING = "restarting"  # new process spawned, handshake pending
+    RESTARTING = "restarting"  # process forked, hello pending
     FAILED = "failed"        # restart budget exhausted — gave up
-    STOPPED = "stopped"      # deliberately shut down (drain/close)
+    STOPPED = "stopped"      # deliberately shut down (retire/drain/close)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkerStatus:
-    """Mutable supervision record of one worker."""
+    """Supervision record of one worker; :func:`step` makes the next."""
 
     name: str
     instances: tuple[str, ...]
-    state: WorkerState = WorkerState.RUNNING
+    state: WorkerState = WorkerState.RESTARTING
     pid: int | None = None
     restarts: int = 0
     crashes: int = 0
@@ -101,6 +87,8 @@ class WorkerStatus:
     last_pong: float = 0.0       # logical time of the last heartbeat reply
     last_crash_reason: str = ""
     started_at: float = 0.0      # logical time the current process came up
+    #: consecutive restart attempts since the worker was last stable
+    attempt: int = 0
     #: a stale pong was observed on the last heartbeat tick; a crash is
     #: declared only when staleness persists across *two* consecutive
     #: ticks, so a coordinator stall (e.g. the blocking process spawn of
@@ -119,6 +107,104 @@ class WorkerStatus:
             "heartbeat_timeouts": self.heartbeat_timeouts,
             "last_crash_reason": self.last_crash_reason,
         }
+
+
+#: every event :func:`step` takes
+EVENTS = ("deploy", "hello", "spawn_failed", "exited", "eof", "pong", "tick",
+          "backoff_due", "stable_due", "retire", "stop")
+FORK, KILL, CLOSE_LINK, GAUGE = ("fork",), ("kill",), ("close_link",), ("gauge",)
+
+
+def step(status: WorkerStatus | None, event: str, policy: BackoffPolicy, *, rng: random.Random,
+         now: float, timeout: float, live: bool = True, **data) -> tuple[WorkerStatus | None, tuple]:
+    """One transition of a worker's lifecycle (docs/RUNTIME.md tabulates it).
+
+    ``status`` is ``None`` before ``deploy``; ``now`` is the logical
+    time and ``timeout`` the heartbeat timeout; ``rng`` draws the
+    backoff jitter; ``live`` is False once nothing could run a restart
+    (the event loop is closed), so a crash is recorded but no backoff
+    decided.  Event data: ``deploy`` takes ``name``, ``instances`` and
+    ``stopped`` (supervision has ended); ``hello`` the new ``pid``;
+    ``spawn_failed`` a ``reason``; ``exited`` the exit ``code``; a timer
+    event the ``stamp`` (``restarts`` when it was armed).
+
+    Returns the next status (``status`` itself is unchanged) and the
+    actions to carry out, in order: ``fork``; ``kill`` (reap the current
+    process); ``close_link``; ``crash_instances``/``restart_instances``
+    (the hosted runtime instances); ``("arm", timer, delay)``, which
+    delivers the event ``timer`` after ``delay`` logical seconds;
+    ``("emit", kind, attrs)``, whose causal parent is the previous emit
+    of the same step; ``("count", counter)``; and ``gauge`` (refresh
+    ``cluster_workers_down``).
+    """
+    s = status
+    if s is None:  # only deploy makes a record; a second one changes nothing
+        if event != "deploy":
+            return None, ()
+        if data["stopped"]:
+            return WorkerStatus(data["name"], data["instances"], WorkerState.STOPPED), ()
+        return WorkerStatus(data["name"], data["instances"]), (FORK,)
+    state = s.state
+    if event == "stop":
+        return (s if state in (WorkerState.FAILED, WorkerState.STOPPED) else replace(s, state=WorkerState.STOPPED)), ()
+    if event == "retire":
+        if state is WorkerState.STOPPED:
+            return s, ()
+        retired = ("emit", "worker_retire", {"pid": s.pid, "instances": list(s.instances)})
+        return (s if state is WorkerState.FAILED else replace(s, state=WorkerState.STOPPED)), (retired,)
+    if event == "hello":
+        if state is not WorkerState.RESTARTING:  # retired or stopped meanwhile
+            return s, (CLOSE_LINK, KILL)
+        up = replace(s, state=WorkerState.RUNNING, pid=data["pid"], started_at=now, last_pong=now, suspect=False)
+        if s.pid is None:  # the first process of this worker
+            return up, (("emit", "worker_spawn", {"pid": up.pid, "instances": list(s.instances)}),)
+        return replace(up, restarts=s.restarts + 1), (
+            ("count", "cluster_worker_restarts"), ("emit", "worker_restart", {"pid": up.pid}),
+            ("restart_instances",), ("arm", "stable_due", policy.stable_after), GAUGE,
+        )
+    if event == "spawn_failed" and state is WorkerState.RESTARTING:
+        # a process that dies before its hello is one failed attempt
+        return _back_off(replace(s, state=WorkerState.DOWN, last_crash_reason=data["reason"]), (), policy, rng, live)
+    if event == "backoff_due" and state is WorkerState.DOWN:
+        return replace(s, state=WorkerState.RESTARTING), (FORK,)
+    if event == "stable_due" and state is WorkerState.RUNNING and data["stamp"] == s.restarts:
+        return replace(s, attempt=0), ()  # up for stable_after since this restart
+    if state is not WorkerState.RUNNING or event not in ("pong", "tick", "exited", "eof"):
+        return s, ()
+    if event == "pong":
+        return replace(s, last_pong=now, suspect=False), ()
+    actions = ()
+    if event == "tick":
+        stale = now - s.last_pong > timeout
+        if not (stale and s.suspect):
+            # a first stale observation gives buffered pongs one more
+            # tick to be processed before condemning
+            return replace(s, suspect=stale), ()
+        s = replace(s, heartbeat_timeouts=s.heartbeat_timeouts + 1)
+        actions, reason = (("count", "cluster_heartbeat_timeouts"),), "missed heartbeats"
+    else:
+        reason = "connection lost" if event == "eof" else f"process exit (code {data['code']})"
+    # a crash: the process goes, every hosted instance crashes (the
+    # runtime's failover machinery takes over), and a restart follows
+    s = replace(s, state=WorkerState.DOWN, crashes=s.crashes + 1, last_crash_reason=reason)
+    return _back_off(s, actions + (
+        ("count", "cluster_worker_crashes"),
+        ("emit", "worker_crash", {"reason": reason, "instances": list(s.instances)}),
+        CLOSE_LINK, KILL, ("crash_instances",),
+    ), policy, rng, live)
+
+
+def _back_off(s, actions, policy, rng, live):
+    """Schedule the next restart attempt of a DOWN worker, or give up
+    (FAILED) once its restart budget is spent."""
+    if not live:
+        return s, actions
+    if policy.max_restarts is not None and s.attempt >= policy.max_restarts:
+        return replace(s, state=WorkerState.FAILED), actions + (("emit", "worker_gave_up", {}), GAUGE)
+    delay = policy.delay(s.attempt, rng)
+    return replace(s, attempt=s.attempt + 1), actions + (
+        ("emit", "worker_restart_scheduled", {"delay": round(delay, 6)}), ("arm", "backoff_due", delay), GAUGE,
+    )
 
 
 @dataclass

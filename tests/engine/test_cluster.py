@@ -7,6 +7,7 @@ the supervision machinery under test is the real thing, not a mock.
 """
 
 import asyncio
+import errno
 import os
 import random
 import signal
@@ -31,7 +32,7 @@ from repro.runtime.cluster import (
     reap_orphan_workers,
 )
 from repro.runtime.engine import ENGINE_NAMES, create_engine
-from repro.runtime.supervisor import Backoff, BackoffPolicy, WorkerState
+from repro.runtime.supervisor import BackoffPolicy, WorkerState, WorkerStatus, step
 from repro.runtime import cluster_worker
 from repro.runtime.wire import LEN_PREFIX, MAX_FRAME_LEN
 
@@ -128,12 +129,28 @@ class TestBackoffPolicy:
             assert 1.0 <= pol.delay(n, rng) <= 1.5
 
     def test_budget_exhaustion_and_reset(self):
-        b = Backoff(BackoffPolicy(base=1.0, jitter=0.0, max_restarts=2), random.Random(0))
-        assert b.next_delay() == 1.0
-        assert b.next_delay() == 2.0
-        assert b.next_delay() is None  # budget spent
-        b.reset()
-        assert b.next_delay() == 1.0  # stability resets the ladder
+        pol = BackoffPolicy(base=1.0, jitter=0.0, max_restarts=2)
+        knobs = dict(rng=random.Random(0), now=0.0, timeout=2.0)
+
+        def crash(s):  # the delay of the restart it schedules, or None
+            s, actions = step(s, "eof", pol, **knobs)
+            delays = [a[2] for a in actions if a[:2] == ("arm", "backoff_due")]
+            return s, (delays or [None])[0]
+
+        def restart(s):
+            s, _ = step(s, "backoff_due", pol, **knobs)
+            return step(s, "hello", pol, pid=2, **knobs)[0]
+
+        s = WorkerStatus("x", ("x",), WorkerState.RUNNING, pid=1)
+        s, d = crash(s)
+        assert d == 1.0
+        s, d = crash(restart(s))
+        assert d == 2.0
+        up = restart(s)
+        s, d = crash(up)
+        assert d is None and s.state is WorkerState.FAILED  # budget spent
+        stable, _ = step(up, "stable_due", pol, stamp=up.restarts, **knobs)
+        assert crash(stable)[1] == 1.0  # stability resets the ladder
 
     def test_group_assignment(self):
         insts = ["c", "a", "b"]
@@ -264,6 +281,80 @@ class TestDeadSpawn:
             assert st.crashes == 1 and st.restarts == 0
             assert "exited with code 1" in st.last_crash_reason
             assert sys_.instances["x"].crashed
+        finally:
+            eng.close()
+
+
+    @pytest.mark.parametrize("max_restarts", (None, 1))
+    def test_a_fork_that_fails_at_restart_is_one_failed_attempt(self, monkeypatch, max_restarts):
+        # the fork raises before any process exists: it used to escape
+        # the relaunch task and leave the worker RESTARTING for good
+        eng = ClusterEngine(
+            time_scale=SCALE,
+            backoff=BackoffPolicy(max_restarts=max_restarts, base=0.05, jitter=0.0),
+            **HB,
+        )
+        sys_ = single_junction("skip", engine=eng)
+        try:
+            sys_.start()
+            eng.run_until(1.0)
+            st = eng.supervisor.statuses["x"]
+            fork, refused = os.fork, []
+
+            def fork_once():
+                if refused:
+                    return fork()
+                refused.append(True)
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", fork_once)
+            eng.supervisor.kill("x")
+            settled = (WorkerState.RUNNING, WorkerState.FAILED)
+            give_up = time.monotonic() + 10.0
+            while not (refused and st.state in settled) and time.monotonic() < give_up:
+                eng.run_until(eng.clock.now + 0.5)
+            assert refused and st.crashes == 1
+            scheduled = [e for e in sys_.telemetry.events if e.kind == "worker_restart_scheduled"]
+            if max_restarts is None:  # the next attempt forks and comes up
+                assert st.state is WorkerState.RUNNING and st.restarts == 1
+                assert len(scheduled) == 2 and not eng.supervisor.degraded
+                assert sys_.instances["x"].alive
+            else:  # the failed fork spent the budget
+                assert st.state is WorkerState.FAILED and st.restarts == 0
+                assert len(scheduled) == 1 and eng.supervisor.degraded
+                assert st.last_crash_reason.startswith("fork failed")
+        finally:
+            eng.close()
+
+
+class TestRetireDuringRestart:
+    def test_a_worker_retired_while_restarting_stays_stopped(self):
+        # the restart's child is forked before retire; its hello lands
+        # during retire's grace sleep (or it is reaped after it) and
+        # must not bring the retired worker back
+        eng = ClusterEngine(
+            time_scale=0.02, backoff=BackoffPolicy(base=0.5, jitter=0.0), **HB
+        )
+        sys_ = single_junction("skip", engine=eng)
+        try:
+            sys_.start()
+            eng.run_until(1.0)
+            sup = eng.supervisor
+            st = sup.statuses["x"]
+            sup.kill("x")
+            give_up = time.monotonic() + 10.0
+            while st.state is not WorkerState.RESTARTING and time.monotonic() < give_up:
+                eng.run_until(eng.clock.now + 0.05)
+            assert st.state is WorkerState.RESTARTING
+            sup.retire(["x"])
+            eng.run_until(eng.clock.now + 1.0)
+            assert st.state is WorkerState.STOPPED and st.restarts == 0
+            assert "x" not in sup.statuses and "x" not in eng.transport.links
+            kinds = [e.kind for e in sys_.telemetry.events if e.kind.startswith("worker_")]
+            assert kinds[kinds.index("worker_kill"):] == [
+                "worker_kill", "worker_crash", "worker_restart_scheduled", "worker_retire",
+            ]
+            assert st.proc.poll() is not None and st.proc.pid not in live_worker_pgids()
         finally:
             eng.close()
 
@@ -889,11 +980,11 @@ class TestCrashSupervision:
         st = eng.supervisor.statuses["x"]
         assert st.state is WorkerState.DOWN and st.crashes == 1
         assert st.last_crash_reason == "connection lost"
-        assert st.backoff.attempt == 0
+        assert st.attempt == 0
         kinds = [e.kind for e in sys_.telemetry.events]
         assert "worker_crash" in kinds and "worker_restart_scheduled" not in kinds
         eng.close()
-        assert st.proc.poll() is not None  # _declare_crash reaped it
+        assert st.proc.poll() is not None  # the crash reaped it
 
     def test_architecture_revival_wins_restart_race(self):
         # if the architecture restarts the instance before the worker
